@@ -16,6 +16,7 @@ import sys
 from .harness import ConfigError, emit_report, load_config, load_sweep_configs
 from .harness import run_experiment, run_validation
 from .linalg import DenseCapError, DimensionError, EigensolverError
+from .search import NormDriftError
 from .spectra import ResonanceError, SpectrumValidationError
 
 
@@ -76,7 +77,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SpectrumValidationError, ResonanceError, EigensolverError) as exc:
+    except (
+        SpectrumValidationError,
+        ResonanceError,
+        EigensolverError,
+        NormDriftError,
+    ) as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2
     except (DimensionError, DenseCapError, ValueError) as exc:

@@ -4,8 +4,16 @@ The ancilla register estimates the diffusion eigenphase, a conditional
 operator rewrites the spectrum (good eigenvectors keep a powered phase,
 everything else is flipped to -1), and undoing the estimation yields a new
 diffusion operator whose b factor stays O(1) no matter how large the main
-space b factor is.  All joint operators are matrix free; dense joint
-matrices exist only as small-scale verification oracles.
+space b factor is.
+
+In the diffusion eigenbasis the boosted diffusion acts on the ancilla
+column of each main eigenvector l as -I + (1 + e^{i 2^m theta_l}) |p_l><p_l|,
+where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
+estimation makes from theta_l.  ``boosted_search_run`` iterates in these
+eigen-coordinates at O(2^m N) per step.  The operator-level functions
+(``pea_operator``, ``c_operator``, ``boosted_diffusion`` and friends) apply
+the circuit stage by stage to a ``JointState``; they and the dense joint
+matrix built from them are the small-scale verification oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DenseCapError, DimensionError, round_half_up, wrap_phase
-from .search import IterationRecord, RunReport, _peak_of
+from .search import RunReport, _checked_drift, _record, _report, _source_coordinates
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
 
 JOINT_DENSE_CAP = 1024
@@ -30,8 +38,8 @@ class JointState:
     """State on the ancilla (x) main space, ancilla-major layout.
 
     ``amplitudes[j * main_dimension + i]`` is the amplitude of ancilla basis
-    value j with main basis value i.  Every operator in this module reads
-    and writes this layout.
+    value j with main basis value i.  Every operator-level function in this
+    module reads and writes this layout.
     """
 
     m: int
@@ -77,6 +85,38 @@ class JointState:
             main_dimension=self.main_dimension,
             amplitudes=self.amplitudes.copy(),
         )
+
+    def flip_target(self, target_index: int) -> "JointState":
+        """Copy with the amplitude of |ancilla 0, target_index> negated."""
+        out = self.copy()
+        out.amplitudes[target_index] = -out.amplitudes[target_index]
+        return out
+
+
+@dataclass
+class EigenFrameState:
+    """Joint state as diffusion eigen-coordinates, updated in place.
+
+    ``coeff`` has shape (2^m, N); row j is V^dag applied to the main-space
+    block of ancilla value j, with V = ``spectrum.vectors``.  Nothing is
+    validated per operation: ``boosted_search_run`` measures the norm drift
+    at every record instead.
+    """
+
+    m: int
+    spectrum: EigenSpectrum
+    coeff: np.ndarray
+
+    @property
+    def main_dimension(self) -> int:
+        return self.spectrum.dimension
+
+    def flip_target(self, target_index: int) -> "EigenFrameState":
+        """Negate |ancilla 0, target_index>: reflect row 0 about V's target row."""
+        row = self.spectrum.vectors[target_index]
+        block0 = self.coeff[0]
+        block0 -= 2.0 * (row @ block0) * row.conj()
+        return self
 
 
 @dataclass(frozen=True)
@@ -146,23 +186,54 @@ def _check_layout(spec: EigenSpectrum, m: int, state: JointState) -> None:
         )
 
 
-def _apply_ancilla(matrix: np.ndarray, state: JointState) -> JointState:
-    blocks = matrix @ state.blocks()
+def _columns(state: JointState) -> np.ndarray:
+    """(2^m, N, 1) view of the state, the layout the stages below take."""
+    return state.blocks()[:, :, np.newaxis]
+
+
+def _joint(state: JointState, blocks: np.ndarray) -> JointState:
     return JointState(
         m=state.m, main_dimension=state.main_dimension, amplitudes=blocks.ravel()
     )
+
+
+def _apply_ancilla(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Apply a 2^m x 2^m ancilla matrix to (2^m, N, K) blocks."""
+    return np.tensordot(matrix, blocks, axes=1)
 
 
 def _apply_block_powers(
-    spec: EigenSpectrum, state: JointState, exponents: np.ndarray
-) -> JointState:
-    """Apply Ds^exponents[j] to ancilla block j, working in the eigenbasis."""
-    coeff = state.blocks() @ spec.vectors.conj()
-    coeff *= np.exp(1j * np.outer(exponents, spec.phases))
-    blocks = coeff @ spec.vectors.T
-    return JointState(
-        m=state.m, main_dimension=state.main_dimension, amplitudes=blocks.ravel()
-    )
+    spec: EigenSpectrum, blocks: np.ndarray, exponents
+) -> np.ndarray:
+    """Apply Ds^exponents[j] to ancilla block j of (2^m, N, K) blocks.
+
+    Works in the eigenbasis; each of the K columns is an independent state.
+    """
+    coeff = spec.vectors.conj().T @ blocks
+    coeff *= np.exp(1j * np.outer(exponents, spec.phases))[:, :, np.newaxis]
+    return spec.vectors @ coeff
+
+
+def _estimate(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    blocks = _apply_ancilla(walsh_hadamard(m), blocks)
+    blocks = _apply_block_powers(spec, blocks, np.arange(2**m))
+    return _apply_ancilla(qft(m), blocks)
+
+
+def _unestimate(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    blocks = _apply_ancilla(qft(m).conj().T, blocks)
+    blocks = _apply_block_powers(spec, blocks, -np.arange(2**m))
+    return _apply_ancilla(walsh_hadamard(m), blocks)
+
+
+def _condition(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    out = -blocks
+    out[0] = _apply_block_powers(spec, blocks[:1], [2**m])[0]
+    return out
+
+
+def _boost(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    return _estimate(spec, m, _condition(spec, m, _unestimate(spec, m, blocks)))
 
 
 def controlled_powers(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
@@ -173,23 +244,19 @@ def controlled_powers(spec: EigenSpectrum, m: int, state: JointState) -> JointSt
     this shortcut.
     """
     _check_layout(spec, m, state)
-    return _apply_block_powers(spec, state, np.arange(2**m))
+    return _joint(state, _apply_block_powers(spec, _columns(state), np.arange(2**m)))
 
 
 def pea_operator(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
     """Phase estimation: Walsh-Hadamard, controlled powers, then Fourier."""
     _check_layout(spec, m, state)
-    state = _apply_ancilla(walsh_hadamard(m), state)
-    state = _apply_block_powers(spec, state, np.arange(2**m))
-    return _apply_ancilla(qft(m), state)
+    return _joint(state, _estimate(spec, m, _columns(state)))
 
 
 def pea_adjoint(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
     """Inverse of pea_operator (undoes the estimation)."""
     _check_layout(spec, m, state)
-    state = _apply_ancilla(qft(m).conj().T, state)
-    state = _apply_block_powers(spec, state, -np.arange(2**m))
-    return _apply_ancilla(walsh_hadamard(m), state)
+    return _joint(state, _unestimate(spec, m, _columns(state)))
 
 
 def pea_amplitude(theta, m: int, k: int):
@@ -218,14 +285,7 @@ def c_operator(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
     Circuit cost ledger: 2^m diffusion applications.
     """
     _check_layout(spec, m, state)
-    blocks = state.blocks().copy()
-    coeff = blocks[0] @ spec.vectors.conj()
-    coeff *= np.exp(1j * 2**m * spec.phases)
-    blocks[0] = coeff @ spec.vectors.T
-    blocks[1:] = -blocks[1:]
-    return JointState(
-        m=state.m, main_dimension=state.main_dimension, amplitudes=blocks.ravel()
-    )
+    return _joint(state, _condition(spec, m, _columns(state)))
 
 
 def boosted_diffusion(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
@@ -235,24 +295,25 @@ def boosted_diffusion(spec: EigenSpectrum, m: int, state: JointState) -> JointSt
     phase 2^m * theta_l, the rest of the space sits at phase pi.  Cost per
     application: 3 * 2^m - 2 diffusion applications.
     """
-    state = pea_adjoint(spec, m, state)
-    state = c_operator(spec, m, state)
-    return pea_operator(spec, m, state)
+    _check_layout(spec, m, state)
+    return _joint(state, _boost(spec, m, _columns(state)))
 
 
 def controlled_oracle(
-    n: int, target_index: int, m: int, state: JointState
-) -> JointState:
-    """Flip the amplitude of |ancilla 0, target>; exactly one oracle query."""
+    n: int, target_index: int, m: int, state: JointState | EigenFrameState
+) -> JointState | EigenFrameState:
+    """Flip the amplitude of |ancilla 0, target>; exactly one oracle query.
+
+    A ``JointState`` comes back as a flipped copy; an ``EigenFrameState`` is
+    reflected in place and returned.
+    """
     if state.main_dimension != n:
         raise DimensionError(
             f"state main dimension {state.main_dimension} does not match {n}"
         )
     if not 0 <= target_index < n:
         raise DimensionError(f"target_index {target_index} out of range for {n}")
-    out = state.copy()
-    out.amplitudes[target_index] = -out.amplitudes[target_index]
-    return out
+    return state.flip_target(target_index)
 
 
 def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
@@ -317,6 +378,18 @@ def boosted_search_run(
     leakage can push marginally higher.  Row q records the joint target
     probability |<ancilla 0, target | state>|^2, q oracle queries, and
     q * (3 * 2^m - 2) diffusion applications.
+
+    The state is an ``EigenFrameState``: a (2^m, N) array C of
+    eigen-coordinates.  The oracle reflects row 0 about the target row of
+    V, and the diffusion maps each column to
+    -C[:, l] + (1 + e^{i 2^m theta_l}) p_l (p_l^dag C[:, l]), with the probe
+    vectors p_l computed once.  After the one-time V^dag source product a
+    step and a record cost O(2^m N); no N x N array is touched.
+
+    Raises
+    ------
+    NormDriftError
+        If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT`` at any record.
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)
@@ -328,47 +401,56 @@ def boosted_search_run(
     operator = BoostedOperator.build(inst.spectrum, m)
     spectrum = inst.spectrum
     n = spectrum.dimension
-    source = spectrum.source_state
     target = inst.target_index
+    cost = operator.cost_per_application
+    target_row = spectrum.vectors[target]
+    source_coeff = _source_coordinates(spectrum)
+    probes = _estimation_probes(spectrum.phases, m)
+    probes_conj = probes.conj()
+    gain = 1.0 + np.exp(1j * operator.r * spectrum.phases)
 
-    state = JointState.from_product(m, source)
-    records = [_boosted_record(0, state, source, target, operator)]
+    state = EigenFrameState(
+        m=m, spectrum=spectrum, coeff=np.zeros((operator.r, n), dtype=np.complex128)
+    )
+    coeff = state.coeff
+    coeff[0] = source_coeff
+    scratch = np.empty_like(coeff)
+    records = [_record(0, coeff[0], target_row, source_coeff, cost)]
+    drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
-        state = controlled_oracle(n, target, m, state)
-        state = boosted_diffusion(spectrum, m, state)
-        records.append(_boosted_record(q, state, source, target, operator))
+        controlled_oracle(n, target, m, state)
+        # column l: C <- -C + p_l (1 + e^{i 2^m theta_l}) (p_l^dag C)
+        np.multiply(probes_conj, coeff, out=scratch)
+        overlap = scratch.sum(axis=0)
+        overlap *= gain
+        np.multiply(probes, overlap, out=scratch)
+        np.subtract(scratch, coeff, out=coeff)
+        records.append(_record(q, coeff[0], target_row, source_coeff, cost))
+        drift = _checked_drift(q, coeff, drift)
+    return _report(records, drift)
 
-    peak_q, peak_probability = _peak_of(records)
-    return RunReport(
-        records=tuple(records), peak_q=peak_q, peak_probability=peak_probability
-    )
 
-
-def _boosted_record(q, state, source, target, operator):
-    block0 = state.blocks()[0]
-    return IterationRecord(
-        q=q,
-        target_probability=float(np.abs(block0[target]) ** 2),
-        source_overlap=float(np.abs(np.vdot(source, block0))),
-        oracle_queries=q,
-        ds_applications=q * operator.cost_per_application,
-    )
+def _estimation_probes(phases: np.ndarray, m: int) -> np.ndarray:
+    """(2^m, N) array whose column l is p_l = QFT diag(e^{i j theta_l}) WH|0>."""
+    size = 2**m
+    comb = np.exp(1j * np.outer(np.arange(size), phases)) / math.sqrt(size)
+    return qft(m) @ comb
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
-    """Materialize the boosted diffusion column by column (small scale only)."""
+    """Materialize the boosted diffusion (small scale only).
+
+    Pushes every joint basis vector through the operator-level stages at
+    once, as the K columns of a (2^m, N, K) block array.
+    """
     joint_dim = 2**m * spec.dimension
     if joint_dim > JOINT_DENSE_CAP:
         raise DenseCapError(
             f"joint dimension {joint_dim} exceeds dense joint cap {JOINT_DENSE_CAP}"
         )
-    matrix = np.zeros((joint_dim, joint_dim), dtype=np.complex128)
-    for col in range(joint_dim):
-        amplitudes = np.zeros(joint_dim, dtype=np.complex128)
-        amplitudes[col] = 1.0
-        state = JointState(m=m, main_dimension=spec.dimension, amplitudes=amplitudes)
-        matrix[:, col] = boosted_diffusion(spec, m, state).amplitudes
-    return matrix
+    basis = np.eye(joint_dim, dtype=np.complex128)
+    blocks = _boost(spec, m, basis.reshape(2**m, spec.dimension, joint_dim))
+    return blocks.reshape(joint_dim, joint_dim)
 
 
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:

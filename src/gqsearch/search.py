@@ -18,8 +18,17 @@ from .linalg import DimensionError, round_half_up
 from .spectra import SearchInstance, build_diffusion
 
 
+# largest |<state|state> - 1| a run tolerates; eigen-coordinate steps drift
+# by roughly 1e-15 each, so this allows about a million steps
+NORM_DRIFT_LIMIT = 1e-9
+
+
 class RelevantPairError(RuntimeError):
     """Could not isolate the two eigenvectors carrying the source."""
+
+
+class NormDriftError(RuntimeError):
+    """Rounding drift pushed the state norm past NORM_DRIFT_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -50,11 +59,15 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Trace of an instrumented run plus its peak summary."""
+    """Trace of an instrumented run plus its peak summary.
+
+    ``max_norm_drift`` is the largest |<state|state> - 1| seen at any record.
+    """
 
     records: tuple[IterationRecord, ...]
     peak_q: int
     peak_probability: float
+    max_norm_drift: float = 0.0
 
 
 def selective_phase(dimension: int, target_index: int, phi: float) -> np.ndarray:
@@ -109,39 +122,70 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
 
     Row q holds the exact target probability and source overlap magnitude
     after q iterations; q = 0 is the initial state.  The peak fields ignore
-    the q = 0 row.  Applications are matrix free: the diffusion acts in its
-    eigenbasis, so cost scales with N^2 per iteration rather than N^3 once.
+    the q = 0 row.  The state is kept as diffusion eigen-coordinates
+    c = V^dag psi: the target flip is the rank-1 reflection
+    c - 2 (t . c) conj(t) with t the target row of V, and the diffusion
+    multiplies by e^{i theta}.  After the one-time V^dag source product each
+    step and each record costs O(N).
+
+    Raises
+    ------
+    NormDriftError
+        If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT at any record.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     spectrum = inst.spectrum
-    vectors = spectrum.vectors
     eigenphase = np.exp(1j * spectrum.phases)
-    source = spectrum.source_state
-    target = inst.target_index
+    target_row = spectrum.vectors[inst.target_index]
+    target_conj = target_row.conj()
+    source_coeff = _source_coordinates(spectrum)
 
-    state = source.astype(np.complex128).copy()
-    records = [_record(0, state, source, target, ds_per_step=1)]
+    coeff = source_coeff.copy()
+    records = [_record(0, coeff, target_row, source_coeff, ds_per_step=1)]
+    drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
-        state[target] = -state[target]
-        coeff = vectors.conj().T @ state
+        coeff -= 2.0 * (target_row @ coeff) * target_conj
         coeff *= eigenphase
-        state = vectors @ coeff
-        records.append(_record(q, state, source, target, ds_per_step=1))
+        records.append(_record(q, coeff, target_row, source_coeff, ds_per_step=1))
+        drift = _checked_drift(q, coeff, drift)
+    return _report(records, drift)
 
-    peak_q, peak_probability = _peak_of(records)
-    return RunReport(
-        records=tuple(records), peak_q=peak_q, peak_probability=peak_probability
+
+def _source_coordinates(spectrum) -> np.ndarray:
+    """V^dag source, computed without an N x N conjugate copy of V."""
+    return (spectrum.source_state.conj() @ spectrum.vectors).conj()
+
+
+def _record(q, coeff, target_row, source_coeff, ds_per_step):
+    """Row q from the eigen-coordinates ``coeff`` of the recorded main state."""
+    return IterationRecord(
+        q=q,
+        target_probability=float(np.abs(target_row @ coeff) ** 2),
+        source_overlap=float(np.abs(np.vdot(source_coeff, coeff))),
+        oracle_queries=q,
+        ds_applications=q * ds_per_step,
     )
 
 
-def _record(q, state, source, target, ds_per_step):
-    return IterationRecord(
-        q=q,
-        target_probability=float(np.abs(state[target]) ** 2),
-        source_overlap=float(np.abs(np.vdot(source, state))),
-        oracle_queries=q,
-        ds_applications=q * ds_per_step,
+def _checked_drift(q, coeff, worst) -> float:
+    """Fold |<coeff|coeff> - 1| into ``worst``; raise past the limit."""
+    drift = abs(float(np.vdot(coeff, coeff).real) - 1.0)
+    if drift > NORM_DRIFT_LIMIT:
+        raise NormDriftError(
+            f"state norm drifted by {drift:.3e} after {q} iterations, "
+            f"beyond the limit {NORM_DRIFT_LIMIT:.0e}"
+        )
+    return max(worst, drift)
+
+
+def _report(records, drift) -> RunReport:
+    peak_q, peak_probability = _peak_of(records)
+    return RunReport(
+        records=tuple(records),
+        peak_q=peak_q,
+        peak_probability=peak_probability,
+        max_norm_drift=drift,
     )
 
 

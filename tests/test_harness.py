@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gqsearch import cli, spectra
+from gqsearch import cli, search, spectra
 from gqsearch.harness import (
     ConfigError,
     emit_report,
@@ -356,4 +356,27 @@ class TestCli:
         )
         assert cli.main(["run", "--config", str(config)]) == 2
         capsys.readouterr()
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_long_boosted_run_exits_zero(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            "[instance]\nn = 64\nseed = 1\nm = 3\n"
+            f"[run]\nq_max = 3000\nout = {tmp_path / 'long.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert parse_report_csv(tmp_path / "long.csv")[0]["m"] == 3
+
+    def test_norm_drift_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(search, "NORM_DRIFT_LIMIT", 1e-18)
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            "[instance]\nn = 16\nseed = 1\nm = 2\n"
+            f"[run]\nq_max = 50\nout = {tmp_path / 'never.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "numerical validation failure" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()

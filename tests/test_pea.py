@@ -180,6 +180,17 @@ class TestJointOperators:
         other = pea_operator(self.spec, 2, pea_adjoint(self.spec, 2, self.state))
         assert np.allclose(other.amplitudes, self.state.amplitudes, atol=1e-12)
 
+    def test_dense_boosted_matrix_matches_dense(self):
+        estimate = (
+            np.kron(qft(2), np.eye(4))
+            @ dense_controlled_powers(self.matrix, 2)
+            @ np.kron(walsh_hadamard(2), np.eye(4))
+        )
+        condition = -np.eye(16, dtype=np.complex128)
+        condition[:4, :4] = np.linalg.matrix_power(self.matrix, 4)
+        oracle = estimate @ condition @ estimate.conj().T
+        assert np.allclose(dense_boosted_matrix(self.spec, 2), oracle, atol=1e-10)
+
     def test_layout_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             controlled_powers(self.spec, 3, self.state)
@@ -320,6 +331,44 @@ class TestBoostedRun:
         predicted = math.pi * boost / (4.0 * inst.alpha)
         assert abs(report.peak_q - predicted) <= 3
         assert report.peak_probability >= 0.5 / boost**2
+
+    @pytest.mark.parametrize(
+        "spec_args, m",
+        [
+            (("symmetric", 16, 5), 1),
+            (("symmetric", 16, 5), 2),
+            (("resonant", 32, 6), 3),
+            (("symmetric", 128, 2), 3),
+        ],
+    )
+    def test_matches_dense_boosted_powers(self, spec_args, m):
+        # oracle: dense boosted diffusion after a sign flip of joint index
+        # target, powered from the joint source
+        family, n, seed = spec_args
+        if family == "symmetric":
+            spec = symmetric_spectrum(n, seed, 0.8, 1.8)
+        else:
+            spec = resonant_spectrum(n, 2, 5e-3, seed)
+        inst = SearchInstance.build(spec)
+        target = inst.target_index
+        report = boosted_search_run(inst, m, q_max=40)
+        step = dense_boosted_matrix(spec, m)
+        step[:, target] = -step[:, target]
+        state = np.zeros(2**m * n, dtype=np.complex128)
+        state[:n] = spec.source_state
+        for rec in report.records:
+            assert abs(rec.target_probability - abs(state[target]) ** 2) <= 1e-12
+            overlap = abs(np.vdot(spec.source_state, state[:n]))
+            assert abs(rec.source_overlap - overlap) <= 1e-12
+            state = step @ state
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_long_run_stays_normalized(self, n):
+        # drift reaches a few 1e-12 by q = 3000, past a 1e-12 per-step check
+        inst = SearchInstance.build(symmetric_spectrum(n, 1, 0.5, 1.5))
+        report = boosted_search_run(inst, 3, 3000)
+        assert len(report.records) == 3001
+        assert report.max_norm_drift < 1e-10
 
     def test_negative_budget_rejected(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8))

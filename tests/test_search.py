@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from gqsearch import search
 from gqsearch.linalg import DimensionError, unitarity_defect
 from gqsearch.search import (
+    NormDriftError,
     predict_spectrum,
     run_iterations,
     save_run_report,
@@ -19,6 +21,7 @@ from gqsearch.spectra import (
     SearchInstance,
     build_diffusion,
     grover_spectrum,
+    resonant_spectrum,
     symmetric_spectrum,
 )
 
@@ -137,21 +140,41 @@ class TestRunIterations:
         assert first.oracle_queries == 0
         assert report.peak_q == 0
 
-    def test_matches_dense_matrix_powers(self):
+    @pytest.mark.parametrize(
+        "build, peak_window",
+        [
+            (double_pair_toy, (10, 12)),
+            (
+                lambda: SearchInstance.build(
+                    symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
+                ),
+                (1, 25),
+            ),
+            (
+                lambda: SearchInstance.build(
+                    resonant_spectrum(16, 3, 1e-3, 7, alpha=0.125)
+                ),
+                (14, 18),
+            ),
+        ],
+        ids=["double_pair_toy", "symmetric16", "resonant16"],
+    )
+    def test_matches_dense_matrix_powers(self, build, peak_window):
         # oracle: explicit operator applied q times to the source
-        inst = double_pair_toy()
+        inst = build()
         report = run_iterations(inst, 25)
         matrix = search_operator(inst)
-        state = inst.spectrum.source_state.copy()
+        source = inst.spectrum.source_state
+        state = source.copy()
+        dense_probabilities = []
         for rec in report.records:
-            assert np.isclose(
-                rec.target_probability,
-                abs(state[inst.target_index]) ** 2,
-                rtol=0.0,
-                atol=1e-12,
-            )
+            probability = abs(state[inst.target_index]) ** 2
+            dense_probabilities.append(probability)
+            assert abs(rec.target_probability - probability) <= 1e-12
+            assert abs(rec.source_overlap - abs(np.vdot(source, state))) <= 1e-12
             state = matrix @ state
-        assert 10 <= report.peak_q <= 12
+        assert report.peak_q == 1 + int(np.argmax(dense_probabilities[1:]))
+        assert peak_window[0] <= report.peak_q <= peak_window[1]
 
     def test_query_ledger_counts_iterations(self):
         report = run_iterations(double_pair_toy(), 7)
@@ -167,6 +190,15 @@ class TestRunIterations:
         inst = SearchInstance.build(grover_spectrum(n, uniform))
         report = run_iterations(inst, 3)
         assert report.peak_q >= 1
+
+    def test_norm_drift_is_measured(self):
+        report = run_iterations(double_pair_toy(), 25)
+        assert 0.0 <= report.max_norm_drift <= 1e-13
+
+    def test_norm_drift_past_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "NORM_DRIFT_LIMIT", 1e-18)
+        with pytest.raises(NormDriftError):
+            run_iterations(double_pair_toy(), 25)
 
     def test_negative_q_max_rejected(self):
         with pytest.raises(ValueError):
