@@ -250,17 +250,13 @@ def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
     return configs
 
 
-def _auto_alpha(config: ExperimentConfig) -> float | None:
-    return config.alpha
-
-
 def _symmetric_instance(config: ExperimentConfig, b_target=None):
     spectrum = spectra.symmetric_spectrum(
         config.n,
         config.seed,
         config.theta_min,
         config.theta_max,
-        alpha=_auto_alpha(config),
+        alpha=config.alpha,
         b_target=config.b_target if b_target is None else b_target,
     )
     return spectra.SearchInstance.build(spectrum)
@@ -272,7 +268,7 @@ def _resonant_instance(config: ExperimentConfig):
         config.resonance_m,
         config.epsilon,
         config.seed,
-        alpha=_auto_alpha(config),
+        alpha=config.alpha,
     )
     return spectra.SearchInstance.build(spectrum)
 

@@ -115,7 +115,10 @@ def _validate_eigenbasis(vectors: np.ndarray) -> None:
             )
         return
     # large basis: exact norms plus a sampled gram block
-    norms = np.abs(np.einsum("ij,ij->j", vectors.conj(), vectors).real - 1.0)
+    # |v|^2 from the real and imaginary views: no N x N conjugate copy
+    re, im = vectors.real, vectors.imag
+    squared = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    norms = np.abs(squared - 1.0)
     if norms.max() > ORTHONORMALITY_ATOL:
         j = int(norms.argmax())
         raise SpectrumValidationError(
@@ -200,11 +203,6 @@ class SearchInstance:
     def theta_min(self) -> float:
         return self.spectrum.theta_min
 
-    def target_state(self) -> np.ndarray:
-        state = np.zeros(self.dimension, dtype=np.complex128)
-        state[self.target_index] = 1.0
-        return state
-
     def nonsource_phases(self) -> np.ndarray:
         mask = np.arange(self.dimension) != self.spectrum.source_index
         return self.spectrum.phases[mask].copy()
@@ -271,20 +269,26 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
 
 
 def _complete_orthonormal(source: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose column 0 is ``source`` (deterministic)."""
+    """Unitary matrix whose column 0 is ``source`` (deterministic).
+
+    One Householder reflection sends the basis vector at the largest entry of
+    ``source`` onto it, so the cost is O(n**2).  A real ``source`` gives a
+    real orthogonal matrix.
+    """
     n = source.shape[0]
     k = int(np.argmax(np.abs(source)))
     pivot = source[k]
     phase = pivot / abs(pivot)
-    v = source.astype(np.complex128).copy()
+    v = np.array(source, dtype=np.result_type(source, np.float64))
     v[k] -= phase
     vv = float(np.real(np.vdot(v, v)))
     if vv < 1e-30:
-        basis = np.eye(n, dtype=np.complex128)
-        basis[:, k] = source
+        basis = np.eye(n, dtype=v.dtype)
     else:
-        basis = np.eye(n, dtype=np.complex128) - (2.0 / vv) * np.outer(v, v.conj())
-        basis[:, k] = source  # replace the phase-rotated copy exactly
+        basis = np.outer(v, v.conj())
+        basis *= -2.0 / vv
+        basis[np.diag_indices(n)] += 1.0
+    basis[:, k] = source  # replace the phase-rotated copy exactly
     order = [k] + [j for j in range(n) if j != k]
     return basis[:, order]
 
@@ -307,72 +311,113 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(phases=phases, vectors=vectors, source_index=0)
 
 
-def _paired_spectrum(
-    n: int,
-    seed: int,
-    alpha: float,
-    pair_phases: np.ndarray,
-    lone_phase: float,
-) -> EigenSpectrum:
-    """Assemble a spectrum with exact +/- phase pairs and matched weights.
+# normals per call when stepping the stream past the discarded block
+_SKIP_CHUNK = 2**20
 
-    The target is basis state 0.  Construction guarantees, bit for bit, that
-    the two members of each pair carry equal target weight (so the first
-    cotangent moment cancels term by term) and that the lone leftover
-    eigenvector carries exactly zero target weight.
+
+def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The random parts of a paired spectrum: source direction and profile.
+
+    Returns ``w_sub``, the unit direction of the source orthogonal to the
+    target, and ``unit``, the unit target profile of the n - 1 complement
+    columns (its last entry, the lone slot, is exactly zero).  Between the two
+    draws the stream skips (n-1)(n-2) normals, once used to complete
+    ``w_sub`` to a basis; skipping them keeps every profile, and so every
+    target weight, at the value earlier versions generated.  They are drawn
+    in chunks so no (n-1)x(n-2) block is held.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"dimension must be even and at least 4, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    pairs = (n - 2) // 2
-    if pair_phases.shape != (pairs,):
-        raise ValueError(f"expected {pairs} pair phases, got {pair_phases.shape}")
-
     rng = np.random.default_rng(seed)
-    beta = math.sqrt(1.0 - alpha**2)
-
-    # unit vector in the coordinates orthogonal to the target
     w_sub = rng.standard_normal(n - 1)
     w_sub /= np.linalg.norm(w_sub)
-    source = np.concatenate(([alpha], beta * w_sub))
+    skipped = (n - 1) * (n - 2)
+    while skipped > 0:
+        count = min(skipped, _SKIP_CHUNK)
+        rng.standard_normal(count)
+        skipped -= count
+    profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
+    return w_sub, profile / np.linalg.norm(profile)
 
-    # complement frame: column 0 holds the whole residual target weight,
-    # the rest have exactly zero target component by construction
-    block = np.column_stack([w_sub, rng.standard_normal((n - 1, n - 2))])
-    q_sub, r_sub = np.linalg.qr(block)
-    q_sub = q_sub * np.sign(np.diag(r_sub))
+
+def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:
+    """Target weight of each +/- pair, both members together.
+
+    The rotated complement's target row is ``beta * unit`` and pair j is
+    built from columns 2j and 2j+1, so its weight is
+    beta^2 (unit[2j]^2 + unit[2j+1]^2) with beta^2 = 1 - alpha^2.  The last
+    entry of ``unit`` is the lone slot and belongs to no pair.
+    """
+    return (1.0 - alpha**2) * (unit[0:-1:2] ** 2 + unit[1:-1:2] ** 2)
+
+
+def _paired_vectors(alpha: float, w_sub: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Eigenbasis with the source in column 0 and conjugate pairs after it.
+
+    Column 0 is ``(alpha, beta * w_sub)``.  The complement starts from a real
+    frame whose column 0 holds the whole residual target weight and whose
+    other columns are a Householder completion of ``w_sub`` (zero target
+    component).  A reflection sending e_0 to ``unit``, applied as a rank-1
+    update, gives the frame the target row ``beta * unit``.  Columns 2j and
+    2j+1 become the pair (a +/- ib)/sqrt(2) and the last column the lone
+    eigenvector, whose target amplitude is exactly zero.
+    """
+    n = w_sub.shape[0] + 1
+    beta = math.sqrt(1.0 - alpha**2)
     frame = np.zeros((n, n - 1))
     frame[0, 0] = beta
     frame[1:, 0] = -alpha * w_sub
-    frame[1:, 1:] = q_sub[:, 1:]
-
-    # rotate the frame so the target amplitudes follow a drawn profile;
-    # the lone slot is pinned to exactly zero weight
-    profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
-    unit = profile / np.linalg.norm(profile)
+    frame[1:, 1:] = _complete_orthonormal(w_sub)[:, 1:]
+    # unit has >= 2 entries of at least 0.5 before scaling, so v is never 0
     v = -unit
     v[0] += 1.0
-    vv = float(v @ v)
-    if vv < 1e-30:
-        rotation = np.eye(n - 1)
-    else:
-        rotation = np.eye(n - 1) - (2.0 / vv) * np.outer(v, v)
-    columns = frame @ rotation
+    frame -= np.outer(frame @ v, (2.0 / float(v @ v)) * v)
 
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    phases = np.zeros(n)
-    vectors[:, 0] = source
+    vectors = np.empty((n, n), dtype=np.complex128)
+    vectors[:, 0] = np.concatenate(([alpha], beta * w_sub))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(pairs):
-        a = columns[:, 2 * j]
-        b = columns[:, 2 * j + 1]
-        vectors[:, 1 + 2 * j] = (a + 1j * b) * inv_sqrt2
-        vectors[:, 2 + 2 * j] = (a - 1j * b) * inv_sqrt2
-        phases[1 + 2 * j] = pair_phases[j]
-        phases[2 + 2 * j] = -pair_phases[j]
-    vectors[:, n - 1] = columns[:, n - 2]
+    a = frame[:, 0 : n - 2 : 2] * inv_sqrt2
+    b = frame[:, 1 : n - 2 : 2] * inv_sqrt2
+    # conjugate members share every bit of magnitude, so the first cotangent
+    # moment cancels term by term
+    vectors.real[:, 1 : n - 1 : 2] = a
+    vectors.imag[:, 1 : n - 1 : 2] = b
+    vectors.real[:, 2 : n - 1 : 2] = a
+    np.negative(b, out=vectors.imag[:, 2 : n - 1 : 2])
+    vectors[:, n - 1] = frame[:, n - 2]
+    return vectors
+
+
+def _paired_spectrum(
+    alpha: float,
+    w_sub: np.ndarray,
+    unit: np.ndarray,
+    pair_phases: np.ndarray,
+    lone_phase: float,
+) -> EigenSpectrum:
+    """Assemble a spectrum with exact +/- phase pairs and matched weights.
+
+    The target is basis state 0.  Only ``w_sub`` and ``unit`` (from
+    ``_paired_draws``) and the phases are random; the complement of the
+    source is a deterministic Householder completion, and every reported
+    number depends on the phases, the source and the target row alone.
+    Construction guarantees, bit for bit, that the two members of each pair
+    carry equal target weight (so the first cotangent moment cancels term by
+    term) and that the lone leftover eigenvector carries exactly zero target
+    weight.  The cost is O(n**2).
+    """
+    n = w_sub.shape[0] + 1
+    pairs = (n - 2) // 2
+    if pair_phases.shape != (pairs,):
+        raise ValueError(f"expected {pairs} pair phases, got {pair_phases.shape}")
+    phases = np.empty(n)
+    phases[0] = 0.0
+    phases[1 : n - 1 : 2] = pair_phases
+    phases[2 : n - 1 : 2] = -pair_phases
     phases[n - 1] = lone_phase
+    vectors = _paired_vectors(alpha, w_sub, unit)
     return EigenSpectrum(phases=phases, vectors=vectors, source_index=0)
 
 
@@ -389,7 +434,9 @@ def symmetric_spectrum(
     Pair phases are drawn uniformly from [theta_min, theta_max].  If
     ``b_target`` is given, all pair phases are rescaled by one common factor
     so the assembled instance's b factor lands on the target.  ``alpha``
-    defaults to 1/sqrt(n); the target is basis state 0.
+    defaults to 1/sqrt(n); the target is basis state 0.  Only the phases,
+    the source direction and the target profile are random; the rest of the
+    eigenbasis is a Householder completion (see ``_paired_spectrum``).
     """
     if not 0.0 < theta_min <= theta_max <= np.pi:
         raise ValueError(
@@ -401,21 +448,22 @@ def symmetric_spectrum(
     rng = np.random.default_rng(seed)
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
     drawn = rng.uniform(theta_min, theta_max, size=pairs)
+    w_sub, unit = _paired_draws(n, seed, alpha)
     if b_target is not None:
-        drawn = _rescale_for_b_target(drawn, n, seed, alpha, b_target)
-    return _paired_spectrum(n, seed, alpha, drawn, lone_phase=np.pi)
+        drawn = _rescale_for_b_target(drawn, _pair_weights(unit, alpha), b_target)
+    return _paired_spectrum(alpha, w_sub, unit, drawn, lone_phase=np.pi)
 
 
 def _rescale_for_b_target(
-    drawn: np.ndarray, n: int, seed: int, alpha: float, b_target: float
+    drawn: np.ndarray, pair_weights: np.ndarray, b_target: float
 ) -> np.ndarray:
-    """One common scale factor sending the pair phases onto a requested b."""
+    """One common scale factor sending the pair phases onto a requested b.
+
+    ``pair_weights`` are the closed-form weights of ``_pair_weights``, so no
+    spectrum is built to find the scale.
+    """
     if not np.isfinite(b_target) or b_target <= 0.0:
         raise ValueError(f"b_target must be positive and finite, got {b_target}")
-    # pair weights depend only on the profile draw, replayed here
-    probe = _paired_spectrum(n, seed, alpha, drawn, lone_phase=np.pi)
-    member = np.abs(probe.vectors[0, 1 : n - 1]) ** 2
-    pair_weights = member[0::2] + member[1::2]
 
     def b_squared(scale: float) -> float:
         return float(np.sum(pair_weights / np.sin(0.5 * scale * drawn) ** 2))
@@ -461,7 +509,8 @@ def resonant_spectrum(
     detunings = epsilon * np.linspace(0.1, 1.0, pairs)
     pair_phases = np.abs(wrap_phase(base + detunings))
     lone = float(np.abs(wrap_phase(base + epsilon)))
-    return _paired_spectrum(n, seed, alpha, pair_phases, lone_phase=lone)
+    w_sub, unit = _paired_draws(n, seed, alpha)
+    return _paired_spectrum(alpha, w_sub, unit, pair_phases, lone_phase=lone)
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:

@@ -1,6 +1,7 @@
 """Spectrum construction, moment sums, generators, serialization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gqsearch.spectra import (
     scaling_family,
     symmetric_spectrum,
 )
+from gqsearch import spectra
 from gqsearch.linalg import unitarity_defect
 
 
@@ -246,6 +248,32 @@ class TestResonantGenerator:
         assert np.array_equal(first.vectors, second.vectors)
 
 
+class TestPairedConstruction:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_closed_form_pair_weights_match_assembled_rows(self, seed):
+        n, alpha = 64, 0.05
+        w_sub, unit = spectra._paired_draws(n, seed, alpha)
+        phases = np.linspace(0.5, 1.5, (n - 2) // 2)
+        spec = spectra._paired_spectrum(alpha, w_sub, unit, phases, np.pi)
+        member = np.abs(spec.vectors[0, :]) ** 2
+        assembled = member[1 : n - 1 : 2] + member[2 : n - 1 : 2]
+        closed = spectra._pair_weights(unit, alpha)
+        assert np.max(np.abs(closed - assembled)) <= 1e-15
+        # the lone slot is pinned to exactly zero target weight
+        assert spec.vectors[0, n - 1] == 0.0
+
+    @pytest.mark.parametrize("n", [4, 6, 64, 1024])
+    @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
+    def test_generated_basis_is_orthonormal(self, kind, n):
+        if kind == "symmetric":
+            spec = symmetric_spectrum(n, 5, 0.5, 1.5)
+        else:
+            spec = resonant_spectrum(n, 3, 1e-3, 5)
+        vectors = spec.vectors
+        assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-13
+        assert spec.vectors[0, n - 1] == 0.0
+
+
 class TestScalingFamily:
     @pytest.mark.parametrize("log2n", [6, 9, 12])
     def test_b_tracks_two_sqrt_log(self, log2n):
@@ -298,3 +326,41 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             load_spectrum(path)
+
+
+FROZEN_PATH = Path(__file__).parent / "data" / "frozen_spectra.npz"
+
+# generator outputs recorded before the generator's O(N^2) rewrite; they pin
+# the random stream and every number a search reads (phases, source column,
+# target-row weights), not the complement of the eigenbasis
+FROZEN_CASES = {
+    "symmetric_64_7": (lambda: symmetric_spectrum(64, 7, 0.5, 1.5), False),
+    "symmetric_256_3_b8": (
+        lambda: symmetric_spectrum(256, 3, 0.5, 1.5, b_target=8),
+        True,
+    ),
+    "resonant_64_3_12": (lambda: resonant_spectrum(64, 3, 1e-3, 12), False),
+    "scaling_9_31": (lambda: scaling_family(9, 31), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_generator_outputs_frozen(name):
+    make, rescaled = FROZEN_CASES[name]
+    with np.load(FROZEN_PATH) as frozen:
+        phases = frozen[f"{name}/phases"]
+        source = frozen[f"{name}/source"]
+        weights = frozen[f"{name}/weights"]
+        alpha, b_factor = frozen[f"{name}/alpha_b"]
+    spec = make()
+    inst = SearchInstance.build(spec)
+    if rescaled:
+        # the b_target scale comes out of a root search; rounding may move it
+        assert np.allclose(spec.phases, phases, rtol=1e-13, atol=0.0)
+    else:
+        assert np.array_equal(spec.phases, phases)
+    assert np.array_equal(spec.source_state, source)
+    target_weights = np.abs(spec.vectors[0, :]) ** 2
+    assert np.max(np.abs(target_weights - weights)) <= 1e-14
+    assert abs(inst.alpha - alpha) <= 1e-12
+    assert abs(inst.b_factor - b_factor) <= 1e-12
