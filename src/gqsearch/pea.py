@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DenseCapError, DimensionError, round_half_up, wrap_phase
-from .search import RunReport, _checked_drift, _record, _report, _source_coordinates
+from .search import RunReport, _checked_drift, _record, _report
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
 
 JOINT_DENSE_CAP = 1024
@@ -98,14 +98,21 @@ class EigenFrameState:
     """Joint state as diffusion eigen-coordinates, updated in place.
 
     ``coeff`` has shape (2^m, N); row j is V^dag applied to the main-space
-    block of ancilla value j, with V = ``spectrum.vectors``.  Nothing is
+    block of ancilla value j, with V the diffusion eigenbasis, which is
+    never built: the oracle reads only its target row.  Nothing is
     validated per operation: ``boosted_search_run`` measures the norm drift
     at every record instead.
+
+    ``known_amplitude`` is an optional ``(target_index, <ancilla 0,
+    target_index | state>)`` pair for the current ``coeff``, which the next
+    ``flip_target`` uses instead of recomputing it.  Whoever changes
+    ``coeff`` must set it anew or leave it None.
     """
 
     m: int
     spectrum: EigenSpectrum
     coeff: np.ndarray
+    known_amplitude: tuple[int, complex] | None = None
 
     @property
     def main_dimension(self) -> int:
@@ -113,9 +120,15 @@ class EigenFrameState:
 
     def flip_target(self, target_index: int) -> "EigenFrameState":
         """Negate |ancilla 0, target_index>: reflect row 0 about V's target row."""
-        row = self.spectrum.vectors[target_index]
+        row = self.spectrum.target_row(target_index)
         block0 = self.coeff[0]
-        block0 -= 2.0 * (row @ block0) * row.conj()
+        known = self.known_amplitude
+        if known is not None and known[0] == target_index:
+            amplitude = known[1]
+        else:
+            amplitude = row @ block0
+        block0 -= 2.0 * amplitude * row.conj()
+        self.known_amplitude = None
         return self
 
 
@@ -328,7 +341,7 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     if not 1 <= m <= MAX_ANCILLA_QUBITS:
         raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
     spectrum = inst.spectrum
-    weights = np.abs(spectrum.vectors[inst.target_index, :]) ** 2
+    weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
     survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
     sigma1 = float(np.sum(weights * (1.0 - survival)))
     sigma2 = inst.b_factor**2 / 4**m
@@ -383,8 +396,8 @@ def boosted_search_run(
     eigen-coordinates.  The oracle reflects row 0 about the target row of
     V, and the diffusion maps each column to
     -C[:, l] + (1 + e^{i 2^m theta_l}) p_l (p_l^dag C[:, l]), with the probe
-    vectors p_l computed once.  After the one-time V^dag source product a
-    step and a record cost O(2^m N); no N x N array is touched.
+    vectors p_l computed once.  The run starts from C = e_0 (x) e_src, and a
+    step and a record cost O(2^m N); no N x N array is built or touched.
 
     Raises
     ------
@@ -403,8 +416,8 @@ def boosted_search_run(
     n = spectrum.dimension
     target = inst.target_index
     cost = operator.cost_per_application
-    target_row = spectrum.vectors[target]
-    source_coeff = _source_coordinates(spectrum)
+    source = spectrum.source_index
+    target_row = spectrum.target_row(target)
     probes = _estimation_probes(spectrum.phases, m)
     probes_conj = probes.conj()
     gain = 1.0 + np.exp(1j * operator.r * spectrum.phases)
@@ -413,11 +426,13 @@ def boosted_search_run(
         m=m, spectrum=spectrum, coeff=np.zeros((operator.r, n), dtype=np.complex128)
     )
     coeff = state.coeff
-    coeff[0] = source_coeff
+    coeff[0, source] = 1.0
     scratch = np.empty_like(coeff)
-    records = [_record(0, coeff[0], target_row, source_coeff, cost)]
+    amplitude = target_row @ coeff[0]
+    records = [_record(0, amplitude, coeff[0, source], cost)]
     drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
+        state.known_amplitude = (target, amplitude)
         controlled_oracle(n, target, m, state)
         # column l: C <- -C + p_l (1 + e^{i 2^m theta_l}) (p_l^dag C)
         np.multiply(probes_conj, coeff, out=scratch)
@@ -425,7 +440,8 @@ def boosted_search_run(
         overlap *= gain
         np.multiply(probes, overlap, out=scratch)
         np.subtract(scratch, coeff, out=coeff)
-        records.append(_record(q, coeff[0], target_row, source_coeff, cost))
+        amplitude = target_row @ coeff[0]
+        records.append(_record(q, amplitude, coeff[0, source], cost))
         drift = _checked_drift(q, coeff, drift)
     return _report(records, drift)
 

@@ -123,10 +123,10 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     Row q holds the exact target probability and source overlap magnitude
     after q iterations; q = 0 is the initial state.  The peak fields ignore
     the q = 0 row.  The state is kept as diffusion eigen-coordinates
-    c = V^dag psi: the target flip is the rank-1 reflection
-    c - 2 (t . c) conj(t) with t the target row of V, and the diffusion
-    multiplies by e^{i theta}.  After the one-time V^dag source product each
-    step and each record costs O(N).
+    c = V^dag psi, starting from the source's c = e_src: the target flip is
+    the rank-1 reflection c - 2 (t . c) conj(t) with t the target row of V,
+    and the diffusion multiplies by e^{i theta}.  Each step and each record
+    costs O(N), and the eigenbasis V itself is never built.
 
     Raises
     ------
@@ -136,33 +136,31 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     spectrum = inst.spectrum
+    source = spectrum.source_index
     eigenphase = np.exp(1j * spectrum.phases)
-    target_row = spectrum.vectors[inst.target_index]
+    target_row = spectrum.target_row(inst.target_index)
     target_conj = target_row.conj()
-    source_coeff = _source_coordinates(spectrum)
 
-    coeff = source_coeff.copy()
-    records = [_record(0, coeff, target_row, source_coeff, ds_per_step=1)]
+    coeff = np.zeros(spectrum.dimension, dtype=np.complex128)
+    coeff[source] = 1.0
+    amplitude = target_row @ coeff  # <target|psi>, reused by the next flip
+    records = [_record(0, amplitude, coeff[source], ds_per_step=1)]
     drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
-        coeff -= 2.0 * (target_row @ coeff) * target_conj
+        coeff -= 2.0 * amplitude * target_conj
         coeff *= eigenphase
-        records.append(_record(q, coeff, target_row, source_coeff, ds_per_step=1))
+        amplitude = target_row @ coeff
+        records.append(_record(q, amplitude, coeff[source], ds_per_step=1))
         drift = _checked_drift(q, coeff, drift)
     return _report(records, drift)
 
 
-def _source_coordinates(spectrum) -> np.ndarray:
-    """V^dag source, computed without an N x N conjugate copy of V."""
-    return (spectrum.source_state.conj() @ spectrum.vectors).conj()
-
-
-def _record(q, coeff, target_row, source_coeff, ds_per_step):
-    """Row q from the eigen-coordinates ``coeff`` of the recorded main state."""
+def _record(q, amplitude, source_coeff, ds_per_step):
+    """Row q from the target amplitude and the source coordinate."""
     return IterationRecord(
         q=q,
-        target_probability=float(np.abs(target_row @ coeff) ** 2),
-        source_overlap=float(np.abs(np.vdot(source_coeff, coeff))),
+        target_probability=float(np.abs(amplitude) ** 2),
+        source_overlap=float(np.abs(source_coeff)),
         oracle_queries=q,
         ds_applications=q * ds_per_step,
     )

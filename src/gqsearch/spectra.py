@@ -4,7 +4,9 @@ A diffusion operator is specified by its eigendecomposition: one eigenvector
 (the source) with phase exactly zero, and the remaining eigenvectors with
 phases bounded away from zero.  A search instance pairs such a spectrum with
 a computational-basis target and caches the overlap moments that drive every
-downstream prediction.
+downstream prediction.  The moments, and both search runs, read only the
+phases, the source index and the target row of the eigenbasis; the full
+N x N eigenbasis is needed only by the dense checks and ``save_spectrum``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import DENSE_CAP, DenseCapError, wrap_phase
 
@@ -33,7 +34,6 @@ class ResonanceError(ValueError):
     """A powered phase lands exactly on a multiple of 2*pi."""
 
 
-@dataclass(frozen=True)
 class EigenSpectrum:
     """Eigendecomposition defining a diffusion operator.
 
@@ -45,20 +45,69 @@ class EigenSpectrum:
         Shape (N, N); column k is the unit eigenvector for ``phases[k]``.
     source_index : int
         Column of the fixed-point eigenvector.
+
+    Every reported number reads only the phases, the source index and one
+    row of the eigenbasis, the target row (``target_row``).  The generators
+    supply that row in closed form together with a builder for the full
+    basis, so ``vectors`` is assembled, validated and cached on first access
+    (by a dense check or ``save_spectrum``) and never on the weight path.
+    An array a caller passes in is copied and validated at once; arrays the
+    generators make are adopted without a copy.  Both are read-only.
     """
 
-    phases: np.ndarray
-    vectors: np.ndarray
-    source_index: int
+    def __init__(self, phases, vectors, source_index: int):
+        self._init(phases, source_index, rows={}, build=None)
+        self._vectors = self._adopt(np.array(vectors, dtype=np.complex128))
 
-    def __post_init__(self):
-        phases = np.array(self.phases, dtype=np.float64)
-        vectors = np.array(self.vectors, dtype=np.complex128)
+    @classmethod
+    def _generated(cls, phases, source_index: int, *, vectors=None, rows=None,
+                   build=None) -> "EigenSpectrum":
+        """Spectrum owning generator-made arrays, adopted without a copy.
+
+        Give either the full ``vectors`` or ``rows``, a dict of closed-form
+        eigenbasis rows by index, and ``build``, a callable returning the
+        full basis on first access.  Each given row must have unit norm.
+        """
+        spec = cls.__new__(cls)
+        spec._init(phases, source_index, rows=rows or {}, build=build)
+        n = spec.dimension
+        for row in spec._rows.values():
+            _validate_row(row, n)
+            row.setflags(write=False)
+        spec._vectors = None if vectors is None else spec._adopt(vectors)
+        return spec
+
+    def _init(self, phases, source_index, rows, build) -> None:
+        phases = np.array(phases, dtype=np.float64)
         phases.setflags(write=False)
+        self.phases = phases
+        self.source_index = source_index
+        self._rows = rows
+        self._build = build
+        _validate_phases(phases, source_index)
+
+    def _adopt(self, vectors: np.ndarray) -> np.ndarray:
+        vectors = np.asarray(vectors, dtype=np.complex128)
+        _validate_eigenbasis(vectors, self.dimension)
         vectors.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "vectors", vectors)
-        _validate_spectrum(self)
+        return vectors
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (N, N) eigenbasis; built, validated and cached on first access."""
+        if self._vectors is None:
+            self._vectors = self._adopt(self._build())
+            self._build = None
+        return self._vectors
+
+    def target_row(self, index: int) -> np.ndarray:
+        """Row ``index`` of the eigenbasis, <index|v_l> for every l.
+
+        A row the generator gave in closed form is returned as is, whether
+        or not ``vectors`` has been built; any other row reads ``vectors``.
+        """
+        row = self._rows.get(index)
+        return self.vectors[index] if row is None else row
 
     @property
     def dimension(self) -> int:
@@ -75,34 +124,45 @@ class EigenSpectrum:
         return self.vectors[:, self.source_index]
 
 
-def _validate_spectrum(spec: EigenSpectrum) -> None:
-    n = spec.phases.shape[0]
-    if spec.vectors.shape != (n, n):
+def _validate_phases(phases: np.ndarray, source_index: int) -> None:
+    n = phases.shape[0]
+    if not 0 <= source_index < n:
         raise SpectrumValidationError(
-            f"eigenbasis shape {spec.vectors.shape} does not match {n} phases"
+            f"source_index {source_index} out of range for dimension {n}"
         )
-    if not 0 <= spec.source_index < n:
-        raise SpectrumValidationError(
-            f"source_index {spec.source_index} out of range for dimension {n}"
-        )
-    if np.any(spec.phases <= -np.pi) or np.any(spec.phases > np.pi):
+    if np.any(phases <= -np.pi) or np.any(phases > np.pi):
         raise SpectrumValidationError("phases must lie in (-pi, pi]")
-    if spec.phases[spec.source_index] != 0.0:
+    if phases[source_index] != 0.0:
         raise SpectrumValidationError(
-            f"source phase must be exactly 0, got {spec.phases[spec.source_index]!r}"
+            f"source phase must be exactly 0, got {phases[source_index]!r}"
         )
-    mask = np.arange(n) != spec.source_index
-    if n > 1 and np.min(np.abs(spec.phases[mask])) == 0.0:
-        offender = int(np.where(mask & (spec.phases == 0.0))[0][0])
+    mask = np.arange(n) != source_index
+    if n > 1 and np.min(np.abs(phases[mask])) == 0.0:
+        offender = int(np.where(mask & (phases == 0.0))[0][0])
         raise SpectrumValidationError(
             f"eigenvector {offender} shares phase 0 with the source; "
             "the fixed point must be non-degenerate"
         )
-    _validate_eigenbasis(spec.vectors)
 
 
-def _validate_eigenbasis(vectors: np.ndarray) -> None:
-    n = vectors.shape[0]
+def _validate_row(row: np.ndarray, n: int) -> None:
+    """A closed-form eigenbasis row: length n and unit norm."""
+    if row.shape != (n,):
+        raise SpectrumValidationError(
+            f"eigenbasis row shape {row.shape} does not match {n} phases"
+        )
+    defect = abs(float(np.vdot(row, row).real) - 1.0)
+    if defect > ORTHONORMALITY_ATOL:
+        raise SpectrumValidationError(
+            f"eigenbasis row not normalized: norm defect {defect:.3e}"
+        )
+
+
+def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
+    if vectors.shape != (n, n):
+        raise SpectrumValidationError(
+            f"eigenbasis shape {vectors.shape} does not match {n} phases"
+        )
     if n <= FULL_VALIDATION_MAX:
         gram = vectors.conj().T @ vectors
         defect = np.abs(gram - np.eye(n))
@@ -171,7 +231,7 @@ class SearchInstance:
         n = spectrum.dimension
         if not 0 <= target_index < n:
             raise ValueError(f"target_index {target_index} out of range for {n}")
-        alpha = float(np.abs(spectrum.vectors[target_index, spectrum.source_index]))
+        alpha = float(np.abs(spectrum.target_row(target_index)[spectrum.source_index]))
         if not 0.0 < alpha < 1.0:
             raise ValueError(
                 f"source-target overlap must lie strictly in (0, 1), got {alpha}"
@@ -209,15 +269,14 @@ class SearchInstance:
 
     def nonsource_weights(self) -> np.ndarray:
         """Squared target overlaps of the nonsource eigenvectors, in order."""
-        mask = np.arange(self.dimension) != self.spectrum.source_index
-        amps = self.spectrum.vectors[self.target_index, mask]
-        return np.abs(amps) ** 2
+        _, weights, _ = _nonsource_arrays(self.spectrum, self.target_index)
+        return weights
 
 
 def _nonsource_arrays(spec: EigenSpectrum, target_index: int):
     mask = np.arange(spec.dimension) != spec.source_index
     phases = spec.phases[mask]
-    weights = np.abs(spec.vectors[target_index, mask]) ** 2
+    weights = np.abs(spec.target_row(target_index)[mask]) ** 2
     return phases, weights, np.where(mask)[0]
 
 
@@ -240,18 +299,6 @@ def _powered_b_squared(spec: EigenSpectrum, target_index: int, r: int) -> float:
         )
     sines = np.sin(0.5 * r * phases[live])
     return float(np.sum(weights[live] / sines**2))
-
-
-def moments(inst: SearchInstance, p: int) -> float:
-    """p-th cotangent moment of the nonsource phases, target weighted."""
-    if p not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {p}")
-    return _moment_sum(inst.spectrum, inst.target_index, p)
-
-
-def b_factor_direct(inst: SearchInstance) -> float:
-    """Inverse-sine form of the b factor; canonical everywhere downstream."""
-    return math.sqrt(_powered_b_squared(inst.spectrum, inst.target_index, 1))
 
 
 def naive_power_b(inst: SearchInstance, r: int) -> float:
@@ -305,10 +352,11 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     norm = float(np.linalg.norm(source))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"source must be normalized, got norm {norm!r}")
-    vectors = _complete_orthonormal(source)
     phases = np.full(n, np.pi)
     phases[0] = 0.0
-    return EigenSpectrum(phases=phases, vectors=vectors, source_index=0)
+    return EigenSpectrum._generated(
+        phases, 0, vectors=_complete_orthonormal(source)
+    )
 
 
 # normals per call when stepping the stream past the discarded block
@@ -351,6 +399,24 @@ def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:
     entry of ``unit`` is the lone slot and belongs to no pair.
     """
     return (1.0 - alpha**2) * (unit[0:-1:2] ** 2 + unit[1:-1:2] ** 2)
+
+
+def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
+    """Target row (row 0) of ``_paired_vectors``, in closed form, O(n).
+
+    The source column holds alpha; pair j holds
+    beta (unit[2j] +/- i unit[2j+1]) / sqrt(2), the two members exact
+    conjugates; the lone slot holds exactly 0.
+    """
+    n = unit.shape[0] + 1
+    scaled = unit * (math.sqrt(1.0 - alpha**2) / math.sqrt(2.0))
+    row = np.zeros(n, dtype=np.complex128)
+    row[0] = alpha
+    row.real[1 : n - 1 : 2] = scaled[0 : n - 2 : 2]
+    row.imag[1 : n - 1 : 2] = scaled[1 : n - 2 : 2]
+    row.real[2 : n - 1 : 2] = scaled[0 : n - 2 : 2]
+    np.negative(scaled[1 : n - 2 : 2], out=row.imag[2 : n - 1 : 2])
+    return row
 
 
 def _paired_vectors(alpha: float, w_sub: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -397,16 +463,18 @@ def _paired_spectrum(
     pair_phases: np.ndarray,
     lone_phase: float,
 ) -> EigenSpectrum:
-    """Assemble a spectrum with exact +/- phase pairs and matched weights.
+    """A spectrum with exact +/- phase pairs and matched weights.
 
     The target is basis state 0.  Only ``w_sub`` and ``unit`` (from
     ``_paired_draws``) and the phases are random; the complement of the
     source is a deterministic Householder completion, and every reported
     number depends on the phases, the source and the target row alone.
-    Construction guarantees, bit for bit, that the two members of each pair
-    carry equal target weight (so the first cotangent moment cancels term by
-    term) and that the lone leftover eigenvector carries exactly zero target
-    weight.  The cost is O(n**2).
+    The spectrum gets the target row in closed form (``_paired_row``), at
+    O(n) cost; the eigenbasis (``_paired_vectors``, O(n**2)) is built only
+    when ``vectors`` is first read.  Construction guarantees, bit for bit,
+    that the two members of each pair carry equal target weight (so the
+    first cotangent moment cancels term by term) and that the lone leftover
+    eigenvector carries exactly zero target weight.
     """
     n = w_sub.shape[0] + 1
     pairs = (n - 2) // 2
@@ -417,8 +485,12 @@ def _paired_spectrum(
     phases[1 : n - 1 : 2] = pair_phases
     phases[2 : n - 1 : 2] = -pair_phases
     phases[n - 1] = lone_phase
-    vectors = _paired_vectors(alpha, w_sub, unit)
-    return EigenSpectrum(phases=phases, vectors=vectors, source_index=0)
+    return EigenSpectrum._generated(
+        phases,
+        0,
+        rows={0: _paired_row(alpha, unit)},
+        build=lambda: _paired_vectors(alpha, w_sub, unit),
+    )
 
 
 def symmetric_spectrum(
@@ -436,7 +508,9 @@ def symmetric_spectrum(
     so the assembled instance's b factor lands on the target.  ``alpha``
     defaults to 1/sqrt(n); the target is basis state 0.  Only the phases,
     the source direction and the target profile are random; the rest of the
-    eigenbasis is a Householder completion (see ``_paired_spectrum``).
+    eigenbasis is a Householder completion (see ``_paired_spectrum``).  The
+    spectrum carries the target row in closed form; its N x N eigenbasis is
+    built on the first read of ``vectors``.
     """
     if not 0.0 < theta_min <= theta_max <= np.pi:
         raise ValueError(
@@ -482,9 +556,17 @@ def _rescale_for_b_target(
             break
     else:  # pragma: no cover - 2**-200 scale never insufficient
         raise ValueError(f"could not bracket b_target {b_target}")
-    scale = scipy.optimize.brentq(
-        lambda c: b_squared(c) - target2, lo, hi, xtol=1e-15, rtol=1e-15
-    )
+    # b^2(scale) falls strictly on (0, hi]: bisect until lo and hi are
+    # adjacent floats, then keep the end with the smaller residual
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if b_squared(mid) >= target2:
+            lo = mid
+        else:
+            hi = mid
+    scale = min((lo, hi), key=lambda c: abs(b_squared(c) - target2))
     return drawn * scale
 
 
@@ -497,6 +579,8 @@ def resonant_spectrum(
     within r*epsilon of a full turn, so the naively powered b factor blows
     up like 1/epsilon while the r = 1 value stays moderate.  Detunings are
     spread over [0.1, 1.0]*epsilon so the blow-up ratio scales cleanly.
+    As with ``symmetric_spectrum``, the target row is closed form and the
+    eigenbasis is built on the first read of ``vectors``.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -514,7 +598,10 @@ def resonant_spectrum(
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:
-    """Symmetric spectrum tuned so b grows like sqrt(ln N) with dimension."""
+    """Symmetric spectrum tuned so b grows like sqrt(ln N) with dimension.
+
+    Built by ``symmetric_spectrum``, so its eigenbasis is built lazily too.
+    """
     if not 6 <= log2n <= 12:
         raise ValueError(f"log2n must lie in [6, 12], got {log2n}")
     n = 2**log2n
@@ -576,4 +663,4 @@ def load_spectrum(path) -> EigenSpectrum:
             ) from exc
         phases[k] = values[0]
         vectors[:, k] = values[1::2] + 1j * values[2::2]
-    return EigenSpectrum(phases=phases, vectors=vectors, source_index=source_index)
+    return EigenSpectrum._generated(phases, source_index, vectors=vectors)

@@ -8,6 +8,7 @@ import pytest
 from gqsearch.linalg import DenseCapError, DimensionError, wrap_phase
 from gqsearch.pea import (
     BoostedOperator,
+    EigenFrameState,
     JointState,
     MAX_ANCILLA_QUBITS,
     b_prime,
@@ -205,6 +206,26 @@ def test_controlled_oracle_flips_single_amplitude():
     expected[1] = -expected[1]
     assert np.array_equal(flipped.amplitudes, expected)
     assert np.array_equal(state.amplitudes[1:2], -flipped.amplitudes[1:2])
+
+
+def test_eigen_frame_flip_reuses_known_amplitude():
+    spec = symmetric_spectrum(16, 5, 0.8, 1.8)
+    coeff = random_joint_state(2, 16, 3).blocks().copy()
+    amplitude = spec.target_row(0) @ coeff[0]
+    fresh = EigenFrameState(m=2, spectrum=spec, coeff=coeff.copy())
+    fresh.flip_target(0)
+    reused = EigenFrameState(
+        m=2, spectrum=spec, coeff=coeff.copy(), known_amplitude=(0, amplitude)
+    )
+    reused.flip_target(0)
+    assert np.array_equal(reused.coeff, fresh.coeff)
+    assert reused.known_amplitude is None
+    # an amplitude known for another target is not used
+    other = EigenFrameState(
+        m=2, spectrum=spec, coeff=coeff.copy(), known_amplitude=(1, 0.5)
+    )
+    other.flip_target(0)
+    assert np.array_equal(other.coeff, fresh.coeff)
 
 
 def test_boosted_diffusion_fixes_joint_source():

@@ -1,6 +1,10 @@
 """Spectrum construction, moment sums, generators, serialization."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,9 @@ from gqsearch.spectra import (
     ResonanceError,
     SearchInstance,
     SpectrumValidationError,
-    b_factor_direct,
     build_diffusion,
     grover_spectrum,
     load_spectrum,
-    moments,
     naive_power_b,
     resonant_spectrum,
     save_spectrum,
@@ -23,6 +25,13 @@ from gqsearch.spectra import (
     symmetric_spectrum,
 )
 from gqsearch import spectra
+from gqsearch.pea import (
+    b_prime,
+    boosted_lambda1,
+    boosted_search_run,
+    default_ancilla_count,
+)
+from gqsearch.search import predict_spectrum, run_iterations
 from gqsearch.linalg import unitarity_defect
 
 
@@ -57,17 +66,11 @@ def test_moments_match_plain_loop():
     # oracle: direct python sum over the nonsource overlaps
     spec = symmetric_spectrum(8, 11, 0.8, 2.0)
     inst = SearchInstance.build(spec)
-    for p in (1, 2):
+    for p, moment in ((1, inst.lambda1), (2, inst.lambda2)):
         total = 0.0
         for phase, weight in zip(inst.nonsource_phases(), inst.nonsource_weights()):
             total += weight / math.tan(0.5 * phase) ** p
-        assert np.isclose(moments(inst, p), total, rtol=1e-12, atol=1e-12)
-
-
-def test_moments_rejects_other_orders():
-    inst = SearchInstance.build(two_phase_toy())
-    with pytest.raises(ValueError):
-        moments(inst, 3)
+        assert np.isclose(moment, total, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -77,7 +80,6 @@ def test_b_identity_on_generated_spectra(seed):
     inst = SearchInstance.build(spec)
     identity = 1.0 + inst.lambda2 - inst.alpha**2
     assert np.isclose(inst.b_factor**2, identity, rtol=1e-12)
-    assert np.isclose(b_factor_direct(inst), inst.b_factor, rtol=1e-9)
     # the asymptotic bound |b - sqrt(1 + lambda2)| <= alpha^2 also holds
     assert abs(inst.b_factor - math.sqrt(1.0 + inst.lambda2)) <= inst.alpha**2
 
@@ -201,7 +203,7 @@ class TestSpectrumValidation:
 class TestNaivePowering:
     def test_r_equals_one_recovers_b(self):
         inst = SearchInstance.build(symmetric_spectrum(16, 2, 0.9, 2.0))
-        assert np.isclose(naive_power_b(inst, 1), b_factor_direct(inst), rtol=1e-12)
+        assert np.isclose(naive_power_b(inst, 1), inst.b_factor, rtol=1e-12)
 
     def test_near_resonant_value_frozen(self):
         # oracle: plain loop over sin(r * theta / 2); value frozen from it
@@ -272,6 +274,124 @@ class TestPairedConstruction:
         vectors = spec.vectors
         assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-13
         assert spec.vectors[0, n - 1] == 0.0
+
+
+class TestWeightPath:
+    @pytest.mark.parametrize("n", [4, 64, 1024])
+    @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
+    def test_closed_form_row_matches_built_basis(self, kind, n):
+        for seed in (0, 1, 2, 3):
+            if kind == "symmetric":
+                spec = symmetric_spectrum(n, seed, 0.5, 1.5)
+            else:
+                spec = resonant_spectrum(n, 3, 1e-3, seed)
+            row = spec.target_row(0)
+            assert spec._vectors is None
+            assert np.max(np.abs(row - spec.vectors[0])) <= 1e-15
+            # the closed-form row stays the answer once the basis exists
+            assert spec.target_row(0) is row
+            assert row[n - 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_spectrum(256, 3, 0.5, 1.5, b_target=8),
+            lambda: symmetric_spectrum(64, 5, 0.9, 2.1, alpha=0.07),
+            lambda: resonant_spectrum(64, 3, 1e-3, 12),
+        ],
+        ids=["symmetric_b8", "symmetric_alpha", "resonant"],
+    )
+    def test_instance_matches_explicit_vectors(self, make):
+        spec = make()
+        lazy = SearchInstance.build(spec)
+        dense = SearchInstance.build(
+            EigenSpectrum(spec.phases, spec.vectors, source_index=0)
+        )
+        assert lazy.target_index == dense.target_index
+        for name in ("alpha", "lambda1", "lambda2", "b_factor"):
+            assert abs(getattr(lazy, name) - getattr(dense, name)) <= 1e-12
+        gap = lazy.nonsource_weights() - dense.nonsource_weights()
+        assert np.max(np.abs(gap)) <= 1e-15
+
+    def test_weight_path_never_builds_the_eigenbasis(self):
+        # every layer a report needs, at N = 4096, where one N x N complex
+        # array takes 256 MiB
+        tracemalloc.start()
+        try:
+            spec = scaling_family(12, 1)
+            inst = SearchInstance.build(spec)
+            predicted = predict_spectrum(inst)
+            m = default_ancilla_count(inst.b_factor)
+            b_prime(inst, m)
+            boosted_lambda1(inst, m)
+            naive_power_b(inst, 2**m)
+            run_iterations(inst, 20)
+            boosted_search_run(inst, m, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec._vectors is None
+        assert predicted.q_m > 0
+        assert peak < 4096 * 4096 * 16 / 8
+
+    def test_caller_vectors_are_copied(self):
+        vectors = np.eye(3, dtype=np.complex128)
+        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors, source_index=0)
+        assert not np.shares_memory(spec.vectors, vectors)
+        assert not spec.vectors.flags.writeable
+        vectors[0, 0] = 5.0  # the caller's array stays writable
+        assert spec.vectors[0, 0] == 1.0
+
+    def test_generated_vectors_are_adopted(self, monkeypatch):
+        built = []
+        assemble = spectra._paired_vectors
+        monkeypatch.setattr(
+            spectra, "_paired_vectors",
+            lambda *args: built.append(assemble(*args)) or built[-1],
+        )
+        spec = symmetric_spectrum(16, 2, 0.5, 1.5)
+        assert built == []
+        first = spec.vectors
+        assert first is built[0] and spec.vectors is first
+        assert len(built) == 1
+        assert not first.flags.writeable
+
+        made = []
+        complete = spectra._complete_orthonormal
+        monkeypatch.setattr(
+            spectra, "_complete_orthonormal",
+            lambda source: made.append(complete(source)) or made[-1],
+        )
+        uniform = np.full(8, 1.0 / math.sqrt(8.0), dtype=np.complex128)
+        grover = grover_spectrum(8, uniform)
+        assert grover.vectors is made[0]
+        assert not grover.vectors.flags.writeable
+
+    def test_unnormalized_row_rejected(self):
+        spec = symmetric_spectrum(16, 2, 0.5, 1.5)
+        row = spec.target_row(0) * 1.01
+        with pytest.raises(SpectrumValidationError, match="row"):
+            EigenSpectrum._generated(
+                spec.phases, 0, rows={0: row}, build=lambda: spec.vectors
+            )
+
+
+def test_import_leaves_scipy_optimize_out():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(root / "src"), env.get("PYTHONPATH")) if part
+    )
+    code = "import sys, gqsearch; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestScalingFamily:
