@@ -3,7 +3,8 @@
 Statevectors are one dimensional complex128 arrays, operators are square
 complex128 matrices.  Everything above ``DENSE_CAP`` must stay matrix-free;
 the dense routines here exist for construction and for verification at small
-scale.
+scale.  The eigensolver's SciPy is loaded on the first dense eigensolve, so
+``import gqsearch`` and every weight-path run load NumPy only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DENSE_CAP = 4096
 
@@ -124,7 +124,8 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
 
     Uses a complex Schur decomposition, which keeps the returned basis
     orthonormal even for (near-)degenerate eigenvalues where a generic
-    eigensolver may not.
+    eigensolver may not.  ``scipy.linalg`` is imported here, on the first
+    call, and not when the package loads.
 
     Raises
     ------
@@ -139,6 +140,8 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
         raise DenseCapError(
             f"dimension {matrix.shape[0]} exceeds dense cap {DENSE_CAP}"
         )
+    import scipy.linalg
+
     try:
         triangular, vectors = scipy.linalg.schur(matrix, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare path

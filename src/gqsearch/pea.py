@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseCapError, DimensionError, round_half_up, wrap_phase
+from .linalg import (
+    RECONSTRUCTION_ATOL,
+    DenseCapError,
+    DimensionError,
+    EigensolverError,
+    round_half_up,
+    wrap_phase,
+)
 from .search import RunReport, _checked_drift, _record, _report
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
 
@@ -470,20 +477,47 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
 
 
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
-    """Recompute the boosted b factor from the dense joint eigensystem.
+    """Recompute the boosted b factor from the dense joint matrix.
+
+    The dense boosted matrix B commutes with I (x) Ds, so the dense
+    diffusion eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one
+    2^m x 2^m block Z_l per main eigenvector l, and nothing between blocks.
+    An off-block entry above ``RECONSTRUCTION_ATOL`` raises
+    ``EigensolverError``.  Each block is decomposed on its own; its
+    eigenvector k carries target weight |V[target, l]|^2 |Z_l[0, k]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
     leftover would be a genuine divergence).  All other eigenvectors
-    contribute weight over sin^2(phase / 2).
+    contribute weight over sin^2(phase / 2).  Only the dense matrix, the
+    dense eigenbasis and the eigensolver are read, so this shares no code
+    with ``b_prime`` or ``boosted_search_run``.
     """
     from .linalg import unitary_eigensystem
 
-    matrix = dense_boosted_matrix(inst.spectrum, m)
-    eig = unitary_eigensystem(matrix)
-    # joint index of |ancilla 0, target> is just the main target index
-    weights = np.abs(eig.vectors[inst.target_index, :]) ** 2
-    zero_block = np.abs(eig.phases) < 1e-9
+    spectrum = inst.spectrum
+    size, n = 2**m, spectrum.dimension
+    vectors = spectrum.vectors
+    matrix = dense_boosted_matrix(spectrum, m).reshape(size, n, size, n)
+    reduced = np.einsum(
+        "il,jikn,nL->jlkL", vectors.conj(), matrix, vectors, optimize=True
+    )
+    diagonal = np.arange(n)
+    blocks = reduced[:, diagonal, :, diagonal]  # blocks[l] = Z_l
+    reduced[:, diagonal, :, diagonal] = 0.0
+    leak = float(np.max(np.abs(reduced)))
+    if leak > RECONSTRUCTION_ATOL:
+        raise EigensolverError(
+            "dense boosted matrix couples different diffusion eigenvectors", leak
+        )
+    main_weights = np.abs(vectors[inst.target_index, :]) ** 2
+    phases = np.empty((n, size))
+    weights = np.empty((n, size))
+    for l in range(n):
+        eig = unitary_eigensystem(blocks[l])
+        phases[l] = eig.phases
+        weights[l] = main_weights[l] * np.abs(eig.vectors[0, :]) ** 2
+    zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
     if abs(leftover) > 1e-8:
         raise RuntimeError(
@@ -491,9 +525,7 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
             f"{leftover:.3e}; boosted b factor is not finite here"
         )
     live = ~zero_block
-    total = float(
-        np.sum(weights[live] / np.sin(0.5 * eig.phases[live]) ** 2)
-    )
+    total = float(np.sum(weights[live] / np.sin(0.5 * phases[live]) ** 2))
     return math.sqrt(total)
 
 

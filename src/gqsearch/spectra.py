@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
 from .linalg import DENSE_CAP, DenseCapError, wrap_phase
 

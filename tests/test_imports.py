@@ -1,0 +1,71 @@
+"""What loading the package and running the weight path pull in.
+
+Each check runs in a fresh interpreter, since ``sys.modules`` of the test
+process already holds whatever other tests imported.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a new interpreter; the words of its last output line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_numpy_random_and_no_scipy(tmp_path):
+    code = """
+        import sys, gqsearch
+        scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
+        print(scipy, "numpy.random" in sys.modules)
+    """
+    assert run_fresh(code, tmp_path) == ["False", "True"]
+
+
+def test_only_dense_checks_load_scipy(tmp_path):
+    (tmp_path / "general.ini").write_text(
+        "[experiment]\nkind = general-search\n"
+        "[instance]\nn = 64\nseed = 1\n"
+        "[run]\nq_max = 40\nout = general.csv\n",
+        encoding="ascii",
+    )
+    (tmp_path / "boosted.ini").write_text(
+        "[experiment]\nkind = boosted-search\n"
+        "[instance]\nn = 32\nseed = 2\nfamily = resonant\nalpha = 0.125\n"
+        "[run]\nout = boosted.csv\n",
+        encoding="ascii",
+    )
+    code = """
+        import sys
+        from gqsearch import cli, harness
+
+        def scipy_loaded():
+            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+        seen = []
+        for config in ("general.ini", "boosted.ini"):
+            seen += [cli.main(["run", "--config", config]), scipy_loaded()]
+        seen += [harness.run_validation(echo=lambda line: None), scipy_loaded()]
+        print(*seen)
+    """
+    assert run_fresh(code, tmp_path) == ["0", "False", "0", "False", "True", "True"]
+    assert (tmp_path / "general.csv").exists()
+    assert (tmp_path / "boosted.csv").exists()

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gqsearch.linalg import DenseCapError, DimensionError, wrap_phase
+from gqsearch.linalg import (
+    DenseCapError,
+    DimensionError,
+    EigensolverError,
+    unitary_eigensystem,
+    wrap_phase,
+)
 from gqsearch.pea import (
     BoostedOperator,
     EigenFrameState,
@@ -295,6 +301,76 @@ class TestBPrime:
         analytic = b_prime(inst, m).b_prime
         dense = dense_b_prime_check(inst, m)
         assert np.isclose(dense, analytic, rtol=0.0, atol=1e-8)
+
+
+def full_schur_b_prime(inst, m):
+    """b' from one Schur decomposition of the whole dense joint matrix."""
+    system = unitary_eigensystem(dense_boosted_matrix(inst.spectrum, m))
+    weights = np.abs(system.vectors[inst.target_index, :]) ** 2
+    live = np.abs(system.phases) >= 1e-9
+    return math.sqrt(
+        float(np.sum(weights[live] / np.sin(0.5 * system.phases[live]) ** 2))
+    )
+
+
+def oracle_instance(family):
+    n = 32
+    if family == "symmetric":
+        spec = symmetric_spectrum(n, 4, 0.8, 1.8)
+    elif family == "resonant":
+        spec = resonant_spectrum(n, 2, 5e-3, 6)
+    else:
+        # the source keeps phase 0; the other n - 1 share phase pi
+        rng = np.random.default_rng(8)
+        source = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spec = grover_spectrum(n, source / np.linalg.norm(source))
+    return SearchInstance.build(spec)
+
+
+class TestDenseBPrimeCheck:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["symmetric", "resonant", "grover"])
+    def test_blocks_match_full_schur(self, family, m):
+        inst = oracle_instance(family)
+        assert inst.dimension * 2**m <= 256
+        full = full_schur_b_prime(inst, m)
+        assert np.isclose(dense_b_prime_check(inst, m), full, rtol=1e-10, atol=0.0)
+
+    def test_one_eigensolve_per_block(self, monkeypatch):
+        import gqsearch.linalg
+
+        inst = oracle_instance("symmetric")
+        sizes = []
+        solve = gqsearch.linalg.unitary_eigensystem
+
+        def counted(matrix):
+            sizes.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", counted)
+        dense_b_prime_check(inst, 2)
+        assert sizes == [(4, 4)] * inst.dimension
+
+    def test_off_block_leak_raises(self, monkeypatch):
+        import gqsearch.pea
+
+        inst = oracle_instance("symmetric")
+        m, n = 2, inst.dimension
+        vectors = inst.spectrum.vectors
+        build = gqsearch.pea.dense_boosted_matrix
+
+        def leaky(spec, m):
+            # couple ancilla 1 of eigenvector 3 to ancilla 2 of eigenvector 5
+            out_col = np.zeros((2**m, n), dtype=np.complex128)
+            in_col = np.zeros((2**m, n), dtype=np.complex128)
+            out_col[1] = vectors[:, 3]
+            in_col[2] = vectors[:, 5]
+            return build(spec, m) + 1e-6 * np.outer(out_col, in_col.conj())
+
+        monkeypatch.setattr(gqsearch.pea, "dense_boosted_matrix", leaky)
+        with pytest.raises(EigensolverError, match="couples") as caught:
+            dense_b_prime_check(inst, m)
+        assert np.isclose(caught.value.residual, 1e-6, rtol=1e-6)
 
 
 class TestBoostedLambda1:
