@@ -46,60 +46,6 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def basis_state(dimension: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> of the given dimension.
-
-    Parameters
-    ----------
-    dimension : int
-        Size of the state space, at least 1.
-    index : int
-        Which amplitude is set to one.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex statevector with a single unit entry.
-    """
-    if dimension < 1:
-        raise ValueError(f"dimension must be positive, got {dimension}")
-    if not 0 <= index < dimension:
-        raise ValueError(f"index {index} out of range for dimension {dimension}")
-    state = np.zeros(dimension, dtype=np.complex128)
-    state[index] = 1.0
-    return state
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` on the high-order factor.
-
-    For matrices the result acts on the composite space with ``a`` indexing
-    the slow (ancilla) factor, so joint index = j * dim(b) + i.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > DENSE_CAP:
-        raise DenseCapError(
-            f"tensor product dimension {out_dim} exceeds dense cap {DENSE_CAP}"
-        )
-    return np.kron(a, b)
-
-
-def apply_unitary(matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a dense operator to a statevector."""
-    matrix = np.asarray(matrix)
-    state = np.asarray(state)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {matrix.shape}")
-    if matrix.shape[1] != state.shape[0]:
-        raise DimensionError(
-            f"operator dimension {matrix.shape[1]} does not match state "
-            f"dimension {state.shape[0]}"
-        )
-    return matrix @ state
-
-
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Largest entry of |U^dag U - I|, zero for an exact unitary."""
     matrix = np.asarray(matrix)
@@ -156,22 +102,3 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
             residual,
         )
     return EigenSystem(phases=phases, vectors=vectors)
-
-
-def haar_random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-distributed unitary matrix.
-
-    Orthonormalizes a complex Gaussian matrix and fixes the phases of the
-    triangular factor's diagonal so the distribution is uniform and the
-    output is a deterministic function of (n, seed).
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > DENSE_CAP:
-        raise DenseCapError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(gauss / np.sqrt(2.0))
-    diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
-    return q

@@ -9,11 +9,13 @@ space b factor is.
 In the diffusion eigenbasis the boosted diffusion acts on the ancilla
 column of each main eigenvector l as -I + (1 + e^{i 2^m theta_l}) |p_l><p_l|,
 where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
-estimation makes from theta_l.  ``boosted_search_run`` iterates in these
-eigen-coordinates at O(2^m N) per step.  The operator-level functions
-(``pea_operator``, ``c_operator``, ``boosted_diffusion`` and friends) apply
-the circuit stage by stage to a ``JointState``; they and the dense joint
-matrix built from them are the small-scale verification oracles.
+estimation makes from theta_l.  The oracle touches only ancilla value 0, so
+column l never leaves span{e_0, p_l}: ``boosted_search_run`` keeps two
+coordinates per eigenvector and costs O(N) per step, whatever m is.  The
+operator-level stages (``pea_operator``, ``pea_adjoint``, ``c_operator``,
+``boosted_diffusion``) act on (2^m, N, K) block arrays, K states at once,
+through the dense eigenbasis; they and the dense joint matrix built from
+them are the small-scale verification oracles.
 """
 
 from __future__ import annotations
@@ -35,80 +37,21 @@ from .search import RunReport, _checked_drift, _record, _report
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
 
 JOINT_DENSE_CAP = 1024
-JOINT_NORM_ATOL = 1e-12
 
 MAX_ANCILLA_QUBITS = 8
 
 
 @dataclass
-class JointState:
-    """State on the ancilla (x) main space, ancilla-major layout.
-
-    ``amplitudes[j * main_dimension + i]`` is the amplitude of ancilla basis
-    value j with main basis value i.  Every operator-level function in this
-    module reads and writes this layout.
-    """
-
-    m: int
-    main_dimension: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_ANCILLA_QUBITS:
-            raise ValueError(
-                f"ancilla qubit count must lie in [1, {MAX_ANCILLA_QUBITS}], "
-                f"got {self.m}"
-            )
-        expected = 2**self.m * self.main_dimension
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (expected,):
-            raise DimensionError(
-                f"joint state needs {expected} amplitudes, "
-                f"got shape {self.amplitudes.shape}"
-            )
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > JOINT_NORM_ATOL:
-            raise ValueError(f"joint state must be normalized, got norm {norm!r}")
-
-    @classmethod
-    def from_product(
-        cls, m: int, main_state: np.ndarray, ancilla_index: int = 0
-    ) -> "JointState":
-        main_state = np.asarray(main_state, dtype=np.complex128)
-        n = main_state.shape[0]
-        if not 0 <= ancilla_index < 2**m:
-            raise ValueError(f"ancilla index {ancilla_index} out of range")
-        amplitudes = np.zeros(2**m * n, dtype=np.complex128)
-        amplitudes[ancilla_index * n : (ancilla_index + 1) * n] = main_state
-        return cls(m=m, main_dimension=n, amplitudes=amplitudes)
-
-    def blocks(self) -> np.ndarray:
-        """(2^m, N) view: row j is the main-space block of ancilla value j."""
-        return self.amplitudes.reshape(2**self.m, self.main_dimension)
-
-    def copy(self) -> "JointState":
-        return JointState(
-            m=self.m,
-            main_dimension=self.main_dimension,
-            amplitudes=self.amplitudes.copy(),
-        )
-
-    def flip_target(self, target_index: int) -> "JointState":
-        """Copy with the amplitude of |ancilla 0, target_index> negated."""
-        out = self.copy()
-        out.amplitudes[target_index] = -out.amplitudes[target_index]
-        return out
-
-
-@dataclass
 class EigenFrameState:
-    """Joint state as diffusion eigen-coordinates, updated in place.
+    """Boosted-search state in a two-row eigen-frame, updated in place.
 
-    ``coeff`` has shape (2^m, N); row j is V^dag applied to the main-space
-    block of ancilla value j, with V the diffusion eigenbasis, which is
-    never built: the oracle reads only its target row.  Nothing is
-    validated per operation: ``boosted_search_run`` measures the norm drift
-    at every record instead.
+    ``coeff`` has shape (2, N).  Column l holds the ancilla column of main
+    eigenvector l as a_l e_0 + b_l f_l, where f_l is the unit part of the
+    estimation probe p_l orthogonal to e_0.  Row 0, the a_l, is V^dag
+    applied to the main-space block of ancilla value 0, with V the diffusion
+    eigenbasis, which is never built: the oracle reads only its target row.
+    Row 1 holds the b_l.  Nothing is validated per operation:
+    ``boosted_search_run`` measures the norm drift at every record instead.
 
     ``known_amplitude`` is an optional ``(target_index, <ancilla 0,
     target_index | state>)`` pair for the current ``coeff``, which the next
@@ -196,27 +139,6 @@ def qft(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
 
 
-def _check_layout(spec: EigenSpectrum, m: int, state: JointState) -> None:
-    if state.m != m:
-        raise DimensionError(f"state has {state.m} ancilla qubits, expected {m}")
-    if state.main_dimension != spec.dimension:
-        raise DimensionError(
-            f"state main dimension {state.main_dimension} does not match "
-            f"spectrum dimension {spec.dimension}"
-        )
-
-
-def _columns(state: JointState) -> np.ndarray:
-    """(2^m, N, 1) view of the state, the layout the stages below take."""
-    return state.blocks()[:, :, np.newaxis]
-
-
-def _joint(state: JointState, blocks: np.ndarray) -> JointState:
-    return JointState(
-        m=state.m, main_dimension=state.main_dimension, amplitudes=blocks.ravel()
-    )
-
-
 def _apply_ancilla(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Apply a 2^m x 2^m ancilla matrix to (2^m, N, K) blocks."""
     return np.tensordot(matrix, blocks, axes=1)
@@ -234,49 +156,44 @@ def _apply_block_powers(
     return spec.vectors @ coeff
 
 
-def _estimate(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+def pea_operator(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    """Phase estimation: Walsh-Hadamard, controlled powers, then Fourier.
+
+    Acts on (2^m, N, K) blocks, each of the K columns a separate state, as
+    do the other stages below.  The circuit cost ledger charges the
+    controlled powers 2^m - 1 diffusion applications (binary power ladder);
+    the simulation takes two basis changes.
+    """
     blocks = _apply_ancilla(walsh_hadamard(m), blocks)
     blocks = _apply_block_powers(spec, blocks, np.arange(2**m))
     return _apply_ancilla(qft(m), blocks)
 
 
-def _unestimate(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+def pea_adjoint(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    """Inverse of pea_operator (undoes the estimation)."""
     blocks = _apply_ancilla(qft(m).conj().T, blocks)
     blocks = _apply_block_powers(spec, blocks, -np.arange(2**m))
     return _apply_ancilla(walsh_hadamard(m), blocks)
 
 
-def _condition(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+def c_operator(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    """Conditional rewrite: block 0 gets Ds^(2^m), all other blocks flip sign.
+
+    Circuit cost ledger: 2^m diffusion applications.
+    """
     out = -blocks
     out[0] = _apply_block_powers(spec, blocks[:1], [2**m])[0]
     return out
 
 
-def _boost(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
-    return _estimate(spec, m, _condition(spec, m, _unestimate(spec, m, blocks)))
+def boosted_diffusion(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
+    """The boosted diffusion: undo estimation, condition, re-estimate.
 
-
-def controlled_powers(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
-    """Ancilla value j applies the j-th power of the diffusion operator.
-
-    Simulation cost is two basis changes; the circuit cost ledger charges
-    2^m - 1 diffusion applications (binary power ladder), independent of
-    this shortcut.
+    Fixes the joint source; eigenvectors built from main eigenvector l keep
+    phase 2^m * theta_l, the rest of the space sits at phase pi.  Cost per
+    application: 3 * 2^m - 2 diffusion applications.
     """
-    _check_layout(spec, m, state)
-    return _joint(state, _apply_block_powers(spec, _columns(state), np.arange(2**m)))
-
-
-def pea_operator(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
-    """Phase estimation: Walsh-Hadamard, controlled powers, then Fourier."""
-    _check_layout(spec, m, state)
-    return _joint(state, _estimate(spec, m, _columns(state)))
-
-
-def pea_adjoint(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
-    """Inverse of pea_operator (undoes the estimation)."""
-    _check_layout(spec, m, state)
-    return _joint(state, _unestimate(spec, m, _columns(state)))
+    return pea_operator(spec, m, c_operator(spec, m, pea_adjoint(spec, m, blocks)))
 
 
 def pea_amplitude(theta, m: int, k: int):
@@ -299,34 +216,10 @@ def pea_amplitude(theta, m: int, k: int):
     return float(result) if result.ndim == 0 else result
 
 
-def c_operator(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
-    """Conditional rewrite: block 0 gets Ds^(2^m), all other blocks flip sign.
-
-    Circuit cost ledger: 2^m diffusion applications.
-    """
-    _check_layout(spec, m, state)
-    return _joint(state, _condition(spec, m, _columns(state)))
-
-
-def boosted_diffusion(spec: EigenSpectrum, m: int, state: JointState) -> JointState:
-    """The boosted diffusion: undo estimation, condition, re-estimate.
-
-    Fixes the joint source; eigenvectors built from main eigenvector l keep
-    phase 2^m * theta_l, the rest of the space sits at phase pi.  Cost per
-    application: 3 * 2^m - 2 diffusion applications.
-    """
-    _check_layout(spec, m, state)
-    return _joint(state, _boost(spec, m, _columns(state)))
-
-
 def controlled_oracle(
-    n: int, target_index: int, m: int, state: JointState | EigenFrameState
-) -> JointState | EigenFrameState:
-    """Flip the amplitude of |ancilla 0, target>; exactly one oracle query.
-
-    A ``JointState`` comes back as a flipped copy; an ``EigenFrameState`` is
-    reflected in place and returned.
-    """
+    n: int, target_index: int, m: int, state: EigenFrameState
+) -> EigenFrameState:
+    """Flip the amplitude of |ancilla 0, target> in place; one oracle query."""
     if state.main_dimension != n:
         raise DimensionError(
             f"state main dimension {state.main_dimension} does not match {n}"
@@ -399,12 +292,16 @@ def boosted_search_run(
     probability |<ancilla 0, target | state>|^2, q oracle queries, and
     q * (3 * 2^m - 2) diffusion applications.
 
-    The state is an ``EigenFrameState``: a (2^m, N) array C of
-    eigen-coordinates.  The oracle reflects row 0 about the target row of
-    V, and the diffusion maps each column to
-    -C[:, l] + (1 + e^{i 2^m theta_l}) p_l (p_l^dag C[:, l]), with the probe
-    vectors p_l computed once.  The run starts from C = e_0 (x) e_src, and a
-    step and a record cost O(2^m N); no N x N array is built or touched.
+    The state is an ``EigenFrameState``, two coordinates per eigenvector:
+    the joint source is e_0 (x) e_src, the oracle changes ancilla value 0
+    only, and the diffusion maps column l to
+    -c + (1 + e^{i 2^m theta_l}) p_l (p_l^dag c), so column l stays in
+    span{e_0, p_l}.  Writing p_l = g_l e_0 + h_l f_l with
+    g_l = (1/2^m) sum_j e^{i j theta_l} and h_l = sqrt(1 - |g_l|^2), the
+    oracle reflects row 0 about the target row of V and the diffusion sets
+    o = (conj(g) a + h b)(1 + e^{i 2^m theta}), a <- -a + g o and
+    b <- -b + h o.  A step and a record cost O(N) whatever m is; no N x N
+    array is built or touched.
 
     Raises
     ------
@@ -425,39 +322,33 @@ def boosted_search_run(
     cost = operator.cost_per_application
     source = spectrum.source_index
     target_row = spectrum.target_row(target)
-    probes = _estimation_probes(spectrum.phases, m)
-    probes_conj = probes.conj()
+    # p_l = g_l e_0 + h_l f_l: g_l is the ancilla-0 entry of the probe
+    g = np.exp(1j * np.outer(np.arange(operator.r), spectrum.phases)).mean(axis=0)
+    g_conj = g.conj()
+    h = np.sqrt(np.maximum(1.0 - np.abs(g) ** 2, 0.0))
     gain = 1.0 + np.exp(1j * operator.r * spectrum.phases)
 
     state = EigenFrameState(
-        m=m, spectrum=spectrum, coeff=np.zeros((operator.r, n), dtype=np.complex128)
+        m=m, spectrum=spectrum, coeff=np.zeros((2, n), dtype=np.complex128)
     )
     coeff = state.coeff
-    coeff[0, source] = 1.0
-    scratch = np.empty_like(coeff)
-    amplitude = target_row @ coeff[0]
-    records = [_record(0, amplitude, coeff[0, source], cost)]
+    a, b = coeff
+    a[source] = 1.0
+    amplitude = target_row @ a
+    records = [_record(0, amplitude, a[source], cost)]
     drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
         state.known_amplitude = (target, amplitude)
         controlled_oracle(n, target, m, state)
-        # column l: C <- -C + p_l (1 + e^{i 2^m theta_l}) (p_l^dag C)
-        np.multiply(probes_conj, coeff, out=scratch)
-        overlap = scratch.sum(axis=0)
+        overlap = g_conj * a
+        overlap += h * b
         overlap *= gain
-        np.multiply(probes, overlap, out=scratch)
-        np.subtract(scratch, coeff, out=coeff)
-        amplitude = target_row @ coeff[0]
-        records.append(_record(q, amplitude, coeff[0, source], cost))
+        np.subtract(g * overlap, a, out=a)
+        np.subtract(h * overlap, b, out=b)
+        amplitude = target_row @ a
+        records.append(_record(q, amplitude, a[source], cost))
         drift = _checked_drift(q, coeff, drift)
     return _report(records, drift)
-
-
-def _estimation_probes(phases: np.ndarray, m: int) -> np.ndarray:
-    """(2^m, N) array whose column l is p_l = QFT diag(e^{i j theta_l}) WH|0>."""
-    size = 2**m
-    comb = np.exp(1j * np.outer(np.arange(size), phases)) / math.sqrt(size)
-    return qft(m) @ comb
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
@@ -472,7 +363,7 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
             f"joint dimension {joint_dim} exceeds dense joint cap {JOINT_DENSE_CAP}"
         )
     basis = np.eye(joint_dim, dtype=np.complex128)
-    blocks = _boost(spec, m, basis.reshape(2**m, spec.dimension, joint_dim))
+    blocks = boosted_diffusion(spec, m, basis.reshape(2**m, spec.dimension, joint_dim))
     return blocks.reshape(joint_dim, joint_dim)
 
 
@@ -527,15 +418,3 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     live = ~zero_block
     total = float(np.sum(weights[live] / np.sin(0.5 * phases[live]) ** 2))
     return math.sqrt(total)
-
-
-def save_boosted_report(report: RunReport, m: int, path) -> None:
-    """CSV per iteration: q, p_target_joint, oracle_queries, cost, m, r."""
-    r = 2**m
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("q,p_target_joint,oracle_queries,ds_applications,m,r\n")
-        for rec in report.records:
-            fh.write(
-                f"{rec.q},{rec.target_probability:.12g},{rec.oracle_queries},"
-                f"{rec.ds_applications},{m},{r}\n"
-            )

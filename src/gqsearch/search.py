@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, round_half_up
+from .linalg import round_half_up
 from .spectra import SearchInstance, build_diffusion
 
 
@@ -68,17 +68,6 @@ class RunReport:
     peak_q: int
     peak_probability: float
     max_norm_drift: float = 0.0
-
-
-def selective_phase(dimension: int, target_index: int, phi: float) -> np.ndarray:
-    """Diagonal unitary applying e^{i phi} to one basis state."""
-    if not 0 <= target_index < dimension:
-        raise DimensionError(
-            f"target_index {target_index} out of range for dimension {dimension}"
-        )
-    diag = np.ones(dimension, dtype=np.complex128)
-    diag[target_index] = np.exp(1j * phi)
-    return np.diag(diag)
 
 
 def search_operator(inst: SearchInstance) -> np.ndarray:
@@ -217,15 +206,3 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     pair = sorted((first, second), key=lambda k: eig.phases[k], reverse=True)
     residual = float(1.0 - overlaps[first] - overlaps[second])
     return float(eig.phases[pair[0]]), float(eig.phases[pair[1]]), residual
-
-
-def save_run_report(report: RunReport, path) -> None:
-    """Write one CSV row per iteration: q, p_target, s_overlap, queries, cost."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("q,p_target,s_overlap,oracle_queries,ds_applications\n")
-        for rec in report.records:
-            fh.write(
-                f"{rec.q},{rec.target_probability:.12g},"
-                f"{rec.source_overlap:.12g},{rec.oracle_queries},"
-                f"{rec.ds_applications}\n"
-            )

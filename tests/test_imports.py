@@ -1,7 +1,7 @@
 """What loading the package and running the weight path pull in.
 
-Each check runs in a fresh interpreter, since ``sys.modules`` of the test
-process already holds whatever other tests imported.
+The module checks run in fresh interpreters, since ``sys.modules`` of the
+test process already holds whatever other tests imported.
 """
 
 import os
@@ -69,3 +69,13 @@ def test_only_dense_checks_load_scipy(tmp_path):
     assert run_fresh(code, tmp_path) == ["0", "False", "0", "False", "True", "True"]
     assert (tmp_path / "general.csv").exists()
     assert (tmp_path / "boosted.csv").exists()
+
+
+def test_every_exported_name_resolves():
+    import gqsearch
+
+    missing = [name for name in gqsearch.__all__ if not hasattr(gqsearch, name)]
+    assert missing == []
+    namespace = {}
+    exec("from gqsearch import *", namespace)
+    assert set(gqsearch.__all__) <= namespace.keys()

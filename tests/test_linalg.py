@@ -1,4 +1,4 @@
-"""Dense kernel tests: phase wrapping, products, eigendecomposition."""
+"""Dense kernel tests: phase wrapping, rounding, eigendecomposition."""
 
 import math
 
@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from gqsearch.linalg import (
-    DENSE_CAP,
-    DenseCapError,
     DimensionError,
     EigensolverError,
-    apply_unitary,
-    basis_state,
-    haar_random_unitary,
     round_half_up,
-    tensor_product,
     unitarity_defect,
     unitary_eigensystem,
     wrap_phase,
 )
 
-SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+def seeded_unitary(n, seed):
+    """Unitary Q factor of a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(gauss)[0]
 
 
 @pytest.mark.parametrize(
@@ -72,78 +71,15 @@ def test_round_half_up(value, expected):
     assert round_half_up(value) == expected
 
 
-def test_basis_state_entries():
-    state = basis_state(5, 3)
-    assert state.dtype == np.complex128
-    assert state[3] == 1.0
-    assert np.count_nonzero(state) == 1
-
-
-@pytest.mark.parametrize("dimension, index", [(0, 0), (4, 4), (4, -1)])
-def test_basis_state_rejects_bad_arguments(dimension, index):
-    with pytest.raises(ValueError):
-        basis_state(dimension, index)
-
-
-def test_tensor_product_hadamard_not():
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    joint = tensor_product(hadamard, flip)
-    assert joint.shape == (4, 4)
-    assert np.isclose(joint[0, 3], SQRT2_INV, rtol=0.0, atol=1e-15)
-    assert joint[0, 2] == 0.0
-
-
-def test_tensor_product_index_arithmetic():
-    # entry (i*db + k, j*db + l) must equal a[i, j] * b[k, l]
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    joint = tensor_product(a, b)
-    for i, j, k, l in [(0, 2, 1, 3), (2, 0, 0, 0), (1, 1, 2, 2), (2, 2, 3, 1)]:
-        assert np.isclose(joint[i * 4 + k, j * 4 + l], a[i, j] * b[k, l])
-
-
-def test_tensor_product_vectors():
-    left = np.array([1.0, 1j]) * SQRT2_INV
-    right = basis_state(3, 2)
-    joint = tensor_product(left, right)
-    assert joint.shape == (6,)
-    assert np.isclose(joint[2], SQRT2_INV)
-    assert np.isclose(joint[5], 1j * SQRT2_INV)
-
-
-def test_tensor_product_respects_dense_cap():
-    big = np.eye(65)
-    other = np.eye(64)
-    with pytest.raises(DenseCapError):
-        tensor_product(big, other)
-
-
-def test_apply_unitary_matches_matmul():
-    rng = np.random.default_rng(5)
-    matrix = haar_random_unitary(6, 17)
-    state = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    state /= np.linalg.norm(state)
-    assert np.allclose(apply_unitary(matrix, state), matrix @ state, atol=1e-15)
-
-
-def test_apply_unitary_dimension_errors():
-    with pytest.raises(DimensionError):
-        apply_unitary(np.eye(3), basis_state(4, 0))
-    with pytest.raises(DimensionError):
-        apply_unitary(np.ones((2, 3)), basis_state(3, 0))
-
-
 def test_unitarity_defect_flags_scaling():
-    matrix = haar_random_unitary(8, 2)
+    matrix = seeded_unitary(8, 2)
     assert unitarity_defect(matrix) < 1e-10
     assert unitarity_defect(1.01 * matrix) > 1e-3
 
 
 def test_eigensystem_matches_characteristic_polynomial():
     # independent oracle: eigenvalues as roots of the characteristic polynomial
-    matrix = haar_random_unitary(8, 42)
+    matrix = seeded_unitary(8, 42)
     oracle = np.sort(wrap_phase(np.angle(np.roots(np.poly(matrix)))))
     system = unitary_eigensystem(matrix)
     assert np.allclose(np.sort(system.phases), oracle, rtol=0.0, atol=1e-6)
@@ -151,7 +87,7 @@ def test_eigensystem_matches_characteristic_polynomial():
 
 @pytest.mark.parametrize("n, seed", [(4, 0), (9, 1), (16, 2), (32, 3)])
 def test_eigensystem_reconstructs_input(n, seed):
-    matrix = haar_random_unitary(n, seed)
+    matrix = seeded_unitary(n, seed)
     system = unitary_eigensystem(matrix)
     gram = system.vectors.conj().T @ system.vectors
     assert np.allclose(gram, np.eye(n), atol=1e-10)
@@ -178,17 +114,3 @@ def test_eigensystem_rejects_nonunitary():
 def test_eigensystem_rejects_nonsquare():
     with pytest.raises(DimensionError):
         unitary_eigensystem(np.ones((2, 3)))
-
-
-def test_haar_unitary_deterministic_and_unitary():
-    first = haar_random_unitary(12, 7)
-    second = haar_random_unitary(12, 7)
-    other = haar_random_unitary(12, 8)
-    assert np.array_equal(first, second)
-    assert not np.allclose(first, other)
-    assert unitarity_defect(first) < 1e-10
-
-
-def test_haar_unitary_respects_dense_cap():
-    with pytest.raises(DenseCapError):
-        haar_random_unitary(DENSE_CAP + 1, 0)

@@ -7,7 +7,6 @@ import pytest
 
 from gqsearch.linalg import (
     DenseCapError,
-    DimensionError,
     EigensolverError,
     unitary_eigensystem,
     wrap_phase,
@@ -15,15 +14,14 @@ from gqsearch.linalg import (
 from gqsearch.pea import (
     BoostedOperator,
     EigenFrameState,
-    JointState,
     MAX_ANCILLA_QUBITS,
+    _apply_block_powers,
     b_prime,
     boosted_diffusion,
     boosted_lambda1,
     boosted_search_run,
     c_operator,
     controlled_oracle,
-    controlled_powers,
     default_ancilla_count,
     dense_b_prime_check,
     dense_boosted_matrix,
@@ -31,7 +29,6 @@ from gqsearch.pea import (
     pea_amplitude,
     pea_operator,
     qft,
-    save_boosted_report,
     walsh_hadamard,
 )
 from gqsearch.spectra import (
@@ -44,14 +41,14 @@ from gqsearch.spectra import (
 )
 
 
-def random_joint_state(m, n, seed):
+def random_blocks(rows, n, seed):
+    """Normalized random (rows, n, 1) block array: one state."""
     rng = np.random.default_rng(seed)
-    amplitudes = rng.standard_normal(2**m * n) + 1j * rng.standard_normal(2**m * n)
-    amplitudes /= np.linalg.norm(amplitudes)
-    return JointState(m=m, main_dimension=n, amplitudes=amplitudes)
+    blocks = rng.standard_normal((rows, n, 1)) + 1j * rng.standard_normal((rows, n, 1))
+    return blocks / np.linalg.norm(blocks)
 
 
-def dense_controlled_powers(matrix, m):
+def dense_power_ladder(matrix, m):
     r = 2**m
     n = matrix.shape[0]
     out = np.zeros((r * n, r * n), dtype=np.complex128)
@@ -86,36 +83,6 @@ class TestRegisters:
             walsh_hadamard(m)
         with pytest.raises(ValueError):
             qft(m)
-
-
-class TestJointState:
-    def test_from_product_layout(self):
-        main = np.zeros(4, dtype=np.complex128)
-        main[1] = 1.0
-        state = JointState.from_product(2, main, ancilla_index=2)
-        blocks = state.blocks()
-        assert blocks.shape == (4, 4)
-        assert blocks[2, 1] == 1.0
-        assert np.count_nonzero(state.amplitudes) == 1
-        assert state.amplitudes[2 * 4 + 1] == 1.0
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DimensionError):
-            JointState(m=2, main_dimension=4, amplitudes=np.zeros(8, dtype=complex))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            JointState(m=1, main_dimension=2, amplitudes=np.full(4, 0.7 + 0j))
-
-    def test_rejects_bad_ancilla_count(self):
-        amps = np.zeros(2**9 * 2, dtype=complex)
-        amps[0] = 1.0
-        with pytest.raises(ValueError):
-            JointState(m=9, main_dimension=2, amplitudes=amps)
-
-    def test_from_product_index_range(self):
-        with pytest.raises(ValueError):
-            JointState.from_product(1, np.array([1.0, 0.0]), ancilla_index=2)
 
 
 class TestPeaAmplitude:
@@ -157,40 +124,41 @@ class TestJointOperators:
     def setup_method(self):
         self.spec = symmetric_spectrum(4, 3, 0.9, 1.9)
         self.matrix = build_diffusion(self.spec)
-        self.state = random_joint_state(2, 4, 8)
+        self.blocks = random_blocks(4, 4, 8)
+        self.flat = self.blocks.ravel()
 
-    def test_controlled_powers_matches_dense(self):
-        applied = controlled_powers(self.spec, 2, self.state)
-        oracle = dense_controlled_powers(self.matrix, 2) @ self.state.amplitudes
-        assert np.allclose(applied.amplitudes, oracle, atol=1e-10)
+    def test_block_powers_match_dense(self):
+        # the controlled-power stage of pea_operator on its own
+        applied = _apply_block_powers(self.spec, self.blocks, np.arange(4))
+        oracle = dense_power_ladder(self.matrix, 2) @ self.flat
+        assert np.allclose(applied.ravel(), oracle, atol=1e-10)
 
     def test_c_operator_matches_dense(self):
-        applied = c_operator(self.spec, 2, self.state)
+        applied = c_operator(self.spec, 2, self.blocks)
         powered = np.linalg.matrix_power(self.matrix, 4)
         dense = -np.eye(16, dtype=np.complex128)
         dense[:4, :4] = powered
-        oracle = dense @ self.state.amplitudes
-        assert np.allclose(applied.amplitudes, oracle, atol=1e-10)
+        assert np.allclose(applied.ravel(), dense @ self.flat, atol=1e-10)
 
     def test_pea_operator_matches_dense(self):
-        applied = pea_operator(self.spec, 2, self.state)
+        applied = pea_operator(self.spec, 2, self.blocks)
         dense = (
             np.kron(qft(2), np.eye(4))
-            @ dense_controlled_powers(self.matrix, 2)
+            @ dense_power_ladder(self.matrix, 2)
             @ np.kron(walsh_hadamard(2), np.eye(4))
         )
-        assert np.allclose(applied.amplitudes, dense @ self.state.amplitudes, atol=1e-10)
+        assert np.allclose(applied.ravel(), dense @ self.flat, atol=1e-10)
 
     def test_adjoint_inverts_estimation(self):
-        round_trip = pea_adjoint(self.spec, 2, pea_operator(self.spec, 2, self.state))
-        assert np.allclose(round_trip.amplitudes, self.state.amplitudes, atol=1e-12)
-        other = pea_operator(self.spec, 2, pea_adjoint(self.spec, 2, self.state))
-        assert np.allclose(other.amplitudes, self.state.amplitudes, atol=1e-12)
+        round_trip = pea_adjoint(self.spec, 2, pea_operator(self.spec, 2, self.blocks))
+        assert np.allclose(round_trip, self.blocks, atol=1e-12)
+        other = pea_operator(self.spec, 2, pea_adjoint(self.spec, 2, self.blocks))
+        assert np.allclose(other, self.blocks, atol=1e-12)
 
     def test_dense_boosted_matrix_matches_dense(self):
         estimate = (
             np.kron(qft(2), np.eye(4))
-            @ dense_controlled_powers(self.matrix, 2)
+            @ dense_power_ladder(self.matrix, 2)
             @ np.kron(walsh_hadamard(2), np.eye(4))
         )
         condition = -np.eye(16, dtype=np.complex128)
@@ -199,24 +167,28 @@ class TestJointOperators:
         assert np.allclose(dense_boosted_matrix(self.spec, 2), oracle, atol=1e-10)
 
     def test_layout_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            controlled_powers(self.spec, 3, self.state)
-        with pytest.raises(DimensionError):
-            pea_operator(symmetric_spectrum(8, 1, 0.9, 1.9), 2, self.state)
+        with pytest.raises(ValueError):
+            pea_operator(self.spec, 3, self.blocks)
+        with pytest.raises(ValueError):
+            pea_operator(symmetric_spectrum(8, 1, 0.9, 1.9), 2, self.blocks)
 
 
 def test_controlled_oracle_flips_single_amplitude():
-    state = random_joint_state(2, 4, 9)
+    # in the main basis, ancilla-0 block V a loses the sign of entry 1 only
+    spec = symmetric_spectrum(4, 3, 0.9, 1.9)
+    coeff = random_blocks(2, 4, 9)[:, :, 0]
+    state = EigenFrameState(m=2, spectrum=spec, coeff=coeff.copy())
     flipped = controlled_oracle(4, 1, 2, state)
-    expected = state.amplitudes.copy()
+    assert flipped is state
+    expected = spec.vectors @ coeff[0]
     expected[1] = -expected[1]
-    assert np.array_equal(flipped.amplitudes, expected)
-    assert np.array_equal(state.amplitudes[1:2], -flipped.amplitudes[1:2])
+    assert np.allclose(spec.vectors @ state.coeff[0], expected, atol=1e-14)
+    assert np.array_equal(state.coeff[1], coeff[1])
 
 
 def test_eigen_frame_flip_reuses_known_amplitude():
     spec = symmetric_spectrum(16, 5, 0.8, 1.8)
-    coeff = random_joint_state(2, 16, 3).blocks().copy()
+    coeff = random_blocks(2, 16, 3)[:, :, 0]
     amplitude = spec.target_row(0) @ coeff[0]
     fresh = EigenFrameState(m=2, spectrum=spec, coeff=coeff.copy())
     fresh.flip_target(0)
@@ -236,10 +208,11 @@ def test_eigen_frame_flip_reuses_known_amplitude():
 
 def test_boosted_diffusion_fixes_joint_source():
     spec = symmetric_spectrum(8, 5, 0.8, 1.8)
-    state = JointState.from_product(2, spec.source_state)
-    moved = boosted_diffusion(spec, 2, state)
-    assert np.allclose(moved.amplitudes, state.amplitudes, atol=1e-12)
-    assert np.isclose(np.linalg.norm(moved.amplitudes), 1.0, atol=1e-12)
+    blocks = np.zeros((4, 8, 1), dtype=np.complex128)
+    blocks[0, :, 0] = spec.source_state
+    moved = boosted_diffusion(spec, 2, blocks)
+    assert np.allclose(moved, blocks, atol=1e-12)
+    assert np.isclose(np.linalg.norm(moved), 1.0, atol=1e-12)
 
 
 def test_boosted_spectrum_splits_into_powered_and_flipped():
@@ -436,6 +409,8 @@ class TestBoostedRun:
             (("symmetric", 16, 5), 2),
             (("resonant", 32, 6), 3),
             (("symmetric", 128, 2), 3),
+            (("symmetric", 4, 3), 8),
+            (("symmetric", 64, 2), 4),
         ],
     )
     def test_matches_dense_boosted_powers(self, spec_args, m):
@@ -481,17 +456,3 @@ def test_default_ancilla_count(value, expected):
 def test_default_ancilla_count_rejects_nonpositive():
     with pytest.raises(ValueError):
         default_ancilla_count(0.0)
-
-
-def test_save_boosted_report_format(tmp_path):
-    inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))
-    report = boosted_search_run(inst, 2, q_max=3)
-    path = tmp_path / "boosted.csv"
-    save_boosted_report(report, 2, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,p_target_joint,oracle_queries,ds_applications,m,r"
-    assert len(lines) == 5
-    assert lines[1].endswith(",2,4")
-    twin = tmp_path / "twin.csv"
-    save_boosted_report(report, 2, twin)
-    assert path.read_bytes() == twin.read_bytes()

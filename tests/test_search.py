@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from gqsearch import search
-from gqsearch.linalg import DimensionError, unitarity_defect
+from gqsearch.linalg import unitarity_defect
 from gqsearch.search import (
     NormDriftError,
     predict_spectrum,
     run_iterations,
-    save_run_report,
     search_operator,
-    selective_phase,
     verify_relevant_pair,
 )
 from gqsearch.spectra import (
@@ -72,21 +70,9 @@ def skewed_toy(alpha=0.05):
     return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
 
 
-def test_selective_phase_pi_is_target_flip():
-    gate = selective_phase(4, 2, math.pi)
-    expected = np.diag([1.0, 1.0, -1.0, 1.0]).astype(np.complex128)
-    assert np.allclose(gate, expected, atol=1e-15)
-    assert unitarity_defect(gate) < 1e-12
-
-
-def test_selective_phase_rejects_bad_index():
-    with pytest.raises(DimensionError):
-        selective_phase(4, 4, math.pi)
-
-
 def test_search_operator_is_diffusion_after_flip():
     inst = double_pair_toy()
-    flip = selective_phase(5, 0, math.pi)
+    flip = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]).astype(np.complex128)
     expected = build_diffusion(inst.spectrum) @ flip
     assert np.allclose(search_operator(inst), expected, atol=1e-12)
     assert unitarity_defect(search_operator(inst)) < 1e-10
@@ -228,21 +214,3 @@ def test_grover_curve_is_exact_rotation():
     for rec in report.records:
         expected = math.sin((2 * rec.q + 1) * angle) ** 2
         assert np.isclose(rec.target_probability, expected, rtol=0.0, atol=1e-12)
-
-
-def test_save_run_report_format(tmp_path):
-    inst = double_pair_toy()
-    report = run_iterations(inst, 4)
-    path = tmp_path / "run.csv"
-    save_run_report(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q,p_target,s_overlap,oracle_queries,ds_applications"
-    assert len(lines) == 6
-    row = lines[2].split(",")
-    assert row[0] == "1"
-    assert np.isclose(float(row[1]), report.records[1].target_probability, rtol=1e-11)
-    assert np.isclose(float(row[2]), report.records[1].source_overlap, rtol=1e-11)
-    # identical report, identical bytes
-    twin = tmp_path / "twin.csv"
-    save_run_report(report, twin)
-    assert path.read_bytes() == twin.read_bytes()
