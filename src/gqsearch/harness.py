@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pea, search, spectra
-from .linalg import round_half_up
 
 DEFAULT_B_VALUES = (2.0, 4.0, 8.0, 16.0)
 
@@ -192,8 +191,9 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
         else:
             if "," in text:
                 raise ConfigError(
-                    f"config key {key} holds a list; lists are only "
-                    "expanded by the sweep command"
+                    f"config key {key} holds a list; only the sweep command "
+                    "expands lists, and only for the keys "
+                    f"{', '.join(sorted(_SWEEPABLE))}"
                 )
             parsed = _parse_scalar(key, text)
             if parsed is not None:
@@ -307,9 +307,6 @@ def _boosted_row(
     lam1_boosted = pea.boosted_lambda1(inst, m)
     report = pea.boosted_search_run(inst, m, config.q_max)
     at_peak = report.records[report.peak_q]
-    predicted_q = max(
-        1, round_half_up(np.pi * breakdown.b_prime / (4.0 * inst.alpha) - 0.5)
-    )
     return ReportRow(
         experiment=kind,
         n=inst.dimension,
@@ -327,7 +324,7 @@ def _boosted_row(
         peak_probability=report.peak_probability,
         oracle_queries_at_peak=at_peak.oracle_queries,
         ds_applications_at_peak=at_peak.ds_applications,
-        predicted_peak_q=predicted_q,
+        predicted_peak_q=search.peak_iteration(breakdown.b_prime, inst.alpha),
         predicted_peak_probability=1.0 / breakdown.b_prime**2,
     )
 

@@ -6,12 +6,12 @@ everything else is flipped to -1), and undoing the estimation yields a new
 diffusion operator whose b factor stays O(1) no matter how large the main
 space b factor is.
 
-In the diffusion eigenbasis the boosted diffusion acts on the ancilla
-column of each main eigenvector l as -I + (1 + e^{i 2^m theta_l}) |p_l><p_l|,
+The boosted diffusion has eigenphase 2^m theta_l on each probe p_l (x) v_l,
 where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
-estimation makes from theta_l.  The oracle touches only ancilla value 0, so
-column l never leaves span{e_0, p_l}: ``boosted_search_run`` keeps two
-coordinates per eigenvector and costs O(N) per step, whatever m is.  The
+estimation makes from theta_l, and phase pi on everything else.  The joint
+source has no weight at pi, so that whole eigenspace meets the search as
+one coordinate, and a boosted run is plain search on an (N+1)-entry
+spectrum: ``boosted_search_run`` costs O(N) per step, whatever m is.  The
 operator-level stages (``pea_operator``, ``pea_adjoint``, ``c_operator``,
 ``boosted_diffusion``) act on (2^m, N, K) block arrays, K states at once,
 through the dense eigenbasis; they and the dense joint matrix built from
@@ -28,58 +28,16 @@ import numpy as np
 from .linalg import (
     RECONSTRUCTION_ATOL,
     DenseCapError,
-    DimensionError,
     EigensolverError,
     round_half_up,
     wrap_phase,
 )
-from .search import RunReport, _checked_drift, _record, _report
+from .search import RunReport, _iterate, reflect_target
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
 
 JOINT_DENSE_CAP = 1024
 
 MAX_ANCILLA_QUBITS = 8
-
-
-@dataclass
-class EigenFrameState:
-    """Boosted-search state in a two-row eigen-frame, updated in place.
-
-    ``coeff`` has shape (2, N).  Column l holds the ancilla column of main
-    eigenvector l as a_l e_0 + b_l f_l, where f_l is the unit part of the
-    estimation probe p_l orthogonal to e_0.  Row 0, the a_l, is V^dag
-    applied to the main-space block of ancilla value 0, with V the diffusion
-    eigenbasis, which is never built: the oracle reads only its target row.
-    Row 1 holds the b_l.  Nothing is validated per operation:
-    ``boosted_search_run`` measures the norm drift at every record instead.
-
-    ``known_amplitude`` is an optional ``(target_index, <ancilla 0,
-    target_index | state>)`` pair for the current ``coeff``, which the next
-    ``flip_target`` uses instead of recomputing it.  Whoever changes
-    ``coeff`` must set it anew or leave it None.
-    """
-
-    m: int
-    spectrum: EigenSpectrum
-    coeff: np.ndarray
-    known_amplitude: tuple[int, complex] | None = None
-
-    @property
-    def main_dimension(self) -> int:
-        return self.spectrum.dimension
-
-    def flip_target(self, target_index: int) -> "EigenFrameState":
-        """Negate |ancilla 0, target_index>: reflect row 0 about V's target row."""
-        row = self.spectrum.target_row(target_index)
-        block0 = self.coeff[0]
-        known = self.known_amplitude
-        if known is not None and known[0] == target_index:
-            amplitude = known[1]
-        else:
-            amplitude = row @ block0
-        block0 -= 2.0 * amplitude * row.conj()
-        self.known_amplitude = None
-        return self
 
 
 @dataclass(frozen=True)
@@ -216,17 +174,19 @@ def pea_amplitude(theta, m: int, k: int):
     return float(result) if result.ndim == 0 else result
 
 
-def controlled_oracle(
-    n: int, target_index: int, m: int, state: EigenFrameState
-) -> EigenFrameState:
-    """Flip the amplitude of |ancilla 0, target> in place; one oracle query."""
-    if state.main_dimension != n:
-        raise DimensionError(
-            f"state main dimension {state.main_dimension} does not match {n}"
-        )
-    if not 0 <= target_index < n:
-        raise DimensionError(f"target_index {target_index} out of range for {n}")
-    return state.flip_target(target_index)
+def _survival(phases, m: int):
+    """Weight |<e_0|p_l>|^2 of each probe on ancilla value 0, capped at 1.
+
+    This is the share of main eigenvector l's target weight that survives
+    phase estimation into the powered branch; the rest sits at phase pi.
+    """
+    return np.minimum(pea_amplitude(phases, m, 0) ** 2, 1.0)
+
+
+# The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the
+# plain reflection about the boosted target row, done in place; one query.
+# ``boosted_search_run`` looks this name up per run and makes one call per step.
+controlled_oracle = reflect_target
 
 
 def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
@@ -242,7 +202,7 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
         raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
     spectrum = inst.spectrum
     weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
-    survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
+    survival = _survival(spectrum.phases, m)
     sigma1 = float(np.sum(weights * (1.0 - survival)))
     sigma2 = inst.b_factor**2 / 4**m
     return BPrimeBreakdown(
@@ -268,7 +228,7 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
         raise ResonanceError(
             f"power 2**{m} drives a weighted phase onto a multiple of 2*pi"
         )
-    survival = np.minimum(pea_amplitude(phases, m, 0) ** 2, 1.0)
+    survival = _survival(phases, m)
     half = 0.5 * boosted
     return float(np.sum(weights * survival * np.cos(half) / np.sin(half)))
 
@@ -292,16 +252,16 @@ def boosted_search_run(
     probability |<ancilla 0, target | state>|^2, q oracle queries, and
     q * (3 * 2^m - 2) diffusion applications.
 
-    The state is an ``EigenFrameState``, two coordinates per eigenvector:
-    the joint source is e_0 (x) e_src, the oracle changes ancilla value 0
-    only, and the diffusion maps column l to
-    -c + (1 + e^{i 2^m theta_l}) p_l (p_l^dag c), so column l stays in
-    span{e_0, p_l}.  Writing p_l = g_l e_0 + h_l f_l with
-    g_l = (1/2^m) sum_j e^{i j theta_l} and h_l = sqrt(1 - |g_l|^2), the
-    oracle reflects row 0 about the target row of V and the diffusion sets
-    o = (conj(g) a + h b)(1 + e^{i 2^m theta}), a <- -a + g o and
-    b <- -b + h o.  A step and a record cost O(N) whatever m is; no N x N
-    array is built or touched.
+    The run is plain search on the boosted spectrum, N + 1 entries long.
+    Entry l is the probe p_l (x) v_l, with phase 2^m theta_l and target
+    entry |g_l| t_l, where |g_l|^2 = pea_amplitude(theta_l, m, 0)^2 is the
+    survival of phase estimation.  The last entry is the unit part of the
+    joint target inside the phase-pi eigenspace: phase pi and target entry
+    sqrt(sigma1), the weight ``b_prime`` strands on that branch.  The state
+    starts in that eigenspace with no weight and the oracle only ever adds
+    the joint target to it, so one coordinate holds all of it.  The source
+    entry is exact, e_0 (x) v_src, because survival at theta = 0 is 1.  A
+    step and a record cost O(N) whatever m is; no N x N array is built.
 
     Raises
     ------
@@ -310,45 +270,26 @@ def boosted_search_run(
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)
+    breakdown = b_prime(inst, m)
     if q_max is None:
-        boost = b_prime(inst, m).b_prime
+        boost = breakdown.b_prime
         q_max = max(1, round_half_up(math.pi * boost / (2.0 * inst.alpha)))
-    if q_max < 0:
-        raise ValueError(f"q_max must be nonnegative, got {q_max}")
-    operator = BoostedOperator.build(inst.spectrum, m)
     spectrum = inst.spectrum
-    n = spectrum.dimension
-    target = inst.target_index
-    cost = operator.cost_per_application
-    source = spectrum.source_index
-    target_row = spectrum.target_row(target)
-    # p_l = g_l e_0 + h_l f_l: g_l is the ancilla-0 entry of the probe
-    g = np.exp(1j * np.outer(np.arange(operator.r), spectrum.phases)).mean(axis=0)
-    g_conj = g.conj()
-    h = np.sqrt(np.maximum(1.0 - np.abs(g) ** 2, 0.0))
-    gain = 1.0 + np.exp(1j * operator.r * spectrum.phases)
-
-    state = EigenFrameState(
-        m=m, spectrum=spectrum, coeff=np.zeros((2, n), dtype=np.complex128)
+    operator = BoostedOperator.build(spectrum, m)
+    eigenphase = np.append(np.exp(1j * operator.r * spectrum.phases), -1.0)
+    target_row = np.append(
+        np.sqrt(_survival(spectrum.phases, m))
+        * spectrum.target_row(inst.target_index),
+        math.sqrt(breakdown.sigma1),
     )
-    coeff = state.coeff
-    a, b = coeff
-    a[source] = 1.0
-    amplitude = target_row @ a
-    records = [_record(0, amplitude, a[source], cost)]
-    drift = _checked_drift(0, coeff, 0.0)
-    for q in range(1, q_max + 1):
-        state.known_amplitude = (target, amplitude)
-        controlled_oracle(n, target, m, state)
-        overlap = g_conj * a
-        overlap += h * b
-        overlap *= gain
-        np.subtract(g * overlap, a, out=a)
-        np.subtract(h * overlap, b, out=b)
-        amplitude = target_row @ a
-        records.append(_record(q, amplitude, a[source], cost))
-        drift = _checked_drift(q, coeff, drift)
-    return _report(records, drift)
+    return _iterate(
+        eigenphase,
+        target_row,
+        spectrum.source_index,
+        q_max,
+        operator.cost_per_application,
+        oracle=controlled_oracle,
+    )
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def predict_spectrum(inst: SearchInstance) -> PredictedSpectrum:
         tan_eta = math.tan(eta)
         lam_plus = rate * tan_eta
         lam_minus = -rate / tan_eta
-    q_m = max(1, round_half_up(np.pi * b / (4.0 * alpha) - 0.5))
+    q_m = peak_iteration(b, alpha)
     return PredictedSpectrum(
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
@@ -104,6 +104,15 @@ def predict_spectrum(inst: SearchInstance) -> PredictedSpectrum:
         q_m=q_m,
         peak_overlap=1.0 / b,
     )
+
+
+def peak_iteration(b_factor: float, alpha: float) -> int:
+    """Iteration count of the first probability crest, pi b / (4 alpha).
+
+    Rounded half up after subtracting 1/2, and never below 1.  Serves the
+    plain prediction (the main-space b) and the boosted one (b').
+    """
+    return max(1, round_half_up(np.pi * b_factor / (4.0 * alpha) - 0.5))
 
 
 def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
@@ -122,24 +131,46 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     NormDriftError
         If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT at any record.
     """
+    spectrum = inst.spectrum
+    return _iterate(
+        np.exp(1j * spectrum.phases),
+        spectrum.target_row(inst.target_index),
+        spectrum.source_index,
+        q_max,
+        ds_per_step=1,
+    )
+
+
+def reflect_target(coeff, amplitude, target_conj) -> None:
+    """The oracle in eigen-coordinates, in place: c <- c - 2 (t . c) conj(t).
+
+    ``amplitude`` is t . c, which the caller already holds.
+    """
+    coeff -= 2.0 * amplitude * target_conj
+
+
+def _iterate(
+    eigenphase, target_row, source, q_max, ds_per_step, oracle=reflect_target
+) -> RunReport:
+    """Reflect about ``target_row``, then multiply by ``eigenphase``, q_max times.
+
+    Starts from e_source and records every step.  ``oracle`` is called
+    exactly once per step; each step costs ``ds_per_step`` diffusion
+    applications in the ledger.
+    """
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
-    spectrum = inst.spectrum
-    source = spectrum.source_index
-    eigenphase = np.exp(1j * spectrum.phases)
-    target_row = spectrum.target_row(inst.target_index)
     target_conj = target_row.conj()
-
-    coeff = np.zeros(spectrum.dimension, dtype=np.complex128)
+    coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[source] = 1.0
     amplitude = target_row @ coeff  # <target|psi>, reused by the next flip
-    records = [_record(0, amplitude, coeff[source], ds_per_step=1)]
+    records = [_record(0, amplitude, coeff[source], ds_per_step)]
     drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
-        coeff -= 2.0 * amplitude * target_conj
+        oracle(coeff, amplitude, target_conj)
         coeff *= eigenphase
         amplitude = target_row @ coeff
-        records.append(_record(q, amplitude, coeff[source], ds_per_step=1))
+        records.append(_record(q, amplitude, coeff[source], ds_per_step))
         drift = _checked_drift(q, coeff, drift)
     return _report(records, drift)
 

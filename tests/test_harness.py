@@ -331,6 +331,18 @@ class TestCli:
         assert cli.main(["run", "--config", str(config)]) == 1
         capsys.readouterr()
 
+    def test_sweep_names_its_keys_for_an_unsweepable_list(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            "[instance]\nn = 16\nfamily = symmetric, resonant\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "config key family holds a list" in err
+        assert "expanded by the sweep command" not in err
+        assert "alpha, b_target, epsilon, m, n, q_max, resonance_m, seed" in err
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 1
         capsys.readouterr()

@@ -13,7 +13,6 @@ from gqsearch.linalg import (
 )
 from gqsearch.pea import (
     BoostedOperator,
-    EigenFrameState,
     MAX_ANCILLA_QUBITS,
     _apply_block_powers,
     b_prime,
@@ -174,36 +173,14 @@ class TestJointOperators:
 
 
 def test_controlled_oracle_flips_single_amplitude():
-    # in the main basis, ancilla-0 block V a loses the sign of entry 1 only
+    # in the main basis, V c loses the sign of entry 1 only, in place
     spec = symmetric_spectrum(4, 3, 0.9, 1.9)
-    coeff = random_blocks(2, 4, 9)[:, :, 0]
-    state = EigenFrameState(m=2, spectrum=spec, coeff=coeff.copy())
-    flipped = controlled_oracle(4, 1, 2, state)
-    assert flipped is state
-    expected = spec.vectors @ coeff[0]
+    coeff = random_blocks(1, 4, 9)[0, :, 0]
+    row = spec.target_row(1)
+    expected = spec.vectors @ coeff
     expected[1] = -expected[1]
-    assert np.allclose(spec.vectors @ state.coeff[0], expected, atol=1e-14)
-    assert np.array_equal(state.coeff[1], coeff[1])
-
-
-def test_eigen_frame_flip_reuses_known_amplitude():
-    spec = symmetric_spectrum(16, 5, 0.8, 1.8)
-    coeff = random_blocks(2, 16, 3)[:, :, 0]
-    amplitude = spec.target_row(0) @ coeff[0]
-    fresh = EigenFrameState(m=2, spectrum=spec, coeff=coeff.copy())
-    fresh.flip_target(0)
-    reused = EigenFrameState(
-        m=2, spectrum=spec, coeff=coeff.copy(), known_amplitude=(0, amplitude)
-    )
-    reused.flip_target(0)
-    assert np.array_equal(reused.coeff, fresh.coeff)
-    assert reused.known_amplitude is None
-    # an amplitude known for another target is not used
-    other = EigenFrameState(
-        m=2, spectrum=spec, coeff=coeff.copy(), known_amplitude=(1, 0.5)
-    )
-    other.flip_target(0)
-    assert np.array_equal(other.coeff, fresh.coeff)
+    assert controlled_oracle(coeff, row @ coeff, row.conj()) is None
+    assert np.allclose(spec.vectors @ coeff, expected, atol=1e-14)
 
 
 def test_boosted_diffusion_fixes_joint_source():
@@ -411,16 +388,22 @@ class TestBoostedRun:
             (("symmetric", 128, 2), 3),
             (("symmetric", 4, 3), 8),
             (("symmetric", 64, 2), 4),
+            (("grover", 32, 8), 2),
+            (("grover", 32, 8), 3),
         ],
     )
     def test_matches_dense_boosted_powers(self, spec_args, m):
         # oracle: dense boosted diffusion after a sign flip of joint index
-        # target, powered from the joint source
+        # target, powered from the joint source.  In the Grover cases every
+        # powered phase lands on 0 mod 2 pi with zero survival, so the
+        # phase-pi coordinate carries all the nonsource weight
         family, n, seed = spec_args
         if family == "symmetric":
             spec = symmetric_spectrum(n, seed, 0.8, 1.8)
-        else:
+        elif family == "resonant":
             spec = resonant_spectrum(n, 2, 5e-3, seed)
+        else:
+            spec = oracle_instance("grover").spectrum
         inst = SearchInstance.build(spec)
         target = inst.target_index
         report = boosted_search_run(inst, m, q_max=40)
@@ -446,6 +429,40 @@ class TestBoostedRun:
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8))
         with pytest.raises(ValueError):
             boosted_search_run(inst, 2, q_max=-1)
+
+    @pytest.mark.parametrize("q_max", [0, 1, 7])
+    def test_one_oracle_call_per_step(self, monkeypatch, q_max):
+        # the per-step oracle count is a public ledger: one call per query
+        import gqsearch.pea
+
+        inst = SearchInstance.build(symmetric_spectrum(16, 5, 0.8, 1.8))
+        calls = []
+        oracle = gqsearch.pea.controlled_oracle
+
+        def counted(*args):
+            calls.append(1)
+            return oracle(*args)
+
+        monkeypatch.setattr(gqsearch.pea, "controlled_oracle", counted)
+        report = boosted_search_run(inst, 3, q_max)
+        assert len(calls) == q_max == len(report.records) - 1
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_memory_does_not_grow_with_m(self, large_instance, m):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            boosted_search_run(large_instance, m, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+@pytest.fixture(scope="module")
+def large_instance():
+    return SearchInstance.build(symmetric_spectrum(4096, 1, 0.5, 1.5, b_target=8))
 
 
 @pytest.mark.parametrize("value, expected", [(1.0, 1), (16.0, 4), (1e9, 8), (2.9, 2)])
