@@ -40,6 +40,13 @@ JOINT_DENSE_CAP = 1024
 MAX_ANCILLA_QUBITS = 8
 
 
+def _check_ancilla_count(m: int) -> None:
+    if not 1 <= m <= MAX_ANCILLA_QUBITS:
+        raise ValueError(
+            f"ancilla qubit count m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}"
+        )
+
+
 @dataclass(frozen=True)
 class BoostedOperator:
     """Bookkeeping for the boosted diffusion at a given ancilla size."""
@@ -51,10 +58,7 @@ class BoostedOperator:
 
     @classmethod
     def build(cls, spectrum: EigenSpectrum, m: int) -> "BoostedOperator":
-        if not 1 <= m <= MAX_ANCILLA_QUBITS:
-            raise ValueError(
-                f"ancilla qubit count must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}"
-            )
+        _check_ancilla_count(m)
         # ledger: 2^m - 1 for the controlled power ladder, 2^m for the
         # conditional block power, 2^m - 1 for undoing the estimation
         return cls(
@@ -73,8 +77,7 @@ class BPrimeBreakdown:
 
 def walsh_hadamard(m: int) -> np.ndarray:
     """Dense 2^m Walsh-Hadamard transform (real, symmetric, involutive)."""
-    if not 1 <= m <= MAX_ANCILLA_QUBITS:
-        raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
+    _check_ancilla_count(m)
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     out = h1
     for _ in range(m - 1):
@@ -90,8 +93,7 @@ def qft(m: int) -> np.ndarray:
     with no sign gymnastics.  Only magnitudes at k = 0 matter downstream,
     so nothing algorithmic depends on this choice.
     """
-    if not 1 <= m <= MAX_ANCILLA_QUBITS:
-        raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
+    _check_ancilla_count(m)
     size = 2**m
     grid = np.arange(size)
     return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
@@ -198,8 +200,7 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     (b^2) / 4^m because the estimation amplitude's numerator cancels the
     powered phase's sine.
     """
-    if not 1 <= m <= MAX_ANCILLA_QUBITS:
-        raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
+    _check_ancilla_count(m)
     spectrum = inst.spectrum
     weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
     survival = _survival(spectrum.phases, m)
@@ -217,8 +218,7 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
     only the powered branch contributes.  Exact +/- phase pairs with
     matched weights make this vanish to rounding.
     """
-    if not 1 <= m <= MAX_ANCILLA_QUBITS:
-        raise ValueError(f"m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}")
+    _check_ancilla_count(m)
     phases = inst.nonsource_phases()
     weights = inst.nonsource_weights()
     live = weights > 0.0

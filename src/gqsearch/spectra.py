@@ -5,8 +5,9 @@ A diffusion operator is specified by its eigendecomposition: one eigenvector
 phases bounded away from zero.  A search instance pairs such a spectrum with
 a computational-basis target and caches the overlap moments that drive every
 downstream prediction.  The moments, and both search runs, read only the
-phases, the source index and the target row of the eigenbasis; the full
-N x N eigenbasis is needed only by the dense checks and ``save_spectrum``.
+phases, the source index and the target row of the eigenbasis.  Every
+generator gives that row in closed form, in O(N); the full N x N eigenbasis
+is built only when a dense check reads it.
 """
 
 from __future__ import annotations
@@ -48,42 +49,38 @@ class EigenSpectrum:
         Column of the fixed-point eigenvector.
 
     Every reported number reads only the phases, the source index and one
-    row of the eigenbasis, the target row (``target_row``).  The generators
-    supply that row in closed form together with a builder for the full
-    basis, so ``vectors`` is assembled, validated and cached on first access
-    (by a dense check or ``save_spectrum``) and never on the weight path.
-    An array a caller passes in is copied and validated at once; arrays the
-    generators make are adopted without a copy.  Both are read-only.
+    row of the eigenbasis, the target row (``target_row``).  Every generator
+    supplies row 0, its target row, in closed form together with a builder
+    for the full basis, so ``vectors`` is assembled, validated and cached on
+    first access (by a dense check) and never on the weight path.  An array
+    a caller passes in is copied and validated at once; the array a builder
+    makes is adopted without a copy.  Both are read-only.
     """
 
     def __init__(self, phases, vectors, source_index: int):
-        self._init(phases, source_index, rows={}, build=None)
+        self._init(phases, source_index, row=None, build=None)
         self._vectors = self._adopt(np.array(vectors, dtype=np.complex128))
 
     @classmethod
-    def _generated(cls, phases, source_index: int, *, vectors=None, rows=None,
-                   build=None) -> "EigenSpectrum":
-        """Spectrum owning generator-made arrays, adopted without a copy.
+    def _generated(cls, phases, source_index: int, *, row, build) -> "EigenSpectrum":
+        """Spectrum from a generator: row 0 in closed form, basis on demand.
 
-        Give either the full ``vectors`` or ``rows``, a dict of closed-form
-        eigenbasis rows by index, and ``build``, a callable returning the
-        full basis on first access.  Each given row must have unit norm.
+        ``row`` is row 0 of the eigenbasis and must have unit norm; ``build``
+        returns the full basis on first access, adopted without a copy.
         """
         spec = cls.__new__(cls)
-        spec._init(phases, source_index, rows=rows or {}, build=build)
-        n = spec.dimension
-        for row in spec._rows.values():
-            _validate_row(row, n)
-            row.setflags(write=False)
-        spec._vectors = None if vectors is None else spec._adopt(vectors)
+        spec._init(phases, source_index, row=row, build=build)
+        _validate_row(row, spec.dimension)
+        row.setflags(write=False)
+        spec._vectors = None
         return spec
 
-    def _init(self, phases, source_index, rows, build) -> None:
+    def _init(self, phases, source_index, row, build) -> None:
         phases = np.array(phases, dtype=np.float64)
         phases.setflags(write=False)
         self.phases = phases
         self.source_index = source_index
-        self._rows = rows
+        self._row0 = row
         self._build = build
         _validate_phases(phases, source_index)
 
@@ -104,11 +101,13 @@ class EigenSpectrum:
     def target_row(self, index: int) -> np.ndarray:
         """Row ``index`` of the eigenbasis, <index|v_l> for every l.
 
-        A row the generator gave in closed form is returned as is, whether
-        or not ``vectors`` has been built; any other row reads ``vectors``.
+        Row 0 of a generated spectrum is the closed-form row, returned as
+        is whether or not ``vectors`` has been built; any other row reads
+        ``vectors``.
         """
-        row = self._rows.get(index)
-        return self.vectors[index] if row is None else row
+        if index == 0 and self._row0 is not None:
+            return self._row0
+        return self.vectors[index]
 
     @property
     def dimension(self) -> int:
@@ -316,6 +315,27 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     return math.sqrt(_powered_b_squared(inst.spectrum, inst.target_index, r))
 
 
+def _householder(source: np.ndarray):
+    """Pivot and reflection of ``_complete_orthonormal``, shared by its row.
+
+    Returns ``(k, v, scale)``: ``k`` indexes the largest entry of ``source``,
+    and the reflection I + scale v v^dag sends e_k onto ``source`` up to the
+    phase of that entry.  ``scale`` is None when v vanishes, that is when
+    ``source`` already is e_k up to that phase.
+    """
+    k = int(np.argmax(np.abs(source)))
+    pivot = source[k]
+    v = np.array(source, dtype=np.result_type(source, np.float64))
+    v[k] -= pivot / abs(pivot)
+    vv = float(np.real(np.vdot(v, v)))
+    return k, v, (None if vv < 1e-30 else -2.0 / vv)
+
+
+def _source_first(n: int, k: int) -> np.ndarray:
+    """Column order putting column k, the source, first."""
+    return np.r_[k, 0:k, k + 1 : n]
+
+
 def _complete_orthonormal(source: np.ndarray) -> np.ndarray:
     """Unitary matrix whose column 0 is ``source`` (deterministic).
 
@@ -324,21 +344,29 @@ def _complete_orthonormal(source: np.ndarray) -> np.ndarray:
     real orthogonal matrix.
     """
     n = source.shape[0]
-    k = int(np.argmax(np.abs(source)))
-    pivot = source[k]
-    phase = pivot / abs(pivot)
-    v = np.array(source, dtype=np.result_type(source, np.float64))
-    v[k] -= phase
-    vv = float(np.real(np.vdot(v, v)))
-    if vv < 1e-30:
+    k, v, scale = _householder(source)
+    if scale is None:
         basis = np.eye(n, dtype=v.dtype)
     else:
         basis = np.outer(v, v.conj())
-        basis *= -2.0 / vv
+        basis *= scale
         basis[np.diag_indices(n)] += 1.0
     basis[:, k] = source  # replace the phase-rotated copy exactly
-    order = [k] + [j for j in range(n) if j != k]
-    return basis[:, order]
+    return basis[:, _source_first(n, k)]
+
+
+def _completion_row(source: np.ndarray) -> np.ndarray:
+    """Row 0 of ``_complete_orthonormal(source)``, bit for bit, in O(n)."""
+    n = source.shape[0]
+    k, v, scale = _householder(source)
+    if scale is None:
+        row = np.zeros_like(v)
+    else:
+        row = v[0] * v.conj()
+        row *= scale
+    row[0] += 1.0
+    row[k] = source[0]
+    return row[_source_first(n, k)]
 
 
 def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
@@ -346,8 +374,11 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
     The source keeps phase 0 and every orthogonal direction gets phase pi,
     which makes both cotangent moments vanish and b_factor = sqrt(1-alpha^2).
+    The eigenbasis is a Householder completion of ``source``; its target row
+    comes in closed form (``_completion_row``) and the basis is built on the
+    first read of ``vectors``.
     """
-    source = np.asarray(source, dtype=np.complex128)
+    source = np.array(source, dtype=np.complex128)
     if source.ndim != 1 or source.shape[0] != n:
         raise ValueError(f"source must be a vector of length {n}")
     norm = float(np.linalg.norm(source))
@@ -356,7 +387,10 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     phases = np.full(n, np.pi)
     phases[0] = 0.0
     return EigenSpectrum._generated(
-        phases, 0, vectors=_complete_orthonormal(source)
+        phases,
+        0,
+        row=_completion_row(source),
+        build=lambda: _complete_orthonormal(source),
     )
 
 
@@ -489,7 +523,7 @@ def _paired_spectrum(
     return EigenSpectrum._generated(
         phases,
         0,
-        rows={0: _paired_row(alpha, unit)},
+        row=_paired_row(alpha, unit),
         build=lambda: _paired_vectors(alpha, w_sub, unit),
     )
 
@@ -608,60 +642,3 @@ def scaling_family(log2n: int, seed: int) -> EigenSpectrum:
     n = 2**log2n
     b_target = SCALING_COEFF * math.sqrt(math.log(n))
     return symmetric_spectrum(n, seed, 0.5, 1.5, b_target=b_target)
-
-
-def save_spectrum(spec: EigenSpectrum, path) -> None:
-    """Write a spectrum as flat text, lossless for float64 round trips.
-
-    Line 1 holds ``N source_index``; each following line holds one
-    eigenvector as ``phase re_0 im_0 ... re_{N-1} im_{N-1}`` with every
-    number printed to 17 significant digits.
-    """
-    n = spec.dimension
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{n} {spec.source_index}\n")
-        for k in range(n):
-            column = spec.vectors[:, k]
-            parts = [f"{spec.phases[k]:.17g}"]
-            for amp in column:
-                parts.append(f"{amp.real:.17g}")
-                parts.append(f"{amp.imag:.17g}")
-            fh.write(" ".join(parts))
-            fh.write("\n")
-
-
-def load_spectrum(path) -> EigenSpectrum:
-    """Read a spectrum written by save_spectrum and revalidate it."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line for line in (raw.strip() for raw in fh) if line]
-    if not lines:
-        raise SpectrumValidationError(f"{path}: empty spectrum file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise SpectrumValidationError(f"{path}: header must be 'N source_index'")
-    try:
-        n, source_index = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise SpectrumValidationError(f"{path}: bad header: {exc}") from exc
-    if len(lines) - 1 != n:
-        raise SpectrumValidationError(
-            f"{path}: expected {n} eigenvector lines, found {len(lines) - 1}"
-        )
-    phases = np.zeros(n)
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        fields = lines[1 + k].split()
-        if len(fields) != 1 + 2 * n:
-            raise SpectrumValidationError(
-                f"{path}: line {k + 2} has {len(fields)} fields, "
-                f"expected {1 + 2 * n}"
-            )
-        try:
-            values = np.array([float(x) for x in fields])
-        except ValueError as exc:
-            raise SpectrumValidationError(
-                f"{path}: line {k + 2}: {exc}"
-            ) from exc
-        phases[k] = values[0]
-        vectors[:, k] = values[1::2] + 1j * values[2::2]
-    return EigenSpectrum._generated(phases, source_index, vectors=vectors)

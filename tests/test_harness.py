@@ -343,6 +343,16 @@ class TestCli:
         assert "expanded by the sweep command" not in err
         assert "alpha, b_target, epsilon, m, n, q_max, resonance_m, seed" in err
 
+    def test_ancilla_count_out_of_range_is_usage_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\nm = 9\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "ancilla qubit count m must lie in [1, 8], got 9" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 1
         capsys.readouterr()

@@ -78,10 +78,17 @@ class TestRegisters:
 
     @pytest.mark.parametrize("m", [0, 9])
     def test_register_size_bounds(self, m):
-        with pytest.raises(ValueError):
-            walsh_hadamard(m)
-        with pytest.raises(ValueError):
-            qft(m)
+        inst = SearchInstance.build(symmetric_spectrum(16, 1, 0.5, 1.5))
+        message = rf"m must lie in \[1, {MAX_ANCILLA_QUBITS}\], got {m}$"
+        for call in (
+            walsh_hadamard,
+            qft,
+            lambda m: BoostedOperator.build(inst.spectrum, m),
+            lambda m: b_prime(inst, m),
+            lambda m: boosted_lambda1(inst, m),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(m)
 
 
 class TestPeaAmplitude:

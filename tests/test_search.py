@@ -214,3 +214,20 @@ def test_grover_curve_is_exact_rotation():
     for rec in report.records:
         expected = math.sin((2 * rec.q + 1) * angle) ** 2
         assert np.isclose(rec.target_probability, expected, rtol=0.0, atol=1e-12)
+
+
+def test_grover_curve_stays_exact_at_large_n():
+    # N = 4096 over two predicted peaks: the closed-form target row keeps
+    # every record within 1e-12 of sin^2((2q+1) arcsin alpha)
+    n = 4096
+    uniform = np.full(n, 1.0 / 64.0, dtype=np.complex128)
+    spec = grover_spectrum(n, uniform)
+    inst = SearchInstance.build(spec)
+    report = run_iterations(inst, 2 * predict_spectrum(inst).q_m)
+    angle = math.asin(inst.alpha)
+    error = max(
+        abs(rec.target_probability - math.sin((2 * rec.q + 1) * angle) ** 2)
+        for rec in report.records
+    )
+    assert error <= 1e-12
+    assert spec._vectors is None

@@ -1,4 +1,4 @@
-"""Spectrum construction, moment sums, generators, serialization."""
+"""Spectrum construction, moment sums, generators, basis validation."""
 
 import math
 import os
@@ -17,14 +17,13 @@ from gqsearch.spectra import (
     SpectrumValidationError,
     build_diffusion,
     grover_spectrum,
-    load_spectrum,
     naive_power_b,
     resonant_spectrum,
-    save_spectrum,
     scaling_family,
     symmetric_spectrum,
 )
 from gqsearch import spectra
+from gqsearch.harness import ExperimentConfig, run_experiment
 from gqsearch.pea import (
     b_prime,
     boosted_lambda1,
@@ -292,6 +291,27 @@ class TestWeightPath:
             assert spec.target_row(0) is row
             assert row[n - 1] == 0.0
 
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("source", ["uniform", "random", "e3"])
+    def test_grover_row_matches_built_basis(self, source, n):
+        if source == "uniform":
+            vector = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        elif source == "random":
+            # largest entry away from index 0: the basis columns get reordered
+            rng = np.random.default_rng(n)
+            vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            vector[n // 2] = 4.0 * math.sqrt(n)
+            vector /= np.linalg.norm(vector)
+        else:
+            # already a basis vector: no reflection, the identity completion
+            vector = np.zeros(n, dtype=np.complex128)
+            vector[3] = 1.0
+        spec = grover_spectrum(n, vector)
+        row = spec.target_row(0)
+        assert spec._vectors is None
+        assert np.array_equal(row, spec.vectors[0])
+        assert spec.target_row(0) is row
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -313,9 +333,15 @@ class TestWeightPath:
         gap = lazy.nonsource_weights() - dense.nonsource_weights()
         assert np.max(np.abs(gap)) <= 1e-15
 
-    def test_weight_path_never_builds_the_eigenbasis(self):
+    def test_weight_path_never_builds_the_eigenbasis(self, monkeypatch):
         # every layer a report needs, at N = 4096, where one N x N complex
         # array takes 256 MiB
+        made = []
+        generate = spectra.grover_spectrum
+        monkeypatch.setattr(
+            spectra, "grover_spectrum",
+            lambda *args: made.append(generate(*args)) or made[-1],
+        )
         tracemalloc.start()
         try:
             spec = scaling_family(12, 1)
@@ -327,10 +353,12 @@ class TestWeightPath:
             naive_power_b(inst, 2**m)
             run_iterations(inst, 20)
             boosted_search_run(inst, m, 20)
+            run_experiment(ExperimentConfig(kind="grover-baseline", n=4096))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert spec._vectors is None
+        assert len(made) == 1 and made[0]._vectors is None
         assert predicted.q_m > 0
         assert peak < 4096 * 4096 * 16 / 8
 
@@ -364,16 +392,57 @@ class TestWeightPath:
         )
         uniform = np.full(8, 1.0 / math.sqrt(8.0), dtype=np.complex128)
         grover = grover_spectrum(8, uniform)
-        assert grover.vectors is made[0]
-        assert not grover.vectors.flags.writeable
+        assert made == []
+        first = grover.vectors
+        assert first is made[0] and grover.vectors is first
+        assert len(made) == 1
+        assert not first.flags.writeable
 
     def test_unnormalized_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row(0) * 1.01
         with pytest.raises(SpectrumValidationError, match="row"):
             EigenSpectrum._generated(
-                spec.phases, 0, rows={0: row}, build=lambda: spec.vectors
+                spec.phases, 0, row=row, build=lambda: spec.vectors
             )
+
+    def test_sampled_validation_of_a_large_basis(self, monkeypatch):
+        # above FULL_VALIDATION_MAX the check takes every column norm but
+        # only a sampled block of the gram matrix
+        n = 2048
+        assert n > spectra.FULL_VALIDATION_MAX
+        made = []
+        complete = spectra._complete_orthonormal
+        monkeypatch.setattr(
+            spectra, "_complete_orthonormal",
+            lambda source: made.append(complete(source)) or made[-1],
+        )
+        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        spec = grover_spectrum(n, uniform)
+        assert made == []
+        basis = np.array(spec.vectors)  # validated on the sampled path
+        assert spec.vectors is made[0]
+        assert len(made) == 1
+        del spec  # hold one 64 MiB copy of the basis from here on
+        made.clear()
+
+        count = spectra.SAMPLED_VALIDATION_COLUMNS
+        sampled = set(np.linspace(0, n - 1, count).astype(int))
+        phases = np.full(n, np.pi)
+        phases[0] = 0.0
+        outside = 1
+        assert outside not in sampled
+        kept = basis[:, outside].copy()
+        basis[:, outside] *= 1.0 + 1e-8
+        named = rf"column \({outside}, {outside}\)"
+        with pytest.raises(SpectrumValidationError, match=named):
+            EigenSpectrum(phases, basis, source_index=0)
+        basis[:, outside] = kept
+
+        a, b = sorted(sampled)[1:3]
+        basis[:, b] = (basis[:, b] + 1e-6 * basis[:, a]) / math.sqrt(1.0 + 1e-12)
+        with pytest.raises(SpectrumValidationError, match=rf"columns \({a}, {b}\)"):
+            EigenSpectrum(phases, basis, source_index=0)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -409,43 +478,6 @@ class TestScalingFamily:
             scaling_family(5, 0)
         with pytest.raises(ValueError):
             scaling_family(13, 0)
-
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        spec = resonant_spectrum(16, 2, 5e-3, 6, alpha=0.2)
-        path = tmp_path / "spectrum.txt"
-        save_spectrum(spec, path)
-        loaded = load_spectrum(path)
-        assert np.array_equal(loaded.phases, spec.phases)
-        assert np.array_equal(loaded.vectors, spec.vectors)
-        assert loaded.source_index == spec.source_index
-
-    def test_header_records_dimension_and_source(self, tmp_path):
-        spec = symmetric_spectrum(8, 1, 0.9, 1.9)
-        path = tmp_path / "spectrum.txt"
-        save_spectrum(spec, path)
-        first = path.read_text().splitlines()[0].split()
-        assert first == ["8", "0"]
-
-    def test_truncated_file_reports_line(self, tmp_path):
-        spec = symmetric_spectrum(8, 1, 0.9, 1.9)
-        path = tmp_path / "spectrum.txt"
-        save_spectrum(spec, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:5]) + "\n")
-        with pytest.raises(ValueError, match="line"):
-            load_spectrum(path)
-
-    def test_malformed_amplitude_rejected(self, tmp_path):
-        spec = symmetric_spectrum(8, 1, 0.9, 1.9)
-        path = tmp_path / "spectrum.txt"
-        save_spectrum(spec, path)
-        lines = path.read_text().splitlines()
-        lines[2] = "0.1 0.2 0.3"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_spectrum(path)
 
 
 FROZEN_PATH = Path(__file__).parent / "data" / "frozen_spectra.npz"
