@@ -228,14 +228,18 @@ def load_config(path, **overrides) -> ExperimentConfig:
 
 
 def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
-    """Expand comma lists in a config into the cartesian product of runs."""
+    """Expand comma lists in a config into the cartesian product of runs.
+
+    An empty entry runs the key's empty meaning, as an empty value does in
+    a single config: ``b_target = , 8`` sweeps no rescaling and b = 8.
+    """
     raw = _read_raw(path)
     axes: list[tuple[str, list[str]]] = []
     fixed: dict[str, str] = {}
     for key, text in raw.items():
         if key in _SWEEPABLE and "," in text:
-            parts = [part.strip() for part in text.split(",") if part.strip()]
-            if not parts:
+            parts = [part.strip() for part in text.split(",")]
+            if not any(parts):
                 raise ConfigError(f"config key {key} lists no values")
             axes.append((key, parts))
         else:

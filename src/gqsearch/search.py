@@ -216,24 +216,89 @@ def _peak_of(records) -> tuple[int, float]:
 
 
 def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
-    """Measure the rotating pair from the dense search operator.
+    """Solve the rotating pair from the secular equation, in O(N).
 
     Returns (phase_plus, phase_minus, residual) where the phases belong to
     the two eigenvectors with the largest squared source overlap and the
     residual is the source weight leaking outside that pair.
-    """
-    from .linalg import unitary_eigensystem
 
-    matrix = search_operator(inst)
-    eig = unitary_eigensystem(matrix)
-    overlaps = np.abs(eig.vectors.conj().T @ inst.spectrum.source_state) ** 2
-    order = np.argsort(overlaps)[::-1]
-    first, second = int(order[0]), int(order[1])
-    if overlaps[second] <= 0.01:
+    In eigen-coordinates the search step is e^{i theta} (1 - 2 conj(t) t^T),
+    a rank-1 change of a diagonal unitary, with t the target row.  With
+    weights w_l = |t_l|^2 its eigenphases lambda solve
+
+        f(lambda) = sum_l w_l cot((lambda - theta_l) / 2) = 0,
+
+    and the eigenvector of a root has entries of modulus proportional to
+    |t_l| / |sin((lambda - theta_l) / 2)|.  Zero-weight entries are
+    eigenvectors on their own, away from the source, and are dropped.  f
+    falls strictly from +inf to -inf between neighbouring poles, so the
+    pair is the root in (0, theta_+) and the root in (theta_-, 0), where
+    theta_+ and theta_- are the nearest weighted phases above and below the
+    source's 0, taken around the circle (theta_+ = pi and theta_- = -pi for
+    Grover).  A bracket reaches past pi only when no weighted phase lies on
+    its side, and then f(pi) = sum_l w_l tan(theta_l / 2) has the sign that
+    keeps the root inside (-pi, pi).  Each root is bisected until its
+    bracket ends are adjacent floats.  The source overlap of a root is
+
+        (alpha^2 / sin^2(lambda / 2)) / sum_l w_l / sin^2((lambda - theta_l) / 2).
+
+    Every other eigenvector overlaps the source by at most the residual
+    1 - o_+ - o_-, so the pair holds the two largest overlaps whenever
+    the residual is below min(o_+, o_-).
+
+    Raises
+    ------
+    RelevantPairError
+        If the smaller pair overlap is at most 0.01, or if the residual
+        does not fall below it, so that another eigenvector might outweigh
+        the pair.
+    """
+    spectrum = inst.spectrum
+    weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
+    kept = weights > 0.0
+    theta, weights = spectrum.phases[kept], weights[kept]
+    source = int(np.count_nonzero(kept[: spectrum.source_index]))
+    above, below = theta[theta > 0.0], theta[theta < 0.0]
+    top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
+    bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi
+    roots = (
+        _secular_root(theta, weights, 0.0, top),
+        _secular_root(theta, weights, bottom, 0.0),
+    )
+    overlaps = []
+    for root in roots:
+        terms = weights / np.sin(0.5 * (root - theta)) ** 2
+        overlaps.append(float(terms[source] / np.sum(terms)))
+    residual = 1.0 - overlaps[0] - overlaps[1]
+    if min(overlaps) <= 0.01:
         raise RelevantPairError(
             "source concentrates on fewer than two eigenvectors: "
-            f"second overlap {overlaps[second]:.3e} is below 0.01"
+            f"second overlap {min(overlaps):.3e} is below 0.01"
         )
-    pair = sorted((first, second), key=lambda k: eig.phases[k], reverse=True)
-    residual = float(1.0 - overlaps[first] - overlaps[second])
-    return float(eig.phases[pair[0]]), float(eig.phases[pair[1]]), residual
+    if residual >= min(overlaps):
+        raise RelevantPairError(
+            f"source weight {residual:.3e} outside the pair is not below its "
+            f"smaller overlap {min(overlaps):.3e}"
+        )
+    return roots[0], roots[1], residual
+
+
+def _secular_root(theta, weights, lo, hi) -> float:
+    """The root of sum_l w_l cot((lambda - theta_l) / 2) between two poles.
+
+    f falls strictly on (lo, hi); bisect until lo and hi are adjacent
+    floats, then keep the end with the smaller |f|.  Only midpoints are
+    evaluated, never the poles themselves.
+    """
+    f_lo, f_hi = math.inf, -math.inf
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = float(np.sum(weights / np.tan(0.5 * (mid - theta))))
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if f_lo < -f_hi else hi
+

@@ -323,6 +323,30 @@ class TestCli:
         rows = parse_report_csv(tmp_path / "sweep.csv")
         assert [row["seed"] for row in rows] == [1, 2]
 
+    def test_sweep_runs_an_empty_entry_as_the_default(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            "[instance]\nn = 64\nseed = 1,2\nb_target = ,8\n"
+            f"[run]\nout = {tmp_path / 'sweep.csv'}\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert "wrote 4 row(s)" in capsys.readouterr().out
+        rows = parse_report_csv(tmp_path / "sweep.csv")
+        assert [row["seed"] for row in rows] == [1, 1, 2, 2]
+        unscaled, scaled = rows[0::2], rows[1::2]
+        assert math.isclose(unscaled[0]["b_factor"], 2.3755, rel_tol=1e-4)
+        assert all(not math.isclose(row["b_factor"], 8.0) for row in unscaled)
+        assert all(math.isclose(row["b_factor"], 8.0) for row in scaled)
+
+    def test_sweep_list_of_empty_entries_is_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n[instance]\nb_target = ,\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 1
+        assert "config key b_target lists no values" in capsys.readouterr().err
+
     def test_run_rejects_sweep_lists(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -71,6 +71,23 @@ def test_only_dense_checks_load_scipy(tmp_path):
     assert (tmp_path / "boosted.csv").exists()
 
 
+def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):
+    # N = 8192 > DENSE_CAP: no Schur could run, the secular solve must
+    code = """
+        import sys
+        from gqsearch import DENSE_CAP, search, spectra
+
+        spec = spectra.symmetric_spectrum(8192, 1, 0.5, 1.5, b_target=8)
+        plus, minus, residual = search.verify_relevant_pair(
+            spectra.SearchInstance.build(spec)
+        )
+        scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
+        print(spec.dimension > DENSE_CAP, plus > 0.0 > minus,
+              0.0 <= residual < 0.02, spec._vectors is None, scipy)
+    """
+    assert run_fresh(code, tmp_path) == ["True"] * 4 + ["False"]
+
+
 def test_every_exported_name_resolves():
     import gqsearch
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gqsearch import search
-from gqsearch.linalg import unitarity_defect
+from gqsearch.linalg import unitarity_defect, unitary_eigensystem
 from gqsearch.search import (
     NormDriftError,
+    RelevantPairError,
     predict_spectrum,
     run_iterations,
     search_operator,
@@ -59,15 +60,38 @@ def double_pair_toy():
     return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
 
 
+def band_toy(alpha, fractions, phases):
+    """Source at phase 0 plus one eigenvector per phase, real Householder frame.
+
+    Eigenvector k carries target weight fractions[k] * (1 - alpha^2).
+    """
+    row = [alpha] + [math.sqrt(f * (1.0 - alpha**2)) for f in fractions]
+    vectors = householder_with_first_row(row).astype(np.complex128)
+    phases = np.array([0.0] + list(phases))
+    return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
+
+
 def skewed_toy(alpha=0.05):
     # unbalanced weights at unequal phases: nonzero first moment, but mild
     # enough that the source still spreads visibly over both pair vectors
-    w1 = 0.45 * (1.0 - alpha**2)
-    w2 = 0.55 * (1.0 - alpha**2)
-    frame = householder_with_first_row([alpha, math.sqrt(w1), math.sqrt(w2)])
-    vectors = frame.astype(np.complex128)
-    phases = np.array([0.0, 2.0, -2.6])
-    return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
+    return band_toy(alpha, [0.45, 0.55], [2.0, -2.6])
+
+
+def dense_relevant_pair(inst):
+    """Oracle: the pair with the largest source overlaps, from a dense Schur."""
+    matrix = search_operator(inst)
+    eig = unitary_eigensystem(matrix)
+    overlaps = np.abs(eig.vectors.conj().T @ inst.spectrum.source_state) ** 2
+    order = np.argsort(overlaps)[::-1]
+    first, second = int(order[0]), int(order[1])
+    if overlaps[second] <= 0.01:
+        raise RelevantPairError(
+            "source concentrates on fewer than two eigenvectors: "
+            f"second overlap {overlaps[second]:.3e} is below 0.01"
+        )
+    pair = sorted((first, second), key=lambda k: eig.phases[k], reverse=True)
+    residual = float(1.0 - overlaps[first] - overlaps[second])
+    return float(eig.phases[pair[0]]), float(eig.phases[pair[1]]), residual
 
 
 def test_search_operator_is_diffusion_after_flip():
@@ -112,6 +136,69 @@ class TestPrediction:
         pred = predict_spectrum(inst)
         rate = 2.0 * inst.alpha / inst.b_factor
         assert np.isclose(pred.lambda_plus * pred.lambda_minus, -(rate**2), rtol=1e-12)
+
+
+class TestRelevantPair:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            double_pair_toy,
+            skewed_toy,
+            lambda: SearchInstance.build(
+                symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
+            ),
+            lambda: SearchInstance.build(
+                resonant_spectrum(16, 3, 1e-3, 7, alpha=0.125)
+            ),
+            lambda: SearchInstance.build(resonant_spectrum(64, 2, 5e-3, 3)),
+            lambda: SearchInstance.build(
+                symmetric_spectrum(256, 2, 0.5, 1.5, b_target=8)
+            ),
+            lambda: SearchInstance.build(
+                grover_spectrum(64, np.full(64, 1.0 / 8.0, dtype=np.complex128))
+            ),
+            # no weighted phase below 0: the lower bracket wraps to 2.0 - 2 pi
+            lambda: band_toy(0.2, [0.3, 0.7], [0.8, 2.0]),
+        ],
+        ids=[
+            "double_pair_toy",
+            "skewed_toy",
+            "symmetric16",
+            "resonant16",
+            "resonant64",
+            "symmetric256",
+            "grover64",
+            "one_sided",
+        ],
+    )
+    def test_secular_pair_matches_dense(self, build):
+        inst = build()
+        solved = verify_relevant_pair(inst)
+        dense = dense_relevant_pair(inst)
+        for got, want in zip(solved, dense):
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "inst, theta_plus, theta_minus",
+        [
+            # weight 1e-4 at +/-0.002, far inside 2 alpha / b = 0.044: the
+            # roots next to 0 hold 0.1% of the source each
+            (
+                band_toy(0.3, [1e-4, 1e-4, 0.4999, 0.4999], [0.002, -0.002, 2, -2]),
+                0.002,
+                -0.002,
+            ),
+            # the root in (0, 0.2) holds 2.6% of the source and a root near
+            # 2.7 holds 4.2%, so the residual is not below the pair
+            (band_toy(0.2, [0.05, 0.95], [0.2, -0.5]), 0.2, -0.5),
+        ],
+        ids=["small_overlap", "outweighed"],
+    )
+    def test_source_off_the_pair_raises(self, inst, theta_plus, theta_minus):
+        with pytest.raises(RelevantPairError):
+            verify_relevant_pair(inst)
+        plus, minus, _ = dense_relevant_pair(inst)
+        assert not (0.0 < plus < theta_plus and theta_minus < minus < 0.0)
 
 
 class TestRunIterations:
