@@ -10,14 +10,14 @@ Config files are flat ``key = value`` text with three sections:
     n = 64                main dimension (even, >= 4 for random families)
     seed = 1              generator seed
     family = symmetric    symmetric | resonant (boosted-search only)
-    theta_min = 0.5       lower edge of the raw phase band
-    theta_max = 1.5       upper edge of the raw phase band
+    theta_min = 0.5       lower edge of the raw phase band, above 0
+    theta_max = 1.5       upper edge of the raw phase band, below pi
     alpha =               source-target overlap; empty = 1/sqrt(n)
     b_target =            rescale phases to hit this b factor; empty = off
     epsilon = 0.001       resonant-family detuning
     resonance_m = 3       resonant-family power exponent (r = 2^resonance_m)
     m =                   ancilla override for boosted runs; empty = auto
-    b_values = 2,4,8,16   b-sweep targets (comma list)
+    b_values = 2,4,8,16   b-sweep targets (comma list, no empty entry)
 
     [run]
     q_max =               iteration budget; empty = auto per experiment
@@ -182,12 +182,7 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
         elif key == "out":
             values["out"] = text or None
         elif key == "b_values":
-            try:
-                values["b_values"] = tuple(
-                    float(part) for part in text.split(",") if part.strip()
-                )
-            except ValueError as exc:
-                raise ConfigError(f"config key b_values: {exc}") from exc
+            values["b_values"] = _parse_b_values(text)
         else:
             if "," in text:
                 raise ConfigError(
@@ -202,6 +197,17 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
     config = ExperimentConfig(**values)
     _check_config(config)
     return config
+
+
+def _parse_b_values(text: str) -> tuple[float, ...]:
+    """The b-sweep targets; an empty entry next to a target is an error."""
+    parts = [part.strip() for part in text.split(",")]
+    if any(parts) and not all(parts):
+        raise ConfigError(f"config key b_values has an empty entry: {text!r}")
+    try:
+        return tuple(float(part) for part in parts if part)
+    except ValueError as exc:
+        raise ConfigError(f"config key b_values: {exc}") from exc
 
 
 def _check_config(config: ExperimentConfig) -> None:
@@ -481,9 +487,7 @@ def _validation_checks():
         for m in (1, 2, 3, 4):
             for theta in np.linspace(-np.pi + 1e-3, np.pi, 17):
                 eye = np.eye(2, dtype=np.complex128)
-                spectrum = spectra.EigenSpectrum(
-                    phases=np.array([0.0, theta]), vectors=eye, source_index=0
-                )
+                spectrum = spectra.EigenSpectrum(np.array([0.0, theta]), eye)
                 blocks = np.zeros((2**m, 2, 1), dtype=np.complex128)
                 blocks[0, 1, 0] = 1.0
                 after = pea.pea_operator(spectrum, m, blocks)

@@ -202,7 +202,7 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     """
     _check_ancilla_count(m)
     spectrum = inst.spectrum
-    weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
+    weights = np.abs(spectrum.target_row) ** 2
     survival = _survival(spectrum.phases, m)
     sigma1 = float(np.sum(weights * (1.0 - survival)))
     sigma2 = inst.b_factor**2 / 4**m
@@ -260,7 +260,8 @@ def boosted_search_run(
     sqrt(sigma1), the weight ``b_prime`` strands on that branch.  The state
     starts in that eigenspace with no weight and the oracle only ever adds
     the joint target to it, so one coordinate holds all of it.  The source
-    entry is exact, e_0 (x) v_src, because survival at theta = 0 is 1.  A
+    stays entry 0, exactly e_0 (x) v_0, because survival at theta = 0 is 1,
+    and the pi entry goes last.  A
     step and a record cost O(N) whatever m is; no N x N array is built.
 
     Raises
@@ -278,14 +279,12 @@ def boosted_search_run(
     operator = BoostedOperator.build(spectrum, m)
     eigenphase = np.append(np.exp(1j * operator.r * spectrum.phases), -1.0)
     target_row = np.append(
-        np.sqrt(_survival(spectrum.phases, m))
-        * spectrum.target_row(inst.target_index),
+        np.sqrt(_survival(spectrum.phases, m)) * spectrum.target_row,
         math.sqrt(breakdown.sigma1),
     )
     return _iterate(
         eigenphase,
         target_row,
-        spectrum.source_index,
         q_max,
         operator.cost_per_application,
         oracle=controlled_oracle,
@@ -316,7 +315,7 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     2^m x 2^m block Z_l per main eigenvector l, and nothing between blocks.
     An off-block entry above ``RECONSTRUCTION_ATOL`` raises
     ``EigensolverError``.  Each block is decomposed on its own; its
-    eigenvector k carries target weight |V[target, l]|^2 |Z_l[0, k]|^2.
+    eigenvector k carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
@@ -342,7 +341,7 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
         raise EigensolverError(
             "dense boosted matrix couples different diffusion eigenvectors", leak
         )
-    main_weights = np.abs(vectors[inst.target_index, :]) ** 2
+    main_weights = np.abs(vectors[0, :]) ** 2
     phases = np.empty((n, size))
     weights = np.empty((n, size))
     for l in range(n):

@@ -73,7 +73,7 @@ class RunReport:
 def search_operator(inst: SearchInstance) -> np.ndarray:
     """Dense search operator: target sign flip followed by diffusion."""
     matrix = build_diffusion(inst.spectrum)
-    matrix[:, inst.target_index] = -matrix[:, inst.target_index]
+    matrix[:, 0] = -matrix[:, 0]
     return matrix
 
 
@@ -121,7 +121,7 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     Row q holds the exact target probability and source overlap magnitude
     after q iterations; q = 0 is the initial state.  The peak fields ignore
     the q = 0 row.  The state is kept as diffusion eigen-coordinates
-    c = V^dag psi, starting from the source's c = e_src: the target flip is
+    c = V^dag psi, starting from the source's c = e_0: the target flip is
     the rank-1 reflection c - 2 (t . c) conj(t) with t the target row of V,
     and the diffusion multiplies by e^{i theta}.  Each step and each record
     costs O(N), and the eigenbasis V itself is never built.
@@ -133,11 +133,7 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     """
     spectrum = inst.spectrum
     return _iterate(
-        np.exp(1j * spectrum.phases),
-        spectrum.target_row(inst.target_index),
-        spectrum.source_index,
-        q_max,
-        ds_per_step=1,
+        np.exp(1j * spectrum.phases), spectrum.target_row, q_max, ds_per_step=1
     )
 
 
@@ -150,11 +146,11 @@ def reflect_target(coeff, amplitude, target_conj) -> None:
 
 
 def _iterate(
-    eigenphase, target_row, source, q_max, ds_per_step, oracle=reflect_target
+    eigenphase, target_row, q_max, ds_per_step, oracle=reflect_target
 ) -> RunReport:
     """Reflect about ``target_row``, then multiply by ``eigenphase``, q_max times.
 
-    Starts from e_source and records every step.  ``oracle`` is called
+    Starts from e_0, the source, and records every step.  ``oracle`` is called
     exactly once per step; each step costs ``ds_per_step`` diffusion
     applications in the ledger.
     """
@@ -162,15 +158,15 @@ def _iterate(
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     target_conj = target_row.conj()
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
-    coeff[source] = 1.0
+    coeff[0] = 1.0
     amplitude = target_row @ coeff  # <target|psi>, reused by the next flip
-    records = [_record(0, amplitude, coeff[source], ds_per_step)]
+    records = [_record(0, amplitude, coeff[0], ds_per_step)]
     drift = _checked_drift(0, coeff, 0.0)
     for q in range(1, q_max + 1):
         oracle(coeff, amplitude, target_conj)
         coeff *= eigenphase
         amplitude = target_row @ coeff
-        records.append(_record(q, amplitude, coeff[source], ds_per_step))
+        records.append(_record(q, amplitude, coeff[0], ds_per_step))
         drift = _checked_drift(q, coeff, drift)
     return _report(records, drift)
 
@@ -230,7 +226,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
 
     and the eigenvector of a root has entries of modulus proportional to
     |t_l| / |sin((lambda - theta_l) / 2)|.  Zero-weight entries are
-    eigenvectors on their own, away from the source, and are dropped.  f
+    eigenvectors on their own, away from the source, and are dropped; the
+    source, entry 0, keeps its weight alpha^2 > 0 and its place.  f
     falls strictly from +inf to -inf between neighbouring poles, so the
     pair is the root in (0, theta_+) and the root in (theta_-, 0), where
     theta_+ and theta_- are the nearest weighted phases above and below the
@@ -254,10 +251,9 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         the pair.
     """
     spectrum = inst.spectrum
-    weights = np.abs(spectrum.target_row(inst.target_index)) ** 2
+    weights = np.abs(spectrum.target_row) ** 2
     kept = weights > 0.0
     theta, weights = spectrum.phases[kept], weights[kept]
-    source = int(np.count_nonzero(kept[: spectrum.source_index]))
     above, below = theta[theta > 0.0], theta[theta < 0.0]
     top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
     bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi
@@ -268,7 +264,7 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     overlaps = []
     for root in roots:
         terms = weights / np.sin(0.5 * (root - theta)) ** 2
-        overlaps.append(float(terms[source] / np.sum(terms)))
+        overlaps.append(float(terms[0] / np.sum(terms)))
     residual = 1.0 - overlaps[0] - overlaps[1]
     if min(overlaps) <= 0.01:
         raise RelevantPairError(

@@ -1,13 +1,15 @@
 """Diffusion spectra and search instances.
 
-A diffusion operator is specified by its eigendecomposition: one eigenvector
-(the source) with phase exactly zero, and the remaining eigenvectors with
-phases bounded away from zero.  A search instance pairs such a spectrum with
-a computational-basis target and caches the overlap moments that drive every
-downstream prediction.  The moments, and both search runs, read only the
-phases, the source index and the target row of the eigenbasis.  Every
-generator gives that row in closed form, in O(N); the full N x N eigenbasis
-is built only when a dense check reads it.
+A diffusion operator is specified by its eigendecomposition: column 0 is
+the source, with phase exactly zero, and the remaining eigenvectors have
+phases bounded away from zero.  The target is computational basis state 0,
+so row 0 of the eigenbasis is the target row.  Which column holds the source
+and which basis state is the target are only labels, so this convention
+loses nothing.  A search instance caches the overlap moments that drive
+every downstream prediction.  The moments, and both search runs, read only
+the phases and the target row.  Every generator gives that row in closed
+form, in O(N); the full N x N eigenbasis is built only when a dense check
+reads it.
 """
 
 from __future__ import annotations
@@ -42,47 +44,50 @@ class EigenSpectrum:
     Attributes
     ----------
     phases : numpy.ndarray
-        Shape (N,), eigenphases in (-pi, pi].  The source phase is exactly 0.
+        Shape (N,), eigenphases in (-pi, pi].  ``phases[0]``, the source
+        phase, is exactly 0 and no other phase is.
     vectors : numpy.ndarray
-        Shape (N, N); column k is the unit eigenvector for ``phases[k]``.
-    source_index : int
-        Column of the fixed-point eigenvector.
+        Shape (N, N); column k is the unit eigenvector for ``phases[k]``, and
+        column 0 is the source.
+    target_row : numpy.ndarray
+        Shape (N,), row 0 of the eigenbasis: <0|v_l> for every l, with the
+        target at computational basis state 0.
 
-    Every reported number reads only the phases, the source index and one
-    row of the eigenbasis, the target row (``target_row``).  Every generator
-    supplies row 0, its target row, in closed form together with a builder
-    for the full basis, so ``vectors`` is assembled, validated and cached on
-    first access (by a dense check) and never on the weight path.  An array
-    a caller passes in is copied and validated at once; the array a builder
-    makes is adopted without a copy.  Both are read-only.
+    Every reported number reads only the phases and the target row.  Every
+    generator supplies the target row in closed form together with a
+    builder for the full basis, so ``vectors`` is assembled, validated and
+    cached on first access (by a dense check) and never on the weight path.
+    An array a caller passes in is copied and validated at once, and its
+    target row is row 0 of that copy; the array a builder makes is adopted
+    without a copy.  All three arrays are read-only.
     """
 
-    def __init__(self, phases, vectors, source_index: int):
-        self._init(phases, source_index, row=None, build=None)
+    def __init__(self, phases, vectors):
+        self._init(phases, build=None)
         self._vectors = self._adopt(np.array(vectors, dtype=np.complex128))
+        self.target_row = self._vectors[0]
 
     @classmethod
-    def _generated(cls, phases, source_index: int, *, row, build) -> "EigenSpectrum":
+    def _generated(cls, phases, *, row, build) -> "EigenSpectrum":
         """Spectrum from a generator: row 0 in closed form, basis on demand.
 
         ``row`` is row 0 of the eigenbasis and must have unit norm; ``build``
         returns the full basis on first access, adopted without a copy.
         """
         spec = cls.__new__(cls)
-        spec._init(phases, source_index, row=row, build=build)
+        spec._init(phases, build=build)
         _validate_row(row, spec.dimension)
         row.setflags(write=False)
+        spec.target_row = row
         spec._vectors = None
         return spec
 
-    def _init(self, phases, source_index, row, build) -> None:
+    def _init(self, phases, build) -> None:
         phases = np.array(phases, dtype=np.float64)
         phases.setflags(write=False)
         self.phases = phases
-        self.source_index = source_index
-        self._row0 = row
         self._build = build
-        _validate_phases(phases, source_index)
+        _validate_phases(phases)
 
     def _adopt(self, vectors: np.ndarray) -> np.ndarray:
         vectors = np.asarray(vectors, dtype=np.complex128)
@@ -98,17 +103,6 @@ class EigenSpectrum:
             self._build = None
         return self._vectors
 
-    def target_row(self, index: int) -> np.ndarray:
-        """Row ``index`` of the eigenbasis, <index|v_l> for every l.
-
-        Row 0 of a generated spectrum is the closed-form row, returned as
-        is whether or not ``vectors`` has been built; any other row reads
-        ``vectors``.
-        """
-        if index == 0 and self._row0 is not None:
-            return self._row0
-        return self.vectors[index]
-
     @property
     def dimension(self) -> int:
         return int(self.phases.shape[0])
@@ -116,29 +110,24 @@ class EigenSpectrum:
     @property
     def theta_min(self) -> float:
         """Smallest nonsource |phase|; the gap protecting the fixed point."""
-        mask = np.arange(self.dimension) != self.source_index
-        return float(np.min(np.abs(self.phases[mask])))
+        return float(np.min(np.abs(self.phases[1:])))
 
     @property
     def source_state(self) -> np.ndarray:
-        return self.vectors[:, self.source_index]
+        return self.vectors[:, 0]
 
 
-def _validate_phases(phases: np.ndarray, source_index: int) -> None:
-    n = phases.shape[0]
-    if not 0 <= source_index < n:
-        raise SpectrumValidationError(
-            f"source_index {source_index} out of range for dimension {n}"
-        )
+def _validate_phases(phases: np.ndarray) -> None:
     if np.any(phases <= -np.pi) or np.any(phases > np.pi):
         raise SpectrumValidationError("phases must lie in (-pi, pi]")
-    if phases[source_index] != 0.0:
+    source = phases[0] if phases.size else None
+    if source != 0.0:
         raise SpectrumValidationError(
-            f"source phase must be exactly 0, got {phases[source_index]!r}"
+            f"source phase must be exactly 0, got {source!r}"
         )
-    mask = np.arange(n) != source_index
-    if n > 1 and np.min(np.abs(phases[mask])) == 0.0:
-        offender = int(np.where(mask & (phases == 0.0))[0][0])
+    degenerate = np.flatnonzero(phases[1:] == 0.0)
+    if degenerate.size:
+        offender = int(degenerate[0]) + 1
         raise SpectrumValidationError(
             f"eigenvector {offender} shares phase 0 with the source; "
             "the fixed point must be non-degenerate"
@@ -210,7 +199,7 @@ def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """A diffusion spectrum paired with a computational-basis target.
+    """A diffusion spectrum with its target, basis state 0, and cached moments.
 
     ``alpha`` is the source-target overlap magnitude; ``lambda1``/``lambda2``
     are the first two cotangent moments of the nonsource phases weighted by
@@ -220,25 +209,21 @@ class SearchInstance:
     """
 
     spectrum: EigenSpectrum
-    target_index: int
     alpha: float
     lambda1: float
     lambda2: float
     b_factor: float
 
     @classmethod
-    def build(cls, spectrum: EigenSpectrum, target_index: int = 0) -> "SearchInstance":
-        n = spectrum.dimension
-        if not 0 <= target_index < n:
-            raise ValueError(f"target_index {target_index} out of range for {n}")
-        alpha = float(np.abs(spectrum.target_row(target_index)[spectrum.source_index]))
+    def build(cls, spectrum: EigenSpectrum) -> "SearchInstance":
+        alpha = float(np.abs(spectrum.target_row[0]))
         if not 0.0 < alpha < 1.0:
             raise ValueError(
                 f"source-target overlap must lie strictly in (0, 1), got {alpha}"
             )
-        lam1 = _moment_sum(spectrum, target_index, 1)
-        lam2 = _moment_sum(spectrum, target_index, 2)
-        b2 = _powered_b_squared(spectrum, target_index, 1)
+        lam1 = _moment_sum(spectrum, 1)
+        lam2 = _moment_sum(spectrum, 2)
+        b2 = _powered_b_squared(spectrum, 1)
         # exact identity: b^2 = 1 + lambda2 - alpha^2 up to basis rounding
         expected = 1.0 + lam2 - alpha**2
         if abs(b2 - expected) > 1e-9 * max(1.0, abs(expected)):
@@ -248,7 +233,6 @@ class SearchInstance:
             )
         return cls(
             spectrum=spectrum,
-            target_index=target_index,
             alpha=alpha,
             lambda1=lam1,
             lambda2=lam2,
@@ -264,35 +248,31 @@ class SearchInstance:
         return self.spectrum.theta_min
 
     def nonsource_phases(self) -> np.ndarray:
-        mask = np.arange(self.dimension) != self.spectrum.source_index
-        return self.spectrum.phases[mask].copy()
+        return self.spectrum.phases[1:].copy()
 
     def nonsource_weights(self) -> np.ndarray:
         """Squared target overlaps of the nonsource eigenvectors, in order."""
-        _, weights, _ = _nonsource_arrays(self.spectrum, self.target_index)
+        _, weights = _nonsource_arrays(self.spectrum)
         return weights
 
 
-def _nonsource_arrays(spec: EigenSpectrum, target_index: int):
-    mask = np.arange(spec.dimension) != spec.source_index
-    phases = spec.phases[mask]
-    weights = np.abs(spec.target_row(target_index)[mask]) ** 2
-    return phases, weights, np.where(mask)[0]
+def _nonsource_arrays(spec: EigenSpectrum):
+    return spec.phases[1:], np.abs(spec.target_row[1:]) ** 2
 
 
-def _moment_sum(spec: EigenSpectrum, target_index: int, p: int) -> float:
-    phases, weights, _ = _nonsource_arrays(spec, target_index)
+def _moment_sum(spec: EigenSpectrum, p: int) -> float:
+    phases, weights = _nonsource_arrays(spec)
     half = 0.5 * phases
     cot = np.cos(half) / np.sin(half)
     return float(np.sum(weights * cot**p))
 
 
-def _powered_b_squared(spec: EigenSpectrum, target_index: int, r: int) -> float:
-    phases, weights, labels = _nonsource_arrays(spec, target_index)
+def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
+    phases, weights = _nonsource_arrays(spec)
     live = weights > 0.0
     resonant = live & (np.remainder(r * phases, 2.0 * np.pi) == 0.0)
     if np.any(resonant):
-        offender = int(labels[resonant][0])
+        offender = int(np.flatnonzero(resonant)[0]) + 1
         raise ResonanceError(
             f"power {r} drives eigenvector {offender} "
             f"(phase {phases[resonant][0]!r}) onto a multiple of 2*pi"
@@ -312,7 +292,7 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     """
     if r < 1:
         raise ValueError(f"power must be a positive integer, got {r}")
-    return math.sqrt(_powered_b_squared(inst.spectrum, inst.target_index, r))
+    return math.sqrt(_powered_b_squared(inst.spectrum, r))
 
 
 def _householder(source: np.ndarray):
@@ -388,7 +368,6 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     phases[0] = 0.0
     return EigenSpectrum._generated(
         phases,
-        0,
         row=_completion_row(source),
         build=lambda: _complete_orthonormal(source),
     )
@@ -522,7 +501,6 @@ def _paired_spectrum(
     phases[n - 1] = lone_phase
     return EigenSpectrum._generated(
         phases,
-        0,
         row=_paired_row(alpha, unit),
         build=lambda: _paired_vectors(alpha, w_sub, unit),
     )
@@ -538,7 +516,9 @@ def symmetric_spectrum(
 ) -> EigenSpectrum:
     """Random spectrum with exact +/- phase pairs (first moment is zero).
 
-    Pair phases are drawn uniformly from [theta_min, theta_max].  If
+    Pair phases are drawn uniformly from [theta_min, theta_max], with
+    0 < theta_min <= theta_max < pi: the upper end stays open because a pair
+    phase of pi would put its partner at -pi, outside (-pi, pi].  If
     ``b_target`` is given, all pair phases are rescaled by one common factor
     so the assembled instance's b factor lands on the target.  ``alpha``
     defaults to 1/sqrt(n); the target is basis state 0.  Only the phases,
@@ -547,9 +527,9 @@ def symmetric_spectrum(
     spectrum carries the target row in closed form; its N x N eigenbasis is
     built on the first read of ``vectors``.
     """
-    if not 0.0 < theta_min <= theta_max <= np.pi:
+    if not 0.0 < theta_min <= theta_max < np.pi:
         raise ValueError(
-            f"need 0 < theta_min <= theta_max <= pi, got [{theta_min}, {theta_max}]"
+            f"need 0 < theta_min <= theta_max < pi, got [{theta_min}, {theta_max}]"
         )
     if alpha is None:
         alpha = 1.0 / math.sqrt(n)

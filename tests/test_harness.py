@@ -347,6 +347,33 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(config)]) == 1
         assert "config key b_target lists no values" in capsys.readouterr().err
 
+    def test_b_values_empty_entry_is_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = b-sweep\n[instance]\nn = 16\n"
+            "b_values = 2, , 8\n[run]\nout = report.csv\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 1
+        assert "config key b_values has an empty entry" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_empty_b_values_lists_no_target(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "[experiment]\nkind = b-sweep\n[instance]\nb_values =\n"
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 1
+        assert "b_values must list at least one target" in capsys.readouterr().err
+
+    def test_pair_phase_of_pi_is_config_error(self, tmp_path, capsys):
+        # a pair phase of pi would put its partner at -pi, outside (-pi, pi]
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            f"theta_min = {math.pi!r}\ntheta_max = {math.pi!r}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "theta_max < pi" in capsys.readouterr().err
+
     def test_run_rejects_sweep_lists(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -183,7 +183,7 @@ def test_controlled_oracle_flips_single_amplitude():
     # in the main basis, V c loses the sign of entry 1 only, in place
     spec = symmetric_spectrum(4, 3, 0.9, 1.9)
     coeff = random_blocks(1, 4, 9)[0, :, 0]
-    row = spec.target_row(1)
+    row = spec.vectors[1]
     expected = spec.vectors @ coeff
     expected[1] = -expected[1]
     assert controlled_oracle(coeff, row @ coeff, row.conj()) is None
@@ -263,7 +263,7 @@ class TestBPrime:
 def full_schur_b_prime(inst, m):
     """b' from one Schur decomposition of the whole dense joint matrix."""
     system = unitary_eigensystem(dense_boosted_matrix(inst.spectrum, m))
-    weights = np.abs(system.vectors[inst.target_index, :]) ** 2
+    weights = np.abs(system.vectors[0, :]) ** 2
     live = np.abs(system.phases) >= 1e-9
     return math.sqrt(
         float(np.sum(weights[live] / np.sin(0.5 * system.phases[live]) ** 2))
@@ -412,14 +412,13 @@ class TestBoostedRun:
         else:
             spec = oracle_instance("grover").spectrum
         inst = SearchInstance.build(spec)
-        target = inst.target_index
         report = boosted_search_run(inst, m, q_max=40)
         step = dense_boosted_matrix(spec, m)
-        step[:, target] = -step[:, target]
+        step[:, 0] = -step[:, 0]
         state = np.zeros(2**m * n, dtype=np.complex128)
         state[:n] = spec.source_state
         for rec in report.records:
-            assert abs(rec.target_probability - abs(state[target]) ** 2) <= 1e-12
+            assert abs(rec.target_probability - abs(state[0]) ** 2) <= 1e-12
             overlap = abs(np.vdot(spec.source_state, state[:n]))
             assert abs(rec.source_overlap - overlap) <= 1e-12
             state = step @ state

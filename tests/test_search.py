@@ -57,7 +57,7 @@ def double_pair_toy():
     phases = np.array(
         [0.0, 0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi, -0.5 * math.pi]
     )
-    return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
+    return SearchInstance.build(EigenSpectrum(phases, vectors))
 
 
 def band_toy(alpha, fractions, phases):
@@ -68,7 +68,7 @@ def band_toy(alpha, fractions, phases):
     row = [alpha] + [math.sqrt(f * (1.0 - alpha**2)) for f in fractions]
     vectors = householder_with_first_row(row).astype(np.complex128)
     phases = np.array([0.0] + list(phases))
-    return SearchInstance.build(EigenSpectrum(phases, vectors, source_index=0))
+    return SearchInstance.build(EigenSpectrum(phases, vectors))
 
 
 def skewed_toy(alpha=0.05):
@@ -241,7 +241,7 @@ class TestRunIterations:
         state = source.copy()
         dense_probabilities = []
         for rec in report.records:
-            probability = abs(state[inst.target_index]) ** 2
+            probability = abs(state[0]) ** 2
             dense_probabilities.append(probability)
             assert abs(rec.target_probability - probability) <= 1e-12
             assert abs(rec.source_overlap - abs(np.vdot(source, state))) <= 1e-12
@@ -279,9 +279,7 @@ class TestRunIterations:
 
     def test_global_phase_invariance(self):
         spec = symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
-        rotated = EigenSpectrum(
-            spec.phases.copy(), spec.vectors * np.exp(0.3j), source_index=0
-        )
+        rotated = EigenSpectrum(spec.phases.copy(), spec.vectors * np.exp(0.3j))
         base = run_iterations(SearchInstance.build(spec), 20)
         turned = run_iterations(SearchInstance.build(rotated), 20)
         for left, right in zip(base.records, turned.records):

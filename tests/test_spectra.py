@@ -50,7 +50,7 @@ def two_phase_toy():
         ]
     )
     phases = np.array([0.0, 0.5 * math.pi, -0.5 * math.pi])
-    return EigenSpectrum(phases, vectors, source_index=0)
+    return EigenSpectrum(phases, vectors)
 
 
 def test_toy_instance_matches_hand_computation():
@@ -154,15 +154,16 @@ class TestSymmetricGenerator:
 
 
 def test_relabeling_invariance():
-    # permuting the computational basis moves the target but not the moments
+    # permuting the non-target basis states leaves the moments alone
     spec = symmetric_spectrum(16, 4, 0.7, 1.7)
     inst = SearchInstance.build(spec)
     rng = np.random.default_rng(40)
-    perm = rng.permutation(16)
+    perm = np.concatenate(([0], 1 + rng.permutation(15)))
     shuffled = np.empty_like(spec.vectors)
     shuffled[perm, :] = spec.vectors
-    relabeled = EigenSpectrum(spec.phases.copy(), shuffled, source_index=0)
-    moved = SearchInstance.build(relabeled, target_index=int(perm[0]))
+    assert not np.array_equal(shuffled, spec.vectors)
+    relabeled = EigenSpectrum(spec.phases.copy(), shuffled)
+    moved = SearchInstance.build(relabeled)
     assert np.isclose(moved.alpha, inst.alpha, rtol=1e-12)
     assert np.isclose(moved.lambda2, inst.lambda2, rtol=1e-12)
     assert np.isclose(moved.b_factor, inst.b_factor, rtol=1e-12)
@@ -172,31 +173,39 @@ class TestSpectrumValidation:
     def test_degenerate_source_phase_rejected(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors, source_index=0)
+        with pytest.raises(
+            SpectrumValidationError, match="eigenvector 1 shares phase 0"
+        ):
+            EigenSpectrum(phases, vectors)
 
     def test_phase_outside_interval_rejected(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 4.0, 1.0])
         with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors, source_index=0)
+            EigenSpectrum(phases, vectors)
 
     def test_nonorthonormal_vectors_rejected(self):
         vectors = np.ones((3, 3), dtype=np.complex128)
         phases = np.array([0.0, 1.0, 2.0])
         with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors, source_index=0)
+            EigenSpectrum(phases, vectors)
 
     def test_source_phase_must_be_zero(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.5, 1.0, 2.0])
         with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors, source_index=0)
+            EigenSpectrum(phases, vectors)
 
     def test_arrays_are_frozen(self):
         spec = two_phase_toy()
         with pytest.raises(ValueError):
             spec.phases[1] = 0.3
+        # an explicit spectrum's target row is row 0 of its validated copy
+        assert spec.target_row.tobytes() == spec.vectors[0].tobytes()
+        generated = symmetric_spectrum(8, 1, 0.5, 1.5)
+        for row in (spec.target_row, generated.target_row):
+            with pytest.raises(ValueError):
+                row[0] = 0.3
 
 
 class TestNaivePowering:
@@ -284,11 +293,11 @@ class TestWeightPath:
                 spec = symmetric_spectrum(n, seed, 0.5, 1.5)
             else:
                 spec = resonant_spectrum(n, 3, 1e-3, seed)
-            row = spec.target_row(0)
+            row = spec.target_row
             assert spec._vectors is None
             assert np.max(np.abs(row - spec.vectors[0])) <= 1e-15
             # the closed-form row stays the answer once the basis exists
-            assert spec.target_row(0) is row
+            assert spec.target_row is row
             assert row[n - 1] == 0.0
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -307,10 +316,10 @@ class TestWeightPath:
             vector = np.zeros(n, dtype=np.complex128)
             vector[3] = 1.0
         spec = grover_spectrum(n, vector)
-        row = spec.target_row(0)
+        row = spec.target_row
         assert spec._vectors is None
         assert np.array_equal(row, spec.vectors[0])
-        assert spec.target_row(0) is row
+        assert spec.target_row is row
 
     @pytest.mark.parametrize(
         "make",
@@ -325,9 +334,8 @@ class TestWeightPath:
         spec = make()
         lazy = SearchInstance.build(spec)
         dense = SearchInstance.build(
-            EigenSpectrum(spec.phases, spec.vectors, source_index=0)
+            EigenSpectrum(spec.phases, spec.vectors)
         )
-        assert lazy.target_index == dense.target_index
         for name in ("alpha", "lambda1", "lambda2", "b_factor"):
             assert abs(getattr(lazy, name) - getattr(dense, name)) <= 1e-12
         gap = lazy.nonsource_weights() - dense.nonsource_weights()
@@ -364,7 +372,7 @@ class TestWeightPath:
 
     def test_caller_vectors_are_copied(self):
         vectors = np.eye(3, dtype=np.complex128)
-        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors, source_index=0)
+        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors)
         assert not np.shares_memory(spec.vectors, vectors)
         assert not spec.vectors.flags.writeable
         vectors[0, 0] = 5.0  # the caller's array stays writable
@@ -400,10 +408,10 @@ class TestWeightPath:
 
     def test_unnormalized_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
-        row = spec.target_row(0) * 1.01
+        row = spec.target_row * 1.01
         with pytest.raises(SpectrumValidationError, match="row"):
             EigenSpectrum._generated(
-                spec.phases, 0, row=row, build=lambda: spec.vectors
+                spec.phases, row=row, build=lambda: spec.vectors
             )
 
     def test_sampled_validation_of_a_large_basis(self, monkeypatch):
@@ -436,13 +444,13 @@ class TestWeightPath:
         basis[:, outside] *= 1.0 + 1e-8
         named = rf"column \({outside}, {outside}\)"
         with pytest.raises(SpectrumValidationError, match=named):
-            EigenSpectrum(phases, basis, source_index=0)
+            EigenSpectrum(phases, basis)
         basis[:, outside] = kept
 
         a, b = sorted(sampled)[1:3]
         basis[:, b] = (basis[:, b] + 1e-6 * basis[:, a]) / math.sqrt(1.0 + 1e-12)
         with pytest.raises(SpectrumValidationError, match=rf"columns \({a}, {b}\)"):
-            EigenSpectrum(phases, basis, source_index=0)
+            EigenSpectrum(phases, basis)
 
 
 def test_import_leaves_scipy_optimize_out():
