@@ -16,7 +16,7 @@ import sys
 from .harness import ConfigError, emit_report, load_config, load_sweep_configs
 from .harness import run_experiment, run_validation
 from .linalg import DenseCapError, DimensionError, EigensolverError
-from .search import NormDriftError
+from .search import NormDriftError, RelevantPairError
 from .spectra import ResonanceError, SpectrumValidationError
 
 
@@ -82,6 +82,7 @@ def main(argv=None) -> int:
         ResonanceError,
         EigensolverError,
         NormDriftError,
+        RelevantPairError,
     ) as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2

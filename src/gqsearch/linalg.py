@@ -3,8 +3,7 @@
 Statevectors are one dimensional complex128 arrays, operators are square
 complex128 matrices.  Everything above ``DENSE_CAP`` must stay matrix-free;
 the dense routines here exist for construction and for verification at small
-scale.  The eigensolver's SciPy is loaded on the first dense eigensolve, so
-``import gqsearch`` and every weight-path run load NumPy only.
+scale.  Everything here, the eigensolver included, needs NumPy only.
 """
 
 from __future__ import annotations
@@ -68,16 +67,18 @@ class EigenSystem:
 def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
 
-    Uses a complex Schur decomposition, which keeps the returned basis
-    orthonormal even for (near-)degenerate eigenvalues where a generic
-    eigensolver may not.  ``scipy.linalg`` is imported here, on the first
-    call, and not when the package loads.
+    ``np.linalg.eig`` gives the eigenvalues and unit eigenvectors.  A
+    unitary matrix is normal, so eigenvectors of distinct eigenvalues are
+    already orthogonal; the QR factor of the eigenvector matrix only
+    orthonormalises within (near-)degenerate eigenspaces, where a generic
+    eigensolver may return a skewed basis.  The reconstruction check below
+    certifies the result either way.
 
     Raises
     ------
     EigensolverError
-        If the decomposition does not reproduce the input to within
-        ``RECONSTRUCTION_ATOL``.
+        If the eigensolver fails, or the decomposition does not reproduce
+        the input to within ``RECONSTRUCTION_ATOL``.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -86,13 +87,12 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
         raise DenseCapError(
             f"dimension {matrix.shape[0]} exceeds dense cap {DENSE_CAP}"
         )
-    import scipy.linalg
-
     try:
-        triangular, vectors = scipy.linalg.schur(matrix, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare path
-        raise EigensolverError(f"schur decomposition failed: {exc}", np.inf)
-    phases = wrap_phase(np.angle(np.diag(triangular)))
+        values, skewed = np.linalg.eig(matrix)
+        vectors = np.linalg.qr(skewed)[0]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigendecomposition failed: {exc}", np.inf)
+    phases = wrap_phase(np.angle(values))
     rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     residual = float(np.max(np.abs(rebuilt - matrix)))
     if residual > RECONSTRUCTION_ATOL:

@@ -319,7 +319,8 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
-    leftover would be a genuine divergence).  All other eigenvectors
+    leftover would be a genuine divergence, raised as ``EigensolverError``
+    with the leftover as its residual).  All other eigenvectors
     contribute weight over sin^2(phase / 2).  Only the dense matrix, the
     dense eigenbasis and the eigensolver are read, so this shares no code
     with ``b_prime`` or ``boosted_search_run``.
@@ -351,9 +352,10 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
     if abs(leftover) > 1e-8:
-        raise RuntimeError(
-            "zero-phase eigenspace holds unexplained target weight "
-            f"{leftover:.3e}; boosted b factor is not finite here"
+        raise EigensolverError(
+            "zero-phase eigenspace holds unexplained target weight; "
+            "boosted b factor is not finite here",
+            leftover,
         )
     live = ~zero_block
     total = float(np.sum(weights[live] / np.sin(0.5 * phases[live]) ** 2))

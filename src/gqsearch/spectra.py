@@ -557,7 +557,8 @@ def _rescale_for_b_target(
     def b_squared(scale: float) -> float:
         return float(np.sum(pair_weights / np.sin(0.5 * scale * drawn) ** 2))
 
-    hi = np.pi / float(np.max(drawn))
+    top = float(np.max(drawn))
+    hi = np.pi / top
     target2 = b_target**2
     if b_squared(hi) >= target2:
         raise ValueError(
@@ -582,7 +583,14 @@ def _rescale_for_b_target(
         else:
             hi = mid
     scale = min((lo, hi), key=lambda c: abs(b_squared(c) - target2))
-    return drawn * scale
+    # next to the floor the bisection can keep the bracket end pi / top, and
+    # top * (pi / top) may round to pi: clamp to the largest scale keeping
+    # every pair phase below pi, so its partner stays above -pi.  Any scale
+    # already in range is returned as it was.
+    ceiling = np.pi / top
+    while top * ceiling >= np.pi:
+        ceiling = math.nextafter(ceiling, 0.0)
+    return drawn * min(scale, ceiling)
 
 
 def resonant_spectrum(

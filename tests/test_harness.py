@@ -442,6 +442,35 @@ class TestCli:
         capsys.readouterr()
         assert parse_report_csv(tmp_path / "long.csv")[0]["m"] == 3
 
+    def test_b_target_one_float_above_the_floor_is_not_a_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        # one float above this instance's floor: the floor check admits it,
+        # so the largest pair phase must not round to pi
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            "[instance]\nn = 16\nseed = 31\nalpha = 0.25\n"
+            "b_target = 1.152621919650269\n"
+            f"[run]\nout = {tmp_path / 'floor.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) in (0, 1)
+        assert "numerical validation failure" not in capsys.readouterr().err
+
+    def test_relevant_pair_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def unresolved(config):
+            raise search.RelevantPairError("pair not isolated")
+
+        monkeypatch.setattr(cli, "run_experiment", unresolved)
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            f"[run]\nout = {tmp_path / 'never.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "pair not isolated" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
     def test_norm_drift_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(search, "NORM_DRIFT_LIMIT", 1e-18)
         config = write_config(

@@ -1,4 +1,4 @@
-"""What loading the package and running the weight path pull in.
+"""What loading the package and running it, dense checks included, pull in.
 
 The module checks run in fresh interpreters, since ``sys.modules`` of the
 test process already holds whatever other tests imported.
@@ -40,7 +40,7 @@ def test_import_loads_numpy_random_and_no_scipy(tmp_path):
     assert run_fresh(code, tmp_path) == ["False", "True"]
 
 
-def test_only_dense_checks_load_scipy(tmp_path):
+def test_no_path_loads_scipy(tmp_path):
     (tmp_path / "general.ini").write_text(
         "[experiment]\nkind = general-search\n"
         "[instance]\nn = 64\nseed = 1\n"
@@ -66,13 +66,13 @@ def test_only_dense_checks_load_scipy(tmp_path):
         seen += [harness.run_validation(echo=lambda line: None), scipy_loaded()]
         print(*seen)
     """
-    assert run_fresh(code, tmp_path) == ["0", "False", "0", "False", "True", "True"]
+    assert run_fresh(code, tmp_path) == ["0", "False", "0", "False", "True", "False"]
     assert (tmp_path / "general.csv").exists()
     assert (tmp_path / "boosted.csv").exists()
 
 
 def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):
-    # N = 8192 > DENSE_CAP: no Schur could run, the secular solve must
+    # N = 8192 > DENSE_CAP: no dense eigensolve could run, the secular solve must
     code = """
         import sys
         from gqsearch import DENSE_CAP, search, spectra

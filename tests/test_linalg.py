@@ -114,3 +114,51 @@ def test_eigensystem_rejects_nonunitary():
 def test_eigensystem_rejects_nonsquare():
     with pytest.raises(DimensionError):
         unitary_eigensystem(np.ones((2, 3)))
+
+
+def unitary_with_phases(phases, seed):
+    """V diag(exp(i phases)) V^dag for the seeded unitary V."""
+    vectors = seeded_unitary(len(phases), seed)
+    return (vectors * np.exp(1j * phases)) @ vectors.conj().T
+
+
+def stress_phases(kind, seed):
+    """Seeded degenerate spectra of dimension at most 128."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 129))
+    if kind == "minus-one-eigenspace":
+        # one free phase, and -1 with multiplicity n - 1
+        phases = np.full(n, math.pi)
+        phases[0] = rng.uniform(-3.0, 3.0)
+        return phases
+    # a few cluster centres, each cluster spread by 1e-15 to 1e-4
+    centres = rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 6)))
+    spread = 10.0 ** rng.uniform(-15.0, -4.0)
+    members = centres[rng.integers(0, centres.size, size=n)]
+    return members + spread * rng.uniform(-1.0, 1.0, size=n)
+
+
+def assert_orthonormal_eigensystem(matrix):
+    system = unitary_eigensystem(matrix)
+    n = matrix.shape[0]
+    gram = system.vectors.conj().T @ system.vectors
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
+    rebuilt = (system.vectors * np.exp(1j * system.phases)) @ system.vectors.conj().T
+    assert np.max(np.abs(rebuilt - matrix)) <= 1e-10
+    assert np.all(system.phases > -math.pi)
+    assert np.all(system.phases <= math.pi)
+    return system
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["minus-one-eigenspace", "clusters"])
+def test_eigensystem_degenerate_stress(kind, seed):
+    phases = stress_phases(kind, seed)
+    assert_orthonormal_eigensystem(unitary_with_phases(phases, 100 + seed))
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+@pytest.mark.parametrize("sign, phase", [(1.0, 0.0), (-1.0, math.pi)])
+def test_eigensystem_of_plus_minus_identity(n, sign, phase):
+    system = assert_orthonormal_eigensystem(sign * np.eye(n, dtype=np.complex128))
+    assert np.all(system.phases == phase)

@@ -261,7 +261,7 @@ class TestBPrime:
 
 
 def full_schur_b_prime(inst, m):
-    """b' from one Schur decomposition of the whole dense joint matrix."""
+    """b' from one eigendecomposition of the whole dense joint matrix."""
     system = unitary_eigensystem(dense_boosted_matrix(inst.spectrum, m))
     weights = np.abs(system.vectors[0, :]) ** 2
     live = np.abs(system.phases) >= 1e-9
@@ -328,6 +328,34 @@ class TestDenseBPrimeCheck:
         with pytest.raises(EigensolverError, match="couples") as caught:
             dense_b_prime_check(inst, m)
         assert np.isclose(caught.value.residual, 1e-6, rtol=1e-6)
+
+    def test_zero_phase_leftover_raises(self, monkeypatch):
+        import gqsearch.linalg
+
+        inst = oracle_instance("symmetric")
+        solve = gqsearch.linalg.unitary_eigensystem
+        calls, moved = [], []
+
+        def pinned(matrix):
+            # block 1 belongs to main eigenvector 1: move its largest ancilla
+            # overlap onto phase 0, where only the joint source may sit
+            calls.append(matrix.shape)
+            eig = solve(matrix)
+            if len(calls) != 2:
+                return eig
+            overlap = np.abs(eig.vectors[0, :]) ** 2
+            k = int(np.argmax(overlap))
+            moved.append(overlap[k])
+            phases = eig.phases.copy()
+            phases[k] = 0.0
+            return gqsearch.linalg.EigenSystem(phases=phases, vectors=eig.vectors)
+
+        monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", pinned)
+        with pytest.raises(EigensolverError, match="zero-phase") as caught:
+            dense_b_prime_check(inst, 2)
+        expected = abs(inst.spectrum.target_row[1]) ** 2 * moved[0]
+        assert expected > 1e-8
+        assert np.isclose(caught.value.residual, expected, rtol=1e-8)
 
 
 class TestBoostedLambda1:

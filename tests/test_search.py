@@ -78,7 +78,7 @@ def skewed_toy(alpha=0.05):
 
 
 def dense_relevant_pair(inst):
-    """Oracle: the pair with the largest source overlaps, from a dense Schur."""
+    """Oracle: the pair with the largest source overlaps, from a dense eigensolve."""
     matrix = search_operator(inst)
     eig = unitary_eigensystem(matrix)
     overlaps = np.abs(eig.vectors.conj().T @ inst.spectrum.source_state) ** 2

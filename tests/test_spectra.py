@@ -144,6 +144,21 @@ class TestSymmetricGenerator:
         with pytest.raises(ValueError, match="floor"):
             symmetric_spectrum(8, 1, 1.0, 1.2, alpha=0.05, b_target=0.2)
 
+    def test_b_target_at_the_floor_keeps_pair_phases_below_pi(self):
+        # one float above the floor, the bisection settles on the bracket end
+        # pi / max(drawn), whose product with max(drawn) can round to pi
+        n, alpha = 16, 0.25
+        for seed in range(40):
+            drawn = symmetric_spectrum(n, seed, 0.5, 1.5, alpha=alpha).phases[1:-1:2]
+            unit = spectra._paired_draws(n, seed, alpha)[1]
+            weights = spectra._pair_weights(unit, alpha)
+            stretched = np.sin(0.5 * (np.pi / float(np.max(drawn))) * drawn) ** 2
+            floor = math.sqrt(float(np.sum(weights / stretched)))
+            spec = symmetric_spectrum(
+                n, seed, 0.5, 1.5, alpha=alpha, b_target=math.nextafter(floor, math.inf)
+            )
+            assert np.max(np.abs(spec.phases[1:-1])) < np.pi, seed
+
     def test_deterministic_per_seed(self):
         first = symmetric_spectrum(32, 21, 0.8, 1.6)
         second = symmetric_spectrum(32, 21, 0.8, 1.6)
