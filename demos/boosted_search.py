@@ -28,20 +28,19 @@ def main():
 
     plain = search.run_iterations(inst, 2 * search.predict_spectrum(inst).q_m)
     boosted = pea.boosted_search_run(inst, m)
-    cost = 3 * 2**m - 2
 
     print("              plain         boosted")
     print(f"peak q        {plain.peak_q:<13d} {boosted.peak_q}")
     print(f"peak p        {plain.peak_probability:<13.4f} "
           f"{boosted.peak_probability:.4f}")
-    queries_plain = plain.records[plain.peak_q].oracle_queries
-    queries_boost = boosted.records[boosted.peak_q].oracle_queries
-    print(f"queries       {queries_plain:<13d} {queries_boost}")
-    ds_plain = plain.records[plain.peak_q].ds_applications
-    ds_boost = boosted.records[boosted.peak_q].ds_applications
-    print(f"diffusions    {ds_plain:<13d} {ds_boost}  ({cost} per iteration)")
+    # one oracle query and ds_per_step diffusions per iteration
+    print(f"queries       {plain.peak_q:<13d} {boosted.peak_q}")
+    ds_plain = plain.peak_q * plain.ds_per_step
+    ds_boost = boosted.peak_q * boosted.ds_per_step
+    print(f"diffusions    {ds_plain:<13d} {ds_boost}  "
+          f"({boosted.ds_per_step} per iteration)")
     print()
-    saving = queries_plain / queries_boost
+    saving = plain.peak_q / boosted.peak_q
     print(f"oracle-query saving: {saving:.1f}x, close to b = "
           f"{inst.b_factor:.1f} as predicted (peak ~ pi b' / 4 alpha)")
     print(f"expected boosted peak height ~ 1 / b'^2 = "

@@ -30,10 +30,9 @@ def main():
     print(f"measured  peak: q = {report.peak_q}, "
           f"p = {report.peak_probability:.4f}")
     print()
-    print("the run costs one oracle query per iteration, so the peak row")
-    peak = report.records[report.peak_q]
-    print(f"used {peak.oracle_queries} queries and "
-          f"{peak.ds_applications} diffusion applications")
+    print("the run costs one oracle query per iteration, so reaching the peak")
+    print(f"used {report.peak_q} queries and "
+          f"{report.peak_q * report.ds_per_step} diffusion applications")
 
 
 if __name__ == "__main__":

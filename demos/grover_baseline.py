@@ -27,13 +27,13 @@ def main():
     report = search.run_iterations(inst, 2 * predicted.q_m)
     angle = math.asin(inst.alpha)
     print(" q   measured p    closed form")
-    for rec in report.records[:: max(1, predicted.q_m // 4)]:
-        exact = math.sin((2 * rec.q + 1) * angle) ** 2
-        print(f"{rec.q:3d}   {rec.target_probability:.8f}   {exact:.8f}")
+    for q in range(0, 2 * predicted.q_m + 1, max(1, predicted.q_m // 4)):
+        exact = math.sin((2 * q + 1) * angle) ** 2
+        print(f"{q:3d}   {report.target_probability[q]:.8f}   {exact:.8f}")
     print()
     print(
         f"peak: q = {report.peak_q}, probability = {report.peak_probability:.6f}, "
-        f"oracle queries = {report.records[report.peak_q].oracle_queries}"
+        f"oracle queries = {report.peak_q}"
     )
 
 

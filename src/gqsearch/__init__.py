@@ -16,7 +16,6 @@ from .linalg import (
     EigenSystem,
     EigensolverError,
     round_half_up,
-    unitarity_defect,
     unitary_eigensystem,
     wrap_phase,
 )
@@ -68,7 +67,6 @@ from .harness import (
     emit_report,
     load_config,
     load_sweep_configs,
-    parse_report_csv,
     run_experiment,
     run_validation,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "EigenSystem",
     "EigensolverError",
     "round_half_up",
-    "unitarity_defect",
     "unitary_eigensystem",
     "wrap_phase",
     "EigenSpectrum",
@@ -126,7 +123,6 @@ __all__ = [
     "emit_report",
     "load_config",
     "load_sweep_configs",
-    "parse_report_csv",
     "run_experiment",
     "run_validation",
     "__version__",

@@ -283,101 +283,83 @@ def _resonant_instance(config: ExperimentConfig):
     return spectra.SearchInstance.build(spectrum)
 
 
-def _plain_row(kind: str, config: ExperimentConfig, inst) -> ReportRow:
-    predicted = search.predict_spectrum(inst)
-    q_max = config.q_max if config.q_max is not None else 2 * predicted.q_m
-    report = search.run_iterations(inst, q_max)
-    at_peak = report.records[report.peak_q]
-    return ReportRow(
-        experiment=kind,
-        n=inst.dimension,
-        seed=config.seed,
-        alpha=inst.alpha,
-        b_factor=inst.b_factor,
-        theta_min=inst.theta_min,
-        m=None,
-        r=None,
-        b_prime=None,
-        lambda1=inst.lambda1,
-        lambda1_boosted=None,
-        naive_b_r=None,
-        peak_q=report.peak_q,
-        peak_probability=report.peak_probability,
-        oracle_queries_at_peak=at_peak.oracle_queries,
-        ds_applications_at_peak=at_peak.ds_applications,
-        predicted_peak_q=predicted.q_m,
-        predicted_peak_probability=1.0 / inst.b_factor**2,
-    )
-
-
-def _boosted_row(
-    kind: str, config: ExperimentConfig, inst, m: int, naive_b_r=None
+def _row(
+    config: ExperimentConfig,
+    inst,
+    report,
+    b_eff: float,
+    m: int | None = None,
+    lambda1_boosted: float | None = None,
+    naive_b_r: float | None = None,
 ) -> ReportRow:
-    breakdown = pea.b_prime(inst, m)
-    lam1_boosted = pea.boosted_lambda1(inst, m)
-    report = pea.boosted_search_run(inst, m, config.q_max)
-    at_peak = report.records[report.peak_q]
+    """The report row of one run; the ledger at the peak is arithmetic on q.
+
+    ``b_eff`` is the b factor the run's peak follows: b for a plain run, b'
+    for a boosted run on ``m`` ancillas.  The boosted-only cells stay None
+    for a plain run.
+    """
     return ReportRow(
-        experiment=kind,
+        experiment=config.kind,
         n=inst.dimension,
         seed=config.seed,
         alpha=inst.alpha,
         b_factor=inst.b_factor,
         theta_min=inst.theta_min,
         m=m,
-        r=2**m,
-        b_prime=breakdown.b_prime,
+        r=None if m is None else 2**m,
+        b_prime=None if m is None else b_eff,
         lambda1=inst.lambda1,
-        lambda1_boosted=lam1_boosted,
+        lambda1_boosted=lambda1_boosted,
         naive_b_r=naive_b_r,
         peak_q=report.peak_q,
         peak_probability=report.peak_probability,
-        oracle_queries_at_peak=at_peak.oracle_queries,
-        ds_applications_at_peak=at_peak.ds_applications,
-        predicted_peak_q=search.peak_iteration(breakdown.b_prime, inst.alpha),
-        predicted_peak_probability=1.0 / breakdown.b_prime**2,
+        oracle_queries_at_peak=report.peak_q,
+        ds_applications_at_peak=report.peak_q * report.ds_per_step,
+        predicted_peak_q=search.peak_iteration(b_eff, inst.alpha),
+        predicted_peak_probability=1.0 / b_eff**2,
     )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """Execute one configured experiment; deterministic for fixed seeds."""
-    if config.kind == "grover-baseline":
-        uniform = np.full(config.n, 1.0 / math.sqrt(config.n), dtype=np.complex128)
-        spectrum = spectra.grover_spectrum(config.n, uniform)
-        inst = spectra.SearchInstance.build(spectrum)
-        return [_plain_row(config.kind, config, inst)]
-
-    if config.kind == "general-search":
-        return [_plain_row(config.kind, config, _symmetric_instance(config))]
-
-    if config.kind == "boosted-search":
-        if config.family == "resonant":
-            inst = _resonant_instance(config)
+    if config.kind in ("grover-baseline", "general-search"):
+        if config.kind == "grover-baseline":
+            uniform = np.full(config.n, 1.0 / math.sqrt(config.n), dtype=np.complex128)
+            spectrum = spectra.grover_spectrum(config.n, uniform)
+            inst = spectra.SearchInstance.build(spectrum)
         else:
             inst = _symmetric_instance(config)
-        m = config.m if config.m is not None else pea.default_ancilla_count(
-            inst.b_factor
-        )
-        return [_boosted_row(config.kind, config, inst, m)]
+        q_max = config.q_max
+        if q_max is None:
+            q_max = 2 * search.peak_iteration(inst.b_factor, inst.alpha)
+        return [_row(config, inst, search.run_iterations(inst, q_max), inst.b_factor)]
 
-    if config.kind == "divergence-demo":
-        inst = _resonant_instance(config)
-        r = 2**config.resonance_m
-        naive = spectra.naive_power_b(inst, r)
-        m = config.m if config.m is not None else config.resonance_m
-        return [_boosted_row(config.kind, config, inst, m, naive_b_r=naive)]
-
-    if config.kind == "b-sweep":
-        rows = []
-        for b_value in config.b_values:
-            inst = _symmetric_instance(config, b_target=b_value)
-            m = config.m if config.m is not None else pea.default_ancilla_count(
-                inst.b_factor
-            )
-            rows.append(_boosted_row(config.kind, config, inst, m))
-        return rows
-
-    raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    naive_b_r = None
+    if config.kind == "boosted-search":
+        if config.family == "resonant":
+            instances = [_resonant_instance(config)]
+        else:
+            instances = [_symmetric_instance(config)]
+    elif config.kind == "divergence-demo":
+        instances = [_resonant_instance(config)]
+        naive_b_r = spectra.naive_power_b(instances[0], 2**config.resonance_m)
+    elif config.kind == "b-sweep":
+        instances = (_symmetric_instance(config, b_target=b) for b in config.b_values)
+    else:
+        raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    rows = []
+    for inst in instances:
+        m = config.m
+        if m is None:
+            if config.kind == "divergence-demo":
+                m = config.resonance_m
+            else:
+                m = pea.default_ancilla_count(inst.b_factor)
+        b_eff = pea.b_prime(inst, m).b_prime
+        lambda1_boosted = pea.boosted_lambda1(inst, m)
+        report = pea.boosted_search_run(inst, m, config.q_max)
+        rows.append(_row(config, inst, report, b_eff, m, lambda1_boosted, naive_b_r))
+    return rows
 
 
 _INT_FIELDS = {
@@ -435,28 +417,6 @@ def emit_report(rows: list[ReportRow], fmt: str, path) -> None:
     raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
 
-def parse_report_csv(path) -> list[dict]:
-    """Read back an emitted CSV into dicts of typed values (for checks)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    names = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        entry = {}
-        for name, cell in zip(names, cells):
-            if cell == "":
-                entry[name] = None
-            elif name in _INT_FIELDS:
-                entry[name] = int(cell)
-            elif name == "experiment":
-                entry[name] = cell
-            else:
-                entry[name] = float(cell)
-        rows.append(entry)
-    return rows
-
-
 def _validation_checks():
     """Yield (name, callable) pairs; each callable raises on failure."""
 
@@ -466,12 +426,10 @@ def _validation_checks():
         inst = spectra.SearchInstance.build(spectra.grover_spectrum(n, uniform))
         report = search.run_iterations(inst, 12)
         angle = math.asin(inst.alpha)
-        for rec in report.records:
-            expected = math.sin((2 * rec.q + 1) * angle) ** 2
-            if abs(rec.target_probability - expected) > 1e-10:
-                raise AssertionError(
-                    f"q={rec.q}: {rec.target_probability} vs {expected}"
-                )
+        for q, probability in enumerate(report.target_probability):
+            expected = math.sin((2 * q + 1) * angle) ** 2
+            if abs(probability - expected) > 1e-10:
+                raise AssertionError(f"q={q}: {probability} vs {expected}")
 
     def moment_identity():
         spectrum = spectra.symmetric_spectrum(32, 3, 0.4, 1.2)
@@ -528,11 +486,10 @@ def _validation_checks():
     def cost_ledger():
         inst = spectra.SearchInstance.build(spectra.symmetric_spectrum(8, 2, 0.5, 1.5))
         report = pea.boosted_search_run(inst, 2, 3)
-        for rec in report.records:
-            if rec.oracle_queries != rec.q:
-                raise AssertionError("oracle count drifted")
-            if rec.ds_applications != rec.q * (3 * 4 - 2):
-                raise AssertionError("ds ledger drifted")
+        if report.target_probability.shape != (4,):
+            raise AssertionError("run does not hold one row per oracle query")
+        if report.ds_per_step != 3 * 4 - 2:
+            raise AssertionError("ds ledger drifted")
 
     def dense_boost():
         inst = spectra.SearchInstance.build(spectra.resonant_spectrum(8, 2, 1e-2, 4))

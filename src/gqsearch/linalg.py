@@ -45,13 +45,6 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Largest entry of |U^dag U - I|, zero for an exact unitary."""
-    matrix = np.asarray(matrix)
-    gram = matrix.conj().T @ matrix
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigendecomposition of a unitary matrix.

@@ -248,9 +248,9 @@ def boosted_search_run(
     ``m`` defaults to round(log2 b); ``q_max`` defaults to twice the
     predicted peak pi * b_prime / (4 alpha), so the scan covers the first
     probability crest with margin but stops before later crests that
-    leakage can push marginally higher.  Row q records the joint target
-    probability |<ancilla 0, target | state>|^2, q oracle queries, and
-    q * (3 * 2^m - 2) diffusion applications.
+    leakage can push marginally higher.  Entry q of ``target_probability``
+    is the joint target probability |<ancilla 0, target | state>|^2 after q
+    oracle queries; ``ds_per_step`` is 3 * 2^m - 2.
 
     The run is plain search on the boosted spectrum, N + 1 entries long.
     Entry l is the probe p_l (x) v_l, with phase 2^m theta_l and target
@@ -262,12 +262,12 @@ def boosted_search_run(
     the joint target to it, so one coordinate holds all of it.  The source
     stays entry 0, exactly e_0 (x) v_0, because survival at theta = 0 is 1,
     and the pi entry goes last.  A
-    step and a record cost O(N) whatever m is; no N x N array is built.
+    step costs O(N) whatever m is; no N x N array is built.
 
     Raises
     ------
     NormDriftError
-        If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT`` at any record.
+        If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT`` at any step.
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)

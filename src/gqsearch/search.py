@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,17 +58,33 @@ class IterationRecord:
     ds_applications: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Trace of an instrumented run plus its peak summary.
+    """A run as two columns indexed by the iteration count q = 0..q_max.
 
-    ``max_norm_drift`` is the largest |<state|state> - 1| seen at any record.
+    ``target_probability[q]`` is |<target|state>|^2 and ``source_overlap[q]``
+    is |<source|state>| after q iterations; both are read-only float arrays.
+    The ledger is arithmetic on q: q oracle queries and q * ``ds_per_step``
+    diffusion applications.  ``peak_q`` maximises the target probability
+    over q >= 1 (it is 0 only when q_max = 0), and ``max_norm_drift`` is the
+    largest |<state|state> - 1| seen at any step.
     """
 
-    records: tuple[IterationRecord, ...]
+    target_probability: np.ndarray
+    source_overlap: np.ndarray
+    ds_per_step: int
     peak_q: int
     peak_probability: float
     max_norm_drift: float = 0.0
+
+    @cached_property
+    def records(self) -> tuple[IterationRecord, ...]:
+        """The columns as one ``IterationRecord`` per q, built on first use."""
+        rows = zip(self.target_probability.tolist(), self.source_overlap.tolist())
+        return tuple(
+            IterationRecord(q, p, s, q, q * self.ds_per_step)
+            for q, (p, s) in enumerate(rows)
+        )
 
 
 def search_operator(inst: SearchInstance) -> np.ndarray:
@@ -118,18 +135,18 @@ def peak_iteration(b_factor: float, alpha: float) -> int:
 def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     """Iterate the search operator from the source, recording every step.
 
-    Row q holds the exact target probability and source overlap magnitude
-    after q iterations; q = 0 is the initial state.  The peak fields ignore
-    the q = 0 row.  The state is kept as diffusion eigen-coordinates
-    c = V^dag psi, starting from the source's c = e_0: the target flip is
-    the rank-1 reflection c - 2 (t . c) conj(t) with t the target row of V,
-    and the diffusion multiplies by e^{i theta}.  Each step and each record
+    Entry q of the report's columns holds the exact target probability and
+    source overlap magnitude after q iterations; q = 0 is the initial state.
+    The peak fields ignore q = 0.  The state is kept as diffusion
+    eigen-coordinates c = V^dag psi, starting from the source's c = e_0: the
+    target flip is the rank-1 reflection c - 2 (t . c) conj(t) with t the
+    target row of V, and the diffusion multiplies by e^{i theta}.  Each step
     costs O(N), and the eigenbasis V itself is never built.
 
     Raises
     ------
     NormDriftError
-        If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT at any record.
+        If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT at any step.
     """
     spectrum = inst.spectrum
     return _iterate(
@@ -150,35 +167,37 @@ def _iterate(
 ) -> RunReport:
     """Reflect about ``target_row``, then multiply by ``eigenphase``, q_max times.
 
-    Starts from e_0, the source, and records every step.  ``oracle`` is called
-    exactly once per step; each step costs ``ds_per_step`` diffusion
-    applications in the ledger.
+    Starts from e_0, the source, and writes every step into the report's
+    columns.  ``oracle`` is called exactly once per step; each step costs
+    ``ds_per_step`` diffusion applications in the ledger.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     target_conj = target_row.conj()
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[0] = 1.0
+    probability = np.empty(q_max + 1)
+    overlap = np.empty(q_max + 1)
     amplitude = target_row @ coeff  # <target|psi>, reused by the next flip
-    records = [_record(0, amplitude, coeff[0], ds_per_step)]
-    drift = _checked_drift(0, coeff, 0.0)
-    for q in range(1, q_max + 1):
-        oracle(coeff, amplitude, target_conj)
-        coeff *= eigenphase
-        amplitude = target_row @ coeff
-        records.append(_record(q, amplitude, coeff[0], ds_per_step))
+    drift = 0.0
+    for q in range(q_max + 1):
+        if q:
+            oracle(coeff, amplitude, target_conj)
+            coeff *= eigenphase
+            amplitude = target_row @ coeff
+        probability[q] = np.abs(amplitude) ** 2
+        overlap[q] = np.abs(coeff[0])
         drift = _checked_drift(q, coeff, drift)
-    return _report(records, drift)
-
-
-def _record(q, amplitude, source_coeff, ds_per_step):
-    """Row q from the target amplitude and the source coordinate."""
-    return IterationRecord(
-        q=q,
-        target_probability=float(np.abs(amplitude) ** 2),
-        source_overlap=float(np.abs(source_coeff)),
-        oracle_queries=q,
-        ds_applications=q * ds_per_step,
+    peak_q = 1 + int(np.argmax(probability[1:])) if q_max else 0
+    probability.flags.writeable = False
+    overlap.flags.writeable = False
+    return RunReport(
+        target_probability=probability,
+        source_overlap=overlap,
+        ds_per_step=ds_per_step,
+        peak_q=peak_q,
+        peak_probability=float(probability[peak_q]),
+        max_norm_drift=drift,
     )
 
 
@@ -191,24 +210,6 @@ def _checked_drift(q, coeff, worst) -> float:
             f"beyond the limit {NORM_DRIFT_LIMIT:.0e}"
         )
     return max(worst, drift)
-
-
-def _report(records, drift) -> RunReport:
-    peak_q, peak_probability = _peak_of(records)
-    return RunReport(
-        records=tuple(records),
-        peak_q=peak_q,
-        peak_probability=peak_probability,
-        max_norm_drift=drift,
-    )
-
-
-def _peak_of(records) -> tuple[int, float]:
-    if len(records) == 1:
-        return records[0].q, records[0].target_probability
-    probs = np.array([rec.target_probability for rec in records[1:]])
-    best = int(np.argmax(probs))
-    return records[1 + best].q, float(probs[best])
 
 
 def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:

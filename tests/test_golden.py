@@ -1,0 +1,41 @@
+"""Committed reports that ``gqsearch run`` must reproduce byte for byte.
+
+``tests/data/golden`` holds one n = 64 config per experiment kind, the CSV
+report each one wrote, and the JSON report of the b-sweep config.  A change
+that moves any report byte (a digit, a column, the peak row) fails here.
+A few cells hold rounding noise (``lambda1_boosted`` near 1e-17), so a
+NumPy build whose vectorised sin/cos round differently can differ there.
+Regenerate a file only for a change that means to alter reports, with
+
+    gqsearch run --config tests/data/golden/KIND.ini --out tests/data/golden/KIND.csv
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gqsearch import cli
+from gqsearch.harness import EXPERIMENT_KINDS
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def test_every_kind_has_a_golden_config():
+    assert sorted(path.stem for path in GOLDEN.glob("*.ini")) == sorted(
+        EXPERIMENT_KINDS
+    )
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_run_reproduces_golden_csv(kind, tmp_path):
+    out = tmp_path / f"{kind}.csv"
+    argv = ["run", "--config", str(GOLDEN / f"{kind}.ini")]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
+
+
+def test_run_reproduces_golden_json(tmp_path):
+    out = tmp_path / "b-sweep.json"
+    argv = ["run", "--config", str(GOLDEN / "b-sweep.ini"), "--format", "json"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "b-sweep.json").read_bytes()

@@ -12,10 +12,11 @@ from gqsearch.harness import (
     emit_report,
     load_config,
     load_sweep_configs,
-    parse_report_csv,
     run_experiment,
     run_validation,
 )
+
+from helpers import parse_report_csv
 
 COLUMNS = (
     "experiment,n,seed,alpha,b_factor,theta_min,m,r,b_prime,lambda1,"

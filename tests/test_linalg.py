@@ -9,10 +9,11 @@ from gqsearch.linalg import (
     DimensionError,
     EigensolverError,
     round_half_up,
-    unitarity_defect,
     unitary_eigensystem,
     wrap_phase,
 )
+
+from helpers import unitarity_defect
 
 
 def seeded_unitary(n, seed):

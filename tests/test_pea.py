@@ -389,10 +389,9 @@ class TestBoostedRun:
     def test_run_records_the_ledger(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))
         report = boosted_search_run(inst, 3, q_max=5)
-        assert len(report.records) == 6
-        for rec in report.records:
-            assert rec.oracle_queries == rec.q
-            assert rec.ds_applications == rec.q * (3 * 2**3 - 2)
+        assert report.target_probability.shape == (6,)
+        assert report.source_overlap.shape == (6,)
+        assert report.ds_per_step == 3 * 2**3 - 2
 
     def test_default_budget_covers_first_crest(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))
@@ -400,7 +399,7 @@ class TestBoostedRun:
         report = boosted_search_run(inst)
         boost = b_prime(inst, m).b_prime
         expected = max(1, math.floor(math.pi * boost / (2.0 * 0.2) + 0.5))
-        assert len(report.records) == expected + 1
+        assert len(report.target_probability) == expected + 1
         assert report.peak_q <= expected
 
     def test_joint_probability_peaks_near_prediction(self):
@@ -445,10 +444,12 @@ class TestBoostedRun:
         step[:, 0] = -step[:, 0]
         state = np.zeros(2**m * n, dtype=np.complex128)
         state[:n] = spec.source_state
-        for rec in report.records:
-            assert abs(rec.target_probability - abs(state[0]) ** 2) <= 1e-12
+        for probability, source_overlap in zip(
+            report.target_probability, report.source_overlap
+        ):
+            assert abs(probability - abs(state[0]) ** 2) <= 1e-12
             overlap = abs(np.vdot(spec.source_state, state[:n]))
-            assert abs(rec.source_overlap - overlap) <= 1e-12
+            assert abs(source_overlap - overlap) <= 1e-12
             state = step @ state
 
     @pytest.mark.parametrize("n", [64, 128, 256])
@@ -456,7 +457,7 @@ class TestBoostedRun:
         # drift reaches a few 1e-12 by q = 3000, past a 1e-12 per-step check
         inst = SearchInstance.build(symmetric_spectrum(n, 1, 0.5, 1.5))
         report = boosted_search_run(inst, 3, 3000)
-        assert len(report.records) == 3001
+        assert len(report.target_probability) == 3001
         assert report.max_norm_drift < 1e-10
 
     def test_negative_budget_rejected(self):
@@ -479,7 +480,7 @@ class TestBoostedRun:
 
         monkeypatch.setattr(gqsearch.pea, "controlled_oracle", counted)
         report = boosted_search_run(inst, 3, q_max)
-        assert len(calls) == q_max == len(report.records) - 1
+        assert len(calls) == q_max == len(report.target_probability) - 1
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_memory_does_not_grow_with_m(self, large_instance, m):

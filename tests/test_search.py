@@ -1,12 +1,15 @@
 """Search iteration tests: predictions vs dense linear algebra oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gqsearch import search
-from gqsearch.linalg import unitarity_defect, unitary_eigensystem
+from gqsearch.harness import ExperimentConfig, run_experiment
+from gqsearch.linalg import unitary_eigensystem
+from gqsearch.pea import boosted_search_run
 from gqsearch.search import (
     NormDriftError,
     RelevantPairError,
@@ -23,6 +26,8 @@ from gqsearch.spectra import (
     resonant_spectrum,
     symmetric_spectrum,
 )
+
+from helpers import unitarity_defect
 
 
 def householder_with_first_row(row):
@@ -205,13 +210,12 @@ class TestRunIterations:
     def test_initial_row(self):
         inst = double_pair_toy()
         report = run_iterations(inst, 0)
-        assert len(report.records) == 1
-        first = report.records[0]
-        assert first.q == 0
-        assert np.isclose(first.target_probability, inst.alpha**2, atol=1e-15)
-        assert np.isclose(first.source_overlap, 1.0, atol=1e-15)
-        assert first.oracle_queries == 0
+        assert report.target_probability.shape == (1,)
+        assert report.source_overlap.shape == (1,)
+        assert np.isclose(report.target_probability[0], inst.alpha**2, atol=1e-15)
+        assert np.isclose(report.source_overlap[0], 1.0, atol=1e-15)
         assert report.peak_q == 0
+        assert report.peak_probability == report.target_probability[0]
 
     @pytest.mark.parametrize(
         "build, peak_window",
@@ -240,20 +244,58 @@ class TestRunIterations:
         source = inst.spectrum.source_state
         state = source.copy()
         dense_probabilities = []
-        for rec in report.records:
+        for q in range(26):
             probability = abs(state[0]) ** 2
             dense_probabilities.append(probability)
-            assert abs(rec.target_probability - probability) <= 1e-12
-            assert abs(rec.source_overlap - abs(np.vdot(source, state))) <= 1e-12
+            assert abs(report.target_probability[q] - probability) <= 1e-12
+            overlap = abs(np.vdot(source, state))
+            assert abs(report.source_overlap[q] - overlap) <= 1e-12
             state = matrix @ state
         assert report.peak_q == 1 + int(np.argmax(dense_probabilities[1:]))
         assert peak_window[0] <= report.peak_q <= peak_window[1]
 
     def test_query_ledger_counts_iterations(self):
-        report = run_iterations(double_pair_toy(), 7)
-        for rec in report.records:
-            assert rec.oracle_queries == rec.q
-            assert rec.ds_applications == rec.q
+        # the records view is the columns plus the ledger, arithmetic on q
+        inst = double_pair_toy()
+        grover = SearchInstance.build(grover_spectrum(4, np.full(4, 0.5 + 0j)))
+        runs = [(run_iterations(inst, 7), 1), (run_iterations(grover, 7), 1)]
+        for m in (2, 3):
+            runs.append((boosted_search_run(inst, m, 7), 3 * 2**m - 2))
+        for report, ds_per_step in runs:
+            assert report.ds_per_step == ds_per_step
+            assert len(report.records) == 8
+            for q, rec in enumerate(report.records):
+                assert rec.q == rec.oracle_queries == q
+                assert rec.ds_applications == q * ds_per_step
+                assert rec.target_probability == report.target_probability[q]
+                assert rec.source_overlap == report.source_overlap[q]
+            assert report.records is report.records
+
+    def test_columns_are_read_only(self):
+        report = run_iterations(double_pair_toy(), 3)
+        for column in (report.target_probability, report.source_overlap):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+    @pytest.mark.parametrize("kind", ["general-search", "boosted-search"])
+    def test_runs_build_no_iteration_record(self, monkeypatch, kind):
+        built = []
+
+        class CountedRecord(search.IterationRecord):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(search, "IterationRecord", CountedRecord)
+        inst = SearchInstance.build(symmetric_spectrum(16, 5, 0.8, 1.8))
+        run_iterations(inst, 20)
+        boosted_search_run(inst, 2, 20)
+        run_experiment(ExperimentConfig(kind=kind, n=16, seed=5, q_max=20))
+        assert built == []
+        # the view still builds records, through the patched name
+        assert len(run_iterations(inst, 3).records) == 4
+        assert len(built) == 4
 
     def test_peak_ignores_initial_row(self):
         # strong source-target overlap: the q = 0 probability already beats
@@ -269,9 +311,26 @@ class TestRunIterations:
         assert 0.0 <= report.max_norm_drift <= 1e-13
 
     def test_norm_drift_past_limit_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "NORM_DRIFT_LIMIT", 1e-18)
-        with pytest.raises(NormDriftError):
-            run_iterations(double_pair_toy(), 25)
+        # the error names the first step past the limit, as a reference loop
+        # over the same eigen-coordinate step finds it
+        inst = double_pair_toy()
+        limit = 1e-14
+        target = inst.spectrum.target_row
+        eigenphase = np.exp(1j * inst.spectrum.phases)
+        coeff = np.eye(inst.dimension, dtype=np.complex128)[0]
+        first = None
+        for q in range(26):
+            if q:
+                coeff = (coeff - 2.0 * (target @ coeff) * target.conj()) * eigenphase
+            drift = abs(float(np.vdot(coeff, coeff).real) - 1.0)
+            if drift > limit:
+                first = q
+                break
+        assert first is not None and first > 1
+        monkeypatch.setattr(search, "NORM_DRIFT_LIMIT", limit)
+        message = f"by {drift:.3e} after {first} iterations"
+        with pytest.raises(NormDriftError, match=re.escape(message)):
+            run_iterations(inst, 25)
 
     def test_negative_q_max_rejected(self):
         with pytest.raises(ValueError):
@@ -282,11 +341,9 @@ class TestRunIterations:
         rotated = EigenSpectrum(spec.phases.copy(), spec.vectors * np.exp(0.3j))
         base = run_iterations(SearchInstance.build(spec), 20)
         turned = run_iterations(SearchInstance.build(rotated), 20)
-        for left, right in zip(base.records, turned.records):
-            assert np.isclose(
-                left.target_probability, right.target_probability, atol=1e-13
-            )
-            assert np.isclose(left.source_overlap, right.source_overlap, atol=1e-13)
+        for column in ("target_probability", "source_overlap"):
+            left, right = getattr(base, column), getattr(turned, column)
+            assert np.allclose(left, right, rtol=0.0, atol=1e-13)
 
 
 def test_grover_curve_is_exact_rotation():
@@ -296,9 +353,8 @@ def test_grover_curve_is_exact_rotation():
     inst = SearchInstance.build(grover_spectrum(n, uniform))
     report = run_iterations(inst, 10)
     angle = math.asin(inst.alpha)
-    for rec in report.records:
-        expected = math.sin((2 * rec.q + 1) * angle) ** 2
-        assert np.isclose(rec.target_probability, expected, rtol=0.0, atol=1e-12)
+    expected = np.sin((2 * np.arange(11) + 1) * angle) ** 2
+    assert np.allclose(report.target_probability, expected, rtol=0.0, atol=1e-12)
 
 
 def test_grover_curve_stays_exact_at_large_n():
@@ -311,8 +367,8 @@ def test_grover_curve_stays_exact_at_large_n():
     report = run_iterations(inst, 2 * predict_spectrum(inst).q_m)
     angle = math.asin(inst.alpha)
     error = max(
-        abs(rec.target_probability - math.sin((2 * rec.q + 1) * angle) ** 2)
-        for rec in report.records
+        abs(probability - math.sin((2 * q + 1) * angle) ** 2)
+        for q, probability in enumerate(report.target_probability)
     )
     assert error <= 1e-12
     assert spec._vectors is None

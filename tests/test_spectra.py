@@ -31,7 +31,8 @@ from gqsearch.pea import (
     default_ancilla_count,
 )
 from gqsearch.search import predict_spectrum, run_iterations
-from gqsearch.linalg import unitarity_defect
+
+from helpers import unitarity_defect
 
 
 def two_phase_toy():
