@@ -1,33 +1,16 @@
 """Experiment orchestration: configs in, deterministic report rows out.
 
-Config files are flat ``key = value`` text with three sections:
+Config files are flat ``key = value`` text in the sections ``[experiment]``,
+``[instance]`` and ``[run]``.  ``ExperimentConfig`` declares each key once:
+its section, its value type and its default.  Unknown sections, keys in
+the wrong section and a ``[DEFAULT]`` section are rejected.
 
-    [experiment]
-    kind = grover-baseline | general-search | boosted-search |
-           divergence-demo | b-sweep          (default grover-baseline)
-
-    [instance]
-    n = 64                main dimension (even, >= 4 for random families)
-    seed = 1              generator seed
-    family = symmetric    symmetric | resonant (boosted-search only)
-    theta_min = 0.5       lower edge of the raw phase band, above 0
-    theta_max = 1.5       upper edge of the raw phase band, below pi
-    alpha =               source-target overlap; empty = 1/sqrt(n)
-    b_target =            rescale phases to hit this b factor; empty = off
-    epsilon = 0.001       resonant-family detuning
-    resonance_m = 3       resonant-family power exponent (r = 2^resonance_m)
-    m =                   ancilla override for boosted runs; empty = auto
-    b_values = 2,4,8,16   b-sweep targets (comma list, no empty entry)
-
-    [run]
-    q_max =               iteration budget; empty = auto per experiment
-    out =                 output path; empty = report.<format>
-    format = csv          csv | json
-
-Unknown sections or keys are rejected.  The ``sweep`` entry point accepts
-comma lists in most numeric keys and expands their cartesian product into
-one combined report.  Identical configs always produce byte-identical
-reports.
+An empty value keeps the key's default, except in ``b_values``, where it
+lists no target.  ``b_values`` is always a comma list and ``out`` is a path
+that may hold a comma.  In any other key a comma list is an error, except
+that the ``sweep`` entry point expands lists in the int and float keys into
+the cartesian product of their values and runs it as one combined report.
+Identical configs always produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -58,23 +41,48 @@ class ConfigError(ValueError):
     """Config file is malformed or inconsistent."""
 
 
+def _key(section: str, type_: type, default, key: str | None = None):
+    """A config key in ``section`` whose value has type ``type_``.
+
+    ``key`` names the INI key where it differs from the field name.
+    """
+    metadata = {"section": section, "type": type_}
+    if key is not None:
+        metadata["key"] = key
+    return dataclasses.field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str = "grover-baseline"
-    n: int = 64
-    seed: int = 1
-    family: str = "symmetric"
-    theta_min: float = 0.5
-    theta_max: float = 1.5
-    alpha: float | None = None
-    b_target: float | None = None
-    epsilon: float = 1e-3
-    resonance_m: int = 3
-    m: int | None = None
-    b_values: tuple[float, ...] = DEFAULT_B_VALUES
-    q_max: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
+    """One experiment; each field declares its config key, section and type."""
+
+    # one of EXPERIMENT_KINDS
+    kind: str = _key("experiment", str, "grover-baseline")
+    # main dimension (even, >= 4 for random families)
+    n: int = _key("instance", int, 64)
+    seed: int = _key("instance", int, 1)
+    # symmetric | resonant (boosted-search only)
+    family: str = _key("instance", str, "symmetric")
+    # edges of the raw phase band, 0 < theta_min <= theta_max < pi
+    theta_min: float = _key("instance", float, 0.5)
+    theta_max: float = _key("instance", float, 1.5)
+    # source-target overlap; None means 1/sqrt(n)
+    alpha: float | None = _key("instance", float, None)
+    # rescale phases to hit this b factor; None means no rescaling
+    b_target: float | None = _key("instance", float, None)
+    # resonant-family detuning and power exponent (r = 2^resonance_m)
+    epsilon: float = _key("instance", float, 1e-3)
+    resonance_m: int = _key("instance", int, 3)
+    # ancilla count for boosted runs; None picks it from b
+    m: int | None = _key("instance", int, None)
+    # b-sweep targets: always a comma list, never expanded by sweep
+    b_values: tuple[float, ...] = _key("instance", tuple, DEFAULT_B_VALUES)
+    # iteration budget; None picks it per experiment
+    q_max: int | None = _key("run", int, None)
+    # report path; None means report.<format>
+    out: str | None = _key("run", str, None)
+    # csv | json
+    fmt: str = _key("run", str, "csv", key="format")
 
 
 @dataclass(frozen=True)
@@ -106,36 +114,15 @@ class ReportRow:
     predicted_peak_probability: float
 
 
-_SCHEMA = {
-    "experiment": ("kind",),
-    "instance": (
-        "n",
-        "seed",
-        "family",
-        "theta_min",
-        "theta_max",
-        "alpha",
-        "b_target",
-        "epsilon",
-        "resonance_m",
-        "m",
-        "b_values",
-    ),
-    "run": ("q_max", "out", "format"),
+# config key -> its ExperimentConfig field
+_FIELDS = {
+    field.metadata.get("key", field.name): field
+    for field in dataclasses.fields(ExperimentConfig)
 }
-
+_SECTIONS = {field.metadata["section"] for field in _FIELDS.values()}
 # keys the sweep entry point may expand from comma lists
 _SWEEPABLE = {
-    "n",
-    "seed",
-    "theta_min",
-    "theta_max",
-    "alpha",
-    "b_target",
-    "epsilon",
-    "resonance_m",
-    "m",
-    "q_max",
+    key for key, field in _FIELDS.items() if field.metadata["type"] in (int, float)
 }
 
 
@@ -148,51 +135,37 @@ def _read_raw(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ConfigParserError as exc:
         raise ConfigError(f"config {path} is not valid: {exc}") from exc
+    # ConfigParser would copy [DEFAULT] keys into every other section
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     raw: dict[str, str] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _FIELDS or _FIELDS[key].metadata["section"] != section:
                 raise ConfigError(f"unknown config key {section}.{key}")
             raw[key] = value.strip()
     return raw
 
 
-def _parse_scalar(key: str, text: str):
-    if text == "":
-        return None
-    try:
-        if key in ("n", "seed", "resonance_m", "m", "q_max"):
-            return int(text)
-        if key in ("theta_min", "theta_max", "alpha", "b_target", "epsilon"):
-            return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-    return text
-
-
 def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
     values: dict = {}
     for key, text in raw.items():
-        if key == "kind":
-            values["kind"] = text
-        elif key == "format":
-            values["fmt"] = text
-        elif key == "out":
-            values["out"] = text or None
-        elif key == "b_values":
-            values["b_values"] = _parse_b_values(text)
-        else:
-            if "," in text:
-                raise ConfigError(
-                    f"config key {key} holds a list; only the sweep command "
-                    "expands lists, and only for the keys "
-                    f"{', '.join(sorted(_SWEEPABLE))}"
-                )
-            parsed = _parse_scalar(key, text)
-            if parsed is not None:
-                values[key] = parsed
+        field = _FIELDS[key]
+        if key == "b_values":
+            values[field.name] = _parse_b_values(text)
+        elif "," in text and key != "out":
+            raise ConfigError(
+                f"config key {key} holds a list; only the sweep command "
+                "expands lists, and only for the keys "
+                f"{', '.join(sorted(_SWEEPABLE))}"
+            )
+        elif text:
+            try:
+                values[field.name] = field.metadata["type"](text)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
     values.update(overrides)
     config = ExperimentConfig(**values)
     _check_config(config)
@@ -236,8 +209,9 @@ def load_config(path, **overrides) -> ExperimentConfig:
 def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
     """Expand comma lists in a config into the cartesian product of runs.
 
-    An empty entry runs the key's empty meaning, as an empty value does in
-    a single config: ``b_target = , 8`` sweeps no rescaling and b = 8.
+    Only int and float keys expand.  An empty entry keeps the key's
+    default, as an empty value does in a single config: ``b_target = , 8``
+    sweeps no rescaling and b = 8.
     """
     raw = _read_raw(path)
     axes: list[tuple[str, list[str]]] = []
@@ -362,54 +336,33 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-_INT_FIELDS = {
-    "n",
-    "seed",
-    "m",
-    "r",
-    "peak_q",
-    "oracle_queries_at_peak",
-    "ds_applications_at_peak",
-    "predicted_peak_q",
-}
-
-
-def _field_names() -> list[str]:
-    return [field.name for field in dataclasses.fields(ReportRow)]
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
+def _cell(value):
+    """A report cell typed by its value: ints exact, floats to 12 digits."""
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.12g}"
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(f"{value:.12g}")
+    return value
 
 
 def emit_report(rows: list[ReportRow], fmt: str, path) -> None:
     """Write rows as CSV or JSON; overwrites; byte-stable for fixed rows."""
-    names = _field_names()
+    names = [field.name for field in dataclasses.fields(ReportRow)]
+    table = [[_cell(getattr(row, name)) for name in names] for row in rows]
     if fmt == "csv":
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
-            for row in rows:
-                cells = [_csv_cell(getattr(row, name)) for name in names]
-                fh.write(",".join(cells) + "\n")
+            for cells in table:
+                texts = [
+                    "" if cell is None
+                    else f"{cell:.12g}" if isinstance(cell, float)
+                    else str(cell)
+                    for cell in cells
+                ]
+                fh.write(",".join(texts) + "\n")
         return
     if fmt == "json":
-        payload = []
-        for row in rows:
-            entry = {}
-            for name in names:
-                value = getattr(row, name)
-                if isinstance(value, float):
-                    value = float(f"{value:.12g}")
-                elif value is not None and name in _INT_FIELDS:
-                    value = int(value)
-                entry[name] = value
-            payload.append(entry)
+        payload = [dict(zip(names, cells)) for cells in table]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             json.dump({"rows": payload}, fh, indent=2)
             fh.write("\n")

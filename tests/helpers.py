@@ -1,8 +1,16 @@
 """Checks the tests share that the package itself has no use for."""
 
+from typing import get_args, get_type_hints
+
 import numpy as np
 
-from gqsearch.harness import _INT_FIELDS
+from gqsearch.harness import ReportRow
+
+# column -> the type of its non-empty cells (int | None reads as int)
+_COLUMN_TYPES = {
+    name: (get_args(hint) or (hint,))[0]
+    for name, hint in get_type_hints(ReportRow).items()
+}
 
 
 def unitarity_defect(matrix) -> float:
@@ -21,13 +29,6 @@ def parse_report_csv(path) -> list[dict]:
     for line in lines[1:]:
         entry = {}
         for name, cell in zip(names, line.split(",")):
-            if cell == "":
-                entry[name] = None
-            elif name in _INT_FIELDS:
-                entry[name] = int(cell)
-            elif name == "experiment":
-                entry[name] = cell
-            else:
-                entry[name] = float(cell)
+            entry[name] = None if cell == "" else _COLUMN_TYPES[name](cell)
         rows.append(entry)
     return rows

@@ -1,8 +1,9 @@
-"""Committed reports that ``gqsearch run`` must reproduce byte for byte.
+"""Committed reports that ``gqsearch`` must reproduce byte for byte.
 
 ``tests/data/golden`` holds one n = 64 config per experiment kind, the CSV
-report each one wrote, and the JSON report of the b-sweep config.  A change
-that moves any report byte (a digit, a column, the peak row) fails here.
+report each one wrote, and the JSON report of the b-sweep config.  Both
+``run`` and ``sweep`` must write the CSV reports.  A change that moves any
+report byte (a digit, a column, the peak row) fails here.
 A few cells hold rounding noise (``lambda1_boosted`` near 1e-17), so a
 NumPy build whose vectorised sin/cos round differently can differ there.
 Regenerate a file only for a change that means to alter reports, with
@@ -26,10 +27,17 @@ def test_every_kind_has_a_golden_config():
     )
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-def test_run_reproduces_golden_csv(kind, tmp_path):
+# a golden config holds no comma list, so sweep must expand it to the one
+# run it describes; the run ids stay the bare kind
+@pytest.mark.parametrize(
+    "command, kind",
+    [("run", kind) for kind in EXPERIMENT_KINDS]
+    + [("sweep", kind) for kind in EXPERIMENT_KINDS],
+    ids=list(EXPERIMENT_KINDS) + [f"sweep-{kind}" for kind in EXPERIMENT_KINDS],
+)
+def test_run_reproduces_golden_csv(command, kind, tmp_path):
     out = tmp_path / f"{kind}.csv"
-    argv = ["run", "--config", str(GOLDEN / f"{kind}.ini")]
+    argv = [command, "--config", str(GOLDEN / f"{kind}.ini")]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
 

@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, report emission, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from gqsearch import cli, search, spectra
 from gqsearch.harness import (
     ConfigError,
+    ExperimentConfig,
     emit_report,
     load_config,
     load_sweep_configs,
@@ -54,13 +56,56 @@ class TestConfigParsing:
     def test_empty_values_fall_back_to_defaults(self, tmp_path):
         path = write_config(
             tmp_path,
-            "[instance]\nalpha =\nb_target =\n[run]\nq_max =\nout =\n",
+            "[experiment]\nkind =\n[instance]\nfamily =\nalpha =\nb_target =\n"
+            "[run]\nq_max =\nout =\nformat =\n",
         )
-        config = load_config(path)
-        assert config.alpha is None
-        assert config.b_target is None
-        assert config.q_max is None
-        assert config.out is None
+        assert load_config(path) == ExperimentConfig()
+
+    def test_every_field_is_a_typed_key_of_its_section(self, tmp_path):
+        # one non-default value per ExperimentConfig field: its INI text and
+        # the value it must load as
+        values = {
+            "kind": ("b-sweep", "b-sweep"),
+            "n": ("32", 32),
+            "seed": ("9", 9),
+            "family": ("resonant", "resonant"),
+            "theta_min": ("0.25", 0.25),
+            "theta_max": ("2.5", 2.5),
+            "alpha": ("0.125", 0.125),
+            "b_target": ("4.5", 4.5),
+            "epsilon": ("0.01", 0.01),
+            "resonance_m": ("2", 2),
+            "m": ("4", 4),
+            "b_values": ("3, 5", (3.0, 5.0)),
+            "q_max": ("40", 40),
+            "out": ("result.json", "result.json"),
+            "fmt": ("json", "json"),
+        }
+        fields = dataclasses.fields(ExperimentConfig)
+        assert sorted(field.name for field in fields) == sorted(values)
+        sections: dict[str, list[str]] = {}
+        for field in fields:
+            key = field.metadata.get("key", field.name)
+            text = values[field.name][0]
+            sections.setdefault(field.metadata["section"], []).append(
+                f"{key} = {text}"
+            )
+        body = "".join(
+            f"[{section}]\n" + "\n".join(lines) + "\n"
+            for section, lines in sections.items()
+        )
+        config = load_config(write_config(tmp_path, body))
+        for field in fields:
+            loaded = getattr(config, field.name)
+            expected = values[field.name][1]
+            assert loaded != field.default, field.name
+            assert loaded == expected, field.name
+            assert type(loaded) is field.metadata["type"], field.name
+        assert all(type(b) is float for b in config.b_values)
+
+    def test_out_may_hold_a_comma(self, tmp_path):
+        path = write_config(tmp_path, "[run]\nout = a,b.csv\n")
+        assert load_config(path).out == "a,b.csv"
 
     def test_values_are_typed(self, tmp_path):
         path = write_config(
@@ -84,6 +129,11 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[instance]\nqubits = 6\n")
         with pytest.raises(ConfigError, match="qubits"):
+            load_config(path)
+
+    def test_key_in_another_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[run]\nn = 4\n")
+        with pytest.raises(ConfigError, match=r"unknown config key run\.n$"):
             load_config(path)
 
     def test_bad_integer_rejected(self, tmp_path):
@@ -404,6 +454,24 @@ class TestCli:
         assert "ancilla qubit count m must lie in [1, 8], got 9" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[DEFAULT]\nn = 8\n",
+            "[DEFAULT]\nseed = 3\n[run]\nq_max = 4\n",
+        ],
+        ids=["alone", "beside-run"],
+    )
+    def test_default_section_is_config_error(self, tmp_path, body, capsys):
+        # ConfigParser hides [DEFAULT] from sections() and copies its keys
+        # into every other section
+        out = tmp_path / "report.csv"
+        config = write_config(tmp_path, body)
+        argv = ["run", "--config", str(config), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 1
