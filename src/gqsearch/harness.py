@@ -329,10 +329,12 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
                 m = config.resonance_m
             else:
                 m = pea.default_ancilla_count(inst.b_factor)
-        b_eff = pea.b_prime(inst, m).b_prime
+        breakdown = pea.b_prime(inst, m)
         lambda1_boosted = pea.boosted_lambda1(inst, m)
-        report = pea.boosted_search_run(inst, m, config.q_max)
-        rows.append(_row(config, inst, report, b_eff, m, lambda1_boosted, naive_b_r))
+        report = pea.boosted_search_run(inst, m, config.q_max, breakdown=breakdown)
+        rows.append(
+            _row(config, inst, report, breakdown.b_prime, m, lambda1_boosted, naive_b_r)
+        )
     return rows
 
 

@@ -241,7 +241,11 @@ def default_ancilla_count(b_factor: float) -> int:
 
 
 def boosted_search_run(
-    inst: SearchInstance, m: int | None = None, q_max: int | None = None
+    inst: SearchInstance,
+    m: int | None = None,
+    q_max: int | None = None,
+    *,
+    breakdown: BPrimeBreakdown | None = None,
 ) -> RunReport:
     """Iterate controlled oracle + boosted diffusion from the joint source.
 
@@ -264,6 +268,9 @@ def boosted_search_run(
     and the pi entry goes last.  A
     step costs O(N) whatever m is; no N x N array is built.
 
+    ``breakdown`` is ``b_prime(inst, m)`` for a caller that already holds
+    it, so the run does not compute it again.
+
     Raises
     ------
     NormDriftError
@@ -271,7 +278,8 @@ def boosted_search_run(
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)
-    breakdown = b_prime(inst, m)
+    if breakdown is None:
+        breakdown = b_prime(inst, m)
     if q_max is None:
         boost = breakdown.b_prime
         q_max = max(1, round_half_up(math.pi * boost / (2.0 * inst.alpha)))

@@ -14,7 +14,9 @@ reads it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,7 +364,9 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     if source.ndim != 1 or source.shape[0] != n:
         raise ValueError(f"source must be a vector of length {n}")
     norm = float(np.linalg.norm(source))
-    if abs(norm - 1.0) > 1e-12:
+    # the rounding error of a norm grows with n: 3.2e-12 for the uniform
+    # source at n = 3e6
+    if abs(norm - 1.0) > max(1e-12, n * np.finfo(np.float64).eps):
         raise ValueError(f"source must be normalized, got norm {norm!r}")
     phases = np.full(n, np.pi)
     phases[0] = 0.0
@@ -375,6 +379,8 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
 # normals per call when stepping the stream past the discarded block
 _SKIP_CHUNK = 2**20
+# (n, seed) draws kept per process; an entry holds 2 (n - 1) floats, 16 N bytes
+_DRAWS_KEPT = 8
 
 
 def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -387,11 +393,23 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     ``w_sub`` to a basis; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
     in chunks so no (n-1)x(n-2) block is held.
+
+    The draws do not depend on ``alpha``, so they are made once per
+    ``(n, seed)`` per process and kept (``_seeded_draws``) at 16 N bytes per
+    entry; ``n`` and ``alpha`` are checked on every call.  Both arrays are
+    shared by every caller and read-only.  ``seed`` must be an integer: a
+    seed of None would draw fresh entropy that must not be kept.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"dimension must be even and at least 4, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    return _seeded_draws(n, operator.index(seed))
+
+
+@functools.lru_cache(maxsize=_DRAWS_KEPT)
+def _seeded_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_paired_draws`` from the stream of ``seed``, with no argument checks."""
     rng = np.random.default_rng(seed)
     w_sub = rng.standard_normal(n - 1)
     w_sub /= np.linalg.norm(w_sub)
@@ -401,7 +419,10 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
         rng.standard_normal(count)
         skipped -= count
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
-    return w_sub, profile / np.linalg.norm(profile)
+    unit = profile / np.linalg.norm(profile)
+    w_sub.setflags(write=False)
+    unit.setflags(write=False)
+    return w_sub, unit
 
 
 def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:

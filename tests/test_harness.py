@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gqsearch import cli, search, spectra
+from gqsearch import cli, pea, search, spectra
 from gqsearch.harness import (
     ConfigError,
     ExperimentConfig,
@@ -261,6 +261,99 @@ class TestExperiments:
         rows = run_experiment(load_config(path))
         assert [round(row.b_factor, 6) for row in rows] == [2.0, 4.0]
         assert all(row.experiment == "b-sweep" for row in rows)
+
+
+class _CountingGenerator:
+    """A NumPy generator that records the size of each standard normal draw."""
+
+    def __init__(self, rng, drawn):
+        self._rng = rng
+        self._drawn = drawn
+
+    def standard_normal(self, size):
+        self._drawn.append(size)
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def normals_drawn(monkeypatch):
+    """Sizes of the standard normal draws made from a cleared draw memo."""
+    drawn = []
+    make = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _CountingGenerator(make(seed), drawn)
+    )
+    spectra._seeded_draws.cache_clear()
+    yield drawn
+    spectra._seeded_draws.cache_clear()
+
+
+class TestDrawMemo:
+    """Runs on one (n, seed) draw the paired spectrum's normals once."""
+
+    def test_boosted_sweep_skips_once(self, tmp_path, normals_drawn):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            "[instance]\nn = 64\nseed = 1\nm = 3, 4, 5\n"
+            f"[run]\nq_max = 20\nout = {tmp_path / 'sweep.csv'}\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert len(parse_report_csv(tmp_path / "sweep.csv")) == 3
+        # the source direction, then the skipped block, each once
+        assert normals_drawn == [63, 63 * 62]
+
+    def test_b_sweep_skips_once(self, tmp_path, normals_drawn):
+        path = write_config(
+            tmp_path, "[experiment]\nkind = b-sweep\n[instance]\nn = 64\nseed = 4\n"
+        )
+        rows = run_experiment(load_config(path))
+        assert [row.b_factor for row in rows] == pytest.approx([2, 4, 8, 16])
+        assert normals_drawn == [63, 63 * 62]
+
+    def test_warm_sweep_matches_cold_runs(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            "[instance]\nn = 64, 128\nseed = 1\nb_target = 4, 8\nm = 2, 3\n"
+            f"[run]\nq_max = 30\nout = {tmp_path / 'warm.csv'}\n",
+        )
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        rows = []
+        for each in load_sweep_configs(config):
+            spectra._seeded_draws.cache_clear()
+            rows.extend(run_experiment(each))
+        emit_report(rows, "csv", tmp_path / "cold.csv")
+        assert len(rows) == 8
+        warm = (tmp_path / "warm.csv").read_bytes()
+        assert warm == (tmp_path / "cold.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "body, rows",
+    [
+        ("kind = boosted-search\n[instance]\nn = 32\nseed = 2\n", 1),
+        ("kind = divergence-demo\n[instance]\nn = 32\nseed = 7\n", 1),
+        ("kind = b-sweep\n[instance]\nn = 32\nseed = 5\n", 4),
+    ],
+    ids=["boosted-search", "divergence-demo", "b-sweep"],
+)
+def test_b_prime_once_per_boosted_row(tmp_path, monkeypatch, body, rows):
+    calls = []
+    b_prime = pea.b_prime
+
+    def counted(inst, m):
+        calls.append(m)
+        return b_prime(inst, m)
+
+    monkeypatch.setattr(pea, "b_prime", counted)
+    path = write_config(tmp_path, "[experiment]\n" + body + "[run]\nq_max = 20\n")
+    produced = run_experiment(load_config(path))
+    assert len(produced) == rows
+    assert calls == [row.m for row in produced]
 
 
 class TestEmission:

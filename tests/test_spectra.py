@@ -103,6 +103,15 @@ def test_grover_spectrum_rejects_unnormalized_source():
         grover_spectrum(8, np.full(8, 0.5, dtype=np.complex128))
 
 
+def test_grover_spectrum_norm_tolerance_scales_with_n():
+    # the uniform source's norm misses 1 by 3.2e-12 at this n from rounding
+    n = 3_000_000
+    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    assert grover_spectrum(n, uniform).dimension == n
+    with pytest.raises(ValueError, match="normalized"):
+        grover_spectrum(n, uniform * (1.0 + 1e-6))
+
+
 def test_build_diffusion_is_unitary_and_fixes_source():
     spec = symmetric_spectrum(16, 9, 0.6, 1.8)
     matrix = build_diffusion(spec)
@@ -167,6 +176,47 @@ class TestSymmetricGenerator:
         assert np.array_equal(first.phases, second.phases)
         assert np.array_equal(first.vectors, second.vectors)
         assert not np.array_equal(first.phases, third.phases)
+
+
+class TestDrawMemo:
+    """The paired draws are made once per (n, seed) and shared read-only."""
+
+    def test_draws_are_read_only(self):
+        spectra._seeded_draws.cache_clear()
+        for w_sub, unit in (
+            spectra._paired_draws(16, 3, 0.25),
+            spectra._paired_draws(16, 3, 0.5),  # warm, under another alpha
+        ):
+            for array in (w_sub, unit):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    @pytest.mark.parametrize("seed", [1.0, 1.5, None, "1"])
+    def test_non_integer_seed_raises(self, seed):
+        with pytest.raises(TypeError):
+            spectra._paired_draws(16, seed, 0.25)
+
+    def test_checks_run_on_a_warm_key(self):
+        spectra._paired_draws(16, 3, 0.25)
+        with pytest.raises(ValueError, match="alpha"):
+            spectra._paired_draws(16, 3, 1.0)
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (16, 3), (64, 7), (256, 11)])
+    @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
+    def test_warm_spectra_match_cold_bit_for_bit(self, kind, n, seed):
+        def make():
+            if kind == "symmetric":
+                return symmetric_spectrum(n, seed, 0.5, 1.5, b_target=3.0)
+            return resonant_spectrum(n, 3, 1e-3, seed)
+
+        spectra._seeded_draws.cache_clear()
+        cold = make()
+        hits = spectra._seeded_draws.cache_info().hits
+        warm = make()
+        assert spectra._seeded_draws.cache_info().hits == hits + 1
+        for name in ("phases", "target_row", "vectors"):
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
 def test_relabeling_invariance():
