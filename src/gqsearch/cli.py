@@ -15,7 +15,7 @@ import sys
 
 from .harness import ConfigError, emit_report, load_config, load_sweep_configs
 from .harness import run_experiment, run_validation
-from .linalg import DenseCapError, DimensionError, EigensolverError
+from .linalg import EigensolverError
 from .search import NormDriftError, RelevantPairError
 from .spectra import ResonanceError, SpectrumValidationError
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2
-    except (DimensionError, DenseCapError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -424,8 +424,8 @@ def _validation_checks():
             breakdown = pea.b_prime(inst, m)
             if breakdown.sigma1 > 1.0:
                 raise AssertionError(f"sigma1 = {breakdown.sigma1}")
-            phases = inst.nonsource_phases()
-            weights = inst.nonsource_weights()
+            phases = inst.spectrum.phases[1:]
+            weights = inst.spectrum.weights[1:]
             live = weights > 0.0
             survival = pea.pea_amplitude(phases[live], m, 0) ** 2
             termwise = float(

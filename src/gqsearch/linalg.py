@@ -1,9 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Statevectors are one dimensional complex128 arrays, operators are square
-complex128 matrices.  Everything above ``DENSE_CAP`` must stay matrix-free;
-the dense routines here exist for construction and for verification at small
-scale.  Everything here, the eigensolver included, needs NumPy only.
+complex128 matrices.  ``DENSE_CAP`` is the package's one size cap: no dense
+object (an eigenbasis, a diffusion or search matrix, an eigensolve input or a
+joint boosted matrix) may have a side above it, and each is checked before
+anything is allocated.  Dense
+matrices serve only as small-scale oracles; every reported number comes from
+the phases and the target row in O(N).  Everything here, the eigensolver
+included, needs NumPy only.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DENSE_CAP = 4096
+DENSE_CAP = 1024
 
-UNITARITY_ATOL = 1e-10
 RECONSTRUCTION_ATOL = 1e-8
 
 
@@ -33,6 +36,12 @@ class EigensolverError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
+
+
+def check_dense_cap(side: int, what: str = "dimension") -> None:
+    """Raise DenseCapError if a dense object of this side exceeds DENSE_CAP."""
+    if side > DENSE_CAP:
+        raise DenseCapError(f"{what} {side} exceeds dense cap {DENSE_CAP}")
 
 
 def wrap_phase(theta):
@@ -69,6 +78,8 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
 
     Raises
     ------
+    DenseCapError
+        If the matrix side exceeds ``DENSE_CAP``; checked before any solve.
     EigensolverError
         If the eigensolver fails, or the decomposition does not reproduce
         the input to within ``RECONSTRUCTION_ATOL``.
@@ -76,10 +87,7 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] > DENSE_CAP:
-        raise DenseCapError(
-            f"dimension {matrix.shape[0]} exceeds dense cap {DENSE_CAP}"
-        )
+    check_dense_cap(matrix.shape[0])
     try:
         values, skewed = np.linalg.eig(matrix)
         vectors = np.linalg.qr(skewed)[0]

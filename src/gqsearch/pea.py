@@ -27,15 +27,13 @@ import numpy as np
 
 from .linalg import (
     RECONSTRUCTION_ATOL,
-    DenseCapError,
     EigensolverError,
+    check_dense_cap,
     round_half_up,
     wrap_phase,
 )
 from .search import RunReport, _iterate, reflect_target
 from .spectra import EigenSpectrum, ResonanceError, SearchInstance
-
-JOINT_DENSE_CAP = 1024
 
 MAX_ANCILLA_QUBITS = 8
 
@@ -202,9 +200,8 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     """
     _check_ancilla_count(m)
     spectrum = inst.spectrum
-    weights = np.abs(spectrum.target_row) ** 2
     survival = _survival(spectrum.phases, m)
-    sigma1 = float(np.sum(weights * (1.0 - survival)))
+    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
     sigma2 = inst.b_factor**2 / 4**m
     return BPrimeBreakdown(
         sigma1=sigma1, sigma2=sigma2, b_prime=math.sqrt(sigma1 + sigma2)
@@ -219,8 +216,8 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
     matched weights make this vanish to rounding.
     """
     _check_ancilla_count(m)
-    phases = inst.nonsource_phases()
-    weights = inst.nonsource_weights()
+    phases = inst.spectrum.phases[1:]
+    weights = inst.spectrum.weights[1:]
     live = weights > 0.0
     phases, weights = phases[live], weights[live]
     boosted = wrap_phase(2**m * phases)
@@ -303,13 +300,11 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     """Materialize the boosted diffusion (small scale only).
 
     Pushes every joint basis vector through the operator-level stages at
-    once, as the K columns of a (2^m, N, K) block array.
+    once, as the K columns of a (2^m, N, K) block array.  The joint
+    dimension 2^m N must not exceed ``DENSE_CAP``.
     """
     joint_dim = 2**m * spec.dimension
-    if joint_dim > JOINT_DENSE_CAP:
-        raise DenseCapError(
-            f"joint dimension {joint_dim} exceeds dense joint cap {JOINT_DENSE_CAP}"
-        )
+    check_dense_cap(joint_dim, "joint dimension")
     basis = np.eye(joint_dim, dtype=np.complex128)
     blocks = boosted_diffusion(spec, m, basis.reshape(2**m, spec.dimension, joint_dim))
     return blocks.reshape(joint_dim, joint_dim)

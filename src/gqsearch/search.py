@@ -252,9 +252,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         the pair.
     """
     spectrum = inst.spectrum
-    weights = np.abs(spectrum.target_row) ** 2
-    kept = weights > 0.0
-    theta, weights = spectrum.phases[kept], weights[kept]
+    kept = spectrum.weights > 0.0
+    theta, weights = spectrum.phases[kept], spectrum.weights[kept]
     above, below = theta[theta > 0.0], theta[theta < 0.0]
     top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
     bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
-from .linalg import DENSE_CAP, DenseCapError, wrap_phase
+from .linalg import check_dense_cap, wrap_phase
 
 ORTHONORMALITY_ATOL = 1e-10
-FULL_VALIDATION_MAX = 1024
-SAMPLED_VALIDATION_COLUMNS = 128
 
 # scaling_family targets b = SCALING_COEFF * sqrt(ln N)
 SCALING_COEFF = 2.0
@@ -54,6 +52,8 @@ class EigenSpectrum:
     target_row : numpy.ndarray
         Shape (N,), row 0 of the eigenbasis: <0|v_l> for every l, with the
         target at computational basis state 0.
+    weights : numpy.ndarray
+        Shape (N,), the target weights ``abs(target_row) ** 2``.
 
     Every reported number reads only the phases and the target row.  Every
     generator supplies the target row in closed form together with a
@@ -61,13 +61,16 @@ class EigenSpectrum:
     cached on first access (by a dense check) and never on the weight path.
     An array a caller passes in is copied and validated at once, and its
     target row is row 0 of that copy; the array a builder makes is adopted
-    without a copy.  All three arrays are read-only.
+    without a copy.  All four arrays are read-only.  The basis exists only
+    up to ``DENSE_CAP``: above it, passing ``vectors`` or reading them
+    raises ``DenseCapError`` before anything is copied or built.
     """
 
     def __init__(self, phases, vectors):
         self._init(phases, build=None)
+        check_dense_cap(self.dimension)
         self._vectors = self._adopt(np.array(vectors, dtype=np.complex128))
-        self.target_row = self._vectors[0]
+        self._set_row(self._vectors[0])
 
     @classmethod
     def _generated(cls, phases, *, row, build) -> "EigenSpectrum":
@@ -80,7 +83,7 @@ class EigenSpectrum:
         spec._init(phases, build=build)
         _validate_row(row, spec.dimension)
         row.setflags(write=False)
-        spec.target_row = row
+        spec._set_row(row)
         spec._vectors = None
         return spec
 
@@ -91,6 +94,11 @@ class EigenSpectrum:
         self._build = build
         _validate_phases(phases)
 
+    def _set_row(self, row: np.ndarray) -> None:
+        self.target_row = row
+        self.weights = np.abs(row) ** 2
+        self.weights.setflags(write=False)
+
     def _adopt(self, vectors: np.ndarray) -> np.ndarray:
         vectors = np.asarray(vectors, dtype=np.complex128)
         _validate_eigenbasis(vectors, self.dimension)
@@ -99,8 +107,12 @@ class EigenSpectrum:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (N, N) eigenbasis; built, validated and cached on first access."""
+        """The (N, N) eigenbasis; built, validated and cached on first access.
+
+        Raises ``DenseCapError`` above ``DENSE_CAP`` before the build.
+        """
         if self._vectors is None:
+            check_dense_cap(self.dimension)
             self._vectors = self._adopt(self._build())
             self._build = None
         return self._vectors
@@ -150,52 +162,27 @@ def _validate_row(row: np.ndarray, n: int) -> None:
 
 
 def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
+    """Full gram check of an (n, n) basis; n is at most ``DENSE_CAP``."""
     if vectors.shape != (n, n):
         raise SpectrumValidationError(
             f"eigenbasis shape {vectors.shape} does not match {n} phases"
         )
-    if n <= FULL_VALIDATION_MAX:
-        gram = vectors.conj().T @ vectors
-        defect = np.abs(gram - np.eye(n))
-        worst = float(defect.max())
-        if worst > ORTHONORMALITY_ATOL:
-            i, j = np.unravel_index(int(defect.argmax()), defect.shape)
-            raise SpectrumValidationError(
-                f"eigenbasis not orthonormal: columns ({i}, {j}) have "
-                f"gram defect {worst:.3e}"
-            )
-        return
-    # large basis: exact norms plus a sampled gram block
-    # |v|^2 from the real and imaginary views: no N x N conjugate copy
-    re, im = vectors.real, vectors.imag
-    squared = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-    norms = np.abs(squared - 1.0)
-    if norms.max() > ORTHONORMALITY_ATOL:
-        j = int(norms.argmax())
-        raise SpectrumValidationError(
-            f"eigenbasis not orthonormal: column ({j}, {j}) has "
-            f"norm defect {norms.max():.3e}"
-        )
-    count = min(SAMPLED_VALIDATION_COLUMNS, n)
-    idx = np.unique(np.linspace(0, n - 1, count).astype(int))
-    sub = vectors[:, idx]
-    gram = sub.conj().T @ sub
-    defect = np.abs(gram - np.eye(idx.size))
+    gram = vectors.conj().T @ vectors
+    defect = np.abs(gram - np.eye(n))
     worst = float(defect.max())
     if worst > ORTHONORMALITY_ATOL:
-        a, b = np.unravel_index(int(defect.argmax()), defect.shape)
+        i, j = np.unravel_index(int(defect.argmax()), defect.shape)
         raise SpectrumValidationError(
-            f"eigenbasis not orthonormal: columns ({int(idx[a])}, {int(idx[b])}) "
-            f"have gram defect {worst:.3e}"
+            f"eigenbasis not orthonormal: columns ({i}, {j}) have "
+            f"gram defect {worst:.3e}"
         )
 
 
 def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
-    """Dense diffusion matrix with exactly the given eigensystem."""
-    if spec.dimension > DENSE_CAP:
-        raise DenseCapError(
-            f"dimension {spec.dimension} exceeds dense cap {DENSE_CAP}"
-        )
+    """Dense diffusion matrix with exactly the given eigensystem.
+
+    Reads ``spec.vectors``, so it raises ``DenseCapError`` above the cap.
+    """
     return (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
 
 
@@ -249,28 +236,16 @@ class SearchInstance:
     def theta_min(self) -> float:
         return self.spectrum.theta_min
 
-    def nonsource_phases(self) -> np.ndarray:
-        return self.spectrum.phases[1:].copy()
-
-    def nonsource_weights(self) -> np.ndarray:
-        """Squared target overlaps of the nonsource eigenvectors, in order."""
-        _, weights = _nonsource_arrays(self.spectrum)
-        return weights
-
-
-def _nonsource_arrays(spec: EigenSpectrum):
-    return spec.phases[1:], np.abs(spec.target_row[1:]) ** 2
-
 
 def _moment_sum(spec: EigenSpectrum, p: int) -> float:
-    phases, weights = _nonsource_arrays(spec)
+    phases, weights = spec.phases[1:], spec.weights[1:]
     half = 0.5 * phases
     cot = np.cos(half) / np.sin(half)
     return float(np.sum(weights * cot**p))
 
 
 def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
-    phases, weights = _nonsource_arrays(spec)
+    phases, weights = spec.phases[1:], spec.weights[1:]
     live = weights > 0.0
     resonant = live & (np.remainder(r * phases, 2.0 * np.pi) == 0.0)
     if np.any(resonant):

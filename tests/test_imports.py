@@ -75,7 +75,8 @@ def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):
     # N = 8192 > DENSE_CAP: no dense eigensolve could run, the secular solve must
     code = """
         import sys
-        from gqsearch import DENSE_CAP, search, spectra
+        from gqsearch import search, spectra
+        from gqsearch.linalg import DENSE_CAP
 
         spec = spectra.symmetric_spectrum(8192, 1, 0.5, 1.5, b_target=8)
         plus, minus, residual = search.verify_relevant_pair(
@@ -88,11 +89,14 @@ def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):
     assert run_fresh(code, tmp_path) == ["True"] * 4 + ["False"]
 
 
-def test_every_exported_name_resolves():
-    import gqsearch
-
-    missing = [name for name in gqsearch.__all__ if not hasattr(gqsearch, name)]
-    assert missing == []
-    namespace = {}
-    exec("from gqsearch import *", namespace)
-    assert set(gqsearch.__all__) <= namespace.keys()
+def test_import_exposes_the_layer_modules(tmp_path):
+    code = """
+        import types, gqsearch
+        public = sorted(name for name in vars(gqsearch) if not name.startswith("_"))
+        modules = all(
+            isinstance(getattr(gqsearch, name), types.ModuleType) for name in public
+        )
+        print(*public, modules, isinstance(gqsearch.__version__, str))
+    """
+    layers = ["harness", "linalg", "pea", "search", "spectra"]
+    assert run_fresh(code, tmp_path) == layers + ["True", "True"]

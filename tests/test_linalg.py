@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gqsearch.linalg import (
+    DENSE_CAP,
+    DenseCapError,
     DimensionError,
     EigensolverError,
     round_half_up,
@@ -115,6 +117,14 @@ def test_eigensystem_rejects_nonunitary():
 def test_eigensystem_rejects_nonsquare():
     with pytest.raises(DimensionError):
         unitary_eigensystem(np.ones((2, 3)))
+
+
+def test_eigensystem_above_the_cap_raises_before_solving(monkeypatch):
+    solved = []
+    monkeypatch.setattr(np.linalg, "eig", lambda matrix: solved.append(matrix))
+    with pytest.raises(DenseCapError, match=f"dimension {DENSE_CAP + 1}"):
+        unitary_eigensystem(np.eye(DENSE_CAP + 1, dtype=np.complex128))
+    assert solved == []
 
 
 def unitary_with_phases(phases, seed):

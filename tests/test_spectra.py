@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gqsearch.linalg import DENSE_CAP, DenseCapError
 from gqsearch.spectra import (
     EigenSpectrum,
     ResonanceError,
@@ -30,7 +31,7 @@ from gqsearch.pea import (
     boosted_search_run,
     default_ancilla_count,
 )
-from gqsearch.search import predict_spectrum, run_iterations
+from gqsearch.search import predict_spectrum, run_iterations, search_operator
 
 from helpers import unitarity_defect
 
@@ -68,7 +69,7 @@ def test_moments_match_plain_loop():
     inst = SearchInstance.build(spec)
     for p, moment in ((1, inst.lambda1), (2, inst.lambda2)):
         total = 0.0
-        for phase, weight in zip(inst.nonsource_phases(), inst.nonsource_weights()):
+        for phase, weight in zip(spec.phases[1:], spec.weights[1:]):
             total += weight / math.tan(0.5 * phase) ** p
         assert np.isclose(moment, total, rtol=1e-12, atol=1e-12)
 
@@ -95,7 +96,7 @@ def test_grover_spectrum_moments_vanish():
     assert abs(inst.lambda2) < 1e-30
     assert np.isclose(inst.b_factor, 0.9682458365518543, rtol=1e-12)
     # all nonsource eigenphases sit at pi
-    assert np.allclose(np.abs(inst.nonsource_phases()), math.pi, atol=1e-15)
+    assert np.allclose(np.abs(inst.spectrum.phases[1:]), math.pi, atol=1e-15)
 
 
 def test_grover_spectrum_rejects_unnormalized_source():
@@ -272,6 +273,13 @@ class TestSpectrumValidation:
         for row in (spec.target_row, generated.target_row):
             with pytest.raises(ValueError):
                 row[0] = 0.3
+        # the target weights are computed once, bit for bit from the row
+        for made in (spec, generated):
+            assert made.weights is made.weights
+            expected = np.abs(made.target_row) ** 2
+            assert made.weights.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                made.weights[0] = 0.3
 
 
 class TestNaivePowering:
@@ -284,7 +292,7 @@ class TestNaivePowering:
         spec = resonant_spectrum(32, 3, 1e-3, 7, alpha=0.125)
         inst = SearchInstance.build(spec)
         total = 0.0
-        for phase, weight in zip(inst.nonsource_phases(), inst.nonsource_weights()):
+        for phase, weight in zip(spec.phases[1:], spec.weights[1:]):
             if weight > 0.0:
                 total += weight / math.sin(0.5 * 8 * phase) ** 2
         value = naive_power_b(inst, 8)
@@ -404,7 +412,7 @@ class TestWeightPath:
         )
         for name in ("alpha", "lambda1", "lambda2", "b_factor"):
             assert abs(getattr(lazy, name) - getattr(dense, name)) <= 1e-12
-        gap = lazy.nonsource_weights() - dense.nonsource_weights()
+        gap = lazy.spectrum.weights - dense.spectrum.weights
         assert np.max(np.abs(gap)) <= 1e-15
 
     def test_weight_path_never_builds_the_eigenbasis(self, monkeypatch):
@@ -480,43 +488,65 @@ class TestWeightPath:
                 spec.phases, row=row, build=lambda: spec.vectors
             )
 
-    def test_sampled_validation_of_a_large_basis(self, monkeypatch):
-        # above FULL_VALIDATION_MAX the check takes every column norm but
-        # only a sampled block of the gram matrix
-        n = 2048
-        assert n > spectra.FULL_VALIDATION_MAX
-        made = []
-        complete = spectra._complete_orthonormal
-        monkeypatch.setattr(
-            spectra, "_complete_orthonormal",
-            lambda source: made.append(complete(source)) or made[-1],
-        )
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        spec = grover_spectrum(n, uniform)
-        assert made == []
-        basis = np.array(spec.vectors)  # validated on the sampled path
-        assert spec.vectors is made[0]
-        assert len(made) == 1
-        del spec  # hold one 64 MiB copy of the basis from here on
-        made.clear()
 
-        count = spectra.SAMPLED_VALIDATION_COLUMNS
-        sampled = set(np.linspace(0, n - 1, count).astype(int))
+class TestDenseCap:
+    """No dense object with a side above DENSE_CAP, checked before allocation."""
+
+    N = DENSE_CAP + 2
+
+    def peak_while_raising(self, call):
+        """tracemalloc peak of ``call``, which must raise DenseCapError."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapError, match=f"dimension {self.N} exceeds"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("read", ["vectors", "source_state"])
+    @pytest.mark.parametrize(
+        "kind, builder",
+        [
+            ("symmetric", "_paired_vectors"),
+            ("resonant", "_paired_vectors"),
+            ("grover", "_complete_orthonormal"),
+        ],
+    )
+    def test_reading_the_basis_above_the_cap_raises(
+        self, monkeypatch, kind, builder, read
+    ):
+        built = []
+        monkeypatch.setattr(spectra, builder, lambda *args: built.append(args))
+        n = self.N
+        if kind == "symmetric":
+            spec = symmetric_spectrum(n, 1, 0.5, 1.5)
+        elif kind == "resonant":
+            spec = resonant_spectrum(n, 3, 1e-3, 1)
+        else:
+            spec = grover_spectrum(n, np.full(n, 1.0 / math.sqrt(n)))
+        # a basis of this side takes n * n * 16 bytes
+        assert self.peak_while_raising(lambda: getattr(spec, read)) < n * n // 4
+        assert built == []
+        assert spec._vectors is None
+
+    def test_explicit_vectors_above_the_cap_raise_before_the_copy(self):
+        n = self.N
         phases = np.full(n, np.pi)
         phases[0] = 0.0
-        outside = 1
-        assert outside not in sampled
-        kept = basis[:, outside].copy()
-        basis[:, outside] *= 1.0 + 1e-8
-        named = rf"column \({outside}, {outside}\)"
-        with pytest.raises(SpectrumValidationError, match=named):
-            EigenSpectrum(phases, basis)
-        basis[:, outside] = kept
+        vectors = np.eye(n, dtype=np.complex128)
+        copy = self.peak_while_raising(lambda: EigenSpectrum(phases, vectors))
+        assert copy < n * n // 4
 
-        a, b = sorted(sampled)[1:3]
-        basis[:, b] = (basis[:, b] + 1e-6 * basis[:, a]) / math.sqrt(1.0 + 1e-12)
-        with pytest.raises(SpectrumValidationError, match=rf"columns \({a}, {b}\)"):
-            EigenSpectrum(phases, basis)
+    @pytest.mark.parametrize(
+        "dense",
+        [lambda inst: build_diffusion(inst.spectrum), search_operator],
+        ids=["build_diffusion", "search_operator"],
+    )
+    def test_dense_operators_above_the_cap_raise(self, dense):
+        inst = SearchInstance.build(symmetric_spectrum(self.N, 1, 0.5, 1.5))
+        self.peak_while_raising(lambda: dense(inst))
+        assert inst.spectrum._vectors is None
 
 
 def test_import_leaves_scipy_optimize_out():
