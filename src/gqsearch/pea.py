@@ -33,7 +33,12 @@ from .linalg import (
     wrap_phase,
 )
 from .search import RunReport, _iterate, reflect_target
-from .spectra import EigenSpectrum, ResonanceError, SearchInstance
+from .spectra import (
+    EigenSpectrum,
+    ResonanceError,
+    SearchInstance,
+    SpectrumValidationError,
+)
 
 MAX_ANCILLA_QUBITS = 8
 
@@ -159,13 +164,15 @@ def pea_amplitude(theta, m: int, k: int):
 
     Evaluates |sin(x) / (2^m sin(x / 2^m))| at x = pi*k - 2^(m-1)*theta,
     with the removable singularity at x = 0 taken as its limit 1.  Accepts
-    a scalar or an array of phases in (-pi, pi].
+    a scalar or an array of phases in (-pi, pi].  A phase outside that range
+    raises ``SpectrumValidationError``, a numerical failure (exit 2 from the
+    command line); m < 1 raises a plain ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(theta <= -np.pi) or np.any(theta > np.pi):
-        raise ValueError("theta must lie in (-pi, pi]")
+        raise SpectrumValidationError("theta must lie in (-pi, pi]")
     x = np.pi * k - 2.0 ** (m - 1) * theta
     denominator = 2**m * np.sin(x / 2**m)
     with np.errstate(divide="ignore", invalid="ignore"):

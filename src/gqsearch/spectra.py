@@ -14,9 +14,12 @@ reads it.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,8 +355,15 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     )
 
 
-# normals per call when stepping the stream past the discarded block
-_SKIP_CHUNK = 2**20
+# normals per call when stepping the stream past the discarded block, through
+# one buffer reused for the whole block
+_SKIP_CHUNK = 2**16
+# discarded normals from which a helper thread draws half of them: N > 2048.
+# At N = 1024 two halves in parallel take longer than one half alone.
+_SPLIT_MIN = 2**22
+# NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
 # (n, seed) draws kept per process; an entry holds 2 (n - 1) floats, 16 N bytes
 _DRAWS_KEPT = 8
 
@@ -367,7 +377,8 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     draws the stream skips (n-1)(n-2) normals, once used to complete
     ``w_sub`` to a basis; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
-    in chunks so no (n-1)x(n-2) block is held.
+    through one 2**16-entry buffer, so no (n-1)x(n-2) block is held, and
+    above N = 2048 on two threads (``_skip_normals``).
 
     The draws do not depend on ``alpha``, so they are made once per
     ``(n, seed)`` per process and kept (``_seeded_draws``) at 16 N bytes per
@@ -384,20 +395,137 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
 
 @functools.lru_cache(maxsize=_DRAWS_KEPT)
 def _seeded_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_paired_draws`` from the stream of ``seed``, with no argument checks."""
+    """``_paired_draws`` from the stream of ``seed``, with no argument checks.
+
+    The skipped normals are drawn by NumPy's own sampler, on one thread or
+    two, so the profile after them is bit for bit the one-thread value.
+    """
     rng = np.random.default_rng(seed)
     w_sub = rng.standard_normal(n - 1)
     w_sub /= np.linalg.norm(w_sub)
-    skipped = (n - 1) * (n - 2)
-    while skipped > 0:
-        count = min(skipped, _SKIP_CHUNK)
-        rng.standard_normal(count)
-        skipped -= count
+    _skip_normals(rng, (n - 1) * (n - 2))
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
     w_sub.setflags(write=False)
     unit.setflags(write=False)
     return w_sub, unit
+
+
+def _skip_normals(rng: np.random.Generator, count: int) -> None:
+    """Step ``rng`` past ``count`` standard normals, as drawing them would.
+
+    From ``_SPLIT_MIN`` normals on, with at least two usable cores, a helper
+    thread draws the second half (``_split_skip``); otherwise this thread
+    draws them all.
+    """
+    if count >= _SPLIT_MIN and _usable_cpus() >= 2:
+        _split_skip(rng, count)
+    else:
+        _draw_normals(rng, count)
+
+
+def _usable_cpus() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_normals(rng: np.random.Generator, count: int) -> None:
+    """Draw and drop ``count`` standard normals through one reused buffer."""
+    buf = np.empty(min(count, _SKIP_CHUNK))
+    while count > 0:
+        part = buf[:count]
+        rng.standard_normal(out=part)
+        count -= part.size
+
+
+def _split_skip(rng: np.random.Generator, count: int) -> None:
+    """``_draw_normals(rng, count)`` with the second half on a helper thread.
+
+    ``PCG64.advance`` moves the stream by raw 64-bit words, and a ziggurat
+    normal takes one word or more, so the first ``half`` normals end at a
+    word W at least ``half`` words in.  The helper draws ``count - half``
+    normals from exactly ``half`` words in while this thread draws the first
+    half, which finds W.  A probe from the helper's start then counts the c
+    helper normals that end exactly at W (``_normals_to``).  From W on the
+    helper's normals are the true ones, so the true end is the helper's end
+    plus c normals.  If W falls inside a helper normal, this thread draws
+    the second half itself.  An exception on the helper is raised here.
+    """
+    half = count // 2
+    helper = copy.deepcopy(rng.bit_generator)
+    helper.advance(half)
+    probe = copy.deepcopy(helper)
+    outcome = {}
+
+    def work():
+        try:
+            _draw_normals(np.random.Generator(helper), count - half)
+        except BaseException as exc:  # raised again by the caller after the join
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=work, name="gqsearch-skip")
+    thread.start()
+    try:
+        _draw_normals(rng, half)
+        behind = _normals_to(probe, rng.bit_generator.state)
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    if behind is None:
+        _draw_normals(rng, count - half)
+    else:
+        rng.bit_generator.state = helper.state
+        _draw_normals(rng, behind)
+
+
+def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
+    """Normals drawn from ``bitgen`` that end exactly at the state ``target``.
+
+    A normal takes about 1.02 words on average, so a step of half the
+    remaining words rarely passes ``target``; a step that does is undone and
+    halved.  Returns None when ``target`` falls inside a normal; otherwise
+    ``bitgen`` is left at ``target``.
+    """
+    gen = np.random.Generator(bitgen)
+    drawn, gap = 0, _words_between(bitgen.state, target)
+    step = gap // 2
+    while gap:
+        step = max(1, min(step, gap // 2))
+        saved = bitgen.state
+        _draw_normals(gen, step)
+        left = _words_between(bitgen.state, target)
+        if left < gap:  # short of target or on it; a pass wraps modulo 2**128
+            drawn, gap = drawn + step, left
+        elif step == 1:
+            return None
+        else:
+            bitgen.state = saved
+            step //= 2
+    return drawn
+
+
+def _words_between(start: dict, end: dict) -> int:
+    """64-bit words a PCG64 stream takes from state ``start`` to ``end``.
+
+    Inverts ``PCG64.advance`` modulo 2**128 bit by bit (Brown 1994, "Random
+    Number Generation with Arbitrary Strides"): after i rounds ``mult`` and
+    ``plus`` step the LCG by 2**i words at once.  The LCG has full period,
+    so every state is reached and the loop ends within 128 rounds.
+    """
+    here, there = start["state"]["state"], end["state"]["state"]
+    mult, plus = _PCG64_MULTIPLIER, start["state"]["inc"]
+    words, bit = 0, 1
+    while here != there:
+        if (here ^ there) & bit:
+            here = (here * mult + plus) & _MASK_128
+            words |= bit
+        plus = (mult + 1) * plus & _MASK_128
+        mult = mult * mult & _MASK_128
+        bit <<= 1
+    return words
 
 
 def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:

@@ -270,9 +270,9 @@ class _CountingGenerator:
         self._rng = rng
         self._drawn = drawn
 
-    def standard_normal(self, size):
-        self._drawn.append(size)
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self._drawn.append(size if out is None else out.size)
+        return self._rng.standard_normal(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)

@@ -33,6 +33,7 @@ from gqsearch.pea import (
 from gqsearch.spectra import (
     ResonanceError,
     SearchInstance,
+    SpectrumValidationError,
     build_diffusion,
     grover_spectrum,
     resonant_spectrum,
@@ -120,10 +121,13 @@ class TestPeaAmplitude:
         assert values[0] == 1.0
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            pea_amplitude(4.0, 2, 0)
-        with pytest.raises(ValueError):
+        # a phase out of range is a numerical failure, a bad m a usage error
+        for theta in (4.0, -np.pi, np.array([0.5, np.nextafter(np.pi, 4.0)])):
+            with pytest.raises(SpectrumValidationError):
+                pea_amplitude(theta, 2, 0)
+        with pytest.raises(ValueError) as raised:
             pea_amplitude(0.5, 0, 0)
+        assert not isinstance(raised.value, SpectrumValidationError)
 
 
 class TestJointOperators:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -218,6 +219,146 @@ class TestDrawMemo:
         assert spectra._seeded_draws.cache_info().hits == hits + 1
         for name in ("phases", "target_row", "vectors"):
             assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+
+
+def one_thread_skip(rng, count):
+    """The discarded normals drawn on one thread, in fresh arrays of 2**20."""
+    while count > 0:
+        chunk = min(count, 2**20)
+        rng.standard_normal(chunk)
+        count -= chunk
+
+
+def after_w_sub(n, seed):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(n - 1)
+    return rng
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every skip goes to two threads, whatever its size and the host's cores."""
+    monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestSplitSkip:
+    """The two-thread skip leaves the stream where one thread leaves it."""
+
+    @pytest.mark.parametrize("delta", [0, 1, 12345, 2**64 + 3, 2**127 + 1])
+    def test_word_count_inverts_advance(self, delta):
+        bitgen = np.random.PCG64(7)
+        start = bitgen.state
+        bitgen.advance(delta)
+        assert spectra._words_between(start, bitgen.state) == delta
+
+    @pytest.mark.parametrize("count", [0, 1, 1000, 100_000])
+    def test_probe_counts_the_normals_to_a_boundary(self, count):
+        for seed in range(20):
+            drawn = np.random.Generator(np.random.PCG64(seed))
+            drawn.standard_normal(count)
+            probe = np.random.PCG64(seed)
+            target = drawn.bit_generator.state
+            assert spectra._normals_to(probe, target) == count, seed
+            assert probe.state == target
+
+    @pytest.mark.parametrize("offset, words", [(2638, 4), (21554, 5)])
+    def test_probe_steps_back_from_a_pass(self, offset, words):
+        # on the stream of seed 0, the normal starting this many words in
+        # takes 4 or 5 words, so the probe's first step of two normals passes
+        # the end of that one normal and must be undone
+        drawn, probe = np.random.PCG64(0), np.random.PCG64(0)
+        drawn.advance(offset)
+        probe.advance(offset)
+        np.random.Generator(drawn).standard_normal()
+        assert spectra._words_between(probe.state, drawn.state) == words
+        assert spectra._normals_to(probe, drawn.state) == 1
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 64, 130])
+    def test_split_matches_one_thread(self, n, forced_split, threads_started):
+        count = (n - 1) * (n - 2)
+        for seed in range(60):
+            split, serial = after_w_sub(n, seed), after_w_sub(n, seed)
+            spectra._skip_normals(split, count)
+            one_thread_skip(serial, count)
+            assert split.bit_generator.state == serial.bit_generator.state, seed
+        assert len(threads_started) == 60
+
+    def test_fallback_when_the_join_falls_inside_a_normal(
+        self, monkeypatch, forced_split
+    ):
+        # at n = 4, seed 2549 the first half ends inside a normal the helper
+        # drew, so no count of helper normals ends there
+        landed = []
+        normals_to = spectra._normals_to
+
+        def recorded(bitgen, target):
+            landed.append(normals_to(bitgen, target))
+            return landed[-1]
+
+        monkeypatch.setattr(spectra, "_normals_to", recorded)
+        split, serial = after_w_sub(4, 2549), after_w_sub(4, 2549)
+        spectra._skip_normals(split, 6)
+        one_thread_skip(serial, 6)
+        assert landed == [None]
+        assert split.bit_generator.state == serial.bit_generator.state
+
+    def test_helper_error_propagates(self, monkeypatch, forced_split):
+        draw = spectra._draw_normals
+
+        def failing_off_main(rng, count):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            draw(rng, count)
+
+        monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            spectra._skip_normals(after_w_sub(16, 0), 15 * 14)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, threads_started):
+        monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        skipped, serial = after_w_sub(130, 3), after_w_sub(130, 3)
+        spectra._skip_normals(skipped, 129 * 128)
+        one_thread_skip(serial, 129 * 128)
+        assert skipped.bit_generator.state == serial.bit_generator.state
+        assert threads_started == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scaling_family_4096_matches_one_thread_loop(self, seed, threads_started):
+        # the real path: default threshold, the host's own affinity mask
+        n = 4096
+        rng = np.random.default_rng(seed)
+        w_sub = rng.standard_normal(n - 1)
+        w_sub /= np.linalg.norm(w_sub)
+        one_thread_skip(rng, (n - 1) * (n - 2))
+        profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
+        unit = profile / np.linalg.norm(profile)
+        spectra._seeded_draws.cache_clear()
+        try:
+            spec = scaling_family(12, seed)
+            drawn = spectra._seeded_draws(n, seed)
+        finally:
+            spectra._seeded_draws.cache_clear()
+        assert drawn[0].tobytes() == w_sub.tobytes()
+        assert drawn[1].tobytes() == unit.tobytes()
+        assert spec.dimension == n
+        split = spectra._usable_cpus() >= 2
+        assert threads_started == (["gqsearch-skip"] if split else [])
 
 
 def test_relabeling_invariance():
