@@ -14,8 +14,12 @@ one coordinate, and a boosted run is plain search on an (N+1)-entry
 spectrum: ``boosted_search_run`` costs O(N) per step, whatever m is.  The
 operator-level stages (``pea_operator``, ``pea_adjoint``, ``c_operator``,
 ``boosted_diffusion``) act on (2^m, N, K) block arrays, K states at once,
-through the dense eigenbasis; they and the dense joint matrix built from
-them are the small-scale verification oracles.
+through the dense eigenbasis V; they and the dense joint matrix built from
+them are the small-scale verification oracles.  Each stage is V (helper)
+V^dag, where the ``_apply_*`` helpers act on eigen-coordinates: the ancilla
+transforms commute with I (x) V, and the controlled powers and the
+conditional rewrite are diagonal there.  So ``boosted_diffusion`` changes
+basis once each way for all of its stages, not once per stage.
 """
 
 from __future__ import annotations
@@ -103,8 +107,58 @@ def qft(m: int) -> np.ndarray:
 
 
 def _apply_ancilla(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Apply a 2^m x 2^m ancilla matrix to (2^m, N, K) blocks."""
+    """Apply a 2^m x 2^m ancilla matrix to (2^m, N, K) blocks.
+
+    An ancilla matrix commutes with I (x) V, so this is the same map on
+    main-basis blocks and on their eigen-coordinates.
+    """
     return np.tensordot(matrix, blocks, axes=1)
+
+
+def _apply_ramp(spec: EigenSpectrum, coeff: np.ndarray, exponents) -> np.ndarray:
+    """Multiply ancilla block j of eigen-coordinates by e^{i exponents[j] theta_l}.
+
+    ``coeff`` is a (2^m, N, K) array of eigen-coordinates V^dag blocks; it
+    is scaled in place and returned.
+    """
+    coeff *= np.exp(1j * np.outer(exponents, spec.phases))[:, :, np.newaxis]
+    return coeff
+
+
+def _apply_estimate(spec: EigenSpectrum, m: int, coeff: np.ndarray) -> np.ndarray:
+    """``pea_operator`` on eigen-coordinates: WH, the e^{ij theta_l} ramp, QFT."""
+    coeff = _apply_ancilla(walsh_hadamard(m), coeff)
+    _apply_ramp(spec, coeff, np.arange(2**m))
+    return _apply_ancilla(qft(m), coeff)
+
+
+def _apply_unestimate(spec: EigenSpectrum, m: int, coeff: np.ndarray) -> np.ndarray:
+    """``pea_adjoint`` on eigen-coordinates: QFT^dag, the conjugate ramp, WH."""
+    coeff = _apply_ancilla(qft(m).conj().T, coeff)
+    _apply_ramp(spec, coeff, -np.arange(2**m))
+    return _apply_ancilla(walsh_hadamard(m), coeff)
+
+
+def _apply_condition(spec: EigenSpectrum, m: int, coeff: np.ndarray) -> np.ndarray:
+    """``c_operator`` on eigen-coordinates, in place.
+
+    Block 0 is multiplied by e^{i 2^m theta_l}, every other block by -1.
+    """
+    _apply_ramp(spec, coeff[:1], [2**m])
+    np.negative(coeff[1:], out=coeff[1:])
+    return coeff
+
+
+def _apply_boost(spec: EigenSpectrum, m: int, coeff: np.ndarray) -> np.ndarray:
+    """``boosted_diffusion`` on eigen-coordinates: unestimate, condition, estimate."""
+    coeff = _apply_unestimate(spec, m, coeff)
+    return _apply_estimate(spec, m, _apply_condition(spec, m, coeff))
+
+
+def _in_eigen_frame(stage, spec: EigenSpectrum, m: int, blocks: np.ndarray):
+    """V stage(V^dag blocks): one basis change each way around an eigen stage."""
+    vectors = spec.vectors
+    return vectors @ stage(spec, m, vectors.conj().T @ blocks)
 
 
 def _apply_block_powers(
@@ -114,8 +168,7 @@ def _apply_block_powers(
 
     Works in the eigenbasis; each of the K columns is an independent state.
     """
-    coeff = spec.vectors.conj().T @ blocks
-    coeff *= np.exp(1j * np.outer(exponents, spec.phases))[:, :, np.newaxis]
+    coeff = _apply_ramp(spec, spec.vectors.conj().T @ blocks, exponents)
     return spec.vectors @ coeff
 
 
@@ -127,16 +180,12 @@ def pea_operator(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
     controlled powers 2^m - 1 diffusion applications (binary power ladder);
     the simulation takes two basis changes.
     """
-    blocks = _apply_ancilla(walsh_hadamard(m), blocks)
-    blocks = _apply_block_powers(spec, blocks, np.arange(2**m))
-    return _apply_ancilla(qft(m), blocks)
+    return _in_eigen_frame(_apply_estimate, spec, m, blocks)
 
 
 def pea_adjoint(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
     """Inverse of pea_operator (undoes the estimation)."""
-    blocks = _apply_ancilla(qft(m).conj().T, blocks)
-    blocks = _apply_block_powers(spec, blocks, -np.arange(2**m))
-    return _apply_ancilla(walsh_hadamard(m), blocks)
+    return _in_eigen_frame(_apply_unestimate, spec, m, blocks)
 
 
 def c_operator(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
@@ -144,9 +193,7 @@ def c_operator(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
 
     Circuit cost ledger: 2^m diffusion applications.
     """
-    out = -blocks
-    out[0] = _apply_block_powers(spec, blocks[:1], [2**m])[0]
-    return out
+    return _in_eigen_frame(_apply_condition, spec, m, blocks)
 
 
 def boosted_diffusion(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.ndarray:
@@ -155,8 +202,14 @@ def boosted_diffusion(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.nda
     Fixes the joint source; eigenvectors built from main eigenvector l keep
     phase 2^m * theta_l, the rest of the space sits at phase pi.  Cost per
     application: 3 * 2^m - 2 diffusion applications.
+
+    Equal to ``pea_operator(c_operator(pea_adjoint(blocks)))``, but the
+    ancilla stages between the two estimations all commute with I (x) V,
+    so the blocks change basis once each way: V (QFT, ramp, WH, C, WH,
+    ramp^dag, QFT^dag) V^dag, with the ramps and C diagonal in the
+    eigen-coordinates.
     """
-    return pea_operator(spec, m, c_operator(spec, m, pea_adjoint(spec, m, blocks)))
+    return _in_eigen_frame(_apply_boost, spec, m, blocks)
 
 
 def pea_amplitude(theta, m: int, k: int):
@@ -164,14 +217,15 @@ def pea_amplitude(theta, m: int, k: int):
 
     Evaluates |sin(x) / (2^m sin(x / 2^m))| at x = pi*k - 2^(m-1)*theta,
     with the removable singularity at x = 0 taken as its limit 1.  Accepts
-    a scalar or an array of phases in (-pi, pi].  A phase outside that range
-    raises ``SpectrumValidationError``, a numerical failure (exit 2 from the
-    command line); m < 1 raises a plain ``ValueError``.
+    a scalar or an array of phases in (-pi, pi].  A phase outside that
+    range, NaN included, raises ``SpectrumValidationError``, a numerical
+    failure (exit 2 from the command line); m < 1 raises a plain
+    ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta <= -np.pi) or np.any(theta > np.pi):
+    if not np.all((theta > -np.pi) & (theta <= np.pi)):  # NaN fails too
         raise SpectrumValidationError("theta must lie in (-pi, pi]")
     x = np.pi * k - 2.0 ** (m - 1) * theta
     denominator = 2**m * np.sin(x / 2**m)
@@ -278,7 +332,8 @@ def boosted_search_run(
     Raises
     ------
     NormDriftError
-        If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT`` at any step.
+        If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT``, or is NaN, at
+        any step.
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)
@@ -306,14 +361,20 @@ def boosted_search_run(
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     """Materialize the boosted diffusion (small scale only).
 
-    Pushes every joint basis vector through the operator-level stages at
-    once, as the K columns of a (2^m, N, K) block array.  The joint
+    Pushes every joint basis vector through ``boosted_diffusion``'s stages
+    at once, as the K columns of a (2^m, N, K) block array.  Their
+    eigen-coordinates, the columns of I (x) V^dag, go straight to the
+    eigen-frame stages, so only the way back multiplies by V.  The joint
     dimension 2^m N must not exceed ``DENSE_CAP``.
     """
-    joint_dim = 2**m * spec.dimension
+    size, n = 2**m, spec.dimension
+    joint_dim = size * n
     check_dense_cap(joint_dim, "joint dimension")
-    basis = np.eye(joint_dim, dtype=np.complex128)
-    blocks = boosted_diffusion(spec, m, basis.reshape(2**m, spec.dimension, joint_dim))
+    coeff = np.zeros((size, n, size, n), dtype=np.complex128)
+    adjoint = spec.vectors.conj().T
+    for j in range(size):
+        coeff[j, :, j, :] = adjoint
+    blocks = spec.vectors @ _apply_boost(spec, m, coeff.reshape(size, n, joint_dim))
     return blocks.reshape(joint_dim, joint_dim)
 
 
@@ -340,10 +401,10 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     spectrum = inst.spectrum
     size, n = 2**m, spectrum.dimension
     vectors = spectrum.vectors
-    matrix = dense_boosted_matrix(spectrum, m).reshape(size, n, size, n)
-    reduced = np.einsum(
-        "il,jikn,nL->jlkL", vectors.conj(), matrix, vectors, optimize=True
-    )
+    matrix = dense_boosted_matrix(spectrum, m).reshape(size, n, size * n)
+    # (I (x) V^dag) B (I (x) V) as two products: rows, then columns
+    rows = vectors.conj().T @ matrix
+    reduced = (rows.reshape(size * n * size, n) @ vectors).reshape(size, n, size, n)
     diagonal = np.arange(n)
     blocks = reduced[:, diagonal, :, diagonal]  # blocks[l] = Z_l
     reduced[:, diagonal, :, diagonal] = 0.0

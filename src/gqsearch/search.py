@@ -146,7 +146,7 @@ def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
     Raises
     ------
     NormDriftError
-        If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT at any step.
+        If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT, or is NaN, at any step.
     """
     spectrum = inst.spectrum
     return _iterate(
@@ -169,25 +169,38 @@ def _iterate(
 
     Starts from e_0, the source, and writes every step into the report's
     columns.  ``oracle`` is called exactly once per step; each step costs
-    ``ds_per_step`` diffusion applications in the ledger.
+    ``ds_per_step`` diffusion applications in the ledger.  The state is
+    multiplied in place, the source amplitude c[0] of each step is kept as
+    a complex column whose magnitude is taken once at the end, and the
+    target probability is |t . c|^2 of each step's scalar amplitude.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     target_conj = target_row.conj()
+    project, multiply, vdot = target_row.dot, np.multiply, np.vdot
+    limit = NORM_DRIFT_LIMIT
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[0] = 1.0
     probability = np.empty(q_max + 1)
-    overlap = np.empty(q_max + 1)
-    amplitude = target_row @ coeff  # <target|psi>, reused by the next flip
-    drift = 0.0
+    source = np.empty(q_max + 1, dtype=np.complex128)
+    amplitude = project(coeff)  # <target|psi>, reused by the next flip
+    worst = 0.0
     for q in range(q_max + 1):
         if q:
             oracle(coeff, amplitude, target_conj)
-            coeff *= eigenphase
-            amplitude = target_row @ coeff
-        probability[q] = np.abs(amplitude) ** 2
-        overlap[q] = np.abs(coeff[0])
-        drift = _checked_drift(q, coeff, drift)
+            multiply(coeff, eigenphase, out=coeff)
+            amplitude = project(coeff)
+        probability[q] = abs(amplitude) ** 2
+        source[q] = coeff[0]
+        drift = abs(float(vdot(coeff, coeff).real) - 1.0)
+        if not drift <= limit:  # a NaN drift fails this too
+            raise NormDriftError(
+                f"state norm drifted by {drift:.3e} after {q} iterations, "
+                f"beyond the limit {limit:.0e}"
+            )
+        if drift > worst:
+            worst = drift
+    overlap = np.abs(source)
     peak_q = 1 + int(np.argmax(probability[1:])) if q_max else 0
     probability.flags.writeable = False
     overlap.flags.writeable = False
@@ -197,19 +210,8 @@ def _iterate(
         ds_per_step=ds_per_step,
         peak_q=peak_q,
         peak_probability=float(probability[peak_q]),
-        max_norm_drift=drift,
+        max_norm_drift=worst,
     )
-
-
-def _checked_drift(q, coeff, worst) -> float:
-    """Fold |<coeff|coeff> - 1| into ``worst``; raise past the limit."""
-    drift = abs(float(np.vdot(coeff, coeff).real) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
-        raise NormDriftError(
-            f"state norm drifted by {drift:.3e} after {q} iterations, "
-            f"beyond the limit {NORM_DRIFT_LIMIT:.0e}"
-        )
-    return max(worst, drift)
 
 
 def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:

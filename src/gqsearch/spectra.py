@@ -135,7 +135,8 @@ class EigenSpectrum:
 
 
 def _validate_phases(phases: np.ndarray) -> None:
-    if np.any(phases <= -np.pi) or np.any(phases > np.pi):
+    # written so that a NaN phase, which fails every comparison, is rejected
+    if not np.all((phases > -np.pi) & (phases <= np.pi)):
         raise SpectrumValidationError("phases must lie in (-pi, pi]")
     source = phases[0] if phases.size else None
     if source != 0.0:
@@ -152,20 +153,23 @@ def _validate_phases(phases: np.ndarray) -> None:
 
 
 def _validate_row(row: np.ndarray, n: int) -> None:
-    """A closed-form eigenbasis row: length n and unit norm."""
+    """A closed-form eigenbasis row: length n and unit norm (so finite)."""
     if row.shape != (n,):
         raise SpectrumValidationError(
             f"eigenbasis row shape {row.shape} does not match {n} phases"
         )
     defect = abs(float(np.vdot(row, row).real) - 1.0)
-    if defect > ORTHONORMALITY_ATOL:
+    if not defect <= ORTHONORMALITY_ATOL:
         raise SpectrumValidationError(
             f"eigenbasis row not normalized: norm defect {defect:.3e}"
         )
 
 
 def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
-    """Full gram check of an (n, n) basis; n is at most ``DENSE_CAP``."""
+    """Full gram check of an (n, n) basis; n is at most ``DENSE_CAP``.
+
+    A NaN entry makes the defect NaN, which fails the check.
+    """
     if vectors.shape != (n, n):
         raise SpectrumValidationError(
             f"eigenbasis shape {vectors.shape} does not match {n} phases"
@@ -173,7 +177,7 @@ def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
     gram = vectors.conj().T @ vectors
     defect = np.abs(gram - np.eye(n))
     worst = float(defect.max())
-    if worst > ORTHONORMALITY_ATOL:
+    if not worst <= ORTHONORMALITY_ATOL:
         i, j = np.unravel_index(int(defect.argmax()), defect.shape)
         raise SpectrumValidationError(
             f"eigenbasis not orthonormal: columns ({i}, {j}) have "
@@ -218,7 +222,7 @@ class SearchInstance:
         b2 = _powered_b_squared(spectrum, 1)
         # exact identity: b^2 = 1 + lambda2 - alpha^2 up to basis rounding
         expected = 1.0 + lam2 - alpha**2
-        if abs(b2 - expected) > 1e-9 * max(1.0, abs(expected)):
+        if not abs(b2 - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise SpectrumValidationError(
                 f"b_factor inconsistency: direct {b2:.12e} vs "
                 f"moment identity {expected:.12e}"

@@ -130,6 +130,13 @@ class TestPeaAmplitude:
         assert not isinstance(raised.value, SpectrumValidationError)
 
 
+    def test_nan_phase_rejected(self):
+        # NaN fails every comparison; the range check must still catch it
+        for theta in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(SpectrumValidationError):
+                pea_amplitude(theta, 2, 0)
+
+
 class TestJointOperators:
     def setup_method(self):
         self.spec = symmetric_spectrum(4, 3, 0.9, 1.9)
@@ -177,10 +184,25 @@ class TestJointOperators:
         assert np.allclose(dense_boosted_matrix(self.spec, 2), oracle, atol=1e-10)
 
     def test_layout_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pea_operator(self.spec, 3, self.blocks)
-        with pytest.raises(ValueError):
-            pea_operator(symmetric_spectrum(8, 1, 0.9, 1.9), 2, self.blocks)
+        for stage in (pea_operator, boosted_diffusion):
+            with pytest.raises(ValueError):
+                stage(self.spec, 3, self.blocks)
+            with pytest.raises(ValueError):
+                stage(symmetric_spectrum(8, 1, 0.9, 1.9), 2, self.blocks)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 16])
+def test_fused_boost_matches_stage_composition(n, m):
+    # one basis change each way gives the same map as the three stages,
+    # each with its own round trip through the eigenbasis
+    spec = symmetric_spectrum(n, 3, 0.9, 1.9)
+    rng = np.random.default_rng(n + m)
+    shape = (2**m, n, 3)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    staged = pea_operator(spec, m, c_operator(spec, m, pea_adjoint(spec, m, blocks)))
+    fused = boosted_diffusion(spec, m, blocks)
+    assert np.max(np.abs(fused - staged)) <= 1e-12
 
 
 def test_controlled_oracle_flips_single_amplitude():
@@ -296,6 +318,13 @@ class TestDenseBPrimeCheck:
         assert inst.dimension * 2**m <= 256
         full = full_schur_b_prime(inst, m)
         assert np.isclose(dense_b_prime_check(inst, m), full, rtol=1e-10, atol=0.0)
+
+    def test_audit_instance_matches_analytic(self):
+        # the benchmark's dense check, at joint dimension 1024 = DENSE_CAP
+        inst = SearchInstance.build(resonant_spectrum(128, 3, 1e-3, 1))
+        assert inst.dimension * 2**3 == 1024
+        analytic = b_prime(inst, 3).b_prime
+        assert abs(dense_b_prime_check(inst, 3) - analytic) <= 1e-8
 
     def test_one_eigensolve_per_block(self, monkeypatch):
         import gqsearch.linalg

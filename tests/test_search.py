@@ -9,7 +9,7 @@ import pytest
 from gqsearch import search
 from gqsearch.harness import ExperimentConfig, run_experiment
 from gqsearch.linalg import unitary_eigensystem
-from gqsearch.pea import boosted_search_run
+from gqsearch.pea import b_prime, boosted_search_run, pea_amplitude
 from gqsearch.search import (
     NormDriftError,
     RelevantPairError,
@@ -332,6 +332,15 @@ class TestRunIterations:
         with pytest.raises(NormDriftError, match=re.escape(message)):
             run_iterations(inst, 25)
 
+    def test_nan_state_raises_at_first_step(self):
+        # max(0.0, nan) is 0.0 and nan > limit is False: a NaN drift must
+        # still stop the run, at the first step that produces it
+        inst = double_pair_toy()
+        eigenphase = np.exp(1j * inst.spectrum.phases)
+        eigenphase[2] = np.nan
+        with pytest.raises(NormDriftError, match="by nan after 1 iterations"):
+            search._iterate(eigenphase, inst.spectrum.target_row, 5, ds_per_step=1)
+
     def test_negative_q_max_rejected(self):
         with pytest.raises(ValueError):
             run_iterations(double_pair_toy(), -1)
@@ -372,3 +381,56 @@ def test_grover_curve_stays_exact_at_large_n():
     )
     assert error <= 1e-12
     assert spec._vectors is None
+
+
+def reference_iterate(eigenphase, target_row, q_max):
+    """The step loop with plain per-step arithmetic: a fresh product each
+    step, |c[0]| and |t . c|^2 taken as scalars, drift folded with max."""
+    target_conj = target_row.conj()
+    coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
+    coeff[0] = 1.0
+    probability = np.empty(q_max + 1)
+    overlap = np.empty(q_max + 1)
+    amplitude = target_row @ coeff
+    worst = 0.0
+    for q in range(q_max + 1):
+        if q:
+            coeff -= 2.0 * amplitude * target_conj
+            coeff *= eigenphase
+            amplitude = target_row @ coeff
+        probability[q] = np.abs(amplitude) ** 2
+        overlap[q] = np.abs(coeff[0])
+        worst = max(worst, abs(float(np.vdot(coeff, coeff).real) - 1.0))
+    peak_q = 1 + int(np.argmax(probability[1:]))
+    return probability, overlap, peak_q, float(probability[peak_q]), worst
+
+
+def assert_same_bits(report, reference):
+    probability, overlap, peak_q, peak_probability, worst = reference
+    assert report.target_probability.tobytes() == probability.tobytes()
+    assert report.source_overlap.tobytes() == overlap.tobytes()
+    assert report.peak_q == peak_q
+    assert report.peak_probability == peak_probability
+    assert report.max_norm_drift == worst
+
+
+@pytest.mark.parametrize("n, q_max", [(64, 3000), (256, 3000), (1024, 402)])
+def test_plain_run_keeps_reference_bits(n, q_max):
+    spec = symmetric_spectrum(n, 1, 0.5, 1.5)
+    report = run_iterations(SearchInstance.build(spec), q_max)
+    reference = reference_iterate(np.exp(1j * spec.phases), spec.target_row, q_max)
+    assert_same_bits(report, reference)
+
+
+def test_boosted_run_keeps_reference_bits():
+    # the boosted spectrum of boosted_search_run, rebuilt from public parts
+    m, q_max = 3, 3000
+    inst = SearchInstance.build(symmetric_spectrum(256, 1, 0.5, 1.5))
+    spec = inst.spectrum
+    report = boosted_search_run(inst, m, q_max)
+    eigenphase = np.append(np.exp(1j * 2**m * spec.phases), -1.0)
+    survival = np.minimum(pea_amplitude(spec.phases, m, 0) ** 2, 1.0)
+    target_row = np.append(
+        np.sqrt(survival) * spec.target_row, math.sqrt(b_prime(inst, m).sigma1)
+    )
+    assert_same_bits(report, reference_iterate(eigenphase, target_row, q_max))

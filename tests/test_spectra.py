@@ -398,6 +398,26 @@ class TestSpectrumValidation:
         with pytest.raises(SpectrumValidationError):
             EigenSpectrum(phases, vectors)
 
+    def test_nan_phase_rejected(self):
+        # NaN fails every comparison; the range check must still catch it
+        vectors = np.eye(4, dtype=np.complex128)
+        phases = np.array([0.0, 0.5, -0.5, np.nan])
+        with pytest.raises(SpectrumValidationError, match=r"\(-pi, pi\]"):
+            EigenSpectrum(phases, vectors)
+
+    def test_nan_basis_rejected(self):
+        vectors = np.eye(3, dtype=np.complex128)
+        vectors[2, 2] = np.nan
+        with pytest.raises(SpectrumValidationError, match="not orthonormal"):
+            EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors)
+
+    def test_nan_b_identity_rejected(self, monkeypatch):
+        # a NaN b^2 must fail the moment identity, not pass it
+        spec = symmetric_spectrum(16, 2, 0.5, 1.5)
+        monkeypatch.setattr(spectra, "_powered_b_squared", lambda spec, r: math.nan)
+        with pytest.raises(SpectrumValidationError, match="inconsistency"):
+            SearchInstance.build(spec)
+
     def test_source_phase_must_be_zero(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.5, 1.0, 2.0])
@@ -625,6 +645,15 @@ class TestWeightPath:
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row * 1.01
         with pytest.raises(SpectrumValidationError, match="row"):
+            EigenSpectrum._generated(
+                spec.phases, row=row, build=lambda: spec.vectors
+            )
+
+    def test_nan_row_rejected(self):
+        spec = symmetric_spectrum(16, 2, 0.5, 1.5)
+        row = spec.target_row.copy()
+        row[3] = np.nan
+        with pytest.raises(SpectrumValidationError, match="row not normalized"):
             EigenSpectrum._generated(
                 spec.phases, row=row, build=lambda: spec.vectors
             )
