@@ -361,21 +361,25 @@ def boosted_search_run(
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     """Materialize the boosted diffusion (small scale only).
 
-    Pushes every joint basis vector through ``boosted_diffusion``'s stages
-    at once, as the K columns of a (2^m, N, K) block array.  Their
-    eigen-coordinates, the columns of I (x) V^dag, go straight to the
-    eigen-frame stages, so only the way back multiplies by V.  The joint
-    dimension 2^m N must not exceed ``DENSE_CAP``.
+    ``boosted_diffusion``'s eigen-frame stages act on each main eigenvector
+    l on its own, so they run once on the identity of every l's ancilla
+    space, a (2^m, N, 2^m) array, and give the 2^m x 2^m blocks
+    Z[a, l, j] = Z_l[a, j].  The matrix is then
+    (I (x) V) diag_l(Z_l) (I (x) V^dag): each Z[a, l, j] scales row l of
+    V^dag, and one product by V takes the rows back.  The joint dimension
+    2^m N must not exceed ``DENSE_CAP``.
     """
     size, n = 2**m, spec.dimension
     joint_dim = size * n
     check_dense_cap(joint_dim, "joint dimension")
-    coeff = np.zeros((size, n, size, n), dtype=np.complex128)
-    adjoint = spec.vectors.conj().T
-    for j in range(size):
-        coeff[j, :, j, :] = adjoint
-    blocks = spec.vectors @ _apply_boost(spec, m, coeff.reshape(size, n, joint_dim))
-    return blocks.reshape(joint_dim, joint_dim)
+    ancilla = np.arange(size)
+    identity = np.zeros((size, n, size), dtype=np.complex128)
+    identity[ancilla, :, ancilla] = 1.0
+    blocks = _apply_boost(spec, m, identity)
+    coeff = blocks[:, :, :, np.newaxis] * spec.vectors.conj().T[:, np.newaxis, :]
+    return (spec.vectors @ coeff.reshape(size, n, joint_dim)).reshape(
+        joint_dim, joint_dim
+    )
 
 
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:

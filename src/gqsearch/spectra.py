@@ -360,11 +360,14 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
 
 # normals per call when stepping the stream past the discarded block, through
-# one buffer reused for the whole block
-_SKIP_CHUNK = 2**16
-# discarded normals from which a helper thread draws half of them: N > 2048.
-# At N = 1024 two halves in parallel take longer than one half alone.
-_SPLIT_MIN = 2**22
+# one buffer per thread reused for the whole block; the timing is flat from
+# 2**13 to 2**18
+_SKIP_CHUNK = 2**14
+# discarded normals from which a helper thread draws half of them: N >= 726.
+# An unpinned helper starts on the caller's core and is moved off it only
+# about 30 ms later, so a shorter skip ran its halves one after the other;
+# ``_split_skip`` pins the two threads to different cores from the start.
+_SPLIT_MIN = 2**19
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
@@ -381,8 +384,9 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     draws the stream skips (n-1)(n-2) normals, once used to complete
     ``w_sub`` to a basis; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
-    through one 2**16-entry buffer, so no (n-1)x(n-2) block is held, and
-    above N = 2048 on two threads (``_skip_normals``).
+    through a 2**14-entry buffer per thread, so no (n-1)x(n-2) block is
+    held, and from N = 726 on two threads on different cores
+    (``_skip_normals``).
 
     The draws do not depend on ``alpha``, so they are made once per
     ``(n, seed)`` per process and kept (``_seeded_draws``) at 16 N bytes per
@@ -456,25 +460,41 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     helper's normals are the true ones, so the true end is the helper's end
     plus c normals.  If W falls inside a helper normal, this thread draws
     the second half itself.  An exception on the helper is raised here.
+
+    A new thread starts on its creator's core, and the kernel moves it to an
+    idle one only tens of milliseconds later.  So where this thread may run
+    on two cores or more, the helper pins itself to one of them before its
+    first draw, and this thread pins itself to the rest until the join and
+    then gets its own mask back.  Both masks lie inside the one the kernel
+    reports for this thread, so pinning never widens it; where affinity
+    cannot be read or set, the two threads run unpinned.
     """
     half = count // 2
     helper = copy.deepcopy(rng.bit_generator)
     helper.advance(half)
     probe = copy.deepcopy(helper)
     outcome = {}
+    mask = _own_cores()
+    apart = {max(mask)} if len(mask) >= 2 else None
 
     def work():
         try:
+            if apart:
+                _pin(apart)
             _draw_normals(np.random.Generator(helper), count - half)
         except BaseException as exc:  # raised again by the caller after the join
             outcome["error"] = exc
 
     thread = threading.Thread(target=work, name="gqsearch-skip")
+    pinned = False
     thread.start()
     try:
+        pinned = bool(apart) and _pin(mask - apart)
         _draw_normals(rng, half)
         behind = _normals_to(probe, rng.bit_generator.state)
     finally:
+        if pinned:
+            os.sched_setaffinity(0, mask)
         thread.join()
     if "error" in outcome:
         raise outcome["error"]
@@ -483,6 +503,28 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     else:
         rng.bit_generator.state = helper.state
         _draw_normals(rng, behind)
+
+
+def _own_cores() -> set:
+    """Cores the kernel lets the calling thread run on, if it can be pinned.
+
+    Empty where the platform has no affinity calls or the read fails.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return set()
+    try:
+        return os.sched_getaffinity(0)
+    except OSError:
+        return set()
+
+
+def _pin(cores: set) -> bool:
+    """Confine the calling thread to ``cores``; False if the kernel refuses."""
+    try:
+        os.sched_setaffinity(0, cores)
+    except OSError:
+        return False
+    return True
 
 
 def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:

@@ -205,6 +205,17 @@ def test_fused_boost_matches_stage_composition(n, m):
     assert np.max(np.abs(fused - staged)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, m", [(4, 1), (16, 3), (32, 5), (128, 3)])
+def test_dense_boosted_matrix_matches_joint_columns(n, m):
+    # the matrix built from per-eigenvector blocks is boosted_diffusion on
+    # every joint basis vector
+    spec = resonant_spectrum(n, m, 1e-3, 5)
+    joint = 2**m * n
+    columns = np.eye(joint, dtype=np.complex128).reshape(2**m, n, joint)
+    pushed = boosted_diffusion(spec, m, columns).reshape(joint, joint)
+    assert np.max(np.abs(dense_boosted_matrix(spec, m) - pushed)) <= 1e-12
+
+
 def test_controlled_oracle_flips_single_amplitude():
     # in the main basis, V c loses the sign of entry 1 only, in place
     spec = symmetric_spectrum(4, 3, 0.9, 1.9)

@@ -1,5 +1,6 @@
 """Spectrum construction, moment sums, generators, basis validation."""
 
+import errno
 import math
 import os
 import subprocess
@@ -249,15 +250,43 @@ def threads_started(monkeypatch):
     return started
 
 
+def one_thread_draws(n, seed):
+    """``_seeded_draws(n, seed)`` as a plain one-thread loop."""
+    rng = np.random.default_rng(seed)
+    w_sub = rng.standard_normal(n - 1)
+    w_sub /= np.linalg.norm(w_sub)
+    one_thread_skip(rng, (n - 1) * (n - 2))
+    profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
+    return w_sub, profile / np.linalg.norm(profile)
+
+
 @pytest.fixture
 def forced_split(monkeypatch):
-    """Every skip goes to two threads, whatever its size and the host's cores."""
+    """Every skip goes to two threads, whatever its size and the host's cores.
+
+    The affinity mask is left real: the split pins its threads within it.
+    """
     monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+
+
+def own_mask():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 
 class TestSplitSkip:
     """The two-thread skip leaves the stream where one thread leaves it."""
+
+    @pytest.fixture(autouse=True)
+    def mask_kept(self):
+        # every test leaves the affinity mask as it found it; a test that
+        # does not gets it back, so no later test runs on a narrowed mask
+        before = own_mask()
+        yield
+        after = own_mask()
+        if after != before:
+            os.sched_setaffinity(0, before)
+        assert after == before
 
     @pytest.mark.parametrize("delta", [0, 1, 12345, 2**64 + 3, 2**127 + 1])
     def test_word_count_inverts_advance(self, delta):
@@ -329,6 +358,69 @@ class TestSplitSkip:
         with pytest.raises(RuntimeError, match="helper failed"):
             spectra._skip_normals(after_w_sub(16, 0), 15 * 14)
 
+    @pytest.mark.parametrize("helper_fails", [False, True])
+    def test_callers_mask_is_given_back(self, monkeypatch, forced_split, helper_fails):
+        draw = spectra._draw_normals
+
+        def drawn(rng, count):
+            if helper_fails and threading.current_thread().name == "gqsearch-skip":
+                raise RuntimeError("helper failed")
+            draw(rng, count)
+
+        monkeypatch.setattr(spectra, "_draw_normals", drawn)
+        before = own_mask()
+        try:
+            spectra._skip_normals(after_w_sub(130, 3), 129 * 128)
+        except RuntimeError:
+            assert helper_fails
+        else:
+            assert not helper_fails
+        assert own_mask() == before
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no thread affinity here"
+    )
+    def test_threads_pin_apart_inside_the_callers_mask(self, monkeypatch, forced_split):
+        mask = os.sched_getaffinity(0)
+        pins = []
+        setaffinity = os.sched_setaffinity
+
+        def recorded(pid, cores):
+            pins.append((threading.current_thread().name, set(cores)))
+            setaffinity(pid, cores)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        split, serial = after_w_sub(130, 3), after_w_sub(130, 3)
+        spectra._skip_normals(split, 129 * 128)
+        one_thread_skip(serial, 129 * 128)
+        assert split.bit_generator.state == serial.bit_generator.state
+        if len(mask) < 2:
+            assert pins == []
+            return
+        helper = [cores for name, cores in pins if name == "gqsearch-skip"]
+        caller = [cores for name, cores in pins if name != "gqsearch-skip"]
+        assert len(helper) == 1 and len(helper[0]) == 1 and helper[0] <= mask
+        assert caller == [mask - helper[0], mask]
+
+    @pytest.mark.parametrize("setaffinity", ["refused", "missing"])
+    def test_unpinned_where_affinity_cannot_be_set(
+        self, monkeypatch, forced_split, threads_started, setaffinity
+    ):
+        if setaffinity == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+
+            def refused(pid, cores):
+                raise OSError(errno.EINVAL, "refused")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+        for seed in range(10):
+            split, serial = after_w_sub(130, seed), after_w_sub(130, seed)
+            spectra._skip_normals(split, 129 * 128)
+            one_thread_skip(serial, 129 * 128)
+            assert split.bit_generator.state == serial.bit_generator.state, seed
+        assert threads_started == ["gqsearch-skip"] * 10
+
     def test_one_cpu_starts_no_thread(self, monkeypatch, threads_started):
         monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -342,12 +434,7 @@ class TestSplitSkip:
     def test_scaling_family_4096_matches_one_thread_loop(self, seed, threads_started):
         # the real path: default threshold, the host's own affinity mask
         n = 4096
-        rng = np.random.default_rng(seed)
-        w_sub = rng.standard_normal(n - 1)
-        w_sub /= np.linalg.norm(w_sub)
-        one_thread_skip(rng, (n - 1) * (n - 2))
-        profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
-        unit = profile / np.linalg.norm(profile)
+        w_sub, unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
         try:
             spec = scaling_family(12, seed)
@@ -358,6 +445,21 @@ class TestSplitSkip:
         assert drawn[1].tobytes() == unit.tobytes()
         assert spec.dimension == n
         split = spectra._usable_cpus() >= 2
+        assert threads_started == (["gqsearch-skip"] if split else [])
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("seed", [1, 23])
+    def test_draws_match_one_thread_loop(self, n, seed, threads_started):
+        # the real path: N = 1024 is above the threshold and N = 512 below it
+        w_sub, unit = one_thread_draws(n, seed)
+        spectra._seeded_draws.cache_clear()
+        try:
+            drawn = spectra._seeded_draws(n, seed)
+        finally:
+            spectra._seeded_draws.cache_clear()
+        assert drawn[0].tobytes() == w_sub.tobytes()
+        assert drawn[1].tobytes() == unit.tobytes()
+        split = n == 1024 and spectra._usable_cpus() >= 2
         assert threads_started == (["gqsearch-skip"] if split else [])
 
 
