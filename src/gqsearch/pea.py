@@ -19,7 +19,11 @@ them are the small-scale verification oracles.  Each stage is V (helper)
 V^dag, where the ``_apply_*`` helpers act on eigen-coordinates: the ancilla
 transforms commute with I (x) V, and the controlled powers and the
 conditional rewrite are diagonal there.  So ``boosted_diffusion`` changes
-basis once each way for all of its stages, not once per stage.
+basis once each way for all of its stages, not once per stage.  The dense
+joint matrix is written one ancilla row at a time, and
+``dense_b_prime_check`` reads its eigenvector blocks back with one basis
+change per ancilla row, so the matrix is the only joint-size array either
+holds.
 """
 
 from __future__ import annotations
@@ -364,10 +368,11 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     ``boosted_diffusion``'s eigen-frame stages act on each main eigenvector
     l on its own, so they run once on the identity of every l's ancilla
     space, a (2^m, N, 2^m) array, and give the 2^m x 2^m blocks
-    Z[a, l, j] = Z_l[a, j].  The matrix is then
-    (I (x) V) diag_l(Z_l) (I (x) V^dag): each Z[a, l, j] scales row l of
-    V^dag, and one product by V takes the rows back.  The joint dimension
-    2^m N must not exceed ``DENSE_CAP``.
+    Z[a, l, j] = Z_l[a, j].  The matrix is
+    (I (x) V) diag_l(Z_l) (I (x) V^dag), written one ancilla row a at a
+    time: Z[a, l, j] scales row l of V^dag, and one product by V writes
+    rows a of the output, so no other joint-size array is made.  The joint
+    dimension 2^m N must not exceed ``DENSE_CAP``.
     """
     size, n = 2**m, spec.dimension
     joint_dim = size * n
@@ -376,10 +381,40 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     identity = np.zeros((size, n, size), dtype=np.complex128)
     identity[ancilla, :, ancilla] = 1.0
     blocks = _apply_boost(spec, m, identity)
-    coeff = blocks[:, :, :, np.newaxis] * spec.vectors.conj().T[:, np.newaxis, :]
-    return (spec.vectors @ coeff.reshape(size, n, joint_dim)).reshape(
-        joint_dim, joint_dim
-    )
+    vectors = spec.vectors
+    adjoint_rows = vectors.conj().T[:, np.newaxis, :]
+    out = np.empty((size, n, joint_dim), dtype=np.complex128)
+    for a in range(size):
+        scaled = blocks[a, :, :, np.newaxis] * adjoint_rows
+        np.matmul(vectors, scaled.reshape(n, joint_dim), out=out[a])
+    return out.reshape(joint_dim, joint_dim)
+
+
+def _split_blocks(matrix: np.ndarray, vectors: np.ndarray, size: int):
+    """Blocks Z_l of (I (x) V^dag) B (I (x) V), and the largest leak between them.
+
+    One ancilla row a at a time, C_a = B[a] (I (x) V) holds
+    C_a[x, j, l] = V[x, l] Z_l[a, j] plus whatever couples eigenvector l to
+    the others.  Projecting each column on V[:, l] reads Z_l[a, j]; the
+    remainder, summed in squares over a and x, is the squared 2-norm of
+    column (j, l) of the off-block part, because I (x) V is unitary.  The
+    leak is the largest such norm, so it bounds every off-block entry.
+    Returns the blocks as an (N, 2^m, 2^m) array and the leak.
+    """
+    n = vectors.shape[0]
+    rows = matrix.reshape(size, n * size, n)
+    conj = vectors.conj()
+    columns = vectors[:, np.newaxis, :]
+    blocks = np.empty((n, size, size), dtype=np.complex128)
+    leak_sq = np.zeros((size, n))
+    for a in range(size):
+        coeff = (rows[a] @ vectors).reshape(n, size, n)
+        block = np.einsum("xl,xjl->jl", conj, coeff)
+        blocks[:, a, :] = block.T
+        coeff -= columns * block
+        leak_sq += np.einsum("xjl,xjl->jl", coeff.real, coeff.real)
+        leak_sq += np.einsum("xjl,xjl->jl", coeff.imag, coeff.imag)
+    return blocks, math.sqrt(float(np.max(leak_sq)))
 
 
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
@@ -388,9 +423,12 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     The dense boosted matrix B commutes with I (x) Ds, so the dense
     diffusion eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one
     2^m x 2^m block Z_l per main eigenvector l, and nothing between blocks.
-    An off-block entry above ``RECONSTRUCTION_ATOL`` raises
-    ``EigensolverError``.  Each block is decomposed on its own; its
-    eigenvector k carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
+    ``_split_blocks`` reads the blocks with one product by I (x) V per
+    ancilla row.  A column of the off-block part whose 2-norm exceeds
+    ``RECONSTRUCTION_ATOL`` raises ``EigensolverError`` with that norm as
+    its residual; the norm bounds every entry of the column, and a NaN
+    fails the test.  Each block is decomposed on its own; its eigenvector k
+    carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
@@ -405,15 +443,8 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     spectrum = inst.spectrum
     size, n = 2**m, spectrum.dimension
     vectors = spectrum.vectors
-    matrix = dense_boosted_matrix(spectrum, m).reshape(size, n, size * n)
-    # (I (x) V^dag) B (I (x) V) as two products: rows, then columns
-    rows = vectors.conj().T @ matrix
-    reduced = (rows.reshape(size * n * size, n) @ vectors).reshape(size, n, size, n)
-    diagonal = np.arange(n)
-    blocks = reduced[:, diagonal, :, diagonal]  # blocks[l] = Z_l
-    reduced[:, diagonal, :, diagonal] = 0.0
-    leak = float(np.max(np.abs(reduced)))
-    if leak > RECONSTRUCTION_ATOL:
+    blocks, leak = _split_blocks(dense_boosted_matrix(spectrum, m), vectors, size)
+    if not leak <= RECONSTRUCTION_ATOL:
         raise EigensolverError(
             "dense boosted matrix couples different diffusion eigenvectors", leak
         )
@@ -426,7 +457,7 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
         weights[l] = main_weights[l] * np.abs(eig.vectors[0, :]) ** 2
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
-    if abs(leftover) > 1e-8:
+    if not abs(leftover) <= 1e-8:
         raise EigensolverError(
             "zero-phase eigenspace holds unexplained target weight; "
             "boosted b factor is not finite here",

@@ -419,6 +419,30 @@ def test_run_validation_passes():
     assert len(lines) >= 5
 
 
+def nan_breakdown(inst, m):
+    return pea.BPrimeBreakdown(sigma1=math.nan, sigma2=math.nan, b_prime=math.nan)
+
+
+def nan_amplitude(theta, m, k):
+    return np.full(np.shape(theta), math.nan)
+
+
+@pytest.mark.parametrize(
+    "name, poisoned, failing",
+    [
+        ("b_prime", nan_breakdown, ["boosted b factor split", "dense boosted cross-check"]),
+        ("pea_amplitude", nan_amplitude, ["estimation amplitude grid", "boosted b factor split"]),
+    ],
+)
+def test_run_validation_fails_on_nan(monkeypatch, name, poisoned, failing):
+    # a NaN deviation is a failure, not a pass
+    monkeypatch.setattr(pea, name, poisoned)
+    lines = []
+    assert run_validation(echo=lines.append) is False
+    failed = {line[len("FAIL ") :].split(":")[0] for line in lines if line.startswith("FAIL ")}
+    assert set(failing) <= failed
+
+
 class TestCli:
     def test_validate_exits_zero(self, capsys):
         assert cli.main(["validate"]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gqsearch.linalg import (
+    RECONSTRUCTION_ATOL,
     DenseCapError,
     EigensolverError,
     unitary_eigensystem,
@@ -321,6 +322,27 @@ def oracle_instance(family):
     return SearchInstance.build(spec)
 
 
+def audit_instance():
+    """The benchmark's dense check instance: joint dimension 1024 at m = 3."""
+    return SearchInstance.build(resonant_spectrum(128, 3, 1e-3, 1))
+
+
+def round_trip_split(matrix, vectors, size):
+    """Reference for ``_split_blocks``: (I (x) V^dag) B (I (x) V) in full.
+
+    Two products, V^dag on the rows, then V on the columns; the leak is the
+    largest off-block entry.
+    """
+    n = vectors.shape[0]
+    rows = vectors.conj().T @ matrix.reshape(size, n, size * n)
+    reduced = (rows.reshape(size * n * size, n) @ vectors).reshape(size, n, size, n)
+    diagonal = np.arange(n)
+    blocks = reduced[:, diagonal, :, diagonal]
+    reduced[:, diagonal, :, diagonal] = 0.0
+    return blocks, float(np.max(np.abs(reduced)))
+
+
+
 class TestDenseBPrimeCheck:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("family", ["symmetric", "resonant", "grover"])
@@ -332,10 +354,114 @@ class TestDenseBPrimeCheck:
 
     def test_audit_instance_matches_analytic(self):
         # the benchmark's dense check, at joint dimension 1024 = DENSE_CAP
-        inst = SearchInstance.build(resonant_spectrum(128, 3, 1e-3, 1))
+        inst = audit_instance()
         assert inst.dimension * 2**3 == 1024
         analytic = b_prime(inst, 3).b_prime
         assert abs(dense_b_prime_check(inst, 3) - analytic) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "family, m",
+        [(family, m) for family in ("symmetric", "resonant", "grover") for m in (1, 2, 3)]
+        + [("audit", 3)],
+    )
+    def test_streamed_blocks_match_round_trip(self, monkeypatch, family, m):
+        import gqsearch.pea
+
+        inst = audit_instance() if family == "audit" else oracle_instance(family)
+        vectors = inst.spectrum.vectors
+        matrix = dense_boosted_matrix(inst.spectrum, m)
+        blocks, leak = gqsearch.pea._split_blocks(matrix, vectors, 2**m)
+        reference, entry_leak = round_trip_split(matrix, vectors, 2**m)
+        assert np.max(np.abs(blocks - reference)) <= 1e-12
+        assert max(leak, entry_leak) <= 1e-13
+        streamed = dense_b_prime_check(inst, m)
+        monkeypatch.setattr(gqsearch.pea, "_split_blocks", round_trip_split)
+        assert abs(dense_b_prime_check(inst, m) - streamed) <= 1e-12
+
+    def test_spread_leak_raises(self, monkeypatch):
+        # 16 off-block entries of one column, each half the tolerance: the
+        # largest entry passes, the column norm (twice the tolerance) does not
+        import gqsearch.pea
+
+        inst = oracle_instance("symmetric")
+        m, n = 2, inst.dimension
+        vectors = inst.spectrum.vectors
+        entry = 0.5 * RECONSTRUCTION_ATOL
+        # column (ancilla 2, eigenvector 5) picks up ancilla 1 of fifteen
+        # other eigenvectors and ancilla 3 of eigenvector 5 itself
+        out_col = np.zeros((2**m, n), dtype=np.complex128)
+        in_col = np.zeros((2**m, n), dtype=np.complex128)
+        out_col[1] = vectors[:, [k for k in range(16) if k != 5]].sum(axis=1)
+        out_col[3] = vectors[:, 5]
+        in_col[2] = vectors[:, 5]
+        leak = entry * np.outer(out_col, in_col.conj())
+        matrix = dense_boosted_matrix(inst.spectrum, m) + leak
+        _, entry_leak = round_trip_split(matrix, vectors, 2**m)
+        assert np.isclose(entry_leak, entry, rtol=1e-6)
+        build = gqsearch.pea.dense_boosted_matrix
+        monkeypatch.setattr(
+            gqsearch.pea, "dense_boosted_matrix", lambda spec, m: build(spec, m) + leak
+        )
+        with pytest.raises(EigensolverError, match="couples") as caught:
+            dense_b_prime_check(inst, m)
+        assert np.isclose(caught.value.residual, 4.0 * entry, rtol=1e-6)
+
+    def test_nan_matrix_entry_raises(self, monkeypatch):
+        import gqsearch.pea
+
+        inst = oracle_instance("symmetric")
+        build = gqsearch.pea.dense_boosted_matrix
+
+        def poisoned(spec, m):
+            matrix = build(spec, m)
+            matrix[7, 40] = np.nan
+            return matrix
+
+        monkeypatch.setattr(gqsearch.pea, "dense_boosted_matrix", poisoned)
+        with pytest.raises(EigensolverError, match="couples") as caught:
+            dense_b_prime_check(inst, 2)
+        assert math.isnan(caught.value.residual)
+
+    def test_nan_zero_phase_weight_raises(self, monkeypatch):
+        # a NaN target weight on the joint source's eigenvector must not
+        # drop out of the zero-phase test
+        import gqsearch.linalg
+
+        inst = oracle_instance("symmetric")
+        solve = gqsearch.linalg.unitary_eigensystem
+        calls = []
+
+        def poisoned(matrix):
+            calls.append(matrix.shape)
+            eig = solve(matrix)
+            if len(calls) != 1:
+                return eig
+            vectors = eig.vectors.copy()
+            vectors[0, np.argmin(np.abs(eig.phases))] = np.nan
+            return gqsearch.linalg.EigenSystem(phases=eig.phases, vectors=vectors)
+
+        monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", poisoned)
+        with pytest.raises(EigensolverError, match="zero-phase") as caught:
+            dense_b_prime_check(inst, 2)
+        assert math.isnan(caught.value.residual)
+
+    @pytest.mark.parametrize("oracle", ["check", "matrix"])
+    def test_memory_at_audit_instance(self, oracle):
+        # the joint matrix alone is 16 MiB; nothing else of joint size is held
+        import tracemalloc
+
+        inst = audit_instance()
+        inst.spectrum.vectors  # the basis is built and cached outside the trace
+        tracemalloc.start()
+        try:
+            if oracle == "check":
+                dense_b_prime_check(inst, 3)
+            else:
+                dense_boosted_matrix(inst.spectrum, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_one_eigensolve_per_block(self, monkeypatch):
         import gqsearch.linalg
