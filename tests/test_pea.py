@@ -342,7 +342,6 @@ def round_trip_split(matrix, vectors, size):
     return blocks, float(np.max(np.abs(reduced)))
 
 
-
 class TestDenseBPrimeCheck:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("family", ["symmetric", "resonant", "grover"])
@@ -361,7 +360,11 @@ class TestDenseBPrimeCheck:
 
     @pytest.mark.parametrize(
         "family, m",
-        [(family, m) for family in ("symmetric", "resonant", "grover") for m in (1, 2, 3)]
+        [
+            (family, m)
+            for family in ("symmetric", "resonant", "grover")
+            for m in (1, 2, 3)
+        ]
         + [("audit", 3)],
     )
     def test_streamed_blocks_match_round_trip(self, monkeypatch, family, m):
