@@ -69,34 +69,42 @@ class EigenSystem:
 def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
 
-    ``np.linalg.eig`` gives the eigenvalues and unit eigenvectors.  A
-    unitary matrix is normal, so eigenvectors of distinct eigenvalues are
-    already orthogonal; the QR factor of the eigenvector matrix only
-    orthonormalises within (near-)degenerate eigenspaces, where a generic
-    eigensolver may return a skewed basis.  The reconstruction check below
-    certifies the result either way.
+    ``matrix`` is one n x n matrix or a (k, n, n) stack of them; for a
+    stack, ``phases`` is (k, n) and ``vectors`` is (k, n, n), entry i of
+    each the decomposition of ``matrix[i]``.  ``np.linalg.eig`` gives the
+    eigenvalues and unit eigenvectors.  A unitary matrix is normal, so
+    eigenvectors of distinct eigenvalues are already orthogonal; the QR
+    factor of the eigenvector matrix only orthonormalises within
+    (near-)degenerate eigenspaces, where a generic eigensolver may return a
+    skewed basis.  The reconstruction check below certifies the result
+    either way; for a stack its residual is the worst over the stack.
 
     Raises
     ------
+    DimensionError
+        If the last two axes are not square.
     DenseCapError
         If the matrix side exceeds ``DENSE_CAP``; checked before any solve.
     EigensolverError
         If the eigensolver fails, or the decomposition does not reproduce
-        the input to within ``RECONSTRUCTION_ATOL``.
+        the input to within ``RECONSTRUCTION_ATOL`` (a NaN residual fails).
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {matrix.shape}")
-    check_dense_cap(matrix.shape[0])
+    if matrix.ndim not in (2, 3) or matrix.shape[-2] != matrix.shape[-1]:
+        raise DimensionError(
+            f"expected a square matrix or a stack of them, got shape {matrix.shape}"
+        )
+    check_dense_cap(matrix.shape[-1])
     try:
         values, skewed = np.linalg.eig(matrix)
         vectors = np.linalg.qr(skewed)[0]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed: {exc}", np.inf)
     phases = wrap_phase(np.angle(values))
-    rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    rotated = vectors * np.exp(1j * phases)[..., np.newaxis, :]
+    rebuilt = rotated @ vectors.conj().swapaxes(-1, -2)
     residual = float(np.max(np.abs(rebuilt - matrix)))
-    if residual > RECONSTRUCTION_ATOL:
+    if not residual <= RECONSTRUCTION_ATOL:
         raise EigensolverError(
             "eigendecomposition does not reproduce the input; "
             "matrix is likely not unitary",

@@ -19,11 +19,12 @@ them are the small-scale verification oracles.  Each stage is V (helper)
 V^dag, where the ``_apply_*`` helpers act on eigen-coordinates: the ancilla
 transforms commute with I (x) V, and the controlled powers and the
 conditional rewrite are diagonal there.  So ``boosted_diffusion`` changes
-basis once each way for all of its stages, not once per stage.  The dense
-joint matrix is written one ancilla row at a time, and
-``dense_b_prime_check`` reads its eigenvector blocks back with one basis
-change per ancilla row, so the matrix is the only joint-size array either
-holds.
+basis once each way for all of its stages, not once per stage.
+``_boosted_rows`` makes the dense joint matrix one ancilla row at a time.
+``dense_boosted_matrix`` stacks the rows, so the matrix is the only
+joint-size array it holds; ``dense_b_prime_check`` reads each row's
+eigenvector blocks as it is made, with one basis change, so it holds no
+joint-size array at all.
 """
 
 from __future__ import annotations
@@ -362,16 +363,17 @@ def boosted_search_run(
     )
 
 
-def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
-    """Materialize the boosted diffusion (small scale only).
+def _boosted_rows(spec: EigenSpectrum, m: int):
+    """Yield the ancilla rows B[a] of the dense boosted matrix, each (N, 2^m N).
 
     ``boosted_diffusion``'s eigen-frame stages act on each main eigenvector
     l on its own, so they run once on the identity of every l's ancilla
     space, a (2^m, N, 2^m) array, and give the 2^m x 2^m blocks
     Z[a, l, j] = Z_l[a, j].  The matrix is
-    (I (x) V) diag_l(Z_l) (I (x) V^dag), written one ancilla row a at a
-    time: Z[a, l, j] scales row l of V^dag, and one product by V writes
-    rows a of the output, so no other joint-size array is made.  The joint
+    (I (x) V) diag_l(Z_l) (I (x) V^dag); its row a is V times row l of
+    V^dag scaled by Z[a, l, j], one product.  Its two row-size buffers, the
+    scaled rows and the row itself, are reused, so each yielded row is
+    overwritten by the next: a caller that keeps a row copies it.  The joint
     dimension 2^m N must not exceed ``DENSE_CAP``.
     """
     size, n = 2**m, spec.dimension
@@ -383,17 +385,35 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     blocks = _apply_boost(spec, m, identity)
     vectors = spec.vectors
     adjoint_rows = vectors.conj().T[:, np.newaxis, :]
-    out = np.empty((size, n, joint_dim), dtype=np.complex128)
+    scaled = np.empty((n, size, n), dtype=np.complex128)
+    row = np.empty((n, joint_dim), dtype=np.complex128)
     for a in range(size):
-        scaled = blocks[a, :, :, np.newaxis] * adjoint_rows
-        np.matmul(vectors, scaled.reshape(n, joint_dim), out=out[a])
+        np.multiply(blocks[a, :, :, np.newaxis], adjoint_rows, out=scaled)
+        np.matmul(vectors, scaled.reshape(n, joint_dim), out=row)
+        yield row
+
+
+def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
+    """Materialize the boosted diffusion (small scale only).
+
+    Stacks the ancilla rows of ``_boosted_rows``, so the matrix is the only
+    joint-size array made.  The joint dimension 2^m N must not exceed
+    ``DENSE_CAP``.
+    """
+    size, n = 2**m, spec.dimension
+    joint_dim = size * n
+    check_dense_cap(joint_dim, "joint dimension")
+    out = np.empty((size, n, joint_dim), dtype=np.complex128)
+    for a, row in enumerate(_boosted_rows(spec, m)):
+        out[a] = row
     return out.reshape(joint_dim, joint_dim)
 
 
-def _split_blocks(matrix: np.ndarray, vectors: np.ndarray, size: int):
+def _split_blocks(rows, vectors: np.ndarray, size: int):
     """Blocks Z_l of (I (x) V^dag) B (I (x) V), and the largest leak between them.
 
-    One ancilla row a at a time, C_a = B[a] (I (x) V) holds
+    ``rows`` yields the ancilla rows B[a] of B in order, each (N, 2^m N).
+    For each, C_a = B[a] (I (x) V) holds
     C_a[x, j, l] = V[x, l] Z_l[a, j] plus whatever couples eigenvector l to
     the others.  Projecting each column on V[:, l] reads Z_l[a, j]; the
     remainder, summed in squares over a and x, is the squared 2-norm of
@@ -402,16 +422,17 @@ def _split_blocks(matrix: np.ndarray, vectors: np.ndarray, size: int):
     Returns the blocks as an (N, 2^m, 2^m) array and the leak.
     """
     n = vectors.shape[0]
-    rows = matrix.reshape(size, n * size, n)
     conj = vectors.conj()
     columns = vectors[:, np.newaxis, :]
     blocks = np.empty((n, size, size), dtype=np.complex128)
     leak_sq = np.zeros((size, n))
-    for a in range(size):
-        coeff = (rows[a] @ vectors).reshape(n, size, n)
+    coeff = np.empty((n, size, n), dtype=np.complex128)
+    spill = np.empty_like(coeff)
+    for a, row in enumerate(rows):
+        np.matmul(row.reshape(n * size, n), vectors, out=coeff.reshape(n * size, n))
         block = np.einsum("xl,xjl->jl", conj, coeff)
         blocks[:, a, :] = block.T
-        coeff -= columns * block
+        coeff -= np.multiply(columns, block, out=spill)
         leak_sq += np.einsum("xjl,xjl->jl", coeff.real, coeff.real)
         leak_sq += np.einsum("xjl,xjl->jl", coeff.imag, coeff.imag)
     return blocks, math.sqrt(float(np.max(leak_sq)))
@@ -424,37 +445,35 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     diffusion eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one
     2^m x 2^m block Z_l per main eigenvector l, and nothing between blocks.
     ``_split_blocks`` reads the blocks with one product by I (x) V per
-    ancilla row.  A column of the off-block part whose 2-norm exceeds
-    ``RECONSTRUCTION_ATOL`` raises ``EigensolverError`` with that norm as
-    its residual; the norm bounds every entry of the column, and a NaN
-    fails the test.  Each block is decomposed on its own; its eigenvector k
-    carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
+    ancilla row, each row taken from ``_boosted_rows`` as it is made, so no
+    joint-size array is held.  A column of the off-block part whose 2-norm
+    exceeds ``RECONSTRUCTION_ATOL`` raises ``EigensolverError`` with that
+    norm as its residual; the norm bounds every entry of the column, and a
+    NaN fails the test.  One stacked eigensolve decomposes every block on its
+    own; eigenvector k of block l carries target weight
+    |V[0, l]|^2 |Z_l[0, k]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
     leftover would be a genuine divergence, raised as ``EigensolverError``
     with the leftover as its residual).  All other eigenvectors
-    contribute weight over sin^2(phase / 2).  Only the dense matrix, the
-    dense eigenbasis and the eigensolver are read, so this shares no code
-    with ``b_prime`` or ``boosted_search_run``.
+    contribute weight over sin^2(phase / 2).  Only the dense matrix rows,
+    the dense eigenbasis and the eigensolver are read, so this shares no
+    code with ``b_prime`` or ``boosted_search_run``.
     """
     from .linalg import unitary_eigensystem
 
     spectrum = inst.spectrum
-    size, n = 2**m, spectrum.dimension
     vectors = spectrum.vectors
-    blocks, leak = _split_blocks(dense_boosted_matrix(spectrum, m), vectors, size)
+    blocks, leak = _split_blocks(_boosted_rows(spectrum, m), vectors, 2**m)
     if not leak <= RECONSTRUCTION_ATOL:
         raise EigensolverError(
             "dense boosted matrix couples different diffusion eigenvectors", leak
         )
-    main_weights = np.abs(vectors[0, :]) ** 2
-    phases = np.empty((n, size))
-    weights = np.empty((n, size))
-    for l in range(n):
-        eig = unitary_eigensystem(blocks[l])
-        phases[l] = eig.phases
-        weights[l] = main_weights[l] * np.abs(eig.vectors[0, :]) ** 2
+    eig = unitary_eigensystem(blocks)
+    phases = eig.phases
+    main_weights = np.abs(vectors[0, :, np.newaxis]) ** 2
+    weights = main_weights * np.abs(eig.vectors[:, 0, :]) ** 2
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
     if not abs(leftover) <= 1e-8:

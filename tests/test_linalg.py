@@ -119,12 +119,78 @@ def test_eigensystem_rejects_nonsquare():
         unitary_eigensystem(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 3), (4,), (2, 2, 2, 2)])
+def test_stacked_eigensystem_rejects_other_shapes(shape):
+    with pytest.raises(DimensionError):
+        unitary_eigensystem(np.ones(shape))
+
+
 def test_eigensystem_above_the_cap_raises_before_solving(monkeypatch):
     solved = []
     monkeypatch.setattr(np.linalg, "eig", lambda matrix: solved.append(matrix))
     with pytest.raises(DenseCapError, match=f"dimension {DENSE_CAP + 1}"):
         unitary_eigensystem(np.eye(DENSE_CAP + 1, dtype=np.complex128))
     assert solved == []
+
+
+def test_stack_above_the_cap_raises_before_solving(monkeypatch):
+    solved = []
+    monkeypatch.setattr(np.linalg, "eig", lambda matrix: solved.append(matrix))
+    side = DENSE_CAP + 1
+    stack = np.broadcast_to(np.eye(side, dtype=np.complex128), (2, side, side))
+    with pytest.raises(DenseCapError, match=f"dimension {side}"):
+        unitary_eigensystem(stack)
+    assert solved == []
+
+
+def test_stack_count_is_not_capped():
+    # the cap bounds each matrix side, not how many matrices are stacked
+    system = unitary_eigensystem(np.broadcast_to(-np.eye(2), (DENSE_CAP + 1, 2, 2)))
+    assert system.phases.shape == (DENSE_CAP + 1, 2)
+    assert np.all(system.phases == math.pi)
+
+
+def test_stacked_eigensystem_matches_per_matrix_calls():
+    # the last member has near-degenerate eigenspaces, where QR does work
+    degenerate = np.array([0.3, 0.3, 0.3 + 1e-12, -1.0, -1.0, math.pi, 2.0, 2.0])
+    stack = np.stack(
+        [seeded_unitary(8, seed) for seed in range(5)]
+        + [unitary_with_phases(degenerate, 7)]
+    )
+    system = unitary_eigensystem(stack)
+    assert system.phases.shape == (6, 8)
+    assert system.vectors.shape == (6, 8, 8)
+    for i, matrix in enumerate(stack):
+        alone = unitary_eigensystem(matrix)
+        assert system.phases[i].tobytes() == alone.phases.tobytes()
+        assert system.vectors[i].tobytes() == alone.vectors.tobytes()
+
+
+def test_stack_with_one_nonunitary_member_raises():
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    with pytest.raises(EigensolverError) as alone:
+        unitary_eigensystem(shear)
+    stack = np.stack([seeded_unitary(2, seed) for seed in range(4)])
+    stack[2] = shear
+    with pytest.raises(EigensolverError, match="not unitary") as caught:
+        unitary_eigensystem(stack)
+    assert caught.value.residual == alone.value.residual
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_nan_reconstruction_raises(monkeypatch, stack):
+    # a NaN residual must fail the reconstruction test, not slip past it
+    matrix = np.broadcast_to(seeded_unitary(4, 5), stack + (4, 4))
+    qr = np.linalg.qr
+
+    def nan_vectors(skewed):
+        vectors, upper = qr(skewed)
+        return np.full_like(vectors, np.nan), upper
+
+    monkeypatch.setattr(np.linalg, "qr", nan_vectors)
+    with pytest.raises(EigensolverError, match="not unitary") as caught:
+        unitary_eigensystem(matrix)
+    assert math.isnan(caught.value.residual)
 
 
 def unitary_with_phases(phases, seed):

@@ -342,6 +342,26 @@ def round_trip_split(matrix, vectors, size):
     return blocks, float(np.max(np.abs(reduced)))
 
 
+def stack_rows(rows):
+    """The matrix whose ancilla rows ``rows`` yields; each row is copied,
+    because ``_boosted_rows`` reuses one buffer for all of them."""
+    return np.concatenate([row.copy() for row in rows])
+
+
+def add_to_rows(monkeypatch, extra):
+    """Make the check's row builder yield B[a] + ancilla row a of ``extra``."""
+    import gqsearch.pea
+
+    build = gqsearch.pea._boosted_rows
+
+    def rows(spec, m):
+        extra_rows = extra.reshape(2**m, spec.dimension, -1)
+        for a, row in enumerate(build(spec, m)):
+            yield row + extra_rows[a]
+
+    monkeypatch.setattr(gqsearch.pea, "_boosted_rows", rows)
+
+
 class TestDenseBPrimeCheck:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("family", ["symmetric", "resonant", "grover"])
@@ -371,21 +391,31 @@ class TestDenseBPrimeCheck:
         import gqsearch.pea
 
         inst = audit_instance() if family == "audit" else oracle_instance(family)
-        vectors = inst.spectrum.vectors
+        size, vectors = 2**m, inst.spectrum.vectors
         matrix = dense_boosted_matrix(inst.spectrum, m)
-        blocks, leak = gqsearch.pea._split_blocks(matrix, vectors, 2**m)
-        reference, entry_leak = round_trip_split(matrix, vectors, 2**m)
+        rows = matrix.reshape(size, inst.dimension, -1)
+        blocks, leak = gqsearch.pea._split_blocks(rows, vectors, size)
+        reference, entry_leak = round_trip_split(matrix, vectors, size)
         assert np.max(np.abs(blocks - reference)) <= 1e-12
         assert max(leak, entry_leak) <= 1e-13
+        # the row builder's reused buffer gives the same blocks, bit for bit
+        built = gqsearch.pea._boosted_rows(inst.spectrum, m)
+        assert gqsearch.pea._split_blocks(built, vectors, size)[0].tobytes() == (
+            blocks.tobytes()
+        )
         streamed = dense_b_prime_check(inst, m)
-        monkeypatch.setattr(gqsearch.pea, "_split_blocks", round_trip_split)
+        monkeypatch.setattr(
+            gqsearch.pea,
+            "_split_blocks",
+            lambda rows, vectors, size: round_trip_split(
+                stack_rows(rows), vectors, size
+            ),
+        )
         assert abs(dense_b_prime_check(inst, m) - streamed) <= 1e-12
 
     def test_spread_leak_raises(self, monkeypatch):
         # 16 off-block entries of one column, each half the tolerance: the
         # largest entry passes, the column norm (twice the tolerance) does not
-        import gqsearch.pea
-
         inst = oracle_instance("symmetric")
         m, n = 2, inst.dimension
         vectors = inst.spectrum.vectors
@@ -401,26 +431,17 @@ class TestDenseBPrimeCheck:
         matrix = dense_boosted_matrix(inst.spectrum, m) + leak
         _, entry_leak = round_trip_split(matrix, vectors, 2**m)
         assert np.isclose(entry_leak, entry, rtol=1e-6)
-        build = gqsearch.pea.dense_boosted_matrix
-        monkeypatch.setattr(
-            gqsearch.pea, "dense_boosted_matrix", lambda spec, m: build(spec, m) + leak
-        )
+        add_to_rows(monkeypatch, leak)
         with pytest.raises(EigensolverError, match="couples") as caught:
             dense_b_prime_check(inst, m)
         assert np.isclose(caught.value.residual, 4.0 * entry, rtol=1e-6)
 
     def test_nan_matrix_entry_raises(self, monkeypatch):
-        import gqsearch.pea
-
         inst = oracle_instance("symmetric")
-        build = gqsearch.pea.dense_boosted_matrix
-
-        def poisoned(spec, m):
-            matrix = build(spec, m)
-            matrix[7, 40] = np.nan
-            return matrix
-
-        monkeypatch.setattr(gqsearch.pea, "dense_boosted_matrix", poisoned)
+        joint_dim = 4 * inst.dimension
+        poison = np.zeros((joint_dim, joint_dim), dtype=np.complex128)
+        poison[7, 40] = np.nan
+        add_to_rows(monkeypatch, poison)
         with pytest.raises(EigensolverError, match="couples") as caught:
             dense_b_prime_check(inst, 2)
         assert math.isnan(caught.value.residual)
@@ -432,15 +453,12 @@ class TestDenseBPrimeCheck:
 
         inst = oracle_instance("symmetric")
         solve = gqsearch.linalg.unitary_eigensystem
-        calls = []
 
-        def poisoned(matrix):
-            calls.append(matrix.shape)
-            eig = solve(matrix)
-            if len(calls) != 1:
-                return eig
+        def poisoned(blocks):
+            # block 0 belongs to main eigenvector 0, the source's
+            eig = solve(blocks)
             vectors = eig.vectors.copy()
-            vectors[0, np.argmin(np.abs(eig.phases))] = np.nan
+            vectors[0, 0, np.argmin(np.abs(eig.phases[0]))] = np.nan
             return gqsearch.linalg.EigenSystem(phases=eig.phases, vectors=vectors)
 
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", poisoned)
@@ -450,7 +468,9 @@ class TestDenseBPrimeCheck:
 
     @pytest.mark.parametrize("oracle", ["check", "matrix"])
     def test_memory_at_audit_instance(self, oracle):
-        # the joint matrix alone is 16 MiB; nothing else of joint size is held
+        # the joint matrix alone is 16 MiB; nothing else of joint size is
+        # held, and the check, which reads the matrix one 2 MiB ancilla row
+        # at a time, holds none
         import tracemalloc
 
         inst = audit_instance()
@@ -465,6 +485,8 @@ class TestDenseBPrimeCheck:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+        if oracle == "check":
+            assert peak < 10 * 2**20
 
     def test_one_eigensolve_per_block(self, monkeypatch):
         import gqsearch.linalg
@@ -479,25 +501,18 @@ class TestDenseBPrimeCheck:
 
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", counted)
         dense_b_prime_check(inst, 2)
-        assert sizes == [(4, 4)] * inst.dimension
+        assert sizes == [(inst.dimension, 4, 4)]
 
     def test_off_block_leak_raises(self, monkeypatch):
-        import gqsearch.pea
-
         inst = oracle_instance("symmetric")
         m, n = 2, inst.dimension
         vectors = inst.spectrum.vectors
-        build = gqsearch.pea.dense_boosted_matrix
-
-        def leaky(spec, m):
-            # couple ancilla 1 of eigenvector 3 to ancilla 2 of eigenvector 5
-            out_col = np.zeros((2**m, n), dtype=np.complex128)
-            in_col = np.zeros((2**m, n), dtype=np.complex128)
-            out_col[1] = vectors[:, 3]
-            in_col[2] = vectors[:, 5]
-            return build(spec, m) + 1e-6 * np.outer(out_col, in_col.conj())
-
-        monkeypatch.setattr(gqsearch.pea, "dense_boosted_matrix", leaky)
+        # couple ancilla 1 of eigenvector 3 to ancilla 2 of eigenvector 5
+        out_col = np.zeros((2**m, n), dtype=np.complex128)
+        in_col = np.zeros((2**m, n), dtype=np.complex128)
+        out_col[1] = vectors[:, 3]
+        in_col[2] = vectors[:, 5]
+        add_to_rows(monkeypatch, 1e-6 * np.outer(out_col, in_col.conj()))
         with pytest.raises(EigensolverError, match="couples") as caught:
             dense_b_prime_check(inst, m)
         assert np.isclose(caught.value.residual, 1e-6, rtol=1e-6)
@@ -507,20 +522,17 @@ class TestDenseBPrimeCheck:
 
         inst = oracle_instance("symmetric")
         solve = gqsearch.linalg.unitary_eigensystem
-        calls, moved = [], []
+        moved = []
 
-        def pinned(matrix):
+        def pinned(blocks):
             # block 1 belongs to main eigenvector 1: move its largest ancilla
             # overlap onto phase 0, where only the joint source may sit
-            calls.append(matrix.shape)
-            eig = solve(matrix)
-            if len(calls) != 2:
-                return eig
-            overlap = np.abs(eig.vectors[0, :]) ** 2
+            eig = solve(blocks)
+            overlap = np.abs(eig.vectors[1, 0, :]) ** 2
             k = int(np.argmax(overlap))
             moved.append(overlap[k])
             phases = eig.phases.copy()
-            phases[k] = 0.0
+            phases[1, k] = 0.0
             return gqsearch.linalg.EigenSystem(phases=phases, vectors=eig.vectors)
 
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", pinned)
