@@ -344,7 +344,7 @@ def round_trip_split(matrix, vectors, size):
 
 def stack_rows(rows):
     """The matrix whose ancilla rows ``rows`` yields; each row is copied,
-    because ``_boosted_rows`` reuses one buffer for all of them."""
+    because ``_boosted_rows`` yields the same buffer every time."""
     return np.concatenate([row.copy() for row in rows])
 
 
