@@ -4,11 +4,11 @@ The package splits into five layers: ``linalg`` (dense kernels and the
 eigensolver), ``spectra`` (diffusion eigenspectra, moments, instance
 generators), ``search`` (the basic iteration and its predicted rotating
 pair), ``pea`` (the phase-estimation boosted diffusion: runs as plain search
-on an (N+1)-entry boosted spectrum at O(N) per step, dense circuit stages on
-(2^m, N, K) block arrays as oracles), and ``harness`` (configs, experiments,
-reports) with the ``gqsearch`` console script on top.  Each layer is a module
-of the package, and its names are read from there, as in
-``gqsearch.spectra.symmetric_spectrum``.
+on an (N+1)-entry boosted spectrum at O(N) per step), and ``harness``
+(configs, experiments, reports) with the ``gqsearch`` console script on top.
+Each layer is a module of the package, and its names are read from there, as
+in ``gqsearch.spectra.symmetric_spectrum``.  The dense oracles that check
+them, ``gqsearch.dense``, are loaded only by the checks that use them.
 """
 
 from . import harness, linalg, pea, search, spectra

@@ -195,6 +195,8 @@ def _check_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"format must be csv or json, got {config.fmt!r}")
     if config.n < 2:
         raise ConfigError(f"n must be at least 2, got {config.n}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if config.q_max is not None and config.q_max < 0:
         raise ConfigError(f"q_max must be nonnegative, got {config.q_max}")
     if not config.b_values:
@@ -374,6 +376,7 @@ def emit_report(rows: list[ReportRow], fmt: str, path) -> None:
 
 def _validation_checks():
     """Yield (name, callable) pairs; each callable raises on failure."""
+    from . import dense
 
     def grover_curve():
         n = 64
@@ -406,7 +409,7 @@ def _validation_checks():
         for m in (1, 2, 3, 4):
             blocks = np.zeros((2**m, count + 1, 1), dtype=np.complex128)
             blocks[0, 1:, 0] = 1.0
-            after = pea.pea_operator(spectrum, m, blocks)
+            after = dense.pea_operator(spectrum, m, blocks)
             measured = np.abs(after[0, 1:, 0])
             expected = pea.pea_amplitude(thetas, m, 0)
             for theta, deviation in zip(thetas, np.abs(measured - expected)):
@@ -417,7 +420,7 @@ def _validation_checks():
         spectrum = spectra.symmetric_spectrum(16, 5, 0.3, 1.0)
         blocks = np.zeros((4, 16, 1), dtype=np.complex128)
         blocks[0, :, 0] = spectrum.source_state
-        for op in (pea.pea_operator, pea.boosted_diffusion):
+        for op in (dense.pea_operator, dense.boosted_diffusion):
             moved = op(spectrum, 2, blocks)
             if not np.max(np.abs(moved - blocks)) <= 1e-12:
                 raise AssertionError(f"{op.__name__} moved the joint source")

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import round_half_up
-from .spectra import SearchInstance, build_diffusion
+from .spectra import SearchInstance
 
 
 # largest |<state|state> - 1| a run tolerates; eigen-coordinate steps drift
@@ -85,13 +85,6 @@ class RunReport:
             IterationRecord(q, p, s, q, q * self.ds_per_step)
             for q, (p, s) in enumerate(rows)
         )
-
-
-def search_operator(inst: SearchInstance) -> np.ndarray:
-    """Dense search operator: target sign flip followed by diffusion."""
-    matrix = build_diffusion(inst.spectrum)
-    matrix[:, 0] = -matrix[:, 0]
-    return matrix
 
 
 def predict_spectrum(inst: SearchInstance) -> PredictedSpectrum:

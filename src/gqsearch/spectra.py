@@ -185,14 +185,6 @@ def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
         )
 
 
-def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
-    """Dense diffusion matrix with exactly the given eigensystem.
-
-    Reads ``spec.vectors``, so it raises ``DenseCapError`` above the cap.
-    """
-    return (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
-
-
 @dataclass(frozen=True)
 class SearchInstance:
     """A diffusion spectrum with its target, basis state 0, and cached moments.

@@ -487,6 +487,22 @@ class TestCli:
         capsys.readouterr()
         assert parse_report_csv(tmp_path / "seeded.csv")[0]["seed"] == 42
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, where, capsys):
+        # the config check names the key; NumPy's own message would not
+        out = tmp_path / "report.csv"
+        body = "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+        flags = []
+        if where == "config":
+            body += "seed = -1\n"
+        else:
+            flags = ["--seed", "-1"]
+        config = write_config(tmp_path, body)
+        argv = ["run", "--config", str(config), "--out", str(out), *flags]
+        assert cli.main(argv) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_combines_rows(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -41,6 +41,8 @@ def test_import_loads_numpy_random_and_no_scipy(tmp_path):
 
 
 def test_no_path_loads_scipy(tmp_path):
+    # runs and sweeps load neither SciPy nor the dense oracles; validation
+    # loads the dense oracles, still without SciPy
     (tmp_path / "general.ini").write_text(
         "[experiment]\nkind = general-search\n"
         "[instance]\nn = 64\nseed = 1\n"
@@ -53,22 +55,32 @@ def test_no_path_loads_scipy(tmp_path):
         "[run]\nout = boosted.csv\n",
         encoding="ascii",
     )
+    (tmp_path / "sweep.ini").write_text(
+        "[experiment]\nkind = boosted-search\n"
+        "[instance]\nn = 16, 32\nseed = 3\n"
+        "[run]\nq_max = 5\nout = sweep.csv\n",
+        encoding="ascii",
+    )
     code = """
         import sys
         from gqsearch import cli, harness
 
-        def scipy_loaded():
-            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+        def loaded():
+            scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
+            return [scipy, "gqsearch.dense" in sys.modules]
 
         seen = []
-        for config in ("general.ini", "boosted.ini"):
-            seen += [cli.main(["run", "--config", config]), scipy_loaded()]
-        seen += [harness.run_validation(echo=lambda line: None), scipy_loaded()]
+        for command, config in (
+            ("run", "general.ini"), ("run", "boosted.ini"), ("sweep", "sweep.ini")
+        ):
+            seen += [cli.main([command, "--config", config]), *loaded()]
+        seen += [harness.run_validation(echo=lambda line: None), *loaded()]
         print(*seen)
     """
-    assert run_fresh(code, tmp_path) == ["0", "False", "0", "False", "True", "False"]
-    assert (tmp_path / "general.csv").exists()
-    assert (tmp_path / "boosted.csv").exists()
+    quiet = ["0", "False", "False"]
+    assert run_fresh(code, tmp_path) == quiet * 3 + ["True", "False", "True"]
+    for report in ("general.csv", "boosted.csv", "sweep.csv"):
+        assert (tmp_path / report).exists()
 
 
 def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):

@@ -5,6 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from gqsearch.dense import (
+    _apply_condition,
+    _apply_estimate,
+    _apply_ramp,
+    _apply_unestimate,
+    _in_eigen_frame,
+    boosted_diffusion,
+    build_diffusion,
+    pea_operator,
+)
 from gqsearch.linalg import (
     RECONSTRUCTION_ATOL,
     DenseCapError,
@@ -15,19 +25,14 @@ from gqsearch.linalg import (
 from gqsearch.pea import (
     BoostedOperator,
     MAX_ANCILLA_QUBITS,
-    _apply_block_powers,
     b_prime,
-    boosted_diffusion,
     boosted_lambda1,
     boosted_search_run,
-    c_operator,
     controlled_oracle,
     default_ancilla_count,
     dense_b_prime_check,
     dense_boosted_matrix,
-    pea_adjoint,
     pea_amplitude,
-    pea_operator,
     qft,
     walsh_hadamard,
 )
@@ -35,7 +40,6 @@ from gqsearch.spectra import (
     ResonanceError,
     SearchInstance,
     SpectrumValidationError,
-    build_diffusion,
     grover_spectrum,
     resonant_spectrum,
     symmetric_spectrum,
@@ -147,12 +151,15 @@ class TestJointOperators:
 
     def test_block_powers_match_dense(self):
         # the controlled-power stage of pea_operator on its own
-        applied = _apply_block_powers(self.spec, self.blocks, np.arange(4))
+        def ladder(spec, m, coeff):
+            return _apply_ramp(spec, coeff, np.arange(2**m))
+
+        applied = _in_eigen_frame(ladder, self.spec, 2, self.blocks)
         oracle = dense_power_ladder(self.matrix, 2) @ self.flat
         assert np.allclose(applied.ravel(), oracle, atol=1e-10)
 
     def test_c_operator_matches_dense(self):
-        applied = c_operator(self.spec, 2, self.blocks)
+        applied = _in_eigen_frame(_apply_condition, self.spec, 2, self.blocks)
         powered = np.linalg.matrix_power(self.matrix, 4)
         dense = -np.eye(16, dtype=np.complex128)
         dense[:4, :4] = powered
@@ -168,10 +175,13 @@ class TestJointOperators:
         assert np.allclose(applied.ravel(), dense @ self.flat, atol=1e-10)
 
     def test_adjoint_inverts_estimation(self):
-        round_trip = pea_adjoint(self.spec, 2, pea_operator(self.spec, 2, self.blocks))
-        assert np.allclose(round_trip, self.blocks, atol=1e-12)
-        other = pea_operator(self.spec, 2, pea_adjoint(self.spec, 2, self.blocks))
-        assert np.allclose(other, self.blocks, atol=1e-12)
+        spec, blocks = self.spec, self.blocks
+        estimated = _in_eigen_frame(_apply_estimate, spec, 2, blocks)
+        round_trip = _in_eigen_frame(_apply_unestimate, spec, 2, estimated)
+        assert np.allclose(round_trip, blocks, atol=1e-12)
+        unestimated = _in_eigen_frame(_apply_unestimate, spec, 2, blocks)
+        other = _in_eigen_frame(_apply_estimate, spec, 2, unestimated)
+        assert np.allclose(other, blocks, atol=1e-12)
 
     def test_dense_boosted_matrix_matches_dense(self):
         estimate = (
@@ -201,7 +211,9 @@ def test_fused_boost_matches_stage_composition(n, m):
     rng = np.random.default_rng(n + m)
     shape = (2**m, n, 3)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    staged = pea_operator(spec, m, c_operator(spec, m, pea_adjoint(spec, m, blocks)))
+    staged = blocks
+    for stage in (_apply_unestimate, _apply_condition, _apply_estimate):
+        staged = _in_eigen_frame(stage, spec, m, staged)
     fused = boosted_diffusion(spec, m, blocks)
     assert np.max(np.abs(fused - staged)) <= 1e-12
 
@@ -350,16 +362,16 @@ def stack_rows(rows):
 
 def add_to_rows(monkeypatch, extra):
     """Make the check's row builder yield B[a] + ancilla row a of ``extra``."""
-    import gqsearch.pea
+    import gqsearch.dense
 
-    build = gqsearch.pea._boosted_rows
+    build = gqsearch.dense._boosted_rows
 
     def rows(spec, m):
         extra_rows = extra.reshape(2**m, spec.dimension, -1)
         for a, row in enumerate(build(spec, m)):
             yield row + extra_rows[a]
 
-    monkeypatch.setattr(gqsearch.pea, "_boosted_rows", rows)
+    monkeypatch.setattr(gqsearch.dense, "_boosted_rows", rows)
 
 
 class TestDenseBPrimeCheck:
@@ -388,24 +400,24 @@ class TestDenseBPrimeCheck:
         + [("audit", 3)],
     )
     def test_streamed_blocks_match_round_trip(self, monkeypatch, family, m):
-        import gqsearch.pea
+        import gqsearch.dense
 
         inst = audit_instance() if family == "audit" else oracle_instance(family)
         size, vectors = 2**m, inst.spectrum.vectors
         matrix = dense_boosted_matrix(inst.spectrum, m)
         rows = matrix.reshape(size, inst.dimension, -1)
-        blocks, leak = gqsearch.pea._split_blocks(rows, vectors, size)
+        blocks, leak = gqsearch.dense._split_blocks(rows, vectors, size)
         reference, entry_leak = round_trip_split(matrix, vectors, size)
         assert np.max(np.abs(blocks - reference)) <= 1e-12
         assert max(leak, entry_leak) <= 1e-13
         # the row builder's reused buffer gives the same blocks, bit for bit
-        built = gqsearch.pea._boosted_rows(inst.spectrum, m)
-        assert gqsearch.pea._split_blocks(built, vectors, size)[0].tobytes() == (
+        built = gqsearch.dense._boosted_rows(inst.spectrum, m)
+        assert gqsearch.dense._split_blocks(built, vectors, size)[0].tobytes() == (
             blocks.tobytes()
         )
         streamed = dense_b_prime_check(inst, m)
         monkeypatch.setattr(
-            gqsearch.pea,
+            gqsearch.dense,
             "_split_blocks",
             lambda rows, vectors, size: round_trip_split(
                 stack_rows(rows), vectors, size

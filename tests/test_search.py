@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gqsearch import search
+from gqsearch.dense import build_diffusion, search_operator
 from gqsearch.harness import ExperimentConfig, run_experiment
 from gqsearch.linalg import unitary_eigensystem
 from gqsearch.pea import b_prime, boosted_search_run, pea_amplitude
@@ -15,13 +16,11 @@ from gqsearch.search import (
     RelevantPairError,
     predict_spectrum,
     run_iterations,
-    search_operator,
     verify_relevant_pair,
 )
 from gqsearch.spectra import (
     EigenSpectrum,
     SearchInstance,
-    build_diffusion,
     grover_spectrum,
     resonant_spectrum,
     symmetric_spectrum,

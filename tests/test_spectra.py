@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gqsearch.dense import build_diffusion, search_operator
 from gqsearch.linalg import DENSE_CAP, DenseCapError
 from gqsearch.spectra import (
     EigenSpectrum,
     ResonanceError,
     SearchInstance,
     SpectrumValidationError,
-    build_diffusion,
     grover_spectrum,
     naive_power_b,
     resonant_spectrum,
@@ -33,7 +33,7 @@ from gqsearch.pea import (
     boosted_search_run,
     default_ancilla_count,
 )
-from gqsearch.search import predict_spectrum, run_iterations, search_operator
+from gqsearch.search import predict_spectrum, run_iterations
 
 from helpers import unitarity_defect
 
