@@ -5,10 +5,10 @@ slow (peak near pi b / 4 alpha iterations).  Conjugating the conditional
 flip with phase estimation rewrites every eigenphase theta as 2^m theta
 or pi, which compresses the effective b factor to b' = O(1): the peak
 arrives a factor ~b sooner at the price of 3 * 2^m - 2 diffusion
-applications per iteration.
+applications per iteration.  ``search.peak_law`` predicts both peaks, from
+(b, lambda1) for the plain run and from (b', boosted lambda1) for the
+boosted one.
 """
-
-import math
 
 from gqsearch import pea, search, spectra
 
@@ -26,7 +26,7 @@ def main():
     print(f"  powered share     sigma2 = {split.sigma2:.4f} (= b^2 / 4^m)")
     print()
 
-    plain = search.run_iterations(inst, 2 * search.predict_spectrum(inst).q_m)
+    plain = search.run_iterations(inst)
     boosted = pea.boosted_search_run(inst, m)
 
     print("              plain         boosted")
@@ -41,10 +41,12 @@ def main():
           f"({boosted.ds_per_step} per iteration)")
     print()
     saving = plain.peak_q / boosted.peak_q
+    law_q, law_p = search.peak_law(
+        split.b_prime, inst.alpha, pea.boosted_lambda1(inst, m)
+    )
     print(f"oracle-query saving: {saving:.1f}x, close to b = "
-          f"{inst.b_factor:.1f} as predicted (peak ~ pi b' / 4 alpha)")
-    print(f"expected boosted peak height ~ 1 / b'^2 = "
-          f"{1.0 / split.b_prime**2:.4f}")
+          f"{inst.b_factor:.1f} as predicted (boosted peak law q = {law_q})")
+    print(f"expected boosted peak height, peak law p = {law_p:.4f}")
 
 
 if __name__ == "__main__":

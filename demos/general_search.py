@@ -2,8 +2,11 @@
 
 The diffusion spectrum is random inside a phase band instead of Grover's
 all-at-pi layout.  Two closed-form numbers still describe the whole run:
-the rotating pair turns by 2 alpha / b per step, and the success peak
-lands at q_m = round(pi b / (4 alpha) - 1/2) with height about 1/b^2.
+the rotating pair turns by 2 alpha / b per step, skewed by the mixing
+angle eta with cot(2 eta) = lambda1 / (2 alpha b), and ``search.peak_law``
+puts the success peak at q_m = round(pi b sin(2 eta) / (4 alpha) - 1/2)
+with height about sin^2(2 eta) / b^2.  This band is symmetric, so
+lambda1 vanishes, sin(2 eta) = 1 and the height is 1/b^2.
 """
 
 from gqsearch import search, spectra
@@ -24,7 +27,7 @@ def main():
           f"(leakage outside the pair: {residual:.2e})")
     print()
 
-    report = search.run_iterations(inst, 2 * predicted.q_m)
+    report = search.run_iterations(inst)  # q_max defaults to 2 q_m
     print(f"predicted peak: q = {predicted.q_m}, "
           f"p ~ {predicted.peak_overlap**2:.4f}")
     print(f"measured  peak: q = {report.peak_q}, "

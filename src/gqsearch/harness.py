@@ -263,17 +263,22 @@ def _row(
     config: ExperimentConfig,
     inst,
     report,
-    b_eff: float,
     m: int | None = None,
+    b_prime: float | None = None,
     lambda1_boosted: float | None = None,
     naive_b_r: float | None = None,
 ) -> ReportRow:
     """The report row of one run; the ledger at the peak is arithmetic on q.
 
-    ``b_eff`` is the b factor the run's peak follows: b for a plain run, b'
-    for a boosted run on ``m`` ancillas.  The boosted-only cells stay None
-    for a plain run.
+    The predicted cells are ``search.peak_law`` of the b factor and first
+    moment the run's peak follows: b and lambda1 for a plain run, b' and
+    the boosted lambda1 for a boosted run on ``m`` ancillas.  The
+    boosted-only cells stay None for a plain run.
     """
+    if m is None:
+        law = search.peak_law(inst.b_factor, inst.alpha, inst.lambda1)
+    else:
+        law = search.peak_law(b_prime, inst.alpha, lambda1_boosted)
     return ReportRow(
         experiment=config.kind,
         n=inst.dimension,
@@ -283,7 +288,7 @@ def _row(
         theta_min=inst.theta_min,
         m=m,
         r=None if m is None else 2**m,
-        b_prime=None if m is None else b_eff,
+        b_prime=b_prime,
         lambda1=inst.lambda1,
         lambda1_boosted=lambda1_boosted,
         naive_b_r=naive_b_r,
@@ -291,8 +296,8 @@ def _row(
         peak_probability=report.peak_probability,
         oracle_queries_at_peak=report.peak_q,
         ds_applications_at_peak=report.peak_q * report.ds_per_step,
-        predicted_peak_q=search.peak_iteration(b_eff, inst.alpha),
-        predicted_peak_probability=1.0 / b_eff**2,
+        predicted_peak_q=law[0],
+        predicted_peak_probability=law[1],
     )
 
 
@@ -305,10 +310,7 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
             inst = spectra.SearchInstance.build(spectrum)
         else:
             inst = _symmetric_instance(config)
-        q_max = config.q_max
-        if q_max is None:
-            q_max = 2 * search.peak_iteration(inst.b_factor, inst.alpha)
-        return [_row(config, inst, search.run_iterations(inst, q_max), inst.b_factor)]
+        return [_row(config, inst, search.run_iterations(inst, config.q_max))]
 
     naive_b_r = None
     if config.kind == "boosted-search":
@@ -331,12 +333,10 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
                 m = config.resonance_m
             else:
                 m = pea.default_ancilla_count(inst.b_factor)
-        breakdown = pea.b_prime(inst, m)
+        boost = pea.b_prime(inst, m).b_prime
         lambda1_boosted = pea.boosted_lambda1(inst, m)
-        report = pea.boosted_search_run(inst, m, config.q_max, breakdown=breakdown)
-        rows.append(
-            _row(config, inst, report, breakdown.b_prime, m, lambda1_boosted, naive_b_r)
-        )
+        report = pea.boosted_search_run(inst, m, config.q_max)
+        rows.append(_row(config, inst, report, m, boost, lambda1_boosted, naive_b_r))
     return rows
 
 

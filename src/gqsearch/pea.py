@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import round_half_up, wrap_phase
-from .search import RunReport, _iterate, reflect_target
+from .search import RunReport, _iterate, peak_law, reflect_target
 from .spectra import (
     EigenSpectrum,
     ResonanceError,
@@ -140,10 +140,12 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     minus the weight surviving phase estimation; it never exceeds 1.
     sigma2 is the powered-branch sum, which telescopes exactly to
     (b^2) / 4^m because the estimation amplitude's numerator cancels the
-    powered phase's sine.
+    powered phase's sine.  The telescoped sum counts a 0/0 term for a
+    weighted phase that the power drives onto a multiple of 2 pi, so that
+    case raises ``ResonanceError``, as ``boosted_lambda1`` does.
     """
-    _check_ancilla_count(m)
     spectrum = inst.spectrum
+    _powered_branch(spectrum, m)
     survival = _survival(spectrum.phases, m)
     sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
     sigma2 = inst.b_factor**2 / 4**m
@@ -159,19 +161,28 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
     only the powered branch contributes.  Exact +/- phase pairs with
     matched weights make this vanish to rounding.
     """
+    phases, weights, boosted = _powered_branch(inst.spectrum, m)
+    survival = _survival(phases, m)
+    half = 0.5 * boosted
+    return float(np.sum(weights * survival * np.cos(half) / np.sin(half)))
+
+
+def _powered_branch(spectrum: EigenSpectrum, m: int):
+    """Weighted nonsource phases, their weights and their 2^m-powered phases.
+
+    Raises ``ResonanceError`` if a powered phase lands exactly on a multiple
+    of 2 pi: its survival is zero and its cotangent is infinite, so neither
+    boosted moment is defined.
+    """
     _check_ancilla_count(m)
-    phases = inst.spectrum.phases[1:]
-    weights = inst.spectrum.weights[1:]
-    live = weights > 0.0
-    phases, weights = phases[live], weights[live]
+    live = spectrum.weights[1:] > 0.0
+    phases = spectrum.phases[1:][live]
     boosted = wrap_phase(2**m * phases)
     if np.any(boosted == 0.0):
         raise ResonanceError(
             f"power 2**{m} drives a weighted phase onto a multiple of 2*pi"
         )
-    survival = _survival(phases, m)
-    half = 0.5 * boosted
-    return float(np.sum(weights * survival * np.cos(half) / np.sin(half)))
+    return phases, spectrum.weights[1:][live], boosted
 
 
 def default_ancilla_count(b_factor: float) -> int:
@@ -182,20 +193,17 @@ def default_ancilla_count(b_factor: float) -> int:
 
 
 def boosted_search_run(
-    inst: SearchInstance,
-    m: int | None = None,
-    q_max: int | None = None,
-    *,
-    breakdown: BPrimeBreakdown | None = None,
+    inst: SearchInstance, m: int | None = None, q_max: int | None = None
 ) -> RunReport:
     """Iterate controlled oracle + boosted diffusion from the joint source.
 
     ``m`` defaults to round(log2 b); ``q_max`` defaults to twice the
-    predicted peak pi * b_prime / (4 alpha), so the scan covers the first
-    probability crest with margin but stops before later crests that
-    leakage can push marginally higher.  Entry q of ``target_probability``
-    is the joint target probability |<ancilla 0, target | state>|^2 after q
-    oracle queries; ``ds_per_step`` is 3 * 2^m - 2.
+    ``search.peak_law`` iteration of b' and the boosted first moment, so
+    the scan covers the first probability crest with margin but stops
+    before later crests that leakage can push marginally higher.  Entry q
+    of ``target_probability`` is the joint target probability
+    |<ancilla 0, target | state>|^2 after q oracle queries; ``ds_per_step``
+    is 3 * 2^m - 2.
 
     The run is plain search on the boosted spectrum, N + 1 entries long.
     Entry l is the probe p_l (x) v_l, with phase 2^m theta_l and target
@@ -206,11 +214,8 @@ def boosted_search_run(
     starts in that eigenspace with no weight and the oracle only ever adds
     the joint target to it, so one coordinate holds all of it.  The source
     stays entry 0, exactly e_0 (x) v_0, because survival at theta = 0 is 1,
-    and the pi entry goes last.  A
-    step costs O(N) whatever m is; no N x N array is built.
-
-    ``breakdown`` is ``b_prime(inst, m)`` for a caller that already holds
-    it, so the run does not compute it again.
+    and the pi entry goes last.  A step costs O(N) whatever m is; no N x N
+    array is built.
 
     Raises
     ------
@@ -220,17 +225,16 @@ def boosted_search_run(
     """
     if m is None:
         m = default_ancilla_count(inst.b_factor)
-    if breakdown is None:
-        breakdown = b_prime(inst, m)
     if q_max is None:
-        boost = breakdown.b_prime
-        q_max = max(1, round_half_up(math.pi * boost / (2.0 * inst.alpha)))
+        boost = b_prime(inst, m).b_prime
+        q_max = 2 * peak_law(boost, inst.alpha, boosted_lambda1(inst, m))[0]
     spectrum = inst.spectrum
     operator = BoostedOperator.build(spectrum, m)
+    survival = _survival(spectrum.phases, m)
+    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
     eigenphase = np.append(np.exp(1j * operator.r * spectrum.phases), -1.0)
     target_row = np.append(
-        np.sqrt(_survival(spectrum.phases, m)) * spectrum.target_row,
-        math.sqrt(breakdown.sigma1),
+        np.sqrt(survival) * spectrum.target_row, math.sqrt(sigma1)
     )
     return _iterate(
         eigenphase,

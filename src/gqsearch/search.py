@@ -4,7 +4,8 @@ One iteration flips the sign of the target amplitude and then applies the
 diffusion operator.  Starting from the diffusion fixed point, the dynamics
 live almost entirely in a two dimensional rotating subspace whose rotation
 rate, and therefore the peak iteration count and peak success probability,
-follow from the cotangent moments cached on the instance.
+follow from the cotangent moments cached on the instance through
+``peak_law``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def predict_spectrum(inst: SearchInstance) -> PredictedSpectrum:
 
     The two phases are +/-(2 alpha / b) scaled by tan(eta)^{+/-1}, where
     cot(2 eta) is the first moment over 2*alpha*b.  A vanishing first
-    moment gives eta = pi/4 and the symmetric pair exactly.
+    moment gives eta = pi/4 and the symmetric pair exactly.  ``q_m`` and
+    ``peak_overlap`` come from ``peak_law``.
     """
     alpha = inst.alpha
     b = inst.b_factor
@@ -106,41 +108,53 @@ def predict_spectrum(inst: SearchInstance) -> PredictedSpectrum:
         tan_eta = math.tan(eta)
         lam_plus = rate * tan_eta
         lam_minus = -rate / tan_eta
-    q_m = peak_iteration(b, alpha)
+    q_m, probability = peak_law(b, alpha, inst.lambda1)
     return PredictedSpectrum(
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
         eta=eta,
         q_m=q_m,
-        peak_overlap=1.0 / b,
+        peak_overlap=math.sqrt(probability),
     )
 
 
-def peak_iteration(b_factor: float, alpha: float) -> int:
-    """Iteration count of the first probability crest, pi b / (4 alpha).
+def peak_law(b_factor: float, alpha: float, lambda1: float) -> tuple[int, float]:
+    """The first probability crest (q, p) predicted from the rotating pair.
 
-    Rounded half up after subtracting 1/2, and never below 1.  Serves the
-    plain prediction (the main-space b) and the boosted one (b').
+    With skew = lambda1 / (2 alpha b) = cot(2 eta), sin^2(2 eta) is
+    1 / (1 + skew^2).  The pair's phases differ by 4 alpha / (b sin(2 eta)),
+    so the crest sits at q = pi b sin(2 eta) / (4 alpha), rounded half up
+    after subtracting 1/2 and never below 1, with target probability
+    p = sin^2(2 eta) / b^2.  Serves the plain prediction (b and lambda1 of
+    the main space) and the boosted one (b' and the boosted lambda1).
     """
-    return max(1, round_half_up(np.pi * b_factor / (4.0 * alpha) - 0.5))
+    skew = lambda1 / (2.0 * alpha * b_factor)
+    sin2 = 1.0 / (1.0 + skew * skew)
+    crest = np.pi * b_factor * math.sqrt(sin2) / (4.0 * alpha)
+    q = max(1, round_half_up(crest - 0.5))
+    return q, sin2 / b_factor**2
 
 
-def run_iterations(inst: SearchInstance, q_max: int) -> RunReport:
+def run_iterations(inst: SearchInstance, q_max: int | None = None) -> RunReport:
     """Iterate the search operator from the source, recording every step.
 
     Entry q of the report's columns holds the exact target probability and
     source overlap magnitude after q iterations; q = 0 is the initial state.
-    The peak fields ignore q = 0.  The state is kept as diffusion
-    eigen-coordinates c = V^dag psi, starting from the source's c = e_0: the
-    target flip is the rank-1 reflection c - 2 (t . c) conj(t) with t the
-    target row of V, and the diffusion multiplies by e^{i theta}.  Each step
-    costs O(N), and the eigenbasis V itself is never built.
+    The peak fields ignore q = 0.  ``q_max`` defaults to twice the
+    ``peak_law`` iteration, so the scan covers the first crest with margin.
+    The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
+    from the source's c = e_0: the target flip is the rank-1 reflection
+    c - 2 (t . c) conj(t) with t the target row of V, and the diffusion
+    multiplies by e^{i theta}.  Each step costs O(N), and the eigenbasis V
+    itself is never built.
 
     Raises
     ------
     NormDriftError
         If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT, or is NaN, at any step.
     """
+    if q_max is None:
+        q_max = 2 * peak_law(inst.b_factor, inst.alpha, inst.lambda1)[0]
     spectrum = inst.spectrum
     return _iterate(
         np.exp(1j * spectrum.phases), spectrum.target_row, q_max, ds_per_step=1

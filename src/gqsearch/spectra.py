@@ -191,9 +191,9 @@ class SearchInstance:
 
     ``alpha`` is the source-target overlap magnitude; ``lambda1``/``lambda2``
     are the first two cotangent moments of the nonsource phases weighted by
-    target overlap; ``b_factor`` is the inverse-sine-weighted norm that sets
-    both the peak success probability (~1/b_factor**2) and the iteration
-    count of the search.
+    target overlap; ``b_factor`` is the inverse-sine-weighted norm.  With
+    ``lambda1`` it sets the peak success probability and the iteration
+    count of the search, through ``search.peak_law``.
     """
 
     spectrum: EigenSpectrum

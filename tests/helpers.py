@@ -2,9 +2,13 @@
 
 from typing import get_args, get_type_hints
 
+import math
+
 import numpy as np
 
 from gqsearch.harness import ReportRow
+from gqsearch.linalg import wrap_phase
+from gqsearch.spectra import EigenSpectrum
 
 # column -> the type of its non-empty cells (int | None reads as int)
 _COLUMN_TYPES = {
@@ -32,3 +36,24 @@ def parse_report_csv(path) -> list[dict]:
             entry[name] = None if cell == "" else _COLUMN_TYPES[name](cell)
         rows.append(entry)
     return rows
+
+
+def graph_spectrum(levels, gamma) -> EigenSpectrum:
+    """A vertex-transitive graph diffusion e^{-i gamma L}, one entry per level.
+
+    ``levels`` maps each Laplacian eigenvalue to its multiplicity.  A level
+    lambda of multiplicity mu is one entry with phase wrap(-gamma lambda)
+    and target entry sqrt(mu / N), whichever vertex is marked; the
+    lambda = 0 entry, the source, comes first.  No basis is built.
+    """
+    n = sum(levels.values())
+    items = sorted(levels.items())
+    assert items[0][0] == 0
+    phases = wrap_phase(np.array([-gamma * level for level, _ in items]))
+    row = np.sqrt(np.array([mu for _, mu in items]) / n).astype(np.complex128)
+    return EigenSpectrum._generated(phases, row=row, build=None)
+
+
+def hypercube_levels(d):
+    """Laplacian levels of the d-cube: 2j with multiplicity C(d, j)."""
+    return {2 * j: math.comb(d, j) for j in range(d + 1)}

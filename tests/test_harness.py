@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gqsearch import cli, pea, search, spectra
+from gqsearch import cli, harness, pea, search, spectra
 from gqsearch.harness import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +18,7 @@ from gqsearch.harness import (
     run_validation,
 )
 
-from helpers import parse_report_csv
+from helpers import graph_spectrum, hypercube_levels, parse_report_csv
 
 COLUMNS = (
     "experiment,n,seed,alpha,b_factor,theta_min,m,r,b_prime,lambda1,"
@@ -261,6 +261,32 @@ class TestExperiments:
         rows = run_experiment(load_config(path))
         assert [round(row.b_factor, 6) for row in rows] == [2.0, 4.0]
         assert all(row.experiment == "b-sweep" for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["general-search", "boosted-search"])
+def test_predicted_cells_read_the_peak_law(tmp_path, monkeypatch, kind):
+    # every nonsource phase of the 8-cube at gamma = pi / 17 is negative, so
+    # lambda1 is far from 0 and sin^2(2 eta) is well below 1
+    inst = spectra.SearchInstance.build(
+        graph_spectrum(hypercube_levels(8), math.pi / 17)
+    )
+    monkeypatch.setattr(
+        harness, "_symmetric_instance", lambda config, b_target=None: inst
+    )
+    path = write_config(
+        tmp_path, f"[experiment]\nkind = {kind}\n[run]\nq_max = 20\n"
+    )
+    row = run_experiment(load_config(path))[0]
+    predicted = (row.predicted_peak_q, row.predicted_peak_probability)
+    if row.m is None:
+        plain = search.predict_spectrum(inst)
+        assert predicted[0] == plain.q_m
+        assert math.isclose(predicted[1], plain.peak_overlap**2, rel_tol=1e-15)
+        assert predicted[1] < 0.1 / row.b_factor**2
+    else:
+        law = search.peak_law(row.b_prime, row.alpha, row.lambda1_boosted)
+        assert predicted == law
+        assert predicted[1] < 0.5 / row.b_prime**2
 
 
 class _CountingGenerator:

@@ -1,4 +1,11 @@
-"""Invariants of the O(N) runs that need no dense object."""
+"""Invariants of the O(N) runs that need no dense object.
+
+Conjugating the spectrum, splitting an entry into two of the same phase,
+merging entries of one phase and relabeling the nonsource entries all
+leave every run unchanged, up to rounding.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ import pytest
 from gqsearch.pea import b_prime, boosted_search_run
 from gqsearch.search import run_iterations
 from gqsearch.spectra import EigenSpectrum, SearchInstance, symmetric_spectrum
+
+from helpers import graph_spectrum, hypercube_levels
 
 
 def conjugate(spec):
@@ -55,3 +64,64 @@ def test_repeated_nonsource_phases_are_accepted():
     for column in ("target_probability", "source_overlap"):
         gap = getattr(report, column) - getattr(expected, column)
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+def respell(spec, phases, row):
+    """The spectrum with entries (phases, row); the source stays entry 0."""
+    phases = np.concatenate([[0.0], phases])
+    row = np.concatenate([spec.target_row[:1], row]).astype(np.complex128)
+    return EigenSpectrum._generated(phases, row=row, build=None)
+
+
+def split(spec):
+    """Every nonsource entry as two of its phase, with 0.3 and 0.7 of its weight."""
+    shares = np.tile(np.sqrt([0.3, 0.7]), spec.dimension - 1)
+    return respell(
+        spec,
+        np.repeat(spec.phases[1:], 2),
+        np.repeat(spec.target_row[1:], 2) * shares,
+    )
+
+
+def relabel(spec):
+    """The nonsource entries in a fixed shuffled order."""
+    order = 1 + np.random.default_rng(7).permutation(spec.dimension - 1)
+    return respell(spec, spec.phases[order], spec.target_row[order])
+
+
+def assert_same_runs(spec, other, q_max=2000, tol=1e-11):
+    """Plain and boosted (m = 2 to 4) runs of both spectra agree to ``tol``."""
+    inst, twin = SearchInstance.build(spec), SearchInstance.build(other)
+    for name in ("b_factor", "lambda1"):
+        assert abs(getattr(inst, name) - getattr(twin, name)) <= 1e-12
+    runs = [(run_iterations(inst, q_max), run_iterations(twin, q_max))]
+    for m in (2, 3, 4):
+        assert abs(b_prime(inst, m).b_prime - b_prime(twin, m).b_prime) <= 1e-12
+        runs.append(
+            (boosted_search_run(inst, m, q_max), boosted_search_run(twin, m, q_max))
+        )
+    for report, expected in runs:
+        assert report.peak_q == expected.peak_q
+        for column in ("target_probability", "source_overlap"):
+            gap = getattr(report, column) - getattr(expected, column)
+            assert np.max(np.abs(gap)) <= tol
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("respelling", [split, relabel])
+def test_splitting_and_relabeling_leave_every_run(n, respelling):
+    # in eigen-coordinates the oracle only adds multiples of the target row
+    # and the diffusion is a scalar on each phase, so the run sees each
+    # phase's target weight, not how it is shared out or ordered
+    spec = symmetric_spectrum(n, 1, 0.5, 1.5, b_target=8)
+    assert_same_runs(respelling(spec), spec)
+
+
+def test_merging_each_level_leaves_every_run():
+    # the 11 levels of the 10-cube against its 1024 vertices: vertex x has
+    # level 2 popcount(x) and target entry 1 / 32
+    levels = graph_spectrum(hypercube_levels(10), math.pi / 21)
+    popcount = [bin(x).count("1") for x in range(1024)]
+    row = np.full(1024, 1.0 / 32.0, dtype=np.complex128)
+    vertices = EigenSpectrum._generated(levels.phases[popcount], row=row, build=None)
+    assert_same_runs(levels, vertices)

@@ -36,6 +36,7 @@ from gqsearch.pea import (
     qft,
     walsh_hadamard,
 )
+from gqsearch.search import peak_law
 from gqsearch.spectra import (
     ResonanceError,
     SearchInstance,
@@ -282,6 +283,17 @@ class TestBPrime:
                 math.sqrt(breakdown.sigma1 + breakdown.sigma2),
                 rtol=1e-15,
             )
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_weighted_resonance_raises(self, n, m):
+        # every nonsource phase is pi, so 2^m pi wraps onto exactly 0: the
+        # survival is zero and the telescoped sigma2 = b^2 / 4^m would count
+        # its 0/0 term as b^2 / 4^m
+        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        with pytest.raises(ResonanceError):
+            b_prime(inst, m)
 
     def test_bound_from_sigma_split(self):
         inst = SearchInstance.build(resonant_spectrum(32, 3, 1e-3, 7, alpha=0.125))
@@ -595,7 +607,7 @@ class TestBoostedRun:
         m = default_ancilla_count(inst.b_factor)
         report = boosted_search_run(inst)
         boost = b_prime(inst, m).b_prime
-        expected = max(1, math.floor(math.pi * boost / (2.0 * 0.2) + 0.5))
+        expected = 2 * peak_law(boost, 0.2, boosted_lambda1(inst, m))[0]
         assert len(report.target_probability) == expected + 1
         assert report.peak_q <= expected
 

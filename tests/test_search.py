@@ -9,8 +9,8 @@ import pytest
 from gqsearch import search
 from gqsearch.dense import build_diffusion, search_operator
 from gqsearch.harness import ExperimentConfig, run_experiment
-from gqsearch.linalg import unitary_eigensystem
-from gqsearch.pea import b_prime, boosted_search_run, pea_amplitude
+from gqsearch.linalg import round_half_up, unitary_eigensystem
+from gqsearch.pea import b_prime, boosted_lambda1, boosted_search_run, pea_amplitude
 from gqsearch.search import (
     NormDriftError,
     RelevantPairError,
@@ -26,7 +26,7 @@ from gqsearch.spectra import (
     symmetric_spectrum,
 )
 
-from helpers import unitarity_defect
+from helpers import graph_spectrum, hypercube_levels, unitarity_defect
 
 
 def householder_with_first_row(row):
@@ -140,6 +140,99 @@ class TestPrediction:
         pred = predict_spectrum(inst)
         rate = 2.0 * inst.alpha / inst.b_factor
         assert np.isclose(pred.lambda_plus * pred.lambda_minus, -(rate**2), rtol=1e-12)
+
+
+def graph_instance(levels, gamma):
+    return SearchInstance.build(graph_spectrum(levels, gamma))
+
+
+def torus_levels(d, side):
+    """Laplacian levels of the d-dimensional torus of side ``side``.
+
+    The 1D levels 2 (1 - cos(2 pi k / side)) are convolved d times; sums
+    equal to 9 decimals are one level.
+    """
+    line = {}
+    for k in range(side):
+        level = round(2.0 * (1.0 - math.cos(2.0 * math.pi * k / side)), 9)
+        line[level] = line.get(level, 0) + 1
+    levels = {0.0: 1}
+    for _ in range(d):
+        summed = {}
+        for a, mu_a in levels.items():
+            for b, mu_b in line.items():
+                key = round(a + b, 9)
+                summed[key] = summed.get(key, 0) + mu_a * mu_b
+        levels = summed
+    return levels
+
+
+def paley_levels(q):
+    """Paley graph on a prime q = 1 mod 4: two levels of multiplicity (q-1)/2."""
+    root = math.sqrt(q)
+    return {0: 1, (q - root) / 2: (q - 1) // 2, (q + root) / 2: (q - 1) // 2}
+
+
+def first_crest(probability):
+    """The first q >= 1 with p[q-1] <= p[q] >= p[q+1], and its probability."""
+    for q in range(1, len(probability) - 1):
+        if probability[q - 1] <= probability[q] >= probability[q + 1]:
+            return q, float(probability[q])
+    raise AssertionError("no crest inside the run")
+
+
+class TestPeakLaw:
+    @pytest.mark.parametrize("b, alpha", [(1.4, 0.1), (8.0, 1 / 32), (3.3, 0.01)])
+    def test_balanced_law_is_pi_b_over_4_alpha(self, b, alpha):
+        # lambda1 = 0 gives sin(2 eta) = 1 exactly: the law reads as it did
+        # before it carried the mixing angle, bit for bit
+        q, p = search.peak_law(b, alpha, 0.0)
+        assert q == max(1, round_half_up(np.pi * b / (4.0 * alpha) - 0.5))
+        assert p == 1.0 / b**2
+
+    def test_skew_shrinks_crest_by_sin_2eta(self):
+        # skew = lambda1 / (2 alpha b) = 3/4 gives sin^2(2 eta) = 16/25
+        q, p = search.peak_law(2.0, 0.05, 0.15)
+        assert q == round_half_up(np.pi * 2.0 * 0.8 / 0.2 - 0.5)
+        assert math.isclose(p, 0.64 / 4.0, rel_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            skewed_toy,
+            lambda: graph_instance(torus_levels(5, 6), math.pi / 11),
+            lambda: graph_instance(torus_levels(6, 6), math.pi / 13),
+            lambda: graph_instance(paley_levels(1009), 1.8 * math.pi / 1009),
+        ],
+        ids=["skewed-toy", "torus5", "torus6", "paley1009"],
+    )
+    def test_plain_first_crest_follows_the_law(self, build):
+        inst = build()
+        predicted = predict_spectrum(inst)
+        law_q, law_p = predicted.q_m, predicted.peak_overlap**2
+        report = run_iterations(inst, 4 * law_q + 10)
+        crest_q, crest_p = first_crest(report.target_probability)
+        assert abs(crest_p - law_p) <= 0.05 * law_p
+        assert abs(crest_q - law_q) <= 0.1 * law_q + 1
+
+    @pytest.mark.parametrize(
+        "levels, gamma, m",
+        [
+            (torus_levels(2, 32), 0.3, 5),
+            (torus_levels(2, 64), 0.3, 6),
+            (hypercube_levels(16), math.pi / 33, 1),
+            (hypercube_levels(20), math.pi / 41, 2),
+        ],
+        ids=["torus2-32", "torus2-64", "hypercube16", "hypercube20"],
+    )
+    def test_boosted_first_crest_follows_the_law(self, levels, gamma, m):
+        inst = graph_instance(levels, gamma)
+        boost = b_prime(inst, m).b_prime
+        law_q, law_p = search.peak_law(boost, inst.alpha, boosted_lambda1(inst, m))
+        report = boosted_search_run(inst, m, 4 * law_q + 10)
+        crest_q, crest_p = first_crest(report.target_probability)
+        assert abs(crest_p - law_p) <= 0.05 * law_p
+        assert abs(crest_q - law_q) <= 0.1 * law_q + 1
 
 
 class TestRelevantPair:
