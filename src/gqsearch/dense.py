@@ -9,8 +9,10 @@ The stages act on (2^m, N, K) block arrays, K states at once, as
 V (helper) V^dag: the ``_apply_*`` helpers act on eigen-coordinates, where
 the ancilla transforms commute with I (x) V and the controlled powers and
 the conditional rewrite are diagonal, so a composition of stages changes
-basis once each way (``_in_eigen_frame``).  ``dense_b_prime_check`` reads
-each ancilla row of the joint matrix as ``_boosted_rows`` makes it.
+basis once each way (``_in_eigen_frame``).  ``dense_boosted_matrix`` and
+``dense_b_prime_check`` share one block builder, ``_boost_blocks``: the
+matrix changes its blocks to the main basis, the check solves them as they
+are.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import RECONSTRUCTION_ATOL, EigensolverError, check_dense_cap
+from .linalg import EigensolverError, check_dense_cap
 from .pea import qft, walsh_hadamard
 from .spectra import EigenSpectrum, SearchInstance
 
@@ -120,116 +122,70 @@ def boosted_diffusion(spec: EigenSpectrum, m: int, blocks: np.ndarray) -> np.nda
     return _in_eigen_frame(_apply_boost, spec, m, blocks)
 
 
-def _boosted_rows(spec: EigenSpectrum, m: int):
-    """Yield the ancilla rows B[a] of the dense boosted matrix, each (N, 2^m N).
+def _boost_blocks(spec: EigenSpectrum, m: int) -> np.ndarray:
+    """The 2^m x 2^m blocks Z_l of the boosted diffusion, as a (2^m, N, 2^m) array.
 
     ``boosted_diffusion``'s eigen-frame stages act on each main eigenvector
     l on its own, so they run once on the identity of every l's ancilla
-    space, a (2^m, N, 2^m) array, and give the 2^m x 2^m blocks
-    Z[a, l, j] = Z_l[a, j].  The matrix is
-    (I (x) V) diag_l(Z_l) (I (x) V^dag); its row a is V times row l of
-    V^dag scaled by Z[a, l, j], one product.  Its two row-size buffers, the
-    scaled rows and the row itself, are reused, so each yielded row is
-    overwritten by the next: a caller that keeps a row copies it.  The joint
-    dimension 2^m N must not exceed ``DENSE_CAP``.
+    space, a (2^m, N, 2^m) array, and give Z[a, l, j] = Z_l[a, j].  The
+    joint dimension 2^m N must not exceed ``DENSE_CAP``.
     """
     size, n = 2**m, spec.dimension
-    joint_dim = size * n
-    check_dense_cap(joint_dim, "joint dimension")
+    check_dense_cap(size * n, "joint dimension")
     ancilla = np.arange(size)
     identity = np.zeros((size, n, size), dtype=np.complex128)
     identity[ancilla, :, ancilla] = 1.0
-    blocks = _apply_boost(spec, m, identity)
-    vectors = spec.vectors
-    adjoint_rows = vectors.conj().T[:, np.newaxis, :]
-    scaled = np.empty((n, size, n), dtype=np.complex128)
-    row = np.empty((n, joint_dim), dtype=np.complex128)
-    for a in range(size):
-        np.multiply(blocks[a, :, :, np.newaxis], adjoint_rows, out=scaled)
-        np.matmul(vectors, scaled.reshape(n, joint_dim), out=row)
-        yield row
+    return _apply_boost(spec, m, identity)
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     """Materialize the boosted diffusion (small scale only).
 
-    Stacks the ancilla rows of ``_boosted_rows``, so the matrix is the only
-    joint-size array made.  The joint dimension 2^m N must not exceed
-    ``DENSE_CAP``.
+    The matrix is (I (x) V) diag_l(Z_l) (I (x) V^dag) with the blocks of
+    ``_boost_blocks``: its ancilla row a is V times row l of V^dag scaled
+    by Z[a, l, j], one product written straight into the matrix, so the
+    matrix is the only joint-size array made.  The joint dimension 2^m N
+    must not exceed ``DENSE_CAP``.
     """
     size, n = 2**m, spec.dimension
     joint_dim = size * n
-    check_dense_cap(joint_dim, "joint dimension")
+    blocks = _boost_blocks(spec, m)
+    vectors = spec.vectors
+    adjoint_rows = vectors.conj().T[:, np.newaxis, :]
+    scaled = np.empty((n, size, n), dtype=np.complex128)
     out = np.empty((size, n, joint_dim), dtype=np.complex128)
-    for a, row in enumerate(_boosted_rows(spec, m)):
-        out[a] = row
+    for a in range(size):
+        np.multiply(blocks[a, :, :, np.newaxis], adjoint_rows, out=scaled)
+        np.matmul(vectors, scaled.reshape(n, joint_dim), out=out[a])
     return out.reshape(joint_dim, joint_dim)
 
 
-def _split_blocks(rows, vectors: np.ndarray, size: int):
-    """Blocks Z_l of (I (x) V^dag) B (I (x) V), and the largest leak between them.
-
-    ``rows`` yields the ancilla rows B[a] of B in order, each (N, 2^m N).
-    For each, C_a = B[a] (I (x) V) holds
-    C_a[x, j, l] = V[x, l] Z_l[a, j] plus whatever couples eigenvector l to
-    the others.  Projecting each column on V[:, l] reads Z_l[a, j]; the
-    remainder, summed in squares over a and x, is the squared 2-norm of
-    column (j, l) of the off-block part, because I (x) V is unitary.  The
-    leak is the largest such norm, so it bounds every off-block entry.
-    Returns the blocks as an (N, 2^m, 2^m) array and the leak.
-    """
-    n = vectors.shape[0]
-    conj = vectors.conj()
-    columns = vectors[:, np.newaxis, :]
-    blocks = np.empty((n, size, size), dtype=np.complex128)
-    leak_sq = np.zeros((size, n))
-    coeff = np.empty((n, size, n), dtype=np.complex128)
-    spill = np.empty_like(coeff)
-    for a, row in enumerate(rows):
-        np.matmul(row.reshape(n * size, n), vectors, out=coeff.reshape(n * size, n))
-        block = np.einsum("xl,xjl->jl", conj, coeff)
-        blocks[:, a, :] = block.T
-        coeff -= np.multiply(columns, block, out=spill)
-        leak_sq += np.einsum("xjl,xjl->jl", coeff.real, coeff.real)
-        leak_sq += np.einsum("xjl,xjl->jl", coeff.imag, coeff.imag)
-    return blocks, math.sqrt(float(np.max(leak_sq)))
-
-
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
-    """Recompute the boosted b factor from the dense joint matrix.
+    """Recompute the boosted b factor from the dense joint blocks.
 
-    The dense boosted matrix B commutes with I (x) Ds, so the dense
-    diffusion eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one
-    2^m x 2^m block Z_l per main eigenvector l, and nothing between blocks.
-    ``_split_blocks`` reads the blocks with one product by I (x) V per
-    ancilla row, each row taken from ``_boosted_rows`` as it is made, so no
-    joint-size array is held.  A column of the off-block part whose 2-norm
-    exceeds ``RECONSTRUCTION_ATOL`` raises ``EigensolverError`` with that
-    norm as its residual; the norm bounds every entry of the column, and a
-    NaN fails the test.  One stacked eigensolve decomposes every block on its
-    own; eigenvector k of block l carries target weight
-    |V[0, l]|^2 |Z_l[0, k]|^2.
+    The boosted diffusion commutes with I (x) Ds, so the dense diffusion
+    eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one 2^m x 2^m
+    block Z_l per main eigenvector l, and nothing between blocks.  The
+    check reads the blocks from ``_boost_blocks``, the builder of
+    ``dense_boosted_matrix``, so no joint-size array is made.  One stacked
+    eigensolve decomposes every block on its own; a block it cannot
+    reproduce, a NaN included, raises ``EigensolverError``.  Eigenvector k
+    of block l carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
     leftover would be a genuine divergence, raised as ``EigensolverError``
     with the leftover as its residual).  All other eigenvectors
-    contribute weight over sin^2(phase / 2).  Only the dense matrix rows,
-    the dense eigenbasis and the eigensolver are read, so this shares no
-    code with ``b_prime`` or ``boosted_search_run``.
+    contribute weight over sin^2(phase / 2).  Only the dense stages, the
+    dense eigenbasis and the eigensolver are read, so this shares no code
+    with ``b_prime`` or ``boosted_search_run``.
     """
     from .linalg import unitary_eigensystem
 
-    spectrum = inst.spectrum
-    vectors = spectrum.vectors
-    blocks, leak = _split_blocks(_boosted_rows(spectrum, m), vectors, 2**m)
-    if not leak <= RECONSTRUCTION_ATOL:
-        raise EigensolverError(
-            "dense boosted matrix couples different diffusion eigenvectors", leak
-        )
-    eig = unitary_eigensystem(blocks)
+    blocks = _boost_blocks(inst.spectrum, m)
+    eig = unitary_eigensystem(blocks.transpose(1, 0, 2))
     phases = eig.phases
-    main_weights = np.abs(vectors[0, :, np.newaxis]) ** 2
+    main_weights = np.abs(inst.spectrum.vectors[0, :, np.newaxis]) ** 2
     weights = main_weights * np.abs(eig.vectors[:, 0, :]) ** 2
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2

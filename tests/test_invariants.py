@@ -12,9 +12,32 @@ import pytest
 
 from gqsearch.pea import b_prime, boosted_search_run
 from gqsearch.search import run_iterations
-from gqsearch.spectra import EigenSpectrum, SearchInstance, symmetric_spectrum
+from gqsearch.spectra import (
+    EigenSpectrum,
+    SearchInstance,
+    resonant_spectrum,
+    symmetric_spectrum,
+)
 
 from helpers import graph_spectrum, hypercube_levels
+
+
+# the symmetric family at N = 256 and 1024, boosted at m = 2 to 4, and the
+# resonant family at N = 256, whose phases sit just off the m = 3 resonance,
+# boosted at m = 3
+CASES = [
+    pytest.param(("symmetric", 256), id="256"),
+    pytest.param(("symmetric", 1024), id="1024"),
+    pytest.param(("resonant", 256), id="resonant-256"),
+]
+
+
+def case_spectrum(case):
+    """The spectrum of a case and the ancilla counts of its boosted runs."""
+    family, n = case
+    if family == "symmetric":
+        return symmetric_spectrum(n, 1, 0.5, 1.5, b_target=8), (2, 3, 4)
+    return resonant_spectrum(n, 3, 1e-3, 1), (3,)
 
 
 def conjugate(spec):
@@ -30,17 +53,18 @@ def same_columns(report, other):
     )
 
 
-@pytest.mark.parametrize("n", [256, 1024])
-def test_conjugation_leaves_every_run_bit_for_bit(n):
+@pytest.mark.parametrize("case", CASES)
+def test_conjugation_leaves_every_run_bit_for_bit(case):
     # IEEE complex arithmetic commutes with conjugation, so every amplitude
     # of the conjugate run is the conjugate of the original's and every
     # magnitude matches exactly
-    inst = SearchInstance.build(symmetric_spectrum(n, 1, 0.5, 1.5, b_target=8))
+    spec, ancillas = case_spectrum(case)
+    inst = SearchInstance.build(spec)
     mirror = SearchInstance.build(conjugate(inst.spectrum))
     assert mirror.spectrum._vectors is None
     assert mirror.b_factor == inst.b_factor
     assert same_columns(run_iterations(mirror, 400), run_iterations(inst, 400))
-    for m in (2, 3, 4):
+    for m in ancillas:
         assert b_prime(mirror, m) == b_prime(inst, m)
         assert same_columns(boosted_search_run(mirror, m), boosted_search_run(inst, m))
 
@@ -89,13 +113,13 @@ def relabel(spec):
     return respell(spec, spec.phases[order], spec.target_row[order])
 
 
-def assert_same_runs(spec, other, q_max=2000, tol=1e-11):
-    """Plain and boosted (m = 2 to 4) runs of both spectra agree to ``tol``."""
+def assert_same_runs(spec, other, ancillas=(2, 3, 4), q_max=2000, tol=1e-11):
+    """Plain and boosted runs (m in ``ancillas``) of both spectra agree to ``tol``."""
     inst, twin = SearchInstance.build(spec), SearchInstance.build(other)
     for name in ("b_factor", "lambda1"):
         assert abs(getattr(inst, name) - getattr(twin, name)) <= 1e-12
     runs = [(run_iterations(inst, q_max), run_iterations(twin, q_max))]
-    for m in (2, 3, 4):
+    for m in ancillas:
         assert abs(b_prime(inst, m).b_prime - b_prime(twin, m).b_prime) <= 1e-12
         runs.append(
             (boosted_search_run(inst, m, q_max), boosted_search_run(twin, m, q_max))
@@ -107,14 +131,14 @@ def assert_same_runs(spec, other, q_max=2000, tol=1e-11):
             assert np.max(np.abs(gap)) <= tol
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("respelling", [split, relabel])
-def test_splitting_and_relabeling_leave_every_run(n, respelling):
+def test_splitting_and_relabeling_leave_every_run(case, respelling):
     # in eigen-coordinates the oracle only adds multiples of the target row
     # and the diffusion is a scalar on each phase, so the run sees each
     # phase's target weight, not how it is shared out or ordered
-    spec = symmetric_spectrum(n, 1, 0.5, 1.5, b_target=8)
-    assert_same_runs(respelling(spec), spec)
+    spec, ancillas = case_spectrum(case)
+    assert_same_runs(respelling(spec), spec, ancillas)
 
 
 def test_merging_each_level_leaves_every_run():

@@ -10,13 +10,13 @@ from gqsearch.dense import (
     _apply_estimate,
     _apply_ramp,
     _apply_unestimate,
+    _boost_blocks,
     _in_eigen_frame,
     boosted_diffusion,
     build_diffusion,
     pea_operator,
 )
 from gqsearch.linalg import (
-    RECONSTRUCTION_ATOL,
     DenseCapError,
     EigensolverError,
     unitary_eigensystem,
@@ -269,6 +269,9 @@ def test_dense_boosted_matrix_respects_cap():
     spec = symmetric_spectrum(64, 1, 0.9, 1.9)
     with pytest.raises(DenseCapError):
         dense_boosted_matrix(spec, 5)
+    # the check reads the matrix's blocks, and keeps the joint cap with them
+    with pytest.raises(DenseCapError, match="joint dimension 2048"):
+        dense_b_prime_check(SearchInstance.build(spec), 5)
 
 
 class TestBPrime:
@@ -352,10 +355,11 @@ def audit_instance():
 
 
 def round_trip_split(matrix, vectors, size):
-    """Reference for ``_split_blocks``: (I (x) V^dag) B (I (x) V) in full.
+    """(I (x) V^dag) B (I (x) V) in full: its diagonal blocks and largest leak.
 
-    Two products, V^dag on the rows, then V on the columns; the leak is the
-    largest off-block entry.
+    Two products, V^dag on the rows, then V on the columns; the blocks come
+    back as an (N, 2^m, 2^m) array, and the leak is the largest off-block
+    entry.
     """
     n = vectors.shape[0]
     rows = vectors.conj().T @ matrix.reshape(size, n, size * n)
@@ -364,26 +368,6 @@ def round_trip_split(matrix, vectors, size):
     blocks = reduced[:, diagonal, :, diagonal]
     reduced[:, diagonal, :, diagonal] = 0.0
     return blocks, float(np.max(np.abs(reduced)))
-
-
-def stack_rows(rows):
-    """The matrix whose ancilla rows ``rows`` yields; each row is copied,
-    because ``_boosted_rows`` yields the same buffer every time."""
-    return np.concatenate([row.copy() for row in rows])
-
-
-def add_to_rows(monkeypatch, extra):
-    """Make the check's row builder yield B[a] + ancilla row a of ``extra``."""
-    import gqsearch.dense
-
-    build = gqsearch.dense._boosted_rows
-
-    def rows(spec, m):
-        extra_rows = extra.reshape(2**m, spec.dimension, -1)
-        for a, row in enumerate(build(spec, m)):
-            yield row + extra_rows[a]
-
-    monkeypatch.setattr(gqsearch.dense, "_boosted_rows", rows)
 
 
 class TestDenseBPrimeCheck:
@@ -411,64 +395,33 @@ class TestDenseBPrimeCheck:
         ]
         + [("audit", 3)],
     )
-    def test_streamed_blocks_match_round_trip(self, monkeypatch, family, m):
-        import gqsearch.dense
-
+    def test_matrix_is_block_diagonal_in_eigenbasis(self, family, m):
+        # the dense joint matrix splits in I (x) V into the blocks the check
+        # solves, and couples no two diffusion eigenvectors
         inst = audit_instance() if family == "audit" else oracle_instance(family)
         size, vectors = 2**m, inst.spectrum.vectors
         matrix = dense_boosted_matrix(inst.spectrum, m)
-        rows = matrix.reshape(size, inst.dimension, -1)
-        blocks, leak = gqsearch.dense._split_blocks(rows, vectors, size)
-        reference, entry_leak = round_trip_split(matrix, vectors, size)
-        assert np.max(np.abs(blocks - reference)) <= 1e-12
-        assert max(leak, entry_leak) <= 1e-13
-        # the row builder's reused buffer gives the same blocks, bit for bit
-        built = gqsearch.dense._boosted_rows(inst.spectrum, m)
-        assert gqsearch.dense._split_blocks(built, vectors, size)[0].tobytes() == (
-            blocks.tobytes()
-        )
-        streamed = dense_b_prime_check(inst, m)
-        monkeypatch.setattr(
-            gqsearch.dense,
-            "_split_blocks",
-            lambda rows, vectors, size: round_trip_split(
-                stack_rows(rows), vectors, size
-            ),
-        )
-        assert abs(dense_b_prime_check(inst, m) - streamed) <= 1e-12
+        blocks, leak = round_trip_split(matrix, vectors, size)
+        assert leak <= 1e-13
+        read = _boost_blocks(inst.spectrum, m).transpose(1, 0, 2)
+        assert np.max(np.abs(blocks - read)) <= 1e-12
 
-    def test_spread_leak_raises(self, monkeypatch):
-        # 16 off-block entries of one column, each half the tolerance: the
-        # largest entry passes, the column norm (twice the tolerance) does not
-        inst = oracle_instance("symmetric")
-        m, n = 2, inst.dimension
-        vectors = inst.spectrum.vectors
-        entry = 0.5 * RECONSTRUCTION_ATOL
-        # column (ancilla 2, eigenvector 5) picks up ancilla 1 of fifteen
-        # other eigenvectors and ancilla 3 of eigenvector 5 itself
-        out_col = np.zeros((2**m, n), dtype=np.complex128)
-        in_col = np.zeros((2**m, n), dtype=np.complex128)
-        out_col[1] = vectors[:, [k for k in range(16) if k != 5]].sum(axis=1)
-        out_col[3] = vectors[:, 5]
-        in_col[2] = vectors[:, 5]
-        leak = entry * np.outer(out_col, in_col.conj())
-        matrix = dense_boosted_matrix(inst.spectrum, m) + leak
-        _, entry_leak = round_trip_split(matrix, vectors, 2**m)
-        assert np.isclose(entry_leak, entry, rtol=1e-6)
-        add_to_rows(monkeypatch, leak)
-        with pytest.raises(EigensolverError, match="couples") as caught:
-            dense_b_prime_check(inst, m)
-        assert np.isclose(caught.value.residual, 4.0 * entry, rtol=1e-6)
+    def test_nan_block_entry_raises(self, monkeypatch):
+        # a NaN in the blocks the check reads fails its one eigensolve
+        import gqsearch.dense
 
-    def test_nan_matrix_entry_raises(self, monkeypatch):
         inst = oracle_instance("symmetric")
-        joint_dim = 4 * inst.dimension
-        poison = np.zeros((joint_dim, joint_dim), dtype=np.complex128)
-        poison[7, 40] = np.nan
-        add_to_rows(monkeypatch, poison)
-        with pytest.raises(EigensolverError, match="couples") as caught:
+        boost = gqsearch.dense._apply_boost
+
+        def poisoned(spec, m, coeff):
+            blocks = boost(spec, m, coeff)
+            blocks[1, 7, 2] = np.nan
+            return blocks
+
+        monkeypatch.setattr(gqsearch.dense, "_apply_boost", poisoned)
+        with pytest.raises(EigensolverError, match="eigendecomposition failed") as caught:
             dense_b_prime_check(inst, 2)
-        assert math.isnan(caught.value.residual)
+        assert caught.value.residual == math.inf
 
     def test_nan_zero_phase_weight_raises(self, monkeypatch):
         # a NaN target weight on the joint source's eigenvector must not
@@ -492,9 +445,9 @@ class TestDenseBPrimeCheck:
 
     @pytest.mark.parametrize("oracle", ["check", "matrix"])
     def test_memory_at_audit_instance(self, oracle):
-        # the joint matrix alone is 16 MiB; nothing else of joint size is
-        # held, and the check, which reads the matrix one 2 MiB ancilla row
-        # at a time, holds none
+        # the joint matrix alone is 16 MiB and nothing else of joint size is
+        # held; the check reads the 128 KiB of 8 x 8 blocks and makes no
+        # joint-size array at all
         import tracemalloc
 
         inst = audit_instance()
@@ -510,7 +463,7 @@ class TestDenseBPrimeCheck:
             tracemalloc.stop()
         assert peak < 24 * 2**20
         if oracle == "check":
-            assert peak < 10 * 2**20
+            assert peak < 2 * 2**20
 
     def test_one_eigensolve_per_block(self, monkeypatch):
         import gqsearch.linalg
@@ -526,20 +479,6 @@ class TestDenseBPrimeCheck:
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", counted)
         dense_b_prime_check(inst, 2)
         assert sizes == [(inst.dimension, 4, 4)]
-
-    def test_off_block_leak_raises(self, monkeypatch):
-        inst = oracle_instance("symmetric")
-        m, n = 2, inst.dimension
-        vectors = inst.spectrum.vectors
-        # couple ancilla 1 of eigenvector 3 to ancilla 2 of eigenvector 5
-        out_col = np.zeros((2**m, n), dtype=np.complex128)
-        in_col = np.zeros((2**m, n), dtype=np.complex128)
-        out_col[1] = vectors[:, 3]
-        in_col[2] = vectors[:, 5]
-        add_to_rows(monkeypatch, 1e-6 * np.outer(out_col, in_col.conj()))
-        with pytest.raises(EigensolverError, match="couples") as caught:
-            dense_b_prime_check(inst, m)
-        assert np.isclose(caught.value.residual, 1e-6, rtol=1e-6)
 
     def test_zero_phase_leftover_raises(self, monkeypatch):
         import gqsearch.linalg
