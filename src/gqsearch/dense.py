@@ -12,7 +12,8 @@ the conditional rewrite are diagonal, so a composition of stages changes
 basis once each way (``_in_eigen_frame``).  ``dense_boosted_matrix`` and
 ``dense_b_prime_check`` share one block builder, ``_boost_blocks``: the
 matrix changes its blocks to the main basis, the check solves them as they
-are.
+are.  The blocks read only the phases, so the check builds no basis and
+runs on any spectrum, compressed ones included, within ``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .spectra import EigenSpectrum, SearchInstance
 def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
     """Dense diffusion matrix with exactly the given eigensystem.
 
-    Reads ``spec.vectors``, so it raises ``DenseCapError`` above the cap.
+    Reads ``spec.vectors``, so it raises ``DenseCapError`` above the cap and
+    ``SpectrumValidationError`` on a spectrum that has no basis to build.
     """
     return (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
 
@@ -163,30 +165,29 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
 def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     """Recompute the boosted b factor from the dense joint blocks.
 
-    The boosted diffusion commutes with I (x) Ds, so the dense diffusion
+    The boosted diffusion commutes with I (x) Ds, so the diffusion
     eigenbasis V splits it: (I (x) V^dag) B (I (x) V) holds one 2^m x 2^m
     block Z_l per main eigenvector l, and nothing between blocks.  The
     check reads the blocks from ``_boost_blocks``, the builder of
     ``dense_boosted_matrix``, so no joint-size array is made.  One stacked
     eigensolve decomposes every block on its own; a block it cannot
     reproduce, a NaN included, raises ``EigensolverError``.  Eigenvector k
-    of block l carries target weight |V[0, l]|^2 |Z_l[0, k]|^2.
+    of block l carries target weight w_l |Z_l[0, k]|^2, w_l = |V[0, l]|^2.
 
     The near-zero-phase eigenspace is treated as one block: after removing
     the joint source's alpha^2, no target weight may remain there (any
     leftover would be a genuine divergence, raised as ``EigensolverError``
     with the leftover as its residual).  All other eigenvectors
-    contribute weight over sin^2(phase / 2).  Only the dense stages, the
-    dense eigenbasis and the eigensolver are read, so this shares no code
-    with ``b_prime`` or ``boosted_search_run``.
+    contribute weight over sin^2(phase / 2).  Only the phases, the target
+    weights, the dense stages and the eigensolver are read, so this shares
+    no code with ``b_prime`` or ``boosted_search_run``.
     """
     from .linalg import unitary_eigensystem
 
     blocks = _boost_blocks(inst.spectrum, m)
     eig = unitary_eigensystem(blocks.transpose(1, 0, 2))
     phases = eig.phases
-    main_weights = np.abs(inst.spectrum.vectors[0, :, np.newaxis]) ** 2
-    weights = main_weights * np.abs(eig.vectors[:, 0, :]) ** 2
+    weights = inst.spectrum.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
     if not abs(leftover) <= 1e-8:

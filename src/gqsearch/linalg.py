@@ -1,13 +1,12 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel, and the package's one bisection.
 
 Statevectors are one dimensional complex128 arrays, operators are square
 complex128 matrices.  ``DENSE_CAP`` is the package's one size cap: no dense
-object (an eigenbasis, a diffusion or search matrix, an eigensolve input or a
-joint boosted matrix) may have a side above it, and each is checked before
-anything is allocated.  Dense
-matrices serve only as small-scale oracles; every reported number comes from
-the phases and the target row in O(N).  Everything here, the eigensolver
-included, needs NumPy only.
+object (an eigenbasis, a diffusion or search matrix, an eigensolve input or
+a joint boosted matrix) may have a side above it, and each is checked before
+anything is allocated.  Dense matrices serve only as small-scale oracles;
+every reported number comes from the phases and the target row in O(N).
+Everything here, the eigensolver included, needs NumPy only.
 """
 
 from __future__ import annotations
@@ -52,6 +51,24 @@ def wrap_phase(theta):
 def round_half_up(x: float) -> int:
     """Round to nearest integer with ties going up (no banker's rounding)."""
     return int(math.floor(x + 0.5))
+
+
+def bisect_root(f, lo: float, hi: float, f_lo=math.inf, f_hi=-math.inf) -> float:
+    """Root of an f that falls through zero on (lo, hi), to adjacent floats.
+
+    f >= 0 at a midpoint moves ``lo`` there and f < 0 moves ``hi``; at
+    adjacent ends the one with the smaller |f| wins, ``lo`` on a tie.  The
+    ends are never evaluated: ``f_lo`` and ``f_hi`` stand for f there.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid >= 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 @dataclass(frozen=True)

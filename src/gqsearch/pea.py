@@ -11,10 +11,11 @@ where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
 estimation makes from theta_l, and phase pi on everything else.  The joint
 source has no weight at pi, so that whole eigenspace meets the search as
 one coordinate, and a boosted run is plain search on an (N+1)-entry
-spectrum: ``boosted_search_run`` costs O(N) per step, whatever m is.  The
-dense operator stages and the dense joint matrix that check it at small
-scale live in ``dense``; ``dense_boosted_matrix`` and
-``dense_b_prime_check`` here load that module only when called.
+spectrum: ``boosted_search_run`` costs O(N) per step, whatever m is.
+The run, ``b_prime`` and ``boosted_lambda1`` read one survival column
+(``_survival``).  The dense operator stages and the dense joint matrix
+that check it at small scale live in ``dense``; ``dense_boosted_matrix``
+and ``dense_b_prime_check`` here load that module only when called.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import round_half_up, wrap_phase
+from .linalg import round_half_up
 from .search import RunReport, _iterate, peak_law, reflect_target
 from .spectra import (
     EigenSpectrum,
-    ResonanceError,
     SearchInstance,
     SpectrumValidationError,
+    _powered,
 )
 
 MAX_ANCILLA_QUBITS = 8
@@ -118,13 +119,17 @@ def pea_amplitude(theta, m: int, k: int):
     return float(result) if result.ndim == 0 else result
 
 
-def _survival(phases, m: int):
-    """Weight |<e_0|p_l>|^2 of each probe on ancilla value 0, capped at 1.
+def _survival(spectrum: EigenSpectrum, m: int):
+    """``(survival, sigma1)``: the survival column and the weight it strands.
 
-    This is the share of main eigenvector l's target weight that survives
-    phase estimation into the powered branch; the rest sits at phase pi.
+    Entry l of ``survival`` is |<e_0|p_l>|^2, capped at 1: the share of
+    main eigenvector l's target weight that survives phase estimation into
+    the powered branch.  ``sigma1`` is the weight left at phase pi.
     """
-    return np.minimum(pea_amplitude(phases, m, 0) ** 2, 1.0)
+    _check_ancilla_count(m)
+    survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
+    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
+    return survival, sigma1
 
 
 # The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the
@@ -144,10 +149,8 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     weighted phase that the power drives onto a multiple of 2 pi, so that
     case raises ``ResonanceError``, as ``boosted_lambda1`` does.
     """
-    spectrum = inst.spectrum
-    _powered_branch(spectrum, m)
-    survival = _survival(spectrum.phases, m)
-    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
+    _, sigma1 = _survival(inst.spectrum, m)
+    _powered(inst.spectrum, 2**m)
     sigma2 = inst.b_factor**2 / 4**m
     return BPrimeBreakdown(
         sigma1=sigma1, sigma2=sigma2, b_prime=math.sqrt(sigma1 + sigma2)
@@ -159,30 +162,15 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
 
     The flipped branch sits at phase pi where the cotangent vanishes, so
     only the powered branch contributes.  Exact +/- phase pairs with
-    matched weights make this vanish to rounding.
+    matched weights make this vanish to rounding.  A weighted phase powered
+    onto a multiple of 2 pi raises ``ResonanceError``.
     """
-    phases, weights, boosted = _powered_branch(inst.spectrum, m)
-    survival = _survival(phases, m)
-    half = 0.5 * boosted
-    return float(np.sum(weights * survival * np.cos(half) / np.sin(half)))
-
-
-def _powered_branch(spectrum: EigenSpectrum, m: int):
-    """Weighted nonsource phases, their weights and their 2^m-powered phases.
-
-    Raises ``ResonanceError`` if a powered phase lands exactly on a multiple
-    of 2 pi: its survival is zero and its cotangent is infinite, so neither
-    boosted moment is defined.
-    """
-    _check_ancilla_count(m)
-    live = spectrum.weights[1:] > 0.0
-    phases = spectrum.phases[1:][live]
-    boosted = wrap_phase(2**m * phases)
-    if np.any(boosted == 0.0):
-        raise ResonanceError(
-            f"power 2**{m} drives a weighted phase onto a multiple of 2*pi"
-        )
-    return phases, spectrum.weights[1:][live], boosted
+    spectrum = inst.spectrum
+    survival, _ = _survival(spectrum, m)
+    live, powered = _powered(spectrum, 2**m)
+    half = 0.5 * powered
+    terms = spectrum.weights[live] * survival[live] * np.cos(half) / np.sin(half)
+    return float(np.sum(terms))
 
 
 def default_ancilla_count(b_factor: float) -> int:
@@ -193,11 +181,11 @@ def default_ancilla_count(b_factor: float) -> int:
 
 
 def boosted_search_run(
-    inst: SearchInstance, m: int | None = None, q_max: int | None = None
+    inst: SearchInstance, m: int, q_max: int | None = None
 ) -> RunReport:
-    """Iterate controlled oracle + boosted diffusion from the joint source.
+    """Iterate controlled oracle + boosted diffusion on m ancilla qubits.
 
-    ``m`` defaults to round(log2 b); ``q_max`` defaults to twice the
+    The run starts from the joint source.  ``q_max`` defaults to twice the
     ``search.peak_law`` iteration of b' and the boosted first moment, so
     the scan covers the first probability crest with margin but stops
     before later crests that leakage can push marginally higher.  Entry q
@@ -223,15 +211,12 @@ def boosted_search_run(
         If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT``, or is NaN, at
         any step.
     """
-    if m is None:
-        m = default_ancilla_count(inst.b_factor)
     if q_max is None:
         boost = b_prime(inst, m).b_prime
         q_max = 2 * peak_law(boost, inst.alpha, boosted_lambda1(inst, m))[0]
     spectrum = inst.spectrum
     operator = BoostedOperator.build(spectrum, m)
-    survival = _survival(spectrum.phases, m)
-    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
+    survival, sigma1 = _survival(spectrum, m)
     eigenphase = np.append(np.exp(1j * operator.r * spectrum.phases), -1.0)
     target_row = np.append(
         np.sqrt(survival) * spectrum.target_row, math.sqrt(sigma1)

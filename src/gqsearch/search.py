@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import round_half_up
+from .linalg import bisect_root, round_half_up
 from .spectra import SearchInstance
 
 
@@ -244,8 +244,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     source's 0, taken around the circle (theta_+ = pi and theta_- = -pi for
     Grover).  A bracket reaches past pi only when no weighted phase lies on
     its side, and then f(pi) = sum_l w_l tan(theta_l / 2) has the sign that
-    keeps the root inside (-pi, pi).  Each root is bisected until its
-    bracket ends are adjacent floats.  The source overlap of a root is
+    keeps the root inside (-pi, pi).  ``linalg.bisect_root`` finds each
+    root between its poles.  The source overlap of a root is
 
         (alpha^2 / sin^2(lambda / 2)) / sum_l w_l / sin^2((lambda - theta_l) / 2).
 
@@ -266,10 +266,11 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     above, below = theta[theta > 0.0], theta[theta < 0.0]
     top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
     bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi
-    roots = (
-        _secular_root(theta, weights, 0.0, top),
-        _secular_root(theta, weights, bottom, 0.0),
-    )
+
+    def secular(lam: float) -> float:
+        return float(np.sum(weights / np.tan(0.5 * (lam - theta))))
+
+    roots = (bisect_root(secular, 0.0, top), bisect_root(secular, bottom, 0.0))
     overlaps = []
     for root in roots:
         terms = weights / np.sin(0.5 * (root - theta)) ** 2
@@ -286,24 +287,3 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
             f"smaller overlap {min(overlaps):.3e}"
         )
     return roots[0], roots[1], residual
-
-
-def _secular_root(theta, weights, lo, hi) -> float:
-    """The root of sum_l w_l cot((lambda - theta_l) / 2) between two poles.
-
-    f falls strictly on (lo, hi); bisect until lo and hi are adjacent
-    floats, then keep the end with the smaller |f|.  Only midpoints are
-    evaluated, never the poles themselves.
-    """
-    f_lo, f_hi = math.inf, -math.inf
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        f_mid = float(np.sum(weights / np.tan(0.5 * (mid - theta))))
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo if f_lo < -f_hi else hi
-

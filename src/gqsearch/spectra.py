@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
-from .linalg import check_dense_cap, wrap_phase
+from .linalg import bisect_root, check_dense_cap, wrap_phase
 
 ORTHONORMALITY_ATOL = 1e-10
 
@@ -38,7 +38,7 @@ class SpectrumValidationError(ValueError):
 
 
 class ResonanceError(ValueError):
-    """A powered phase lands exactly on a multiple of 2*pi."""
+    """A weighted powered phase lands on a multiple of 2*pi, to rounding."""
 
 
 class EigenSpectrum:
@@ -115,6 +115,10 @@ class EigenSpectrum:
         Raises ``DenseCapError`` above ``DENSE_CAP`` before the build.
         """
         if self._vectors is None:
+            if self._build is None:
+                raise SpectrumValidationError(
+                    "spectrum holds phases and a target row only, no basis"
+                )
             check_dense_cap(self.dimension)
             self._vectors = self._adopt(self._build())
             self._build = None
@@ -243,28 +247,40 @@ def _moment_sum(spec: EigenSpectrum, p: int) -> float:
     return float(np.sum(weights * cot**p))
 
 
-def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
-    phases, weights = spec.phases[1:], spec.weights[1:]
-    live = weights > 0.0
-    resonant = live & (np.remainder(r * phases, 2.0 * np.pi) == 0.0)
+def _powered(spec: EigenSpectrum, r: int):
+    """Mask of the weighted nonsource entries, and wrap(r theta) on them.
+
+    A weighted |wrap(r theta)| within 4 r pi eps, the rounding of r theta
+    and of the wrap, is a multiple of 2 pi (wrap(16 pi) is -3.6e-15, not 0)
+    and raises ``ResonanceError`` naming r and the eigenvector.
+    """
+    live = spec.weights > 0.0
+    live[0] = False
+    powered = wrap_phase(r * spec.phases[live])
+    resonant = np.abs(powered) <= 4.0 * r * np.pi * np.finfo(np.float64).eps
     if np.any(resonant):
-        offender = int(np.flatnonzero(resonant)[0]) + 1
+        offender = int(np.flatnonzero(live)[np.argmax(resonant)])
         raise ResonanceError(
             f"power {r} drives eigenvector {offender} "
-            f"(phase {phases[resonant][0]!r}) onto a multiple of 2*pi"
+            f"(phase {float(spec.phases[offender])!r}) onto a multiple of 2*pi"
         )
-    sines = np.sin(0.5 * r * phases[live])
-    return float(np.sum(weights[live] / sines**2))
+    return live, powered
+
+
+def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
+    live, _ = _powered(spec, r)
+    sines = np.sin(0.5 * r * spec.phases[live])
+    return float(np.sum(spec.weights[live] / sines**2))
 
 
 def naive_power_b(inst: SearchInstance, r: int) -> float:
     """b factor of the r-th power of the diffusion operator.
 
     Each nonsource phase is multiplied by r before the inverse-sine sum, so
-    a phase near a multiple of 2*pi/r makes the result blow up.  Exact
-    resonance raises ResonanceError naming the offending eigenvector;
-    eigenvectors with exactly zero target weight cannot contribute and are
-    exempt from the resonance scan.
+    a phase near a multiple of 2*pi/r makes the result blow up.  A weighted
+    phase on one, to rounding, raises ResonanceError naming r and the
+    eigenvector (``_powered``); eigenvectors with exactly zero target weight
+    cannot contribute and are exempt.
     """
     if r < 1:
         raise ValueError(f"power must be a positive integer, got {r}")
@@ -715,36 +731,28 @@ def _rescale_for_b_target(
     """
     if not np.isfinite(b_target) or b_target <= 0.0:
         raise ValueError(f"b_target must be positive and finite, got {b_target}")
+    target2 = b_target**2
 
-    def b_squared(scale: float) -> float:
-        return float(np.sum(pair_weights / np.sin(0.5 * scale * drawn) ** 2))
+    def excess(scale: float) -> float:  # falls strictly on (0, pi / top]
+        return float(np.sum(pair_weights / np.sin(0.5 * scale * drawn) ** 2)) - target2
 
     top = float(np.max(drawn))
     hi = np.pi / top
-    target2 = b_target**2
-    if b_squared(hi) >= target2:
+    f_hi = excess(hi)
+    if f_hi >= 0.0:
         raise ValueError(
-            f"b_target {b_target} is below the floor {math.sqrt(b_squared(hi)):.6g} "
-            "reachable by stretching these phases"
+            f"b_target {b_target} is below the floor "
+            f"{math.sqrt(f_hi + target2):.6g} reachable by stretching these phases"
         )
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if b_squared(lo) >= target2:
+        f_lo = excess(lo)
+        if f_lo >= 0.0:
             break
     else:  # pragma: no cover - 2**-200 scale never insufficient
         raise ValueError(f"could not bracket b_target {b_target}")
-    # b^2(scale) falls strictly on (0, hi]: bisect until lo and hi are
-    # adjacent floats, then keep the end with the smaller residual
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if b_squared(mid) >= target2:
-            lo = mid
-        else:
-            hi = mid
-    scale = min((lo, hi), key=lambda c: abs(b_squared(c) - target2))
+    scale = bisect_root(excess, lo, hi, f_lo, f_hi)
     # next to the floor the bisection can keep the bracket end pi / top, and
     # top * (pi / top) may round to pi: clamp to the largest scale keeping
     # every pair phase below pi, so its partner stays above -pi.  Any scale

@@ -57,3 +57,24 @@ def graph_spectrum(levels, gamma) -> EigenSpectrum:
 def hypercube_levels(d):
     """Laplacian levels of the d-cube: 2j with multiplicity C(d, j)."""
     return {2 * j: math.comb(d, j) for j in range(d + 1)}
+
+
+def torus_levels(d, side):
+    """Laplacian levels of the d-dimensional torus of side ``side``.
+
+    The 1D levels 2 (1 - cos(2 pi k / side)) are convolved d times; sums
+    equal to 9 decimals are one level.
+    """
+    line = {}
+    for k in range(side):
+        level = round(2.0 * (1.0 - math.cos(2.0 * math.pi * k / side)), 9)
+        line[level] = line.get(level, 0) + 1
+    levels = {0.0: 1}
+    for _ in range(d):
+        summed = {}
+        for a, mu_a in levels.items():
+            for b, mu_b in line.items():
+                key = round(a + b, 9)
+                summed[key] = summed.get(key, 0) + mu_a * mu_b
+        levels = summed
+    return levels

@@ -17,6 +17,7 @@ from gqsearch.dense import (
     pea_operator,
 )
 from gqsearch.linalg import (
+    DENSE_CAP,
     DenseCapError,
     EigensolverError,
     unitary_eigensystem,
@@ -45,6 +46,8 @@ from gqsearch.spectra import (
     resonant_spectrum,
     symmetric_spectrum,
 )
+
+from helpers import graph_spectrum, hypercube_levels, torus_levels
 
 
 def random_blocks(rows, n, seed):
@@ -288,14 +291,35 @@ class TestBPrime:
             )
 
     @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_weighted_resonance_raises(self, n, m):
-        # every nonsource phase is pi, so 2^m pi wraps onto exactly 0: the
+        # every nonsource phase is pi, so 2^m pi wraps onto 0: exactly up to
+        # m = 3, to rounding from m = 4 on (wrap(16 pi) is -3.6e-15).  The
         # survival is zero and the telescoped sigma2 = b^2 / 4^m would count
         # its 0/0 term as b^2 / 4^m
         uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         inst = SearchInstance.build(grover_spectrum(n, uniform))
-        with pytest.raises(ResonanceError):
+        for moment in (b_prime, boosted_lambda1):
+            with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
+                moment(inst, m)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_resonant_band_raises(self, m):
+        # pair phases +-3 pi/4: 2^m theta is a multiple of 2 pi from m = 3
+        # on, exactly at m = 3 and to rounding after
+        inst = SearchInstance.build(
+            symmetric_spectrum(16, 3, 3 * math.pi / 4, 3 * math.pi / 4)
+        )
+        for moment in (b_prime, boosted_lambda1):
+            with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
+                moment(inst, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_resonant_torus_level_raises(self, m):
+        # the 5-torus level 11 sits at phase pi when gamma = pi / 11
+        inst = SearchInstance.build(graph_spectrum(torus_levels(5, 6), math.pi / 11))
+        assert math.pi in set(inst.spectrum.phases)
+        with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
             b_prime(inst, m)
 
     def test_bound_from_sigma_split(self):
@@ -378,6 +402,24 @@ class TestDenseBPrimeCheck:
         assert inst.dimension * 2**m <= 256
         full = full_schur_b_prime(inst, m)
         assert np.isclose(dense_b_prime_check(inst, m), full, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "levels, gamma, m",
+        [(hypercube_levels(20), math.pi / 41, m) for m in (1, 2, 3, 4, 5)]
+        + [(torus_levels(2, 32), math.pi / 5, m) for m in (1, 2)]
+        + [(torus_levels(3, 16), math.pi / 7, m) for m in (1, 2)],
+        ids=[f"hypercube20-{m}" for m in (1, 2, 3, 4, 5)]
+        + [f"torus2-32-{m}" for m in (1, 2)]
+        + [f"torus3-16-{m}" for m in (1, 2)],
+    )
+    def test_compressed_spectrum_matches_analytic(self, levels, gamma, m):
+        # one entry per Laplacian level and no basis to build: the check
+        # reads the phases and the target weights, never the basis
+        spec = graph_spectrum(levels, gamma)
+        assert spec.dimension * 2**m <= DENSE_CAP
+        inst = SearchInstance.build(spec)
+        analytic = b_prime(inst, m).b_prime
+        assert abs(dense_b_prime_check(inst, m) - analytic) <= 1e-12
 
     def test_audit_instance_matches_analytic(self):
         # the benchmark's dense check, at joint dimension 1024 = DENSE_CAP
@@ -544,7 +586,7 @@ class TestBoostedRun:
     def test_default_budget_covers_first_crest(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))
         m = default_ancilla_count(inst.b_factor)
-        report = boosted_search_run(inst)
+        report = boosted_search_run(inst, m)
         boost = b_prime(inst, m).b_prime
         expected = 2 * peak_law(boost, 0.2, boosted_lambda1(inst, m))[0]
         assert len(report.target_probability) == expected + 1

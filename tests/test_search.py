@@ -26,7 +26,7 @@ from gqsearch.spectra import (
     symmetric_spectrum,
 )
 
-from helpers import graph_spectrum, hypercube_levels, unitarity_defect
+from helpers import graph_spectrum, hypercube_levels, torus_levels, unitarity_defect
 
 
 def householder_with_first_row(row):
@@ -144,27 +144,6 @@ class TestPrediction:
 
 def graph_instance(levels, gamma):
     return SearchInstance.build(graph_spectrum(levels, gamma))
-
-
-def torus_levels(d, side):
-    """Laplacian levels of the d-dimensional torus of side ``side``.
-
-    The 1D levels 2 (1 - cos(2 pi k / side)) are convolved d times; sums
-    equal to 9 decimals are one level.
-    """
-    line = {}
-    for k in range(side):
-        level = round(2.0 * (1.0 - math.cos(2.0 * math.pi * k / side)), 9)
-        line[level] = line.get(level, 0) + 1
-    levels = {0.0: 1}
-    for _ in range(d):
-        summed = {}
-        for a, mu_a in levels.items():
-            for b, mu_b in line.items():
-                key = round(a + b, 9)
-                summed[key] = summed.get(key, 0) + mu_a * mu_b
-        levels = summed
-    return levels
 
 
 def paley_levels(q):

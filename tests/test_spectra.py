@@ -35,7 +35,7 @@ from gqsearch.pea import (
 )
 from gqsearch.search import predict_spectrum, run_iterations
 
-from helpers import unitarity_defect
+from helpers import graph_spectrum, hypercube_levels, unitarity_defect
 
 
 def two_phase_toy():
@@ -571,6 +571,27 @@ class TestNaivePowering:
         with pytest.raises(ResonanceError):
             naive_power_b(inst, 8)
 
+    def test_zero_weight_resonance_is_exempt(self):
+        # entry 1 has no target weight and resonates at every even power;
+        # entry 2 is weighted and resonates from r = 4 on
+        amplitude = math.sqrt(3.0 / 8.0)
+        spec = EigenSpectrum._generated(
+            np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
+            row=np.array([0.5, 0.0, amplitude, amplitude], dtype=np.complex128),
+            build=None,
+        )
+        inst = SearchInstance.build(spec)
+        assert math.isfinite(naive_power_b(inst, 2))
+        for power in (
+            lambda: naive_power_b(inst, 4),
+            lambda: b_prime(inst, 2),
+            lambda: boosted_lambda1(inst, 2),
+        ):
+            with pytest.raises(
+                ResonanceError, match=r"power 4 drives eigenvector 2 \(phase 1\.57"
+            ):
+                power()
+
 
 class TestResonantGenerator:
     def test_phases_cluster_near_resonances(self):
@@ -759,6 +780,24 @@ class TestWeightPath:
             EigenSpectrum._generated(
                 spec.phases, row=row, build=lambda: spec.vectors
             )
+
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda spec: spec.vectors,
+            lambda spec: spec.source_state,
+            build_diffusion,
+        ],
+        ids=["vectors", "source_state", "build_diffusion"],
+    )
+    def test_spectrum_without_a_basis_says_so(self, read):
+        # a compressed graph spectrum: one entry per Laplacian level
+        spec = graph_spectrum(hypercube_levels(4), math.pi / 9)
+        with pytest.raises(
+            SpectrumValidationError, match="phases and a target row only"
+        ):
+            read(spec)
 
 
 class TestDenseCap:
