@@ -10,29 +10,25 @@ The boosted diffusion has eigenphase 2^m theta_l on each probe p_l (x) v_l,
 where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
 estimation makes from theta_l, and phase pi on everything else.  The joint
 source has no weight at pi, so that whole eigenspace meets the search as
-one coordinate, and a boosted run is plain search on an (N+1)-entry
-spectrum: ``boosted_search_run`` costs O(N) per step, whatever m is.
-The run, ``b_prime`` and ``boosted_lambda1`` read one survival column
-(``_survival``).  The dense operator stages and the dense joint matrix
-that check it at small scale live in ``dense``; ``dense_boosted_matrix``
-and ``dense_b_prime_check`` here load that module only when called.
+one coordinate, and the boosted diffusion is a plain search instance on
+at most N + 1 entries (``boosted_instance``).  b', the boosted first
+moment and the boosted run (O(N) per step, whatever m is) all read it.
+The dense operator stages and the dense joint matrix that check it at
+small scale live in ``dense``; ``dense_boosted_matrix`` and
+``dense_b_prime_check`` here load that module only when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import round_half_up
+from .linalg import round_half_up, wrap_phase
 from .search import RunReport, _iterate, peak_law, reflect_target
-from .spectra import (
-    EigenSpectrum,
-    SearchInstance,
-    SpectrumValidationError,
-    _powered,
-)
+from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError, _resonant
 
 MAX_ANCILLA_QUBITS = 8
 
@@ -119,17 +115,35 @@ def pea_amplitude(theta, m: int, k: int):
     return float(result) if result.ndim == 0 else result
 
 
-def _survival(spectrum: EigenSpectrum, m: int):
-    """``(survival, sigma1)``: the survival column and the weight it strands.
+@functools.lru_cache(maxsize=4)  # a harness row reads one (inst, m) three times
+def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
+    """The boosted diffusion on m ancilla qubits as a plain search instance.
 
-    Entry l of ``survival`` is |<e_0|p_l>|^2, capped at 1: the share of
-    main eigenvector l's target weight that survives phase estimation into
-    the powered branch.  ``sigma1`` is the weight left at phase pi.
+    Main entry l becomes the probe p_l (x) v_l, with phase wrap(2^m theta_l)
+    and target entry sqrt(s_l) t_l, where s_l = pea_amplitude(theta_l, m, 0)^2
+    is the survival of phase estimation; the source stays entry 0 (s_0 = 1).
+    The last entry is the unit part of the joint target inside the phase-pi
+    eigenspace, with target entry sqrt(sigma1), sigma1 = sum_l w_l (1 - s_l):
+    the joint source has no weight there and the oracle only ever adds the
+    joint target, so one coordinate holds that whole eigenspace.  An entry
+    that 2^m drives onto a multiple of 2 pi (``spectra._resonant``, the
+    test ``naive_power_b`` raises on) gets s_l = 0; it drops out, as
+    zero-weight entries do, and its weight joins sigma1.  The wrap is odd,
+    so a conjugate spectrum boosts to the exact conjugate.  Kept per
+    (inst, m) for the last few calls.
     """
     _check_ancilla_count(m)
+    spectrum = inst.spectrum
+    powered = np.copysign(wrap_phase(2**m * np.abs(spectrum.phases)), spectrum.phases)
+    powered[powered == -np.pi] = np.pi
     survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
+    survival[1:][_resonant(powered[1:], 2**m)] = 0.0
+    kept = spectrum.weights * survival > 0.0  # the source's is alpha^2 > 0
     sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
-    return survival, sigma1
+    row = np.sqrt(survival[kept]) * spectrum.target_row[kept]
+    row = np.append(row, math.sqrt(sigma1))
+    phases = np.append(powered[kept], np.pi)
+    return SearchInstance.build(EigenSpectrum._generated(phases, row=row, build=None))
 
 
 # The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the
@@ -139,38 +153,29 @@ controlled_oracle = reflect_target
 
 
 def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
-    """Analytic b factor of the boosted diffusion, split into its two parts.
+    """b factor of the boosted diffusion, split into its two parts.
 
-    sigma1 is the target weight stranded on the flipped (-1) branch, one
-    minus the weight surviving phase estimation; it never exceeds 1.
-    sigma2 is the powered-branch sum, which telescopes exactly to
-    (b^2) / 4^m because the estimation amplitude's numerator cancels the
-    powered phase's sine.  The telescoped sum counts a 0/0 term for a
-    weighted phase that the power drives onto a multiple of 2 pi, so that
-    case raises ``ResonanceError``, as ``boosted_lambda1`` does.
+    b' is the ``b_factor`` of ``boosted_instance``.  sigma1 is the weight
+    of its phase-pi entry, the target weight stranded on the flipped (-1)
+    branch; it never exceeds 1.  sigma2 = b'^2 - sigma1 is the powered
+    branch's sum, which away from resonance equals b^2 / 4^m: the
+    estimation amplitude's numerator cancels the powered phase's sine.
+    A resonant entry adds to sigma1 and nothing to sigma2.
     """
-    _, sigma1 = _survival(inst.spectrum, m)
-    _powered(inst.spectrum, 2**m)
-    sigma2 = inst.b_factor**2 / 4**m
-    return BPrimeBreakdown(
-        sigma1=sigma1, sigma2=sigma2, b_prime=math.sqrt(sigma1 + sigma2)
-    )
+    boosted = boosted_instance(inst, m)
+    boost, sigma1 = boosted.b_factor, float(boosted.spectrum.weights[-1])
+    return BPrimeBreakdown(sigma1=sigma1, sigma2=boost**2 - sigma1, b_prime=boost)
 
 
 def boosted_lambda1(inst: SearchInstance, m: int) -> float:
     """First cotangent moment of the boosted diffusion at the joint target.
 
-    The flipped branch sits at phase pi where the cotangent vanishes, so
-    only the powered branch contributes.  Exact +/- phase pairs with
-    matched weights make this vanish to rounding.  A weighted phase powered
-    onto a multiple of 2 pi raises ``ResonanceError``.
+    The ``lambda1`` of ``boosted_instance``.  The flipped branch sits at
+    phase pi where the cotangent is 0, and resonant entries drop out, so
+    only the surviving powered entries contribute.  Exact +/- phase pairs
+    with matched weights make this vanish to rounding.
     """
-    spectrum = inst.spectrum
-    survival, _ = _survival(spectrum, m)
-    live, powered = _powered(spectrum, 2**m)
-    half = 0.5 * powered
-    terms = spectrum.weights[live] * survival[live] * np.cos(half) / np.sin(half)
-    return float(np.sum(terms))
+    return boosted_instance(inst, m).lambda1
 
 
 def default_ancilla_count(b_factor: float) -> int:
@@ -185,7 +190,9 @@ def boosted_search_run(
 ) -> RunReport:
     """Iterate controlled oracle + boosted diffusion on m ancilla qubits.
 
-    The run starts from the joint source.  ``q_max`` defaults to twice the
+    The run starts from the joint source and is plain search on
+    ``boosted_instance``, whose size is at most N + 1 whatever m is; no
+    N x N array is built.  ``q_max`` defaults to twice the
     ``search.peak_law`` iteration of b' and the boosted first moment, so
     the scan covers the first probability crest with margin but stops
     before later crests that leakage can push marginally higher.  Entry q
@@ -193,41 +200,20 @@ def boosted_search_run(
     |<ancilla 0, target | state>|^2 after q oracle queries; ``ds_per_step``
     is 3 * 2^m - 2.
 
-    The run is plain search on the boosted spectrum, N + 1 entries long.
-    Entry l is the probe p_l (x) v_l, with phase 2^m theta_l and target
-    entry |g_l| t_l, where |g_l|^2 = pea_amplitude(theta_l, m, 0)^2 is the
-    survival of phase estimation.  The last entry is the unit part of the
-    joint target inside the phase-pi eigenspace: phase pi and target entry
-    sqrt(sigma1), the weight ``b_prime`` strands on that branch.  The state
-    starts in that eigenspace with no weight and the oracle only ever adds
-    the joint target to it, so one coordinate holds all of it.  The source
-    stays entry 0, exactly e_0 (x) v_0, because survival at theta = 0 is 1,
-    and the pi entry goes last.  A step costs O(N) whatever m is; no N x N
-    array is built.
-
     Raises
     ------
     NormDriftError
         If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT``, or is NaN, at
         any step.
     """
+    boosted = boosted_instance(inst, m)
     if q_max is None:
-        boost = b_prime(inst, m).b_prime
-        q_max = 2 * peak_law(boost, inst.alpha, boosted_lambda1(inst, m))[0]
-    spectrum = inst.spectrum
-    operator = BoostedOperator.build(spectrum, m)
-    survival, sigma1 = _survival(spectrum, m)
-    eigenphase = np.append(np.exp(1j * operator.r * spectrum.phases), -1.0)
-    target_row = np.append(
-        np.sqrt(survival) * spectrum.target_row, math.sqrt(sigma1)
-    )
-    return _iterate(
-        eigenphase,
-        target_row,
-        q_max,
-        operator.cost_per_application,
-        oracle=controlled_oracle,
-    )
+        q_max = 2 * peak_law(boosted.b_factor, boosted.alpha, boosted.lambda1)[0]
+    phases, row = boosted.spectrum.phases, boosted.spectrum.target_row
+    # e^{i pi} is exactly -1, where exp(1j * pi) carries 1.2e-16j
+    eigenphase = np.where(phases == np.pi, -1.0, np.exp(1j * phases))
+    cost = BoostedOperator.build(inst.spectrum, m).cost_per_application
+    return _iterate(eigenphase, row, q_max, cost, oracle=controlled_oracle)
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:

@@ -243,21 +243,30 @@ class SearchInstance:
 def _moment_sum(spec: EigenSpectrum, p: int) -> float:
     phases, weights = spec.phases[1:], spec.weights[1:]
     half = 0.5 * phases
-    cot = np.cos(half) / np.sin(half)
+    # cot(pi / 2) is exactly 0, where cos(pi / 2) / sin(pi / 2) gives 6.1e-17
+    cot = np.where(phases == np.pi, 0.0, np.cos(half) / np.sin(half))
     return float(np.sum(weights * cot**p))
+
+
+def _resonant(powered, r: int):
+    """Where a phase powered by r, wrap(r theta), is a multiple of 2 pi.
+
+    |wrap(r theta)| within 4 r pi eps, the rounding of r theta and of the
+    wrap, counts as one (wrap(16 pi) is -3.6e-15, not 0).
+    """
+    return np.abs(powered) <= 4.0 * r * np.pi * np.finfo(np.float64).eps
 
 
 def _powered(spec: EigenSpectrum, r: int):
     """Mask of the weighted nonsource entries, and wrap(r theta) on them.
 
-    A weighted |wrap(r theta)| within 4 r pi eps, the rounding of r theta
-    and of the wrap, is a multiple of 2 pi (wrap(16 pi) is -3.6e-15, not 0)
-    and raises ``ResonanceError`` naming r and the eigenvector.
+    A weighted entry that r drives onto a multiple of 2 pi (``_resonant``)
+    raises ``ResonanceError`` naming r and the eigenvector.
     """
     live = spec.weights > 0.0
     live[0] = False
     powered = wrap_phase(r * spec.phases[live])
-    resonant = np.abs(powered) <= 4.0 * r * np.pi * np.finfo(np.float64).eps
+    resonant = _resonant(powered, r)
     if np.any(resonant):
         offender = int(np.flatnonzero(live)[np.argmax(resonant)])
         raise ResonanceError(

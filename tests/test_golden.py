@@ -4,8 +4,9 @@
 report each one wrote, and the JSON report of the b-sweep config.  Both
 ``run`` and ``sweep`` must write the CSV reports.  A change that moves any
 report byte (a digit, a column, the peak row) fails here.
-A few cells hold rounding noise (``lambda1_boosted`` near 1e-17), so a
-NumPy build whose vectorised sin/cos round differently can differ there.
+Every golden lambda1 cell is exactly 0: a cotangent at phase pi is 0,
+and the paired spectra cancel term by term, as do their boosts, whose
+wrap is odd.
 Regenerate a file only for a change that means to alter reports, with
 
     gqsearch run --config tests/data/golden/KIND.ini --out tests/data/golden/KIND.csv

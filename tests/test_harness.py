@@ -358,7 +358,8 @@ class TestDrawMemo:
         assert warm == (tmp_path / "cold.csv").read_bytes()
 
 
-@pytest.mark.parametrize(
+# one config of each boosted kind, and the number of rows it reports
+BOOSTED_KINDS = pytest.mark.parametrize(
     "body, rows",
     [
         ("kind = boosted-search\n[instance]\nn = 32\nseed = 2\n", 1),
@@ -367,6 +368,9 @@ class TestDrawMemo:
     ],
     ids=["boosted-search", "divergence-demo", "b-sweep"],
 )
+
+
+@BOOSTED_KINDS
 def test_b_prime_once_per_boosted_row(tmp_path, monkeypatch, body, rows):
     calls = []
     b_prime = pea.b_prime
@@ -377,6 +381,25 @@ def test_b_prime_once_per_boosted_row(tmp_path, monkeypatch, body, rows):
 
     monkeypatch.setattr(pea, "b_prime", counted)
     path = write_config(tmp_path, "[experiment]\n" + body + "[run]\nq_max = 20\n")
+    produced = run_experiment(load_config(path))
+    assert len(produced) == rows
+    assert calls == [row.m for row in produced]
+
+
+@pytest.mark.parametrize("q_max", ["20", ""], ids=["q_max-set", "q_max-unset"])
+@BOOSTED_KINDS
+def test_one_boosted_build_per_row(tmp_path, monkeypatch, body, rows, q_max):
+    # b', the boosted lambda1 and the run, with its default budget too, all
+    # read one boosted instance; each build evaluates the survival column once
+    calls = []
+    amplitude = pea.pea_amplitude
+
+    def counted(theta, m, k):
+        calls.append(m)
+        return amplitude(theta, m, k)
+
+    monkeypatch.setattr(pea, "pea_amplitude", counted)
+    path = write_config(tmp_path, f"[experiment]\n{body}[run]\nq_max = {q_max}\n")
     produced = run_experiment(load_config(path))
     assert len(produced) == rows
     assert calls == [row.m for row in produced]
@@ -666,33 +689,55 @@ class TestCli:
         capsys.readouterr()
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        # every pair phase at pi/4 exactly: the 8x power drives the whole
-        # band onto a 2*pi multiple and the boosted moment must refuse
+        # at epsilon = 1e-18 every detuning rounds away: the 8x power drives
+        # the whole band onto 2*pi exactly, and the naive powered b diverges
         config = write_config(
             tmp_path,
-            "[experiment]\nkind = boosted-search\n"
-            "[instance]\nn = 16\nseed = 3\nalpha = 0.1\n"
-            f"theta_min = {math.pi / 4!r}\ntheta_max = {math.pi / 4!r}\nm = 3\n"
+            "[experiment]\nkind = divergence-demo\n"
+            "[instance]\nn = 16\nseed = 3\nepsilon = 1e-18\n"
             f"[run]\nout = {tmp_path / 'never.csv'}\n",
         )
         assert cli.main(["run", "--config", str(config)]) == 2
-        capsys.readouterr()
+        assert "power 8 drives eigenvector" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_resonance_to_rounding_exits_two(self, tmp_path, capsys, m):
-        # pair phases 3 pi/4: 2^m theta is 6 pi exactly at m = 3 and 12 pi
-        # to rounding at m = 4 (its wrap is not 0.0); both must refuse
+        # detunings of at most 1e-15 leave 2^m theta within rounding of 2 pi
+        # (some wraps are 0.0, others are not); the naive power must refuse
         config = write_config(
             tmp_path,
-            "[experiment]\nkind = boosted-search\n"
-            "[instance]\nn = 16\nseed = 3\n"
-            "theta_min = 2.356194490192345\ntheta_max = 2.356194490192345\n"
-            f"m = {m}\n[run]\nout = {tmp_path / 'never.csv'}\n",
+            "[experiment]\nkind = divergence-demo\n"
+            f"[instance]\nn = 16\nseed = 3\nepsilon = 1e-15\nresonance_m = {m}\n"
+            f"[run]\nout = {tmp_path / 'never.csv'}\n",
         )
         assert cli.main(["run", "--config", str(config)]) == 2
         assert f"power {2**m} drives eigenvector" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize(
+        "theta, alpha, m",
+        [(math.pi / 4, 0.1, 3), (3 * math.pi / 4, 0.25, 3), (3 * math.pi / 4, 0.25, 4)],
+        ids=["pi/4-3", "3pi/4-3", "3pi/4-4"],
+    )
+    def test_resonant_boost_exits_zero(self, tmp_path, capsys, theta, alpha, m):
+        # every pair phase resonates at 2^m, exactly or to rounding: the
+        # pairs drop out of the boost, and b' is finite and matches the
+        # dense joint check
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            f"[instance]\nn = 16\nseed = 3\nalpha = {alpha}\n"
+            f"theta_min = {theta!r}\ntheta_max = {theta!r}\nm = {m}\n"
+            f"[run]\nout = {tmp_path / 'boost.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        row = parse_report_csv(tmp_path / "boost.csv")[0]
+        spec = spectra.symmetric_spectrum(16, 3, theta, theta, alpha=alpha)
+        dense = pea.dense_b_prime_check(spectra.SearchInstance.build(spec), m)
+        assert abs(row["b_prime"] - dense) <= 1e-12
+        assert row["lambda1_boosted"] == 0.0
 
     def test_long_boosted_run_exits_zero(self, tmp_path, capsys):
         config = write_config(

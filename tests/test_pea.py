@@ -27,6 +27,7 @@ from gqsearch.pea import (
     BoostedOperator,
     MAX_ANCILLA_QUBITS,
     b_prime,
+    boosted_instance,
     boosted_lambda1,
     boosted_search_run,
     controlled_oracle,
@@ -39,7 +40,6 @@ from gqsearch.pea import (
 )
 from gqsearch.search import peak_law
 from gqsearch.spectra import (
-    ResonanceError,
     SearchInstance,
     SpectrumValidationError,
     grover_spectrum,
@@ -277,12 +277,22 @@ def test_dense_boosted_matrix_respects_cap():
         dense_b_prime_check(SearchInstance.build(spec), 5)
 
 
+def assert_boost_matches_dense(inst, m):
+    """b' within 1e-12 of the dense joint check, and lambda1' finite."""
+    assert inst.dimension * 2**m <= DENSE_CAP
+    assert abs(b_prime(inst, m).b_prime - dense_b_prime_check(inst, m)) <= 1e-12
+    assert math.isfinite(boosted_lambda1(inst, m))
+
+
 class TestBPrime:
     def test_sigma2_is_exact_quotient(self):
+        # away from resonance the powered branch's sum is b^2 / 4^m, since
+        # the estimation amplitude's numerator cancels the powered sine
         inst = SearchInstance.build(symmetric_spectrum(16, 7, 0.7, 1.7))
         for m in (1, 2, 3):
             breakdown = b_prime(inst, m)
-            assert breakdown.sigma2 == inst.b_factor**2 / 4**m
+            quotient = inst.b_factor**2 / 4**m
+            assert abs(breakdown.sigma2 - quotient) <= 1e-12 * quotient
             assert 0.0 <= breakdown.sigma1 <= 1.0
             assert np.isclose(
                 breakdown.b_prime,
@@ -293,34 +303,36 @@ class TestBPrime:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_weighted_resonance_raises(self, n, m):
-        # every nonsource phase is pi, so 2^m pi wraps onto 0: exactly up to
-        # m = 3, to rounding from m = 4 on (wrap(16 pi) is -3.6e-15).  The
-        # survival is zero and the telescoped sigma2 = b^2 / 4^m would count
-        # its 0/0 term as b^2 / 4^m
+        # no longer raises: every nonsource phase is pi, so 2^m pi wraps
+        # onto 0, exactly up to m = 3 and to rounding from m = 4 on
+        # (wrap(16 pi) is -3.6e-15).  Each entry drops out of the boost and
+        # its weight joins the flipped branch, so boosting Grover gives
+        # Grover back: b' = sqrt(1 - alpha^2) and lambda1' = 0
         uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         inst = SearchInstance.build(grover_spectrum(n, uniform))
-        for moment in (b_prime, boosted_lambda1):
-            with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
-                moment(inst, m)
+        assert_boost_matches_dense(inst, m)
+        assert abs(b_prime(inst, m).b_prime - math.sqrt(1.0 - 1.0 / n)) <= 1e-12
+        assert boosted_lambda1(inst, m) == 0.0
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_resonant_band_raises(self, m):
-        # pair phases +-3 pi/4: 2^m theta is a multiple of 2 pi from m = 3
-        # on, exactly at m = 3 and to rounding after
+        # no longer raises: pair phases +-3 pi/4, so 2^m theta is a multiple
+        # of 2 pi from m = 3 on, exactly at m = 3 and to rounding after, and
+        # every weighted pair drops out of the boost
         inst = SearchInstance.build(
             symmetric_spectrum(16, 3, 3 * math.pi / 4, 3 * math.pi / 4)
         )
-        for moment in (b_prime, boosted_lambda1):
-            with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
-                moment(inst, m)
+        assert_boost_matches_dense(inst, m)
+        assert boosted_instance(inst, m).dimension == 2
+        assert boosted_lambda1(inst, m) == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_resonant_torus_level_raises(self, m):
-        # the 5-torus level 11 sits at phase pi when gamma = pi / 11
+        # no longer raises: the 5-torus level 11 sits at phase pi when
+        # gamma = pi / 11, so every power drives it onto a multiple of 2 pi
         inst = SearchInstance.build(graph_spectrum(torus_levels(5, 6), math.pi / 11))
         assert math.pi in set(inst.spectrum.phases)
-        with pytest.raises(ResonanceError, match=rf"power {2**m} drives "):
-            b_prime(inst, m)
+        assert_boost_matches_dense(inst, m)
 
     def test_bound_from_sigma_split(self):
         inst = SearchInstance.build(resonant_spectrum(32, 3, 1e-3, 7, alpha=0.125))
@@ -563,11 +575,13 @@ class TestBoostedLambda1:
         assert abs(boosted_lambda1(inst, 1)) <= 1e-12
 
     def test_weighted_resonance_raises(self):
+        # no longer raises: the powered Grover phases drop out, and the
+        # flipped branch at pi adds a cotangent of exactly 0
         n = 8
         uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         inst = SearchInstance.build(grover_spectrum(n, uniform))
-        with pytest.raises(ResonanceError):
-            boosted_lambda1(inst, 1)
+        assert boosted_lambda1(inst, 1) == 0.0
+        assert_boost_matches_dense(inst, 1)
 
 
 class TestBoostedRun:
@@ -671,6 +685,24 @@ class TestBoostedRun:
         monkeypatch.setattr(gqsearch.pea, "controlled_oracle", counted)
         report = boosted_search_run(inst, 3, q_max)
         assert len(calls) == q_max == len(report.target_probability) - 1
+
+    def test_boosting_grover_gives_grover_back(self):
+        # every nonsource phase is pi and resonates at every m, so the boost
+        # is the 2-entry spectrum {0: alpha^2, pi: 1 - alpha^2}: Grover again
+        n = 2**20
+        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        angle = math.asin(inst.alpha)
+        expected = np.sin((2 * np.arange(1701) + 1) * angle) ** 2
+        for m in range(1, 9):
+            boosted = boosted_instance(inst, m).spectrum
+            assert boosted.phases.tolist() == [0.0, math.pi]
+            assert boosted.weights[0] == inst.alpha**2
+            assert abs(boosted.weights[1] - (1.0 - inst.alpha**2)) <= 1e-12
+            assert boosted_lambda1(inst, m) == 0.0
+            report = boosted_search_run(inst, m, 1700)
+            assert report.ds_per_step == 3 * 2**m - 2
+            assert np.max(np.abs(report.target_probability - expected)) <= 1e-13
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_memory_does_not_grow_with_m(self, large_instance, m):

@@ -10,7 +10,13 @@ from gqsearch import search
 from gqsearch.dense import build_diffusion, search_operator
 from gqsearch.harness import ExperimentConfig, run_experiment
 from gqsearch.linalg import round_half_up, unitary_eigensystem
-from gqsearch.pea import b_prime, boosted_lambda1, boosted_search_run, pea_amplitude
+from gqsearch.pea import (
+    b_prime,
+    boosted_instance,
+    boosted_lambda1,
+    boosted_search_run,
+    pea_amplitude,
+)
 from gqsearch.search import (
     NormDriftError,
     RelevantPairError,
@@ -494,14 +500,23 @@ def test_plain_run_keeps_reference_bits(n, q_max):
 
 
 def test_boosted_run_keeps_reference_bits():
-    # the boosted spectrum of boosted_search_run, rebuilt from public parts
+    # the run is the reference loop on the boosted instance's phases and
+    # row, with e^{i pi} taken as exactly -1
     m, q_max = 3, 3000
     inst = SearchInstance.build(symmetric_spectrum(256, 1, 0.5, 1.5))
-    spec = inst.spectrum
     report = boosted_search_run(inst, m, q_max)
-    eigenphase = np.append(np.exp(1j * 2**m * spec.phases), -1.0)
+    boosted = boosted_instance(inst, m).spectrum
+    eigenphase = np.where(boosted.phases == np.pi, -1.0, np.exp(1j * boosted.phases))
+    assert_same_bits(report, reference_iterate(eigenphase, boosted.target_row, q_max))
+    # and stays within rounding of the whole (N + 1)-entry assembly, with the
+    # unwrapped powered phases, that the survival column spells out
+    spec = inst.spectrum
     survival = np.minimum(pea_amplitude(spec.phases, m, 0) ** 2, 1.0)
     target_row = np.append(
         np.sqrt(survival) * spec.target_row, math.sqrt(b_prime(inst, m).sigma1)
     )
-    assert_same_bits(report, reference_iterate(eigenphase, target_row, q_max))
+    eigenphase = np.append(np.exp(1j * 2**m * spec.phases), -1.0)
+    assembled = reference_iterate(eigenphase, target_row, q_max)
+    assert np.max(np.abs(report.target_probability - assembled[0])) <= 1e-12
+    assert np.max(np.abs(report.source_overlap - assembled[1])) <= 1e-12
+    assert report.peak_q == assembled[2]

@@ -32,6 +32,7 @@ from gqsearch.pea import (
     boosted_lambda1,
     boosted_search_run,
     default_ancilla_count,
+    dense_b_prime_check,
 )
 from gqsearch.search import predict_spectrum, run_iterations
 
@@ -582,15 +583,17 @@ class TestNaivePowering:
         )
         inst = SearchInstance.build(spec)
         assert math.isfinite(naive_power_b(inst, 2))
-        for power in (
-            lambda: naive_power_b(inst, 4),
-            lambda: b_prime(inst, 2),
-            lambda: boosted_lambda1(inst, 2),
+        with pytest.raises(
+            ResonanceError, match=r"power 4 drives eigenvector 2 \(phase 1\.57"
         ):
-            with pytest.raises(
-                ResonanceError, match=r"power 4 drives eigenvector 2 \(phase 1\.57"
-            ):
-                power()
+            naive_power_b(inst, 4)
+        # the boost drops both resonant entries, and their weight joins the
+        # flipped branch: b' is sqrt(1 - alpha^2), as for Grover
+        assert abs(b_prime(inst, 2).b_prime - dense_b_prime_check(inst, 2)) <= 1e-12
+        assert abs(b_prime(inst, 2).b_prime - math.sqrt(0.75)) <= 1e-15
+        assert boosted_lambda1(inst, 2) == 0.0
+        # at r = 2 the phases +-pi/2 power onto +-pi, and both boost onto pi
+        assert abs(b_prime(inst, 1).b_prime - dense_b_prime_check(inst, 1)) <= 1e-12
 
 
 class TestResonantGenerator:
