@@ -153,6 +153,8 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
     values: dict = {}
     for key, text in raw.items():
         field = _FIELDS[key]
+        if field.name in overrides:
+            continue
         if key == "b_values":
             values[field.name] = _parse_b_values(text)
         elif "," in text and key != "out":
@@ -204,22 +206,23 @@ def _check_config(config: ExperimentConfig) -> None:
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
-    """Parse one config file; keyword overrides win over file values."""
+    """Parse one config file; keyword overrides (field names) replace file values."""
     return _build_config(_read_raw(path), overrides)
 
 
 def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
     """Expand comma lists in a config into the cartesian product of runs.
 
-    Only int and float keys expand.  An empty entry keeps the key's
-    default, as an empty value does in a single config: ``b_target = , 8``
-    sweeps no rescaling and b = 8.
+    Only int and float keys expand, and not one an override sets: the
+    override is its one value.  An empty entry keeps the key's default, as
+    an empty value does in a single config: ``b_target = , 8`` sweeps no
+    rescaling and b = 8.
     """
     raw = _read_raw(path)
     axes: list[tuple[str, list[str]]] = []
     fixed: dict[str, str] = {}
     for key, text in raw.items():
-        if key in _SWEEPABLE and "," in text:
+        if key in _SWEEPABLE and "," in text and _FIELDS[key].name not in overrides:
             parts = [part.strip() for part in text.split(",")]
             if not any(parts):
                 raise ConfigError(f"config key {key} lists no values")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import round_half_up, wrap_phase
-from .search import RunReport, _iterate, peak_law, reflect_target
+from .search import RunReport, _iterate, reflect_target
 from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError, _resonant
 
 MAX_ANCILLA_QUBITS = 8
@@ -190,15 +190,11 @@ def boosted_search_run(
 ) -> RunReport:
     """Iterate controlled oracle + boosted diffusion on m ancilla qubits.
 
-    The run starts from the joint source and is plain search on
-    ``boosted_instance``, whose size is at most N + 1 whatever m is; no
-    N x N array is built.  ``q_max`` defaults to twice the
-    ``search.peak_law`` iteration of b' and the boosted first moment, so
-    the scan covers the first probability crest with margin but stops
-    before later crests that leakage can push marginally higher.  Entry q
-    of ``target_probability`` is the joint target probability
-    |<ancilla 0, target | state>|^2 after q oracle queries; ``ds_per_step``
-    is 3 * 2^m - 2.
+    ``_iterate`` on ``boosted_instance``, at most N + 1 entries whatever m
+    is; it sets the default ``q_max`` (from b' and the boosted first
+    moment) and the stepping rules.  Entry q of ``target_probability`` is
+    the joint target probability |<ancilla 0, target | state>|^2 after q
+    oracle queries; ``ds_per_step`` is 3 * 2^m - 2.
 
     Raises
     ------
@@ -206,14 +202,8 @@ def boosted_search_run(
         If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT``, or is NaN, at
         any step.
     """
-    boosted = boosted_instance(inst, m)
-    if q_max is None:
-        q_max = 2 * peak_law(boosted.b_factor, boosted.alpha, boosted.lambda1)[0]
-    phases, row = boosted.spectrum.phases, boosted.spectrum.target_row
-    # e^{i pi} is exactly -1, where exp(1j * pi) carries 1.2e-16j
-    eigenphase = np.where(phases == np.pi, -1.0, np.exp(1j * phases))
     cost = BoostedOperator.build(inst.spectrum, m).cost_per_application
-    return _iterate(eigenphase, row, q_max, cost, oracle=controlled_oracle)
+    return _iterate(boosted_instance(inst, m), q_max, cost, oracle=controlled_oracle)
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:

@@ -138,27 +138,15 @@ def peak_law(b_factor: float, alpha: float, lambda1: float) -> tuple[int, float]
 def run_iterations(inst: SearchInstance, q_max: int | None = None) -> RunReport:
     """Iterate the search operator from the source, recording every step.
 
-    Entry q of the report's columns holds the exact target probability and
-    source overlap magnitude after q iterations; q = 0 is the initial state.
-    The peak fields ignore q = 0.  ``q_max`` defaults to twice the
-    ``peak_law`` iteration, so the scan covers the first crest with margin.
-    The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
-    from the source's c = e_0: the target flip is the rank-1 reflection
-    c - 2 (t . c) conj(t) with t the target row of V, and the diffusion
-    multiplies by e^{i theta}.  Each step costs O(N), and the eigenbasis V
-    itself is never built.
+    ``_iterate`` on ``inst`` at one diffusion application per step; it sets
+    the default ``q_max`` and the stepping rules.
 
     Raises
     ------
     NormDriftError
         If |<c|c> - 1| exceeds NORM_DRIFT_LIMIT, or is NaN, at any step.
     """
-    if q_max is None:
-        q_max = 2 * peak_law(inst.b_factor, inst.alpha, inst.lambda1)[0]
-    spectrum = inst.spectrum
-    return _iterate(
-        np.exp(1j * spectrum.phases), spectrum.target_row, q_max, ds_per_step=1
-    )
+    return _iterate(inst, q_max, 1)
 
 
 def reflect_target(coeff, amplitude, target_conj) -> None:
@@ -170,19 +158,35 @@ def reflect_target(coeff, amplitude, target_conj) -> None:
 
 
 def _iterate(
-    eigenphase, target_row, q_max, ds_per_step, oracle=reflect_target
+    inst: SearchInstance, q_max, ds_per_step, oracle=reflect_target
 ) -> RunReport:
-    """Reflect about ``target_row``, then multiply by ``eigenphase``, q_max times.
+    """Run the search on ``inst`` from its source, recording every step.
 
-    Starts from e_0, the source, and writes every step into the report's
-    columns.  ``oracle`` is called exactly once per step; each step costs
-    ``ds_per_step`` diffusion applications in the ledger.  The state is
-    multiplied in place, the source amplitude c[0] of each step is kept as
-    a complex column whose magnitude is taken once at the end, and the
-    target probability is |t . c|^2 of each step's scalar amplitude.
+    Entry q of the report's columns holds the exact target probability and
+    source overlap magnitude after q iterations; q = 0 is the initial state.
+    The peak fields ignore q = 0.  ``q_max`` None means twice the
+    ``peak_law`` iteration of the instance's b and lambda1, so the scan
+    covers the first crest with margin but stops before later crests that
+    leakage can push marginally higher.
+
+    The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
+    from the source's c = e_0.  Each step calls ``oracle(c, t . c, conj(t))``
+    exactly once, with t the target row of V (by default the rank-1
+    reflection c - 2 (t . c) conj(t), in place), then multiplies by
+    e^{i theta}.  A phase of exactly pi steps by exactly -1, where
+    exp(1j * pi) carries 1.2e-16j, so a conjugate spectrum runs as the
+    exact conjugate.  Each step costs O(N) and ``ds_per_step`` diffusion
+    applications in the ledger; the eigenbasis V itself is never built.
+    The source amplitude c[0] of each step is kept as a complex column
+    whose magnitude is taken once at the end, and the target probability
+    is |t . c|^2 of each step's scalar amplitude.
     """
+    if q_max is None:
+        q_max = 2 * peak_law(inst.b_factor, inst.alpha, inst.lambda1)[0]
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
+    phases, target_row = inst.spectrum.phases, inst.spectrum.target_row
+    eigenphase = np.where(phases == np.pi, -1.0, np.exp(1j * phases))
     target_conj = target_row.conj()
     project, multiply, vdot = target_row.dot, np.multiply, np.vdot
     limit = NORM_DRIFT_LIMIT

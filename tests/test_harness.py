@@ -192,6 +192,16 @@ class TestSweepExpansion:
         assert len(configs) == 1
         assert configs[0].seed == 7
 
+    def test_overridden_list_is_not_expanded(self, tmp_path):
+        # --seed 5 over seed = 1, 2 is one run at seed 5, not two equal rows
+        path = write_config(tmp_path, "[instance]\nseed = 1, 2\nalpha = 0.1, 0.2\n")
+        configs = load_sweep_configs(path, seed=5, alpha=0.3)
+        assert len(configs) == 1
+        assert (configs[0].seed, configs[0].alpha) == (5, 0.3)
+        # a list that no override sets still expands
+        configs = load_sweep_configs(path, seed=5)
+        assert [(c.seed, c.alpha) for c in configs] == [(5, 0.1), (5, 0.2)]
+
 
 class TestExperiments:
     def test_grover_baseline_row(self, tmp_path):

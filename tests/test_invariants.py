@@ -15,6 +15,7 @@ from gqsearch.search import run_iterations
 from gqsearch.spectra import (
     EigenSpectrum,
     SearchInstance,
+    grover_spectrum,
     resonant_spectrum,
     symmetric_spectrum,
 )
@@ -22,13 +23,15 @@ from gqsearch.spectra import (
 from helpers import graph_spectrum, hypercube_levels
 
 
-# the symmetric family at N = 256 and 1024, boosted at m = 2 to 4, and the
+# the symmetric family at N = 256 and 1024, boosted at m = 2 to 4, the
 # resonant family at N = 256, whose phases sit just off the m = 3 resonance,
-# boosted at m = 3
+# boosted at m = 3, and Grover at N = 32 with a random complex source, whose
+# weighted phase-pi entries the plain run steps too, boosted at m = 1 to 3
 CASES = [
     pytest.param(("symmetric", 256), id="256"),
     pytest.param(("symmetric", 1024), id="1024"),
     pytest.param(("resonant", 256), id="resonant-256"),
+    pytest.param(("grover", 32), id="grover-32"),
 ]
 
 
@@ -37,6 +40,10 @@ def case_spectrum(case):
     family, n = case
     if family == "symmetric":
         return symmetric_spectrum(n, 1, 0.5, 1.5, b_target=8), (2, 3, 4)
+    if family == "grover":
+        rng = np.random.default_rng(8)
+        source = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return grover_spectrum(n, source / np.linalg.norm(source)), (1, 2, 3)
     return resonant_spectrum(n, 3, 1e-3, 1), (3,)
 
 

@@ -412,11 +412,13 @@ class TestRunIterations:
     def test_nan_state_raises_at_first_step(self):
         # max(0.0, nan) is 0.0 and nan > limit is False: a NaN drift must
         # still stop the run, at the first step that produces it
-        inst = double_pair_toy()
-        eigenphase = np.exp(1j * inst.spectrum.phases)
-        eigenphase[2] = np.nan
+        # (a validated instance holds no NaN phase, so the oracle injects it)
+        def poisoned(coeff, amplitude, target_conj):
+            search.reflect_target(coeff, amplitude, target_conj)
+            coeff[2] = np.nan
+
         with pytest.raises(NormDriftError, match="by nan after 1 iterations"):
-            search._iterate(eigenphase, inst.spectrum.target_row, 5, ds_per_step=1)
+            search._iterate(double_pair_toy(), 5, 1, oracle=poisoned)
 
     def test_negative_q_max_rejected(self):
         with pytest.raises(ValueError):
@@ -495,7 +497,8 @@ def assert_same_bits(report, reference):
 def test_plain_run_keeps_reference_bits(n, q_max):
     spec = symmetric_spectrum(n, 1, 0.5, 1.5)
     report = run_iterations(SearchInstance.build(spec), q_max)
-    reference = reference_iterate(np.exp(1j * spec.phases), spec.target_row, q_max)
+    eigenphase = np.where(spec.phases == np.pi, -1.0, np.exp(1j * spec.phases))
+    reference = reference_iterate(eigenphase, spec.target_row, q_max)
     assert_same_bits(report, reference)
 
 
