@@ -26,18 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import round_half_up, wrap_phase
+from .linalg import check_dense_cap, round_half_up, wrap_phase
 from .search import RunReport, _iterate, reflect_target
-from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError, _resonant
-
-MAX_ANCILLA_QUBITS = 8
-
-
-def _check_ancilla_count(m: int) -> None:
-    if not 1 <= m <= MAX_ANCILLA_QUBITS:
-        raise ValueError(
-            f"ancilla qubit count m must lie in [1, {MAX_ANCILLA_QUBITS}], got {m}"
-        )
+from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError
+from .spectra import _check_ancilla_count, _resonant
 
 
 @dataclass(frozen=True)
@@ -71,6 +63,7 @@ class BPrimeBreakdown:
 def walsh_hadamard(m: int) -> np.ndarray:
     """Dense 2^m Walsh-Hadamard transform (real, symmetric, involutive)."""
     _check_ancilla_count(m)
+    check_dense_cap(2**m, "ancilla register")
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     out = h1
     for _ in range(m - 1):
@@ -88,6 +81,7 @@ def qft(m: int) -> np.ndarray:
     """
     _check_ancilla_count(m)
     size = 2**m
+    check_dense_cap(size, "ancilla register")
     grid = np.arange(size)
     return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
 
@@ -99,11 +93,10 @@ def pea_amplitude(theta, m: int, k: int):
     with the removable singularity at x = 0 taken as its limit 1.  Accepts
     a scalar or an array of phases in (-pi, pi].  A phase outside that
     range, NaN included, raises ``SpectrumValidationError``, a numerical
-    failure (exit 2 from the command line); m < 1 raises a plain
-    ``ValueError``.
+    failure (exit 2 from the command line); an m that breaks
+    ``_check_ancilla_count`` raises a plain ``ValueError``.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    _check_ancilla_count(m)
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all((theta > -np.pi) & (theta <= np.pi)):  # NaN fails too
         raise SpectrumValidationError("theta must lie in (-pi, pi]")
@@ -179,10 +172,10 @@ def boosted_lambda1(inst: SearchInstance, m: int) -> float:
 
 
 def default_ancilla_count(b_factor: float) -> int:
-    """Ancilla size matching the main-space b factor: round(log2 b), clamped."""
+    """max(1, round(log2 b)); any b a spectrum holds is below 1/(2 pi eps): m <= 49."""
     if b_factor <= 0.0:
         raise ValueError(f"b_factor must be positive, got {b_factor}")
-    return max(1, min(MAX_ANCILLA_QUBITS, round_half_up(math.log2(b_factor))))
+    return max(1, round_half_up(math.log2(b_factor)))
 
 
 def boosted_search_run(

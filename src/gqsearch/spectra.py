@@ -209,9 +209,9 @@ class SearchInstance:
     @classmethod
     def build(cls, spectrum: EigenSpectrum) -> "SearchInstance":
         alpha = float(np.abs(spectrum.target_row[0]))
-        if not 0.0 < alpha < 1.0:
+        if not (0.0 < alpha < 1.0 and spectrum.weights[0] > 0.0):
             raise ValueError(
-                f"source-target overlap must lie strictly in (0, 1), got {alpha}"
+                f"source-target overlap must lie in (0, 1), alpha^2 > 0, got {alpha}"
             )
         lam1 = _moment_sum(spectrum, 1)
         lam2 = _moment_sum(spectrum, 2)
@@ -255,6 +255,13 @@ def _resonant(powered, r: int):
     wrap, counts as one (wrap(16 pi) is -3.6e-15, not 0).
     """
     return np.abs(powered) <= 4.0 * r * np.pi * np.finfo(np.float64).eps
+
+
+def _check_ancilla_count(m: int) -> None:
+    """m >= 1 with ``_resonant``'s tolerance at r = 2^m below pi, so m <= 49."""
+    # 2^-m > 4 eps, with 2^m never made a float: no int m can overflow
+    if not (m >= 1 and math.ldexp(1.0, -int(m)) > 4.0 * np.finfo(np.float64).eps):
+        raise ValueError(f"ancilla qubit count m must lie in [1, 49], got {m}")
 
 
 def _powered(spec: EigenSpectrum, r: int):
@@ -738,8 +745,8 @@ def _rescale_for_b_target(
     ``pair_weights`` are the closed-form weights of ``_pair_weights``, so no
     spectrum is built to find the scale.
     """
-    if not np.isfinite(b_target) or b_target <= 0.0:
-        raise ValueError(f"b_target must be positive and finite, got {b_target}")
+    if not 0.0 < b_target <= math.sqrt(np.finfo(np.float64).max):
+        raise ValueError(f"b_target must be positive, b^2 finite, got {b_target}")
     target2 = b_target**2
 
     def excess(scale: float) -> float:  # falls strictly on (0, pi / top]
@@ -759,7 +766,7 @@ def _rescale_for_b_target(
         f_lo = excess(lo)
         if f_lo >= 0.0:
             break
-    else:  # pragma: no cover - 2**-200 scale never insufficient
+    else:  # reached from about b = 1e60 up
         raise ValueError(f"could not bracket b_target {b_target}")
     scale = bisect_root(excess, lo, hi, f_lo, f_hi)
     # next to the floor the bisection can keep the bracket end pi / top, and
@@ -777,15 +784,14 @@ def resonant_spectrum(
 ) -> EigenSpectrum:
     """Spectrum whose phases cluster just off the 2*pi/2**m resonance.
 
-    Powering the diffusion operator by r = 2**m drives every pair phase to
-    within r*epsilon of a full turn, so the naively powered b factor blows
-    up like 1/epsilon while the r = 1 value stays moderate.  Detunings are
-    spread over [0.1, 1.0]*epsilon so the blow-up ratio scales cleanly.
-    As with ``symmetric_spectrum``, the target row is closed form and the
-    eigenbasis is built on the first read of ``vectors``.
+    Powering the diffusion operator by r = 2**m (``_check_ancilla_count``)
+    drives every pair phase to within r*epsilon of a full turn, so the
+    naively powered b factor blows up like 1/epsilon while the r = 1 value
+    stays moderate.  Detunings are spread over [0.1, 1.0]*epsilon so the
+    blow-up ratio scales cleanly.  As with ``symmetric_spectrum``, the target
+    row is closed form and the eigenbasis is built on reading ``vectors``.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    _check_ancilla_count(m)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if alpha is None:

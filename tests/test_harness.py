@@ -660,12 +660,58 @@ class TestCli:
     def test_ancilla_count_out_of_range_is_usage_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
-            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\nm = 9\n",
+            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\nm = 50\n",
         )
         assert cli.main(["run", "--config", str(config)]) == 1
-        assert "ancilla qubit count m must lie in [1, 8], got 9" in (
+        assert "ancilla qubit count m must lie in [1, 49], got 50" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 1.35e154\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 1.7e308\n",
+            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
+            "family = resonant\nm = 2\nresonance_m = 1024\n",
+            "[experiment]\nkind = divergence-demo\n[instance]\nn = 16\n"
+            "resonance_m = 1100\n",
+            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
+            "alpha = 1e-163\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "alpha = 1e-170\n",
+        ],
+        ids=[
+            "b_target-1.35e154",
+            "b_target-1.7e308",
+            "resonance_m-boosted",
+            "resonance_m-divergence",
+            "alpha-squared-underflow-boosted",
+            "alpha-squared-underflow-plain",
+        ],
+    )
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
+        # each once escaped as a traceback or as a numerical failure
+        out = tmp_path / "never.csv"
+        config = write_config(tmp_path, body)
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_boosted_search_takes_ten_ancillas_at_b_1000(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = boosted-search\n"
+            "[instance]\nn = 1024\nb_target = 1000\n"
+            f"[run]\nout = {tmp_path / 'boost.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        row = parse_report_csv(tmp_path / "boost.csv")[0]
+        assert row["m"] == 10
+        assert row["peak_probability"] >= 0.7
 
     @pytest.mark.parametrize(
         "body",

@@ -25,7 +25,6 @@ from gqsearch.linalg import (
 )
 from gqsearch.pea import (
     BoostedOperator,
-    MAX_ANCILLA_QUBITS,
     b_prime,
     boosted_instance,
     boosted_lambda1,
@@ -86,19 +85,30 @@ class TestRegisters:
         f = qft(m)
         assert np.allclose(f @ f.conj().T, np.eye(2**m), atol=1e-13)
 
-    @pytest.mark.parametrize("m", [0, 9])
+    @pytest.mark.parametrize("m", [0, 50, 1023, 1024, 10**30])
     def test_register_size_bounds(self, m):
+        # from m = 50 the resonance tolerance covers every phase; the rule
+        # rejects such m before 2^m reaches a float, however large m is
         inst = SearchInstance.build(symmetric_spectrum(16, 1, 0.5, 1.5))
-        message = rf"m must lie in \[1, {MAX_ANCILLA_QUBITS}\], got {m}$"
+        message = rf"m must lie in \[1, 49\], got {m}$"
         for call in (
             walsh_hadamard,
             qft,
             lambda m: BoostedOperator.build(inst.spectrum, m),
             lambda m: b_prime(inst, m),
             lambda m: boosted_lambda1(inst, m),
+            lambda m: boosted_search_run(inst, m),
+            lambda m: pea_amplitude(inst.spectrum.phases, m, 0),
+            lambda m: resonant_spectrum(16, m, 1e-3, 1),
         ):
             with pytest.raises(ValueError, match=message):
                 call(m)
+
+    @pytest.mark.parametrize("transform", [walsh_hadamard, qft])
+    def test_register_respects_dense_cap(self, transform):
+        assert transform(10).shape == (DENSE_CAP, DENSE_CAP)
+        with pytest.raises(DenseCapError, match="ancilla register 2048"):
+            transform(11)
 
 
 class TestPeaAmplitude:
@@ -266,6 +276,13 @@ def test_boosted_spectrum_splits_into_powered_and_flipped():
         [wrap_phase(2**m * spec.phases), np.full((2**m - 1) * 4, math.pi)]
     )
     assert np.allclose(np.sort(system.phases), np.sort(expected), atol=1e-8)
+
+
+def test_dense_check_at_nine_ancillas():
+    # two entries on 2^9 ancilla states: joint dimension 1024 = DENSE_CAP
+    inst = SearchInstance.build(graph_spectrum({0: 1, 2: 1}, 0.4))
+    assert inst.dimension * 2**9 == DENSE_CAP
+    assert abs(b_prime(inst, 9).b_prime - dense_b_prime_check(inst, 9)) <= 1e-12
 
 
 def test_dense_boosted_matrix_respects_cap():
@@ -704,7 +721,7 @@ class TestBoostedRun:
             assert report.ds_per_step == 3 * 2**m - 2
             assert np.max(np.abs(report.target_probability - expected)) <= 1e-13
 
-    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("m", [3, 8, 16])
     def test_memory_does_not_grow_with_m(self, large_instance, m):
         import tracemalloc
 
@@ -722,9 +739,24 @@ def large_instance():
     return SearchInstance.build(symmetric_spectrum(4096, 1, 0.5, 1.5, b_target=8))
 
 
-@pytest.mark.parametrize("value, expected", [(1.0, 1), (16.0, 4), (1e9, 8), (2.9, 2)])
+@pytest.mark.parametrize("value, expected", [(1.0, 1), (16.0, 4), (1e9, 30), (2.9, 2)])
 def test_default_ancilla_count(value, expected):
     assert default_ancilla_count(value) == expected
+
+
+def test_default_ancilla_count_regains_grover_at_large_b():
+    # the paper's claim at b = 1000: m = round(log2 b) = 10 brings b' to
+    # about 1, and the default-budget boosted run peaks near certainty
+    inst = SearchInstance.build(symmetric_spectrum(1024, 1, 0.5, 1.5, b_target=1000))
+    m = default_ancilla_count(inst.b_factor)
+    assert m == 10
+    assert b_prime(inst, m).b_prime < 1.2
+    assert boosted_search_run(inst, m).peak_probability >= 0.7
+    # b'^2 = sigma1 + b^2 / 4^m holds at every m the rule admits
+    for m in range(9, 50):
+        split = b_prime(inst, m)
+        expected = split.sigma1 + inst.b_factor**2 / 4**m
+        assert abs(split.b_prime**2 - expected) <= 1e-12 * expected
 
 
 def test_default_ancilla_count_rejects_nonpositive():

@@ -158,6 +158,20 @@ class TestSymmetricGenerator:
         with pytest.raises(ValueError, match="floor"):
             symmetric_spectrum(8, 1, 1.0, 1.2, alpha=0.05, b_target=0.2)
 
+    @pytest.mark.parametrize(
+        "b_target, message",
+        [
+            (1e100, "could not bracket"),
+            (1.35e154, r"b\^2 finite"),
+            (1.7e308, r"b\^2 finite"),
+        ],
+        ids=["1e100", "1.35e154", "1.7e308"],
+    )
+    def test_b_target_out_of_reach_is_value_error(self, b_target, message):
+        # b_target**2 overflows from 1.35e154, where it raised OverflowError
+        with pytest.raises(ValueError, match=message):
+            symmetric_spectrum(16, 1, 0.5, 1.5, b_target=b_target)
+
     def test_b_target_at_the_floor_keeps_pair_phases_below_pi(self):
         # one float above the floor, the bisection settles on the bracket end
         # pi / max(drawn), whose product with max(drawn) can round to pi
@@ -481,6 +495,14 @@ def test_relabeling_invariance():
 
 
 class TestSpectrumValidation:
+    def test_alpha_whose_square_underflows_rejected(self):
+        # alpha^2 rounds to 0: the source would carry no weight at all
+        spec = symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163)
+        assert 0.0 < abs(spec.target_row[0]) < 1.0 and spec.weights[0] == 0.0
+        with pytest.raises(ValueError, match=r"alpha\^2 > 0, got 1e-163") as raised:
+            SearchInstance.build(spec)
+        assert not isinstance(raised.value, SpectrumValidationError)
+
     def test_degenerate_source_phase_rejected(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 0.0, 1.0])
