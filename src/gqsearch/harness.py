@@ -61,7 +61,7 @@ class ExperimentConfig:
     # main dimension (even, >= 4 for random families)
     n: int = _key("instance", int, 64)
     seed: int = _key("instance", int, 1)
-    # symmetric | resonant (boosted-search only)
+    # symmetric | resonant (general-search and boosted-search)
     family: str = _key("instance", str, "symmetric")
     # edges of the raw phase band, 0 < theta_min <= theta_max < pi
     theta_min: float = _key("instance", float, 0.5)
@@ -239,27 +239,31 @@ def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
     return configs
 
 
-def _symmetric_instance(config: ExperimentConfig, b_target=None):
-    spectrum = spectra.symmetric_spectrum(
-        config.n,
-        config.seed,
-        config.theta_min,
-        config.theta_max,
-        alpha=config.alpha,
-        b_target=config.b_target if b_target is None else b_target,
-    )
-    return spectra.SearchInstance.build(spectrum)
+def _instances(config: ExperimentConfig):
+    """The instance of each report row, built when its row is reached.
 
-
-def _resonant_instance(config: ExperimentConfig):
-    spectrum = spectra.resonant_spectrum(
-        config.n,
-        config.resonance_m,
-        config.epsilon,
-        config.seed,
-        alpha=config.alpha,
-    )
-    return spectra.SearchInstance.build(spectrum)
+    The kind fixes the spectrum for grover-baseline (uniform Grover),
+    divergence-demo (resonant) and b-sweep (symmetric, one per ``b_values``
+    target); general-search and boosted-search take it from ``family``.
+    """
+    kind, build = config.kind, spectra.SearchInstance.build
+    n, seed, alpha = config.n, config.seed, config.alpha
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    if kind == "grover-baseline":
+        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        yield build(spectra.grover_spectrum(n, uniform))
+    elif kind == "divergence-demo" or (
+        kind != "b-sweep" and config.family == "resonant"
+    ):
+        r_m, eps = config.resonance_m, config.epsilon
+        yield build(spectra.resonant_spectrum(n, r_m, eps, seed, alpha=alpha))
+    else:
+        lo, hi = config.theta_min, config.theta_max
+        for b in config.b_values if kind == "b-sweep" else (config.b_target,):
+            yield build(
+                spectra.symmetric_spectrum(n, seed, lo, hi, alpha=alpha, b_target=b)
+            )
 
 
 def _row(
@@ -267,21 +271,18 @@ def _row(
     inst,
     report,
     m: int | None = None,
-    b_prime: float | None = None,
-    lambda1_boosted: float | None = None,
     naive_b_r: float | None = None,
 ) -> ReportRow:
     """The report row of one run; the ledger at the peak is arithmetic on q.
 
-    The predicted cells are ``search.peak_law`` of the b factor and first
-    moment the run's peak follows: b and lambda1 for a plain run, b' and
-    the boosted lambda1 for a boosted run on ``m`` ancillas.  The
-    boosted-only cells stay None for a plain run.
+    b', the boosted lambda1 and the predicted cells (``search.peak_law``)
+    read the instance the run stepped: ``inst`` itself for a plain run,
+    whose boosted-only cells stay None, and the boosted one on ``m``
+    ancillas, which keeps inst's alpha, for a boosted run.
     """
-    if m is None:
-        law = search.peak_law(inst.b_factor, inst.alpha, inst.lambda1)
-    else:
-        law = search.peak_law(b_prime, inst.alpha, lambda1_boosted)
+    ran = report.instance
+    boosted = m is not None
+    law = search.peak_law(ran.b_factor, ran.alpha, ran.lambda1)
     return ReportRow(
         experiment=config.kind,
         n=inst.dimension,
@@ -290,10 +291,10 @@ def _row(
         b_factor=inst.b_factor,
         theta_min=inst.theta_min,
         m=m,
-        r=None if m is None else 2**m,
-        b_prime=b_prime,
+        r=2**m if boosted else None,
+        b_prime=ran.b_factor if boosted else None,
         lambda1=inst.lambda1,
-        lambda1_boosted=lambda1_boosted,
+        lambda1_boosted=ran.lambda1 if boosted else None,
         naive_b_r=naive_b_r,
         peak_q=report.peak_q,
         peak_probability=report.peak_probability,
@@ -306,40 +307,20 @@ def _row(
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """Execute one configured experiment; deterministic for fixed seeds."""
-    if config.kind in ("grover-baseline", "general-search"):
-        if config.kind == "grover-baseline":
-            uniform = np.full(config.n, 1.0 / math.sqrt(config.n), dtype=np.complex128)
-            spectrum = spectra.grover_spectrum(config.n, uniform)
-            inst = spectra.SearchInstance.build(spectrum)
-        else:
-            inst = _symmetric_instance(config)
-        return [_row(config, inst, search.run_iterations(inst, config.q_max))]
-
-    naive_b_r = None
-    if config.kind == "boosted-search":
-        if config.family == "resonant":
-            instances = [_resonant_instance(config)]
-        else:
-            instances = [_symmetric_instance(config)]
-    elif config.kind == "divergence-demo":
-        instances = [_resonant_instance(config)]
-        naive_b_r = spectra.naive_power_b(instances[0], 2**config.resonance_m)
-    elif config.kind == "b-sweep":
-        instances = (_symmetric_instance(config, b_target=b) for b in config.b_values)
-    else:
-        raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    plain = config.kind in ("grover-baseline", "general-search")
     rows = []
-    for inst in instances:
-        m = config.m
-        if m is None:
-            if config.kind == "divergence-demo":
-                m = config.resonance_m
-            else:
-                m = pea.default_ancilla_count(inst.b_factor)
-        boost = pea.b_prime(inst, m).b_prime
-        lambda1_boosted = pea.boosted_lambda1(inst, m)
+    for inst in _instances(config):
+        if plain:
+            rows.append(_row(config, inst, search.run_iterations(inst, config.q_max)))
+            continue
+        m, naive_b_r = config.m, None
+        if config.kind == "divergence-demo":
+            naive_b_r = spectra.naive_power_b(inst, 2**config.resonance_m)
+            m = config.resonance_m if m is None else m
+        elif m is None:
+            m = pea.default_ancilla_count(inst.b_factor)
         report = pea.boosted_search_run(inst, m, config.q_max)
-        rows.append(_row(config, inst, report, m, boost, lambda1_boosted, naive_b_r))
+        rows.append(_row(config, inst, report, m, naive_b_r))
     return rows
 
 

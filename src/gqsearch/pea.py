@@ -20,7 +20,6 @@ small scale live in ``dense``; ``dense_boosted_matrix`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -108,7 +107,6 @@ def pea_amplitude(theta, m: int, k: int):
     return float(result) if result.ndim == 0 else result
 
 
-@functools.lru_cache(maxsize=4)  # a harness row reads one (inst, m) three times
 def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     """The boosted diffusion on m ancilla qubits as a plain search instance.
 
@@ -122,8 +120,7 @@ def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     that 2^m drives onto a multiple of 2 pi (``spectra._resonant``, the
     test ``naive_power_b`` raises on) gets s_l = 0; it drops out, as
     zero-weight entries do, and its weight joins sigma1.  The wrap is odd,
-    so a conjugate spectrum boosts to the exact conjugate.  Kept per
-    (inst, m) for the last few calls.
+    so a conjugate spectrum boosts to the exact conjugate.
     """
     _check_ancilla_count(m)
     spectrum = inst.spectrum

@@ -68,7 +68,8 @@ class RunReport:
     The ledger is arithmetic on q: q oracle queries and q * ``ds_per_step``
     diffusion applications.  ``peak_q`` maximises the target probability
     over q >= 1 (it is 0 only when q_max = 0), and ``max_norm_drift`` is the
-    largest |<state|state> - 1| seen at any step.
+    largest |<state|state> - 1| seen at any step.  ``instance`` is the
+    instance the run stepped: the boosted one for a boosted run.
     """
 
     target_probability: np.ndarray
@@ -76,6 +77,7 @@ class RunReport:
     ds_per_step: int
     peak_q: int
     peak_probability: float
+    instance: SearchInstance
     max_norm_drift: float = 0.0
 
     @cached_property
@@ -167,7 +169,9 @@ def _iterate(
     The peak fields ignore q = 0.  ``q_max`` None means twice the
     ``peak_law`` iteration of the instance's b and lambda1, so the scan
     covers the first crest with margin but stops before later crests that
-    leakage can push marginally higher.
+    leakage can push marginally higher.  A default past NORM_DRIFT_LIMIT / eps
+    steps, where one rounding unit of drift per step reaches the limit,
+    raises ``ValueError`` before anything is allocated.
 
     The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
     from the source's c = e_0.  Each step calls ``oracle(c, t . c, conj(t))``
@@ -183,6 +187,11 @@ def _iterate(
     """
     if q_max is None:
         q_max = 2 * peak_law(inst.b_factor, inst.alpha, inst.lambda1)[0]
+        if q_max > NORM_DRIFT_LIMIT / np.finfo(np.float64).eps:
+            raise ValueError(
+                f"default budget q_max = {q_max:.3g} is past the norm drift ceiling; "
+                "set q_max, or try boosted-search for a plain run at large b"
+            )
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
     phases, target_row = inst.spectrum.phases, inst.spectrum.target_row
@@ -221,6 +230,7 @@ def _iterate(
         ds_per_step=ds_per_step,
         peak_q=peak_q,
         peak_probability=float(probability[peak_q]),
+        instance=inst,
         max_norm_drift=worst,
     )
 

@@ -776,7 +776,12 @@ def _rescale_for_b_target(
     ceiling = np.pi / top
     while top * ceiling >= np.pi:
         ceiling = math.nextafter(ceiling, 0.0)
-    return drawn * min(scale, ceiling)
+    scaled = drawn * min(scale, ceiling)
+    # the r = 1 resonance test SearchInstance.build applies (``_powered``)
+    live = scaled[pair_weights > 0.0]
+    if np.any(_resonant(wrap_phase(np.append(live, -live)), 1)):
+        raise ValueError(f"b_target {b_target} puts a pair phase within rounding of 0")
+    return scaled
 
 
 def resonant_spectrum(

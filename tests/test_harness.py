@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gqsearch import cli, harness, pea, search, spectra
+from gqsearch import cli, pea, search, spectra
 from gqsearch.harness import (
     ConfigError,
     ExperimentConfig,
@@ -234,6 +234,18 @@ class TestExperiments:
         assert np.isclose(row.theta_min, inst.theta_min, rtol=1e-15)
         assert row.oracle_queries_at_peak == row.peak_q
 
+    def test_general_search_reads_family(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            "[instance]\nn = 16\nfamily = resonant\n",
+        )
+        row = run_experiment(load_config(path))[0]
+        inst = spectra.SearchInstance.build(spectra.resonant_spectrum(16, 3, 1e-3, 1))
+        assert row.b_factor == inst.b_factor
+        assert row.lambda1 == inst.lambda1
+        assert row.m is None and row.b_prime is None
+
     def test_boosted_search_row_ledger(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -281,7 +293,7 @@ def test_predicted_cells_read_the_peak_law(tmp_path, monkeypatch, kind):
         graph_spectrum(hypercube_levels(8), math.pi / 17)
     )
     monkeypatch.setattr(
-        harness, "_symmetric_instance", lambda config, b_target=None: inst
+        spectra, "symmetric_spectrum", lambda *args, **kwargs: inst.spectrum
     )
     path = write_config(
         tmp_path, f"[experiment]\nkind = {kind}\n[run]\nq_max = 20\n"
@@ -378,22 +390,6 @@ BOOSTED_KINDS = pytest.mark.parametrize(
     ],
     ids=["boosted-search", "divergence-demo", "b-sweep"],
 )
-
-
-@BOOSTED_KINDS
-def test_b_prime_once_per_boosted_row(tmp_path, monkeypatch, body, rows):
-    calls = []
-    b_prime = pea.b_prime
-
-    def counted(inst, m):
-        calls.append(m)
-        return b_prime(inst, m)
-
-    monkeypatch.setattr(pea, "b_prime", counted)
-    path = write_config(tmp_path, "[experiment]\n" + body + "[run]\nq_max = 20\n")
-    produced = run_experiment(load_config(path))
-    assert len(produced) == rows
-    assert calls == [row.m for row in produced]
 
 
 @pytest.mark.parametrize("q_max", ["20", ""], ids=["q_max-set", "q_max-unset"])
@@ -682,6 +678,16 @@ class TestCli:
             "alpha = 1e-163\n",
             "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
             "alpha = 1e-170\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 5e14\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 1e20\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 1e7\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "b_target = 1e10\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "alpha = 1e-150\n",
         ],
         ids=[
             "b_target-1.35e154",
@@ -690,10 +696,16 @@ class TestCli:
             "resonance_m-divergence",
             "alpha-squared-underflow-boosted",
             "alpha-squared-underflow-plain",
+            "b_target-phase-rounds-to-0-5e14",
+            "b_target-phase-rounds-to-0-1e20",
+            "default-budget-past-ceiling-b_target-1e7",
+            "default-budget-past-ceiling-b_target-1e10",
+            "default-budget-past-ceiling-alpha-1e-150",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
-        # each once escaped as a traceback or as a numerical failure
+        # each once escaped as a traceback, as a numerical failure, or (the
+        # default budgets) as a run of minutes or an allocation of GiB
         out = tmp_path / "never.csv"
         config = write_config(tmp_path, body)
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1

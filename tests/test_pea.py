@@ -1,6 +1,8 @@
 """Joint-space estimation tests against dense Kronecker-product oracles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -613,6 +615,23 @@ class TestBoostedRun:
         assert report.target_probability.shape == (6,)
         assert report.source_overlap.shape == (6,)
         assert report.ds_per_step == 3 * 2**3 - 2
+
+    def test_report_holds_the_boosted_instance(self):
+        inst = SearchInstance.build(
+            symmetric_spectrum(16, 9, 0.8, 1.8, alpha=0.1, b_target=8.0)
+        )
+        ran = boosted_search_run(inst, 3, 5).instance
+        assert ran.b_factor == b_prime(inst, 3).b_prime
+        assert ran.lambda1 == boosted_lambda1(inst, 3)
+        assert ran.alpha == inst.alpha
+
+    def test_run_keeps_no_reference_to_its_instance(self):
+        inst = SearchInstance.build(symmetric_spectrum(16, 9, 0.8, 1.8))
+        ref = weakref.ref(inst)
+        boosted_search_run(inst, 2, 5)
+        del inst
+        gc.collect()
+        assert ref() is None
 
     def test_default_budget_covers_first_crest(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))

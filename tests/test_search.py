@@ -284,6 +284,18 @@ class TestRelevantPair:
 
 
 class TestRunIterations:
+    def test_report_holds_the_instance_it_stepped(self):
+        inst = double_pair_toy()
+        assert run_iterations(inst, 3).instance is inst
+
+    def test_default_budget_past_the_drift_ceiling_is_refused(self):
+        # b = 1e7 at N = 16 puts the first crest near q = 3.1e7, and the
+        # default budget at twice that, past NORM_DRIFT_LIMIT / eps = 4.5e6
+        inst = SearchInstance.build(symmetric_spectrum(16, 1, 0.5, 1.5, b_target=1e7))
+        with pytest.raises(ValueError, match="q_max .* boosted-search"):
+            run_iterations(inst)
+        assert run_iterations(inst, 10).target_probability.shape == (11,)
+
     def test_initial_row(self):
         inst = double_pair_toy()
         report = run_iterations(inst, 0)

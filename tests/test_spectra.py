@@ -164,11 +164,15 @@ class TestSymmetricGenerator:
             (1e100, "could not bracket"),
             (1.35e154, r"b\^2 finite"),
             (1.7e308, r"b\^2 finite"),
+            (5e14, "within rounding of 0"),
+            (1e20, "within rounding of 0"),
         ],
-        ids=["1e100", "1.35e154", "1.7e308"],
+        ids=["1e100", "1.35e154", "1.7e308", "5e14", "1e20"],
     )
     def test_b_target_out_of_reach_is_value_error(self, b_target, message):
-        # b_target**2 overflows from 1.35e154, where it raised OverflowError
+        # b_target**2 overflows from 1.35e154, where it raised OverflowError;
+        # from about 5e14 the scale puts a pair phase inside the r = 1
+        # resonance, where SearchInstance.build raised ResonanceError
         with pytest.raises(ValueError, match=message):
             symmetric_spectrum(16, 1, 0.5, 1.5, b_target=b_target)
 
