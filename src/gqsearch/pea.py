@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_dense_cap, round_half_up, wrap_phase
+from .linalg import check_dense_cap, round_half_up
 from .search import RunReport, _iterate, reflect_target
 from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError
-from .spectra import _check_ancilla_count, _resonant
+from .spectra import _check_ancilla_count, _power, _resonant
 
 
 @dataclass(frozen=True)
@@ -110,22 +110,22 @@ def pea_amplitude(theta, m: int, k: int):
 def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     """The boosted diffusion on m ancilla qubits as a plain search instance.
 
-    Main entry l becomes the probe p_l (x) v_l, with phase wrap(2^m theta_l)
-    and target entry sqrt(s_l) t_l, where s_l = pea_amplitude(theta_l, m, 0)^2
-    is the survival of phase estimation; the source stays entry 0 (s_0 = 1).
+    Main entry l becomes the probe p_l (x) v_l, with phase 2^m theta_l
+    powered by ``spectra._power`` and target entry sqrt(s_l) t_l, where
+    s_l = pea_amplitude(theta_l, m, 0)^2 is the survival of phase
+    estimation; the source stays entry 0 (s_0 = 1).
     The last entry is the unit part of the joint target inside the phase-pi
     eigenspace, with target entry sqrt(sigma1), sigma1 = sum_l w_l (1 - s_l):
     the joint source has no weight there and the oracle only ever adds the
     joint target, so one coordinate holds that whole eigenspace.  An entry
     that 2^m drives onto a multiple of 2 pi (``spectra._resonant``, the
     test ``naive_power_b`` raises on) gets s_l = 0; it drops out, as
-    zero-weight entries do, and its weight joins sigma1.  The wrap is odd,
+    zero-weight entries do, and its weight joins sigma1.  The power is odd,
     so a conjugate spectrum boosts to the exact conjugate.
     """
     _check_ancilla_count(m)
     spectrum = inst.spectrum
-    powered = np.copysign(wrap_phase(2**m * np.abs(spectrum.phases)), spectrum.phases)
-    powered[powered == -np.pi] = np.pi
+    powered = _power(spectrum.phases, 2**m)
     survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
     survival[1:][_resonant(powered[1:], 2**m)] = 0.0
     kept = spectrum.weights * survival > 0.0  # the source's is alpha^2 > 0

@@ -248,10 +248,21 @@ def _moment_sum(spec: EigenSpectrum, p: int) -> float:
     return float(np.sum(weights * cot**p))
 
 
-def _resonant(powered, r: int):
-    """Where a phase powered by r, wrap(r theta), is a multiple of 2 pi.
+def _power(phases: np.ndarray, r: int) -> np.ndarray:
+    """Phases of the r-th power: copysign(wrap(r |theta|), theta), -pi read as pi.
 
-    |wrap(r theta)| within 4 r pi eps, the rounding of r theta and of the
+    The one rule that powers and wraps a phase.  It is odd bit for bit, so a
+    conjugate spectrum powers to the exact conjugate.
+    """
+    powered = np.copysign(wrap_phase(r * np.abs(phases)), phases)
+    powered[powered == -np.pi] = np.pi
+    return powered
+
+
+def _resonant(powered, r: int):
+    """Where a phase powered by r (``_power``) is a multiple of 2 pi.
+
+    |_power(theta, r)| within 4 r pi eps, the rounding of r theta and of the
     wrap, counts as one (wrap(16 pi) is -3.6e-15, not 0).
     """
     return np.abs(powered) <= 4.0 * r * np.pi * np.finfo(np.float64).eps
@@ -264,27 +275,26 @@ def _check_ancilla_count(m: int) -> None:
         raise ValueError(f"ancilla qubit count m must lie in [1, 49], got {m}")
 
 
-def _powered(spec: EigenSpectrum, r: int):
-    """Mask of the weighted nonsource entries, and wrap(r theta) on them.
+def _powered(spec: EigenSpectrum, r: int) -> np.ndarray:
+    """Mask of the weighted nonsource entries.
 
     A weighted entry that r drives onto a multiple of 2 pi (``_resonant``)
     raises ``ResonanceError`` naming r and the eigenvector.
     """
     live = spec.weights > 0.0
     live[0] = False
-    powered = wrap_phase(r * spec.phases[live])
-    resonant = _resonant(powered, r)
+    resonant = _resonant(_power(spec.phases[live], r), r)
     if np.any(resonant):
         offender = int(np.flatnonzero(live)[np.argmax(resonant)])
         raise ResonanceError(
             f"power {r} drives eigenvector {offender} "
             f"(phase {float(spec.phases[offender])!r}) onto a multiple of 2*pi"
         )
-    return live, powered
+    return live
 
 
 def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
-    live, _ = _powered(spec, r)
+    live = _powered(spec, r)
     sines = np.sin(0.5 * r * spec.phases[live])
     return float(np.sum(spec.weights[live] / sines**2))
 
@@ -303,58 +313,30 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     return math.sqrt(_powered_b_squared(inst.spectrum, r))
 
 
-def _householder(source: np.ndarray):
-    """Pivot and reflection of ``_complete_orthonormal``, shared by its row.
+def _complete_orthonormal(source: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of a unitary matrix whose column 0 is ``source``.
 
-    Returns ``(k, v, scale)``: ``k`` indexes the largest entry of ``source``,
-    and the reflection I + scale v v^dag sends e_k onto ``source`` up to the
-    phase of that entry.  ``scale`` is None when v vanishes, that is when
-    ``source`` already is e_k up to that phase.
+    One Householder reflection sends the basis vector at the largest entry of
+    ``source`` onto it (deterministic).  Each entry is made the same way
+    whatever ``rows`` is, so ``slice(0, 1)`` is row 0 bit for bit, in O(n).
+    A real ``source`` gives a real orthogonal matrix.
     """
+    n = source.shape[0]
     k = int(np.argmax(np.abs(source)))
     pivot = source[k]
     v = np.array(source, dtype=np.result_type(source, np.float64))
     v[k] -= pivot / abs(pivot)
     vv = float(np.real(np.vdot(v, v)))
-    return k, v, (None if vv < 1e-30 else -2.0 / vv)
-
-
-def _source_first(n: int, k: int) -> np.ndarray:
-    """Column order putting column k, the source, first."""
-    return np.r_[k, 0:k, k + 1 : n]
-
-
-def _complete_orthonormal(source: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose column 0 is ``source`` (deterministic).
-
-    One Householder reflection sends the basis vector at the largest entry of
-    ``source`` onto it, so the cost is O(n**2).  A real ``source`` gives a
-    real orthogonal matrix.
-    """
-    n = source.shape[0]
-    k, v, scale = _householder(source)
-    if scale is None:
-        basis = np.eye(n, dtype=v.dtype)
+    chosen = range(n)[rows]
+    # vv vanishes when ``source`` already is e_k up to a phase: no reflection
+    if vv < 1e-30:
+        block = np.zeros((len(chosen), n), dtype=v.dtype)
     else:
-        basis = np.outer(v, v.conj())
-        basis *= scale
-        basis[np.diag_indices(n)] += 1.0
-    basis[:, k] = source  # replace the phase-rotated copy exactly
-    return basis[:, _source_first(n, k)]
-
-
-def _completion_row(source: np.ndarray) -> np.ndarray:
-    """Row 0 of ``_complete_orthonormal(source)``, bit for bit, in O(n)."""
-    n = source.shape[0]
-    k, v, scale = _householder(source)
-    if scale is None:
-        row = np.zeros_like(v)
-    else:
-        row = v[0] * v.conj()
-        row *= scale
-    row[0] += 1.0
-    row[k] = source[0]
-    return row[_source_first(n, k)]
+        block = np.outer(v[rows], v.conj())
+        block *= -2.0 / vv
+    block[np.arange(len(chosen)), chosen] += 1.0
+    block[:, k] = source[rows]  # replace the phase-rotated copy exactly
+    return block[:, np.r_[k, 0:k, k + 1 : n]]  # the source column first
 
 
 def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
@@ -362,9 +344,10 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
     The source keeps phase 0 and every orthogonal direction gets phase pi,
     which makes both cotangent moments vanish and b_factor = sqrt(1-alpha^2).
-    The eigenbasis is a Householder completion of ``source``; its target row
-    comes in closed form (``_completion_row``) and the basis is built on the
-    first read of ``vectors``.
+    The eigenbasis is a Householder completion of ``source``
+    (``_complete_orthonormal``); its target row is row 0 of that completion,
+    made alone in O(n), and the basis is built on the first read of
+    ``vectors``.
     """
     source = np.array(source, dtype=np.complex128)
     if source.ndim != 1 or source.shape[0] != n:
@@ -378,7 +361,7 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
     phases[0] = 0.0
     return EigenSpectrum._generated(
         phases,
-        row=_completion_row(source),
+        row=_complete_orthonormal(source, rows=slice(0, 1))[0],
         build=lambda: _complete_orthonormal(source),
     )
 
@@ -609,21 +592,29 @@ def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha**2) * (unit[0:-1:2] ** 2 + unit[1:-1:2] ** 2)
 
 
-def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
-    """Target row (row 0) of ``_paired_vectors``, in closed form, O(n).
+def _write_pairs(out: np.ndarray, frame: np.ndarray) -> None:
+    """Lay out the real n - 1 column ``frame`` as columns 1.. of ``out``.
 
-    The source column holds alpha; pair j holds
-    beta (unit[2j] +/- i unit[2j+1]) / sqrt(2), the two members exact
-    conjugates; the lone slot holds exactly 0.
+    Frame columns 2j and 2j+1, a and b, become the pair (a +/- ib)/sqrt(2)
+    and the last frame column the lone one.  Pair members share every bit of
+    magnitude, so the first cotangent moment cancels term by term.
     """
-    n = unit.shape[0] + 1
-    scaled = unit * (math.sqrt(1.0 - alpha**2) / math.sqrt(2.0))
-    row = np.zeros(n, dtype=np.complex128)
+    n = out.shape[-1]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    a = frame[..., 0 : n - 2 : 2] * inv_sqrt2
+    b = frame[..., 1 : n - 2 : 2] * inv_sqrt2
+    out.real[..., 1 : n - 1 : 2] = a
+    out.imag[..., 1 : n - 1 : 2] = b
+    out.real[..., 2 : n - 1 : 2] = a
+    np.negative(b, out=out.imag[..., 2 : n - 1 : 2])
+    out[..., n - 1] = frame[..., n - 2]
+
+
+def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
+    """Row 0 of ``_paired_vectors``, bit for bit, in O(n); its lone slot is 0."""
+    row = np.empty(unit.shape[0] + 1, dtype=np.complex128)
     row[0] = alpha
-    row.real[1 : n - 1 : 2] = scaled[0 : n - 2 : 2]
-    row.imag[1 : n - 1 : 2] = scaled[1 : n - 2 : 2]
-    row.real[2 : n - 1 : 2] = scaled[0 : n - 2 : 2]
-    np.negative(scaled[1 : n - 2 : 2], out=row.imag[2 : n - 1 : 2])
+    _write_pairs(row, math.sqrt(1.0 - alpha**2) * unit)
     return row
 
 
@@ -634,33 +625,25 @@ def _paired_vectors(alpha: float, w_sub: np.ndarray, unit: np.ndarray) -> np.nda
     frame whose column 0 holds the whole residual target weight and whose
     other columns are a Householder completion of ``w_sub`` (zero target
     component).  A reflection sending e_0 to ``unit``, applied as a rank-1
-    update, gives the frame the target row ``beta * unit``.  Columns 2j and
-    2j+1 become the pair (a +/- ib)/sqrt(2) and the last column the lone
-    eigenvector, whose target amplitude is exactly zero.
+    update, gives the frame the target row ``beta * unit``, which is written
+    directly: the update runs on rows 1 to n - 1.  ``_write_pairs`` makes
+    the pairs and the lone eigenvector, whose target amplitude is 0.
     """
     n = w_sub.shape[0] + 1
     beta = math.sqrt(1.0 - alpha**2)
-    frame = np.zeros((n, n - 1))
-    frame[0, 0] = beta
-    frame[1:, 0] = -alpha * w_sub
-    frame[1:, 1:] = _complete_orthonormal(w_sub)[:, 1:]
+    frame = np.empty((n, n - 1))
+    frame[0] = beta * unit
+    rest = frame[1:]
+    rest[:, 0] = -alpha * w_sub
+    rest[:, 1:] = _complete_orthonormal(w_sub)[:, 1:]
     # unit has >= 2 entries of at least 0.5 before scaling, so v is never 0
     v = -unit
     v[0] += 1.0
-    frame -= np.outer(frame @ v, (2.0 / float(v @ v)) * v)
+    rest -= np.outer(rest @ v, (2.0 / float(v @ v)) * v)
 
     vectors = np.empty((n, n), dtype=np.complex128)
     vectors[:, 0] = np.concatenate(([alpha], beta * w_sub))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a = frame[:, 0 : n - 2 : 2] * inv_sqrt2
-    b = frame[:, 1 : n - 2 : 2] * inv_sqrt2
-    # conjugate members share every bit of magnitude, so the first cotangent
-    # moment cancels term by term
-    vectors.real[:, 1 : n - 1 : 2] = a
-    vectors.imag[:, 1 : n - 1 : 2] = b
-    vectors.real[:, 2 : n - 1 : 2] = a
-    np.negative(b, out=vectors.imag[:, 2 : n - 1 : 2])
-    vectors[:, n - 1] = frame[:, n - 2]
+    _write_pairs(vectors, frame)
     return vectors
 
 
@@ -675,14 +658,11 @@ def _paired_spectrum(
 
     The target is basis state 0.  Only ``w_sub`` and ``unit`` (from
     ``_paired_draws``) and the phases are random; the complement of the
-    source is a deterministic Householder completion, and every reported
-    number depends on the phases, the source and the target row alone.
-    The spectrum gets the target row in closed form (``_paired_row``), at
-    O(n) cost; the eigenbasis (``_paired_vectors``, O(n**2)) is built only
-    when ``vectors`` is first read.  Construction guarantees, bit for bit,
-    that the two members of each pair carry equal target weight (so the
-    first cotangent moment cancels term by term) and that the lone leftover
-    eigenvector carries exactly zero target weight.
+    source is a deterministic Householder completion.  The target row
+    (``_paired_row``) costs O(n); the eigenbasis (``_paired_vectors``,
+    O(n**2)) is built only when ``vectors`` is first read.  The two members
+    of each pair carry equal target weight, bit for bit, and the lone
+    leftover eigenvector exactly zero.
     """
     n = w_sub.shape[0] + 1
     pairs = (n - 2) // 2
@@ -777,9 +757,9 @@ def _rescale_for_b_target(
     while top * ceiling >= np.pi:
         ceiling = math.nextafter(ceiling, 0.0)
     scaled = drawn * min(scale, ceiling)
-    # the r = 1 resonance test SearchInstance.build applies (``_powered``)
-    live = scaled[pair_weights > 0.0]
-    if np.any(_resonant(wrap_phase(np.append(live, -live)), 1)):
+    # build's r = 1 resonance test (``_powered``); ``_power`` is odd, so the
+    # positive member of each pair settles both
+    if np.any(_resonant(_power(scaled[pair_weights > 0.0], 1), 1)):
         raise ValueError(f"b_target {b_target} puts a pair phase within rounding of 0")
     return scaled
 

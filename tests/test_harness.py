@@ -688,6 +688,8 @@ class TestCli:
             "b_target = 1e10\n",
             "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
             "alpha = 1e-150\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "[run]\nq_max = 100000000000\n",
         ],
         ids=[
             "b_target-1.35e154",
@@ -701,11 +703,13 @@ class TestCli:
             "default-budget-past-ceiling-b_target-1e7",
             "default-budget-past-ceiling-b_target-1e10",
             "default-budget-past-ceiling-alpha-1e-150",
+            "explicit-q_max-too-large-to-allocate",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
         # each once escaped as a traceback, as a numerical failure, or (the
-        # default budgets) as a run of minutes or an allocation of GiB
+        # default budgets) as a run of minutes or an allocation of GiB; an
+        # explicit q_max whose columns cannot be allocated gave a traceback
         out = tmp_path / "never.csv"
         config = write_config(tmp_path, body)
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1

@@ -622,6 +622,36 @@ class TestNaivePowering:
         assert abs(b_prime(inst, 1).b_prime - dense_b_prime_check(inst, 1)) <= 1e-12
 
 
+class TestOnePowerRule:
+    """``_power`` is the one rule; the b_target rescale and build agree on it."""
+
+    def test_rescale_and_build_agree_on_resonance(self):
+        # 600 spectra whose scaled pair phases sit near the r = 1 tolerance:
+        # each b_target is refused by the rescale, naming it, or built
+        refused = built = 0
+        for n in (16, 64):
+            for seed in range(1, 6):
+                for b_target in np.geomspace(1e13, 1e16, 60):
+                    try:
+                        spec = symmetric_spectrum(n, seed, 0.5, 1.5, b_target=b_target)
+                    except ValueError as exc:
+                        # not its subclass ResonanceError, which build raises
+                        assert type(exc) is ValueError and "b_target" in str(exc)
+                        refused += 1
+                        continue
+                    SearchInstance.build(spec)
+                    built += 1
+        assert refused + built == 600
+        assert refused and built
+
+    @pytest.mark.parametrize("r", [1, 2**5, 2**20])
+    def test_power_is_odd_bit_for_bit(self, r):
+        theta = np.random.default_rng(r).uniform(-np.pi, np.pi, 10_000)
+        powered = spectra._power(theta, r)
+        assert np.array_equal(spectra._power(-theta, r), -powered)
+        assert np.all((powered > -np.pi) & (powered <= np.pi))
+
+
 class TestResonantGenerator:
     def test_phases_cluster_near_resonances(self):
         m, epsilon = 3, 1e-3
@@ -682,7 +712,7 @@ class TestWeightPath:
                 spec = resonant_spectrum(n, 3, 1e-3, seed)
             row = spec.target_row
             assert spec._vectors is None
-            assert np.max(np.abs(row - spec.vectors[0])) <= 1e-15
+            assert np.array_equal(row, spec.vectors[0])
             # the closed-form row stays the answer once the basis exists
             assert spec.target_row is row
             assert row[n - 1] == 0.0
@@ -781,10 +811,16 @@ class TestWeightPath:
 
         made = []
         complete = spectra._complete_orthonormal
-        monkeypatch.setattr(
-            spectra, "_complete_orthonormal",
-            lambda source: made.append(complete(source)) or made[-1],
-        )
+
+        def record_full_builds(source, rows=slice(None)):
+            # the target row is made by the same function; only a full
+            # basis is recorded
+            if rows != slice(None):
+                return complete(source, rows=rows)
+            made.append(complete(source))
+            return made[-1]
+
+        monkeypatch.setattr(spectra, "_complete_orthonormal", record_full_builds)
         uniform = np.full(8, 1.0 / math.sqrt(8.0), dtype=np.complex128)
         grover = grover_spectrum(8, uniform)
         assert made == []
@@ -857,7 +893,16 @@ class TestDenseCap:
         self, monkeypatch, kind, builder, read
     ):
         built = []
-        monkeypatch.setattr(spectra, builder, lambda *args: built.append(args))
+        real = getattr(spectra, builder)
+
+        def record_full_builds(*args, rows=slice(None)):
+            # grover's target row comes from its builder; it is delegated
+            # and only a full basis build is recorded
+            if rows != slice(None):
+                return real(*args, rows=rows)
+            built.append(args)
+
+        monkeypatch.setattr(spectra, builder, record_full_builds)
         n = self.N
         if kind == "symmetric":
             spec = symmetric_spectrum(n, 1, 0.5, 1.5)
