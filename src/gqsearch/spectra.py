@@ -371,9 +371,8 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 # 2**13 to 2**18
 _SKIP_CHUNK = 2**14
 # discarded normals from which a helper thread draws half of them: N >= 726.
-# An unpinned helper starts on the caller's core and is moved off it only
-# about 30 ms later, so a shorter skip ran its halves one after the other;
-# ``_split_skip`` pins the two threads to different cores from the start.
+# On a 2-core host the split gained nothing at N = 512 (5.5 ms against 5.3 ms
+# on one thread) and 12% at N = 726 (9.6 ms against 10.9 ms)
 _SPLIT_MIN = 2**19
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -392,7 +391,7 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     ``w_sub`` to a basis; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
     through a 2**14-entry buffer per thread, so no (n-1)x(n-2) block is
-    held, and from N = 726 on two threads on different cores
+    held, and from N = 726 on two threads
     (``_skip_normals``).
 
     The draws do not depend on ``alpha``, so they are made once per
@@ -467,41 +466,25 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     helper's normals are the true ones, so the true end is the helper's end
     plus c normals.  If W falls inside a helper normal, this thread draws
     the second half itself.  An exception on the helper is raised here.
-
-    A new thread starts on its creator's core, and the kernel moves it to an
-    idle one only tens of milliseconds later.  So where this thread may run
-    on two cores or more, the helper pins itself to one of them before its
-    first draw, and this thread pins itself to the rest until the join and
-    then gets its own mask back.  Both masks lie inside the one the kernel
-    reports for this thread, so pinning never widens it; where affinity
-    cannot be read or set, the two threads run unpinned.
     """
     half = count // 2
     helper = copy.deepcopy(rng.bit_generator)
     helper.advance(half)
     probe = copy.deepcopy(helper)
     outcome = {}
-    mask = _own_cores()
-    apart = {max(mask)} if len(mask) >= 2 else None
 
     def work():
         try:
-            if apart:
-                _pin(apart)
             _draw_normals(np.random.Generator(helper), count - half)
         except BaseException as exc:  # raised again by the caller after the join
             outcome["error"] = exc
 
     thread = threading.Thread(target=work, name="gqsearch-skip")
-    pinned = False
     thread.start()
     try:
-        pinned = bool(apart) and _pin(mask - apart)
         _draw_normals(rng, half)
         behind = _normals_to(probe, rng.bit_generator.state)
     finally:
-        if pinned:
-            os.sched_setaffinity(0, mask)
         thread.join()
     if "error" in outcome:
         raise outcome["error"]
@@ -510,28 +493,6 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     else:
         rng.bit_generator.state = helper.state
         _draw_normals(rng, behind)
-
-
-def _own_cores() -> set:
-    """Cores the kernel lets the calling thread run on, if it can be pinned.
-
-    Empty where the platform has no affinity calls or the read fails.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return set()
-    try:
-        return os.sched_getaffinity(0)
-    except OSError:
-        return set()
-
-
-def _pin(cores: set) -> bool:
-    """Confine the calling thread to ``cores``; False if the kernel refuses."""
-    try:
-        os.sched_setaffinity(0, cores)
-    except OSError:
-        return False
-    return True
 
 
 def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
@@ -662,7 +623,8 @@ def _paired_spectrum(
     (``_paired_row``) costs O(n); the eigenbasis (``_paired_vectors``,
     O(n**2)) is built only when ``vectors`` is first read.  The two members
     of each pair carry equal target weight, bit for bit, and the lone
-    leftover eigenvector exactly zero.
+    leftover eigenvector exactly zero.  A pair phase of pi pairs with pi, as
+    -pi lies outside (-pi, pi].
     """
     n = w_sub.shape[0] + 1
     pairs = (n - 2) // 2
@@ -671,7 +633,7 @@ def _paired_spectrum(
     phases = np.empty(n)
     phases[0] = 0.0
     phases[1 : n - 1 : 2] = pair_phases
-    phases[2 : n - 1 : 2] = -pair_phases
+    phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
     phases[n - 1] = lone_phase
     return EigenSpectrum._generated(
         phases,
@@ -691,14 +653,16 @@ def symmetric_spectrum(
     """Random spectrum with exact +/- phase pairs (first moment is zero).
 
     Pair phases are drawn uniformly from [theta_min, theta_max], with
-    0 < theta_min <= theta_max < pi: the upper end stays open because a pair
-    phase of pi would put its partner at -pi, outside (-pi, pi].  If
-    ``b_target`` is given, all pair phases are rescaled by one common factor
-    so the assembled instance's b factor lands on the target.  ``alpha``
-    defaults to 1/sqrt(n); the target is basis state 0.  Only the phases,
-    the source direction and the target profile are random; the rest of the
-    eigenbasis is a Householder completion (see ``_paired_spectrum``).  The
-    spectrum carries the target row in closed form; its N x N eigenbasis is
+    0 < theta_min <= theta_max < pi: the upper end stays open so every pair
+    has two distinct phases.  If ``b_target`` is given, all pair phases are
+    rescaled by one common factor so the assembled instance's b factor lands
+    on the target.  A pair phase within rounding of 0, where build would
+    raise ``ResonanceError``, is a ``ValueError`` naming ``b_target`` if one
+    was given and ``theta_min`` otherwise.  ``alpha`` defaults to
+    1/sqrt(n); the target is basis state 0.  Only the phases, the source
+    direction and the target profile are random; the rest of the eigenbasis
+    is a Householder completion (see ``_paired_spectrum``).  The spectrum
+    carries the target row in closed form; its N x N eigenbasis is
     built on the first read of ``vectors``.
     """
     if not 0.0 < theta_min <= theta_max < np.pi:
@@ -712,8 +676,14 @@ def symmetric_spectrum(
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
     drawn = rng.uniform(theta_min, theta_max, size=pairs)
     w_sub, unit = _paired_draws(n, seed, alpha)
+    weights = _pair_weights(unit, alpha)
     if b_target is not None:
-        drawn = _rescale_for_b_target(drawn, _pair_weights(unit, alpha), b_target)
+        drawn = _rescale_for_b_target(drawn, weights, b_target)
+    # build's r = 1 resonance test (``_powered``); ``_power`` is odd, so the
+    # positive member of each pair settles both
+    if np.any(_resonant(_power(drawn[weights > 0.0], 1), 1)):
+        named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
+        raise ValueError(f"{named} puts a pair phase within rounding of 0")
     return _paired_spectrum(alpha, w_sub, unit, drawn, lone_phase=np.pi)
 
 
@@ -751,17 +721,12 @@ def _rescale_for_b_target(
     scale = bisect_root(excess, lo, hi, f_lo, f_hi)
     # next to the floor the bisection can keep the bracket end pi / top, and
     # top * (pi / top) may round to pi: clamp to the largest scale keeping
-    # every pair phase below pi, so its partner stays above -pi.  Any scale
-    # already in range is returned as it was.
+    # every pair phase below pi, as ``symmetric_spectrum``'s theta_max < pi
+    # does.  Any scale already in range is returned as it was.
     ceiling = np.pi / top
     while top * ceiling >= np.pi:
         ceiling = math.nextafter(ceiling, 0.0)
-    scaled = drawn * min(scale, ceiling)
-    # build's r = 1 resonance test (``_powered``); ``_power`` is odd, so the
-    # positive member of each pair settles both
-    if np.any(_resonant(_power(scaled[pair_weights > 0.0], 1), 1)):
-        raise ValueError(f"b_target {b_target} puts a pair phase within rounding of 0")
-    return scaled
+    return drawn * min(scale, ceiling)
 
 
 def resonant_spectrum(

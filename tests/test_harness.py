@@ -690,6 +690,10 @@ class TestCli:
             "alpha = 1e-150\n",
             "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
             "[run]\nq_max = 100000000000\n",
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            "theta_min = 1e-15\ntheta_max = 1e-15\n",
+            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
+            "theta_min = 1e-15\ntheta_max = 1e-15\n",
         ],
         ids=[
             "b_target-1.35e154",
@@ -704,12 +708,15 @@ class TestCli:
             "default-budget-past-ceiling-b_target-1e10",
             "default-budget-past-ceiling-alpha-1e-150",
             "explicit-q_max-too-large-to-allocate",
+            "theta_min-phase-rounds-to-0-plain",
+            "theta_min-phase-rounds-to-0-boosted",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
         # each once escaped as a traceback, as a numerical failure, or (the
         # default budgets) as a run of minutes or an allocation of GiB; an
-        # explicit q_max whose columns cannot be allocated gave a traceback
+        # explicit q_max whose columns cannot be allocated gave a traceback;
+        # a theta_min within rounding of 0 exited 2 as a numerical failure
         out = tmp_path / "never.csv"
         config = write_config(tmp_path, body)
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
