@@ -389,7 +389,9 @@ def _validation_checks():
         thetas = np.linspace(-np.pi + 1e-3, np.pi, 17)
         count = len(thetas)
         eye = np.eye(count + 1, dtype=np.complex128)
-        spectrum = spectra.EigenSpectrum(np.append(0.0, thetas), eye)
+        spectrum = spectra.EigenSpectrum(
+            np.append(0.0, thetas), eye[0], build=lambda: eye
+        )
         for m in (1, 2, 3, 4):
             blocks = np.zeros((2**m, count + 1, 1), dtype=np.complex128)
             blocks[0, 1:, 0] = 1.0

@@ -133,7 +133,7 @@ def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     row = np.sqrt(survival[kept]) * spectrum.target_row[kept]
     row = np.append(row, math.sqrt(sigma1))
     phases = np.append(powered[kept], np.pi)
-    return SearchInstance.build(EigenSpectrum._generated(phases, row=row, build=None))
+    return SearchInstance.build(EigenSpectrum(phases, row))
 
 
 # The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the

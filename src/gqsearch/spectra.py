@@ -49,78 +49,53 @@ class EigenSpectrum:
     phases : numpy.ndarray
         Shape (N,), eigenphases in (-pi, pi].  ``phases[0]``, the source
         phase, is exactly 0 and no other phase is.
-    vectors : numpy.ndarray
-        Shape (N, N); column k is the unit eigenvector for ``phases[k]``, and
-        column 0 is the source.
     target_row : numpy.ndarray
-        Shape (N,), row 0 of the eigenbasis: <0|v_l> for every l, with the
-        target at computational basis state 0.
+        Shape (N,), unit norm: row 0 of the eigenbasis, <0|v_l> for every l,
+        with the target at computational basis state 0.
     weights : numpy.ndarray
         Shape (N,), the target weights ``abs(target_row) ** 2``.
+    vectors : numpy.ndarray
+        Shape (N, N); column k is the unit eigenvector for ``phases[k]``, and
+        column 0 is the source.  Made by ``build`` on first read.
 
-    Every reported number reads only the phases and the target row.  Every
-    generator supplies the target row in closed form together with a
-    builder for the full basis, so ``vectors`` is assembled, validated and
-    cached on first access (by a dense check) and never on the weight path.
-    An array a caller passes in is copied and validated at once, and its
-    target row is row 0 of that copy; the array a builder makes is adopted
-    without a copy.  All four arrays are read-only.  The basis exists only
-    up to ``DENSE_CAP``: above it, passing ``vectors`` or reading them
-    raises ``DenseCapError`` before anything is copied or built.
+    The instance is its phases and target row: every reported number reads
+    only those, and the constructor copies and validates both at once.
+    ``build``, if given, returns the full basis; it is called on the first
+    read of ``vectors`` (a dense check), never on the weight path, and its
+    array is adopted without a copy, checked orthonormal, checked to have
+    ``target_row`` as row 0 bit for bit, and cached.  Without ``build``,
+    reading ``vectors`` raises ``SpectrumValidationError``.  Above
+    ``DENSE_CAP`` the read raises ``DenseCapError`` before ``build`` runs.
+    All four arrays are read-only.
     """
 
-    def __init__(self, phases, vectors):
-        self._init(phases, build=None)
-        check_dense_cap(self.dimension)
-        self._vectors = self._adopt(np.array(vectors, dtype=np.complex128))
-        self._set_row(self._vectors[0])
-
-    @classmethod
-    def _generated(cls, phases, *, row, build) -> "EigenSpectrum":
-        """Spectrum from a generator: row 0 in closed form, basis on demand.
-
-        ``row`` is row 0 of the eigenbasis and must have unit norm; ``build``
-        returns the full basis on first access, adopted without a copy.
-        """
-        spec = cls.__new__(cls)
-        spec._init(phases, build=build)
-        _validate_row(row, spec.dimension)
-        row.setflags(write=False)
-        spec._set_row(row)
-        spec._vectors = None
-        return spec
-
-    def _init(self, phases, build) -> None:
+    def __init__(self, phases, target_row, *, build=None):
         phases = np.array(phases, dtype=np.float64)
         phases.setflags(write=False)
-        self.phases = phases
-        self._build = build
         _validate_phases(phases)
-
-    def _set_row(self, row: np.ndarray) -> None:
+        row = np.array(target_row, dtype=np.complex128)
+        _validate_row(row, phases.shape[0])
+        row.setflags(write=False)
+        self.phases = phases
         self.target_row = row
         self.weights = np.abs(row) ** 2
         self.weights.setflags(write=False)
-
-    def _adopt(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=np.complex128)
-        _validate_eigenbasis(vectors, self.dimension)
-        vectors.setflags(write=False)
-        return vectors
+        self._build = build
+        self._vectors = None
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (N, N) eigenbasis; built, validated and cached on first access.
-
-        Raises ``DenseCapError`` above ``DENSE_CAP`` before the build.
-        """
+        """The (N, N) eigenbasis: built, checked and cached on first read."""
         if self._vectors is None:
             if self._build is None:
                 raise SpectrumValidationError(
                     "spectrum holds phases and a target row only, no basis"
                 )
             check_dense_cap(self.dimension)
-            self._vectors = self._adopt(self._build())
+            vectors = np.asarray(self._build(), dtype=np.complex128)
+            _validate_eigenbasis(vectors, self.target_row)
+            vectors.setflags(write=False)
+            self._vectors = vectors
             self._build = None
         return self._vectors
 
@@ -169,11 +144,12 @@ def _validate_row(row: np.ndarray, n: int) -> None:
         )
 
 
-def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
-    """Full gram check of an (n, n) basis; n is at most ``DENSE_CAP``.
+def _validate_eigenbasis(vectors: np.ndarray, row: np.ndarray) -> None:
+    """An (n, n) orthonormal basis, n <= ``DENSE_CAP``, whose row 0 is ``row``.
 
-    A NaN entry makes the defect NaN, which fails the check.
+    A NaN entry makes the gram defect NaN, which fails the check.
     """
+    n = row.shape[0]
     if vectors.shape != (n, n):
         raise SpectrumValidationError(
             f"eigenbasis shape {vectors.shape} does not match {n} phases"
@@ -187,6 +163,8 @@ def _validate_eigenbasis(vectors: np.ndarray, n: int) -> None:
             f"eigenbasis not orthonormal: columns ({i}, {j}) have "
             f"gram defect {worst:.3e}"
         )
+    if vectors[0].tobytes() != row.tobytes():
+        raise SpectrumValidationError("eigenbasis row 0 is not the target row")
 
 
 @dataclass(frozen=True)
@@ -359,9 +337,9 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
         raise ValueError(f"source must be normalized, got norm {norm!r}")
     phases = np.full(n, np.pi)
     phases[0] = 0.0
-    return EigenSpectrum._generated(
+    return EigenSpectrum(
         phases,
-        row=_complete_orthonormal(source, rows=slice(0, 1))[0],
+        _complete_orthonormal(source, rows=slice(0, 1))[0],
         build=lambda: _complete_orthonormal(source),
     )
 
@@ -635,9 +613,9 @@ def _paired_spectrum(
     phases[1 : n - 1 : 2] = pair_phases
     phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
     phases[n - 1] = lone_phase
-    return EigenSpectrum._generated(
+    return EigenSpectrum(
         phases,
-        row=_paired_row(alpha, unit),
+        _paired_row(alpha, unit),
         build=lambda: _paired_vectors(alpha, w_sub, unit),
     )
 

@@ -38,20 +38,28 @@ def parse_report_csv(path) -> list[dict]:
     return rows
 
 
+def from_basis(phases, vectors) -> EigenSpectrum:
+    """The spectrum of an explicit basis: its row 0 is the target row."""
+    return EigenSpectrum(phases, vectors[0], build=lambda: vectors)
+
+
 def graph_spectrum(levels, gamma) -> EigenSpectrum:
     """A vertex-transitive graph diffusion e^{-i gamma L}, one entry per level.
 
     ``levels`` maps each Laplacian eigenvalue to its multiplicity.  A level
     lambda of multiplicity mu is one entry with phase wrap(-gamma lambda)
     and target entry sqrt(mu / N), whichever vertex is marked; the
-    lambda = 0 entry, the source, comes first.  No basis is built.
+    lambda = 0 entry, the source, comes first.  The spectrum is just those
+    phases and that target row, with no ``build``: a level stands for a
+    whole eigenspace, so no N x N basis exists and reading ``vectors``
+    raises.
     """
     n = sum(levels.values())
     items = sorted(levels.items())
     assert items[0][0] == 0
     phases = wrap_phase(np.array([-gamma * level for level, _ in items]))
     row = np.sqrt(np.array([mu for _, mu in items]) / n).astype(np.complex128)
-    return EigenSpectrum._generated(phases, row=row, build=None)
+    return EigenSpectrum(phases, row)
 
 
 def hypercube_levels(d):

@@ -624,7 +624,8 @@ class TestCli:
         assert "b_values must list at least one target" in capsys.readouterr().err
 
     def test_pair_phase_of_pi_is_config_error(self, tmp_path, capsys):
-        # a pair phase of pi would put its partner at -pi, outside (-pi, pi]
+        # theta_max < pi keeps a pair's two phases distinct: a pair phase
+        # of pi would pair with pi itself
         config = write_config(
             tmp_path,
             "[experiment]\nkind = general-search\n[instance]\nn = 16\n"

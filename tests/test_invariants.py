@@ -20,7 +20,7 @@ from gqsearch.spectra import (
     symmetric_spectrum,
 )
 
-from helpers import graph_spectrum, hypercube_levels
+from helpers import from_basis, graph_spectrum, hypercube_levels
 
 
 # the symmetric family at N = 256 and 1024, boosted at m = 2 to 4, the
@@ -50,7 +50,7 @@ def case_spectrum(case):
 def conjugate(spec):
     """Every phase negated, pi kept at pi, and the target row conjugated."""
     phases = np.where(spec.phases == np.pi, np.pi, -spec.phases)
-    return EigenSpectrum._generated(phases, row=spec.target_row.conj(), build=None)
+    return EigenSpectrum(phases, spec.target_row.conj())
 
 
 def same_columns(report, other):
@@ -83,14 +83,12 @@ def test_repeated_nonsource_phases_are_accepted():
     rng = np.random.default_rng(5)
     draws = rng.standard_normal((2, 5, 5))
     vectors = np.linalg.qr(draws[0] + 1j * draws[1])[0]
-    inst = SearchInstance.build(EigenSpectrum(phases, vectors))
+    inst = SearchInstance.build(from_basis(phases, vectors))
     report = run_iterations(inst, 20)
     # it runs as the spectrum with each repeated phase merged into one entry
     weights = inst.spectrum.weights
     merged_row = np.sqrt([weights[0], weights[1] + weights[2], weights[3] + weights[4]])
-    merged = EigenSpectrum._generated(
-        [0.0, 0.7, -0.7], row=merged_row.astype(np.complex128), build=None
-    )
+    merged = EigenSpectrum([0.0, 0.7, -0.7], merged_row)
     expected = run_iterations(SearchInstance.build(merged), 20)
     for column in ("target_probability", "source_overlap"):
         gap = getattr(report, column) - getattr(expected, column)
@@ -100,8 +98,7 @@ def test_repeated_nonsource_phases_are_accepted():
 def respell(spec, phases, row):
     """The spectrum with entries (phases, row); the source stays entry 0."""
     phases = np.concatenate([[0.0], phases])
-    row = np.concatenate([spec.target_row[:1], row]).astype(np.complex128)
-    return EigenSpectrum._generated(phases, row=row, build=None)
+    return EigenSpectrum(phases, np.concatenate([spec.target_row[:1], row]))
 
 
 def split(spec):
@@ -154,5 +151,5 @@ def test_merging_each_level_leaves_every_run():
     levels = graph_spectrum(hypercube_levels(10), math.pi / 21)
     popcount = [bin(x).count("1") for x in range(1024)]
     row = np.full(1024, 1.0 / 32.0, dtype=np.complex128)
-    vertices = EigenSpectrum._generated(levels.phases[popcount], row=row, build=None)
+    vertices = EigenSpectrum(levels.phases[popcount], row)
     assert_same_runs(levels, vertices)

@@ -25,14 +25,19 @@ from gqsearch.search import (
     verify_relevant_pair,
 )
 from gqsearch.spectra import (
-    EigenSpectrum,
     SearchInstance,
     grover_spectrum,
     resonant_spectrum,
     symmetric_spectrum,
 )
 
-from helpers import graph_spectrum, hypercube_levels, torus_levels, unitarity_defect
+from helpers import (
+    from_basis,
+    graph_spectrum,
+    hypercube_levels,
+    torus_levels,
+    unitarity_defect,
+)
 
 
 def householder_with_first_row(row):
@@ -67,7 +72,7 @@ def double_pair_toy():
     phases = np.array(
         [0.0, 0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi, -0.5 * math.pi]
     )
-    return SearchInstance.build(EigenSpectrum(phases, vectors))
+    return SearchInstance.build(from_basis(phases, vectors))
 
 
 def band_toy(alpha, fractions, phases):
@@ -78,7 +83,7 @@ def band_toy(alpha, fractions, phases):
     row = [alpha] + [math.sqrt(f * (1.0 - alpha**2)) for f in fractions]
     vectors = householder_with_first_row(row).astype(np.complex128)
     phases = np.array([0.0] + list(phases))
-    return SearchInstance.build(EigenSpectrum(phases, vectors))
+    return SearchInstance.build(from_basis(phases, vectors))
 
 
 def skewed_toy(alpha=0.05):
@@ -438,7 +443,7 @@ class TestRunIterations:
 
     def test_global_phase_invariance(self):
         spec = symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
-        rotated = EigenSpectrum(spec.phases.copy(), spec.vectors * np.exp(0.3j))
+        rotated = from_basis(spec.phases.copy(), spec.vectors * np.exp(0.3j))
         base = run_iterations(SearchInstance.build(spec), 20)
         turned = run_iterations(SearchInstance.build(rotated), 20)
         for column in ("target_probability", "source_overlap"):

@@ -1,6 +1,5 @@
 """Spectrum construction, moment sums, generators, basis validation."""
 
-import errno
 import math
 import os
 import subprocess
@@ -36,7 +35,7 @@ from gqsearch.pea import (
 )
 from gqsearch.search import predict_spectrum, run_iterations
 
-from helpers import graph_spectrum, hypercube_levels, unitarity_defect
+from helpers import from_basis, graph_spectrum, hypercube_levels, unitarity_defect
 
 
 def two_phase_toy():
@@ -55,7 +54,7 @@ def two_phase_toy():
         ]
     )
     phases = np.array([0.0, 0.5 * math.pi, -0.5 * math.pi])
-    return EigenSpectrum(phases, vectors)
+    return from_basis(phases, vectors)
 
 
 def test_toy_instance_matches_hand_computation():
@@ -289,23 +288,8 @@ def forced_split(monkeypatch):
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
 
 
-def own_mask():
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
 class TestSplitSkip:
     """The two-thread skip leaves the stream where one thread leaves it."""
-
-    @pytest.fixture(autouse=True)
-    def mask_kept(self):
-        # every test leaves the affinity mask as it found it; a test that
-        # does not gets it back, so no later test runs on a narrowed mask
-        before = own_mask()
-        yield
-        after = own_mask()
-        if after != before:
-            os.sched_setaffinity(0, before)
-        assert after == before
 
     @pytest.mark.parametrize("delta", [0, 1, 12345, 2**64 + 3, 2**127 + 1])
     def test_word_count_inverts_advance(self, delta):
@@ -378,7 +362,14 @@ class TestSplitSkip:
             spectra._skip_normals(after_w_sub(16, 0), 15 * 14)
 
     @pytest.mark.parametrize("helper_fails", [False, True])
-    def test_callers_mask_is_given_back(self, monkeypatch, forced_split, helper_fails):
+    def test_split_makes_no_affinity_call(self, monkeypatch, forced_split, helper_fails):
+        # the real mask: the helper is started as is, and neither thread
+        # narrows or restores the caller's mask, whether the helper fails
+        # or not
+        calls = []
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda *args: calls.append(args), raising=False
+        )
         draw = spectra._draw_normals
 
         def drawn(rng, count):
@@ -387,46 +378,15 @@ class TestSplitSkip:
             draw(rng, count)
 
         monkeypatch.setattr(spectra, "_draw_normals", drawn)
-        before = own_mask()
-        try:
-            spectra._skip_normals(after_w_sub(130, 3), 129 * 128)
-        except RuntimeError:
-            assert helper_fails
-        else:
-            assert not helper_fails
-        assert own_mask() == before
-
-    def test_split_makes_no_affinity_call(self, monkeypatch, forced_split):
-        # the real mask: the helper is started as is, and neither thread
-        # narrows or restores the caller's mask
-        calls = []
-        monkeypatch.setattr(
-            os, "sched_setaffinity", lambda *args: calls.append(args), raising=False
-        )
         split, serial = after_w_sub(130, 3), after_w_sub(130, 3)
-        spectra._skip_normals(split, 129 * 128)
-        one_thread_skip(serial, 129 * 128)
-        assert split.bit_generator.state == serial.bit_generator.state
-        assert calls == []
-
-    @pytest.mark.parametrize("setaffinity", ["refused", "missing"])
-    def test_unpinned_where_affinity_cannot_be_set(
-        self, monkeypatch, forced_split, threads_started, setaffinity
-    ):
-        if setaffinity == "missing":
-            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        if helper_fails:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                spectra._skip_normals(split, 129 * 128)
         else:
-
-            def refused(pid, cores):
-                raise OSError(errno.EINVAL, "refused")
-
-            monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
-        for seed in range(10):
-            split, serial = after_w_sub(130, seed), after_w_sub(130, seed)
             spectra._skip_normals(split, 129 * 128)
             one_thread_skip(serial, 129 * 128)
-            assert split.bit_generator.state == serial.bit_generator.state, seed
-        assert threads_started == ["gqsearch-skip"] * 10
+            assert split.bit_generator.state == serial.bit_generator.state
+        assert calls == []
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, threads_started):
         monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
@@ -479,7 +439,7 @@ def test_relabeling_invariance():
     shuffled = np.empty_like(spec.vectors)
     shuffled[perm, :] = spec.vectors
     assert not np.array_equal(shuffled, spec.vectors)
-    relabeled = EigenSpectrum(spec.phases.copy(), shuffled)
+    relabeled = from_basis(spec.phases.copy(), shuffled)
     moved = SearchInstance.build(relabeled)
     assert np.isclose(moved.alpha, inst.alpha, rtol=1e-12)
     assert np.isclose(moved.lambda2, inst.lambda2, rtol=1e-12)
@@ -501,32 +461,36 @@ class TestSpectrumValidation:
         with pytest.raises(
             SpectrumValidationError, match="eigenvector 1 shares phase 0"
         ):
-            EigenSpectrum(phases, vectors)
+            from_basis(phases, vectors)
 
     def test_phase_outside_interval_rejected(self):
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 4.0, 1.0])
         with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors)
+            from_basis(phases, vectors)
 
     def test_nonorthonormal_vectors_rejected(self):
+        # row 0 is a unit vector, so the spectrum is made; the gram check
+        # rejects the basis when it is read
         vectors = np.ones((3, 3), dtype=np.complex128)
-        phases = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors)
+        vectors[0] = [1.0, 0.0, 0.0]
+        spec = from_basis(np.array([0.0, 1.0, 2.0]), vectors)
+        with pytest.raises(SpectrumValidationError, match="not orthonormal"):
+            spec.vectors
 
     def test_nan_phase_rejected(self):
         # NaN fails every comparison; the range check must still catch it
         vectors = np.eye(4, dtype=np.complex128)
         phases = np.array([0.0, 0.5, -0.5, np.nan])
         with pytest.raises(SpectrumValidationError, match=r"\(-pi, pi\]"):
-            EigenSpectrum(phases, vectors)
+            from_basis(phases, vectors)
 
     def test_nan_basis_rejected(self):
         vectors = np.eye(3, dtype=np.complex128)
         vectors[2, 2] = np.nan
+        spec = from_basis(np.array([0.0, 1.0, 2.0]), vectors)
         with pytest.raises(SpectrumValidationError, match="not orthonormal"):
-            EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors)
+            spec.vectors
 
     def test_nan_b_identity_rejected(self, monkeypatch):
         # a NaN b^2 must fail the moment identity, not pass it
@@ -539,13 +503,13 @@ class TestSpectrumValidation:
         vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.5, 1.0, 2.0])
         with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, vectors)
+            from_basis(phases, vectors)
 
     def test_arrays_are_frozen(self):
         spec = two_phase_toy()
         with pytest.raises(ValueError):
             spec.phases[1] = 0.3
-        # an explicit spectrum's target row is row 0 of its validated copy
+        # row 0 of an explicit basis is its target row, bit for bit
         assert spec.target_row.tobytes() == spec.vectors[0].tobytes()
         generated = symmetric_spectrum(8, 1, 0.5, 1.5)
         for row in (spec.target_row, generated.target_row):
@@ -590,10 +554,9 @@ class TestNaivePowering:
         # entry 1 has no target weight and resonates at every even power;
         # entry 2 is weighted and resonates from r = 4 on
         amplitude = math.sqrt(3.0 / 8.0)
-        spec = EigenSpectrum._generated(
+        spec = EigenSpectrum(
             np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
-            row=np.array([0.5, 0.0, amplitude, amplitude], dtype=np.complex128),
-            build=None,
+            np.array([0.5, 0.0, amplitude, amplitude]),
         )
         inst = SearchInstance.build(spec)
         assert math.isfinite(naive_power_b(inst, 2))
@@ -747,9 +710,7 @@ class TestWeightPath:
     def test_instance_matches_explicit_vectors(self, make):
         spec = make()
         lazy = SearchInstance.build(spec)
-        dense = SearchInstance.build(
-            EigenSpectrum(spec.phases, spec.vectors)
-        )
+        dense = SearchInstance.build(from_basis(spec.phases, spec.vectors))
         for name in ("alpha", "lambda1", "lambda2", "b_factor"):
             assert abs(getattr(lazy, name) - getattr(dense, name)) <= 1e-12
         gap = lazy.spectrum.weights - dense.spectrum.weights
@@ -785,12 +746,24 @@ class TestWeightPath:
         assert peak < 4096 * 4096 * 16 / 8
 
     def test_caller_vectors_are_copied(self):
-        vectors = np.eye(3, dtype=np.complex128)
-        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), vectors)
-        assert not np.shares_memory(spec.vectors, vectors)
-        assert not spec.vectors.flags.writeable
-        vectors[0, 0] = 5.0  # the caller's array stays writable
-        assert spec.vectors[0, 0] == 1.0
+        # the caller's target row: the one array the constructor copies
+        row = np.array([0.6, 0.8, 0.0], dtype=np.complex128)
+        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), row)
+        assert not np.shares_memory(spec.target_row, row)
+        assert not spec.target_row.flags.writeable
+        row[0] = 5.0  # the caller's array stays writable
+        assert spec.target_row[0] == 0.6
+        assert spec.weights[0] == 0.36
+
+    def test_built_basis_must_have_the_target_row(self):
+        # the identity is orthonormal, but its row 0 is e_0, not the
+        # claimed target row e_1
+        spec = EigenSpectrum(
+            [0.0, 1.0, 2.0], [0.0, 1.0, 0.0], build=lambda: np.eye(3)
+        )
+        with pytest.raises(SpectrumValidationError, match="not the target row"):
+            spec.vectors
+        assert spec._vectors is None
 
     def test_generated_vectors_are_adopted(self, monkeypatch):
         built = []
@@ -830,18 +803,14 @@ class TestWeightPath:
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row * 1.01
         with pytest.raises(SpectrumValidationError, match="row"):
-            EigenSpectrum._generated(
-                spec.phases, row=row, build=lambda: spec.vectors
-            )
+            EigenSpectrum(spec.phases, row, build=lambda: spec.vectors)
 
     def test_nan_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row.copy()
         row[3] = np.nan
         with pytest.raises(SpectrumValidationError, match="row not normalized"):
-            EigenSpectrum._generated(
-                spec.phases, row=row, build=lambda: spec.vectors
-            )
+            EigenSpectrum(spec.phases, row, build=lambda: spec.vectors)
 
 
     @pytest.mark.parametrize(
@@ -916,9 +885,12 @@ class TestDenseCap:
         n = self.N
         phases = np.full(n, np.pi)
         phases[0] = 0.0
-        vectors = np.eye(n, dtype=np.complex128)
-        copy = self.peak_while_raising(lambda: EigenSpectrum(phases, vectors))
-        assert copy < n * n // 4
+        row = np.zeros(n)
+        row[0] = 1.0
+        built = []
+        spec = EigenSpectrum(phases, row, build=lambda: built.append(n))
+        self.peak_while_raising(lambda: spec.vectors)
+        assert built == []
 
     @pytest.mark.parametrize(
         "dense",
