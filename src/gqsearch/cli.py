@@ -74,9 +74,6 @@ def main(argv=None) -> int:
         emit_report(rows, fmt, out)
         print(f"wrote {len(rows)} row(s) to {out}")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (
         SpectrumValidationError,
         ResonanceError,

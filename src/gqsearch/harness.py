@@ -124,6 +124,16 @@ _SECTIONS = {field.metadata["section"] for field in _FIELDS.values()}
 _SWEEPABLE = {
     key for key, field in _FIELDS.items() if field.metadata["type"] in (int, float)
 }
+# [instance] keys each kind reads besides n and seed, and those each family reads
+_READS = {
+    "grover-baseline": (),
+    "divergence-demo": ("alpha", "epsilon", "resonance_m", "m"),
+    "b-sweep": ("theta_min", "theta_max", "alpha", "b_values", "m"),
+    "general-search": ("family",),
+    "boosted-search": ("family", "m"),
+    "symmetric": ("theta_min", "theta_max", "alpha", "b_target"),
+    "resonant": ("alpha", "epsilon", "resonance_m"),
+}
 
 
 def _read_raw(path) -> dict[str, str]:
@@ -248,8 +258,12 @@ def _instances(config: ExperimentConfig):
     """
     kind, build = config.kind, spectra.SearchInstance.build
     n, seed, alpha = config.n, config.seed, config.alpha
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    reads = ("n", "seed") + _READS[kind]
+    reads += _READS[config.family] if "family" in reads else ()
+    for key, field in _FIELDS.items():
+        unread = field.metadata["section"] == "instance" and key not in reads
+        if unread and getattr(config, field.name) != field.default:
+            raise ConfigError(f"{kind} does not read {key}")
     if kind == "grover-baseline":
         uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         yield build(spectra.grover_spectrum(n, uniform))
@@ -307,6 +321,7 @@ def _row(
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """Execute one configured experiment; deterministic for fixed seeds."""
+    _check_config(config)
     plain = config.kind in ("grover-baseline", "general-search")
     rows = []
     for inst in _instances(config):
@@ -405,7 +420,7 @@ def _validation_checks():
     def fixed_point():
         spectrum = spectra.symmetric_spectrum(16, 5, 0.3, 1.0)
         blocks = np.zeros((4, 16, 1), dtype=np.complex128)
-        blocks[0, :, 0] = spectrum.source_state
+        blocks[0, :, 0] = spectrum.vectors[:, 0]
         for op in (dense.pea_operator, dense.boosted_diffusion):
             moved = op(spectrum, 2, blocks)
             if not np.max(np.abs(moved - blocks)) <= 1e-12:

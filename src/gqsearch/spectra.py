@@ -108,10 +108,6 @@ class EigenSpectrum:
         """Smallest nonsource |phase|; the gap protecting the fixed point."""
         return float(np.min(np.abs(self.phases[1:])))
 
-    @property
-    def source_state(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
 
 def _validate_phases(phases: np.ndarray) -> None:
     # written so that a NaN phase, which fails every comparison, is rejected
@@ -191,8 +187,12 @@ class SearchInstance:
             raise ValueError(
                 f"source-target overlap must lie in (0, 1), alpha^2 > 0, got {alpha}"
             )
-        lam1 = _moment_sum(spectrum, 1)
-        lam2 = _moment_sum(spectrum, 2)
+        phases, weights = spectrum.phases[1:], spectrum.weights[1:]
+        half = 0.5 * phases
+        # cot(pi / 2) is exactly 0, where cos(pi / 2) / sin(pi / 2) gives 6.1e-17
+        cot = np.where(phases == np.pi, 0.0, np.cos(half) / np.sin(half))
+        lam1 = float(np.sum(weights * cot))
+        lam2 = float(np.sum(weights * cot**2))
         b2 = _powered_b_squared(spectrum, 1)
         # exact identity: b^2 = 1 + lambda2 - alpha^2 up to basis rounding
         expected = 1.0 + lam2 - alpha**2
@@ -216,14 +216,6 @@ class SearchInstance:
     @property
     def theta_min(self) -> float:
         return self.spectrum.theta_min
-
-
-def _moment_sum(spec: EigenSpectrum, p: int) -> float:
-    phases, weights = spec.phases[1:], spec.weights[1:]
-    half = 0.5 * phases
-    # cot(pi / 2) is exactly 0, where cos(pi / 2) / sin(pi / 2) gives 6.1e-17
-    cot = np.where(phases == np.pi, 0.0, np.cos(half) / np.sin(half))
-    return float(np.sum(weights * cot**p))
 
 
 def _power(phases: np.ndarray, r: int) -> np.ndarray:
@@ -253,8 +245,8 @@ def _check_ancilla_count(m: int) -> None:
         raise ValueError(f"ancilla qubit count m must lie in [1, 49], got {m}")
 
 
-def _powered(spec: EigenSpectrum, r: int) -> np.ndarray:
-    """Mask of the weighted nonsource entries.
+def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
+    """Squared b of the r-th power, summed over the weighted nonsource entries.
 
     A weighted entry that r drives onto a multiple of 2 pi (``_resonant``)
     raises ``ResonanceError`` naming r and the eigenvector.
@@ -268,11 +260,6 @@ def _powered(spec: EigenSpectrum, r: int) -> np.ndarray:
             f"power {r} drives eigenvector {offender} "
             f"(phase {float(spec.phases[offender])!r}) onto a multiple of 2*pi"
         )
-    return live
-
-
-def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
-    live = _powered(spec, r)
     sines = np.sin(0.5 * r * spec.phases[live])
     return float(np.sum(spec.weights[live] / sines**2))
 
@@ -283,8 +270,8 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     Each nonsource phase is multiplied by r before the inverse-sine sum, so
     a phase near a multiple of 2*pi/r makes the result blow up.  A weighted
     phase on one, to rounding, raises ResonanceError naming r and the
-    eigenvector (``_powered``); eigenvectors with exactly zero target weight
-    cannot contribute and are exempt.
+    eigenvector (``_powered_b_squared``); eigenvectors with exactly zero
+    target weight cannot contribute and are exempt.
     """
     if r < 1:
         raise ValueError(f"power must be a positive integer, got {r}")
@@ -657,8 +644,8 @@ def symmetric_spectrum(
     weights = _pair_weights(unit, alpha)
     if b_target is not None:
         drawn = _rescale_for_b_target(drawn, weights, b_target)
-    # build's r = 1 resonance test (``_powered``); ``_power`` is odd, so the
-    # positive member of each pair settles both
+    # build's r = 1 resonance test (``_powered_b_squared``); ``_power`` is odd,
+    # so the positive member of each pair settles both
     if np.any(_resonant(_power(drawn[weights > 0.0], 1), 1)):
         named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
         raise ValueError(f"{named} puts a pair phase within rounding of 0")

@@ -285,6 +285,20 @@ class TestExperiments:
         assert all(row.experiment == "b-sweep" for row in rows)
 
 
+class TestHandBuiltConfig:
+    """run_experiment checks a config made in code as load_config does."""
+
+    def test_unknown_family_raises(self):
+        # this once ran the symmetric family
+        config = ExperimentConfig(kind="general-search", n=16, family="resonnant")
+        with pytest.raises(ConfigError, match="unknown instance family 'resonnant'"):
+            run_experiment(config)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ConfigError, match="unknown experiment kind 'bogus'"):
+            run_experiment(ExperimentConfig(kind="bogus", n=16))
+
+
 @pytest.mark.parametrize("kind", ["general-search", "boosted-search"])
 def test_predicted_cells_read_the_peak_law(tmp_path, monkeypatch, kind):
     # every nonsource phase of the 8-cube at gamma = pi / 17 is negative, so
@@ -722,6 +736,38 @@ class TestCli:
         config = write_config(tmp_path, body)
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, kind, instance, key",
+        [
+            ("run", "grover-baseline", "alpha = 0.3\n", "alpha"),
+            ("run", "general-search", "m = 4\n", "m"),
+            ("run", "general-search", "family = resonant\nb_target = 9\n", "b_target"),
+            ("run", "general-search", "family = symmetric\nepsilon = 0.1\n", "epsilon"),
+            ("run", "b-sweep", "b_target = 8\n", "b_target"),
+            ("run", "divergence-demo", "family = resonant\n", "family"),
+            ("sweep", "general-search", "m = 3, 4\n", "m"),
+        ],
+        ids=[
+            "grover-baseline-alpha",
+            "general-search-m",
+            "resonant-b_target",
+            "symmetric-epsilon",
+            "b-sweep-b_target",
+            "divergence-demo-family",
+            "sweep-general-search-m",
+        ],
+    )
+    def test_unread_key_is_config_error(
+        self, tmp_path, capsys, command, kind, instance, key
+    ):
+        # each ran and reported without the key, and exited 0
+        out = tmp_path / "never.csv"
+        body = f"[experiment]\nkind = {kind}\n[instance]\nn = 16\n{instance}"
+        config = write_config(tmp_path, body)
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {kind} does not read {key}\n"
         assert not out.exists()
 
     def test_boosted_search_takes_ten_ancillas_at_b_1000(self, tmp_path, capsys):

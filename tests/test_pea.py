@@ -259,7 +259,7 @@ def test_controlled_oracle_flips_single_amplitude():
 def test_boosted_diffusion_fixes_joint_source():
     spec = symmetric_spectrum(8, 5, 0.8, 1.8)
     blocks = np.zeros((4, 8, 1), dtype=np.complex128)
-    blocks[0, :, 0] = spec.source_state
+    blocks[0, :, 0] = spec.vectors[:, 0]
     moved = boosted_diffusion(spec, 2, blocks)
     assert np.allclose(moved, blocks, atol=1e-12)
     assert np.isclose(np.linalg.norm(moved), 1.0, atol=1e-12)
@@ -683,12 +683,12 @@ class TestBoostedRun:
         step = dense_boosted_matrix(spec, m)
         step[:, 0] = -step[:, 0]
         state = np.zeros(2**m * n, dtype=np.complex128)
-        state[:n] = spec.source_state
+        state[:n] = spec.vectors[:, 0]
         for probability, source_overlap in zip(
             report.target_probability, report.source_overlap
         ):
             assert abs(probability - abs(state[0]) ** 2) <= 1e-12
-            overlap = abs(np.vdot(spec.source_state, state[:n]))
+            overlap = abs(np.vdot(spec.vectors[:, 0], state[:n]))
             assert abs(source_overlap - overlap) <= 1e-12
             state = step @ state
 

@@ -96,7 +96,7 @@ def dense_relevant_pair(inst):
     """Oracle: the pair with the largest source overlaps, from a dense eigensolve."""
     matrix = search_operator(inst)
     eig = unitary_eigensystem(matrix)
-    overlaps = np.abs(eig.vectors.conj().T @ inst.spectrum.source_state) ** 2
+    overlaps = np.abs(eig.vectors.conj().T @ inst.spectrum.vectors[:, 0]) ** 2
     order = np.argsort(overlaps)[::-1]
     first, second = int(order[0]), int(order[1])
     if overlaps[second] <= 0.01:
@@ -335,7 +335,7 @@ class TestRunIterations:
         inst = build()
         report = run_iterations(inst, 25)
         matrix = search_operator(inst)
-        source = inst.spectrum.source_state
+        source = inst.spectrum.vectors[:, 0]
         state = source.copy()
         dense_probabilities = []
         for q in range(26):

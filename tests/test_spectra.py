@@ -119,7 +119,7 @@ def test_build_diffusion_is_unitary_and_fixes_source():
     spec = symmetric_spectrum(16, 9, 0.6, 1.8)
     matrix = build_diffusion(spec)
     assert unitarity_defect(matrix) < 1e-10
-    source = spec.source_state
+    source = spec.vectors[:, 0]
     assert np.allclose(matrix @ source, source, atol=1e-10)
 
 
@@ -817,10 +817,9 @@ class TestWeightPath:
         "read",
         [
             lambda spec: spec.vectors,
-            lambda spec: spec.source_state,
             build_diffusion,
         ],
-        ids=["vectors", "source_state", "build_diffusion"],
+        ids=["vectors", "build_diffusion"],
     )
     def test_spectrum_without_a_basis_says_so(self, read):
         # a compressed graph spectrum: one entry per Laplacian level
@@ -846,7 +845,6 @@ class TestDenseCap:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("read", ["vectors", "source_state"])
     @pytest.mark.parametrize(
         "kind, builder",
         [
@@ -855,9 +853,7 @@ class TestDenseCap:
             ("grover", "_complete_orthonormal"),
         ],
     )
-    def test_reading_the_basis_above_the_cap_raises(
-        self, monkeypatch, kind, builder, read
-    ):
+    def test_reading_the_basis_above_the_cap_raises(self, monkeypatch, kind, builder):
         built = []
         real = getattr(spectra, builder)
 
@@ -877,7 +873,7 @@ class TestDenseCap:
         else:
             spec = grover_spectrum(n, np.full(n, 1.0 / math.sqrt(n)))
         # a basis of this side takes n * n * 16 bytes
-        assert self.peak_while_raising(lambda: getattr(spec, read)) < n * n // 4
+        assert self.peak_while_raising(lambda: spec.vectors) < n * n // 4
         assert built == []
         assert spec._vectors is None
 
@@ -969,7 +965,7 @@ def test_generator_outputs_frozen(name):
         assert np.allclose(spec.phases, phases, rtol=1e-13, atol=0.0)
     else:
         assert np.array_equal(spec.phases, phases)
-    assert np.array_equal(spec.source_state, source)
+    assert np.array_equal(spec.vectors[:, 0], source)
     target_weights = np.abs(spec.vectors[0, :]) ** 2
     assert np.max(np.abs(target_weights - weights)) <= 1e-14
     assert abs(inst.alpha - alpha) <= 1e-12
