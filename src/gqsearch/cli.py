@@ -86,6 +86,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"config error: {exc}; lower n or q_max", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

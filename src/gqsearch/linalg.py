@@ -21,10 +21,6 @@ DENSE_CAP = 1024
 RECONSTRUCTION_ATOL = 1e-8
 
 
-class DimensionError(ValueError):
-    """Operand dimensions are incompatible."""
-
-
 class DenseCapError(ValueError):
     """The requested dense object would exceed DENSE_CAP."""
 
@@ -98,19 +94,14 @@ def unitary_eigensystem(matrix: np.ndarray) -> EigenSystem:
 
     Raises
     ------
-    DimensionError
-        If the last two axes are not square.
     DenseCapError
         If the matrix side exceeds ``DENSE_CAP``; checked before any solve.
     EigensolverError
-        If the eigensolver fails, or the decomposition does not reproduce
-        the input to within ``RECONSTRUCTION_ATOL`` (a NaN residual fails).
+        If ``np.linalg.eig`` fails (as on a non-square or 1-D input), or the
+        decomposition does not reproduce the input to within
+        ``RECONSTRUCTION_ATOL`` (a NaN residual fails).
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim not in (2, 3) or matrix.shape[-2] != matrix.shape[-1]:
-        raise DimensionError(
-            f"expected a square matrix or a stack of them, got shape {matrix.shape}"
-        )
     check_dense_cap(matrix.shape[-1])
     try:
         values, skewed = np.linalg.eig(matrix)

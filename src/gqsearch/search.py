@@ -171,8 +171,7 @@ def _iterate(
     covers the first crest with margin but stops before later crests that
     leakage can push marginally higher.  A default past NORM_DRIFT_LIMIT / eps
     steps, where one rounding unit of drift per step reaches the limit,
-    raises ``ValueError`` before anything is allocated; an explicit
-    ``q_max`` too large to allocate raises it too.
+    raises ``ValueError`` before anything is allocated.
 
     The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
     from the source's c = e_0.  Each step calls ``oracle(c, t . c, conj(t))``
@@ -202,11 +201,8 @@ def _iterate(
     limit = NORM_DRIFT_LIMIT
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[0] = 1.0
-    try:
-        probability = np.empty(q_max + 1)
-        source = np.empty(q_max + 1, dtype=np.complex128)
-    except MemoryError:
-        raise ValueError(f"q_max = {q_max} is too large to allocate") from None
+    probability = np.empty(q_max + 1)
+    source = np.empty(q_max + 1, dtype=np.complex128)
     amplitude = project(coeff)  # <target|psi>, reused by the next flip
     worst = 0.0
     for q in range(q_max + 1):

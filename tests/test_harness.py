@@ -709,6 +709,10 @@ class TestCli:
             "theta_min = 1e-15\ntheta_max = 1e-15\n",
             "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
             "theta_min = 1e-15\ntheta_max = 1e-15\n",
+            "[experiment]\nkind = grover-baseline\n[instance]\n"
+            "n = 1000000000000000\n",
+            "[experiment]\nkind = general-search\n[instance]\n"
+            "n = 1000000000000000\n",
         ],
         ids=[
             "b_target-1.35e154",
@@ -725,13 +729,16 @@ class TestCli:
             "explicit-q_max-too-large-to-allocate",
             "theta_min-phase-rounds-to-0-plain",
             "theta_min-phase-rounds-to-0-boosted",
+            "n-too-large-to-allocate-grover-baseline",
+            "n-too-large-to-allocate-general-search",
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
         # each once escaped as a traceback, as a numerical failure, or (the
         # default budgets) as a run of minutes or an allocation of GiB; an
-        # explicit q_max whose columns cannot be allocated gave a traceback;
-        # a theta_min within rounding of 0 exited 2 as a numerical failure
+        # explicit q_max whose columns cannot be allocated gave a traceback,
+        # and an n whose arrays cannot be allocated still did; a theta_min
+        # within rounding of 0 exited 2 as a numerical failure
         out = tmp_path / "never.csv"
         config = write_config(tmp_path, body)
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1

@@ -441,6 +441,12 @@ class TestRunIterations:
         with pytest.raises(ValueError):
             run_iterations(double_pair_toy(), -1)
 
+    def test_q_max_too_large_to_allocate_is_memory_error(self):
+        # the library raises NumPy's own error; the command line turns it
+        # into a config error naming n and q_max
+        with pytest.raises(MemoryError):
+            run_iterations(double_pair_toy(), 10**15)
+
     def test_global_phase_invariance(self):
         spec = symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
         rotated = from_basis(spec.phases.copy(), spec.vectors * np.exp(0.3j))
