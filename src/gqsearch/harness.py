@@ -275,9 +275,17 @@ def _instances(config: ExperimentConfig):
     else:
         lo, hi = config.theta_min, config.theta_max
         for b in config.b_values if kind == "b-sweep" else (config.b_target,):
-            yield build(
-                spectra.symmetric_spectrum(n, seed, lo, hi, alpha=alpha, b_target=b)
-            )
+            try:
+                spec = spectra.symmetric_spectrum(
+                    n, seed, lo, hi, alpha=alpha, b_target=b
+                )
+            except ValueError as exc:
+                # the library names its argument b_target, a key b-sweep refuses
+                named = str(exc).replace("b_target", "b_values entry")
+                if kind != "b-sweep" or named == str(exc):
+                    raise
+                raise ConfigError(named) from exc
+            yield build(spec)
 
 
 def _row(

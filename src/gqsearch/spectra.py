@@ -18,7 +18,6 @@ import copy
 import functools
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 
@@ -291,7 +290,8 @@ def _complete_orthonormal(source: np.ndarray, rows: slice = slice(None)) -> np.n
     pivot = source[k]
     v = np.array(source, dtype=np.result_type(source, np.float64))
     v[k] -= pivot / abs(pivot)
-    vv = float(np.real(np.vdot(v, v)))
+    # a pairwise sum: BLAS vdot misses |v|^2 by 4.3e-12 at n = 10^6
+    vv = float(np.sum(v.real**2 + v.imag**2))
     chosen = range(n)[rows]
     # vv vanishes when ``source`` already is e_k up to a phase: no reflection
     if vv < 1e-30:
@@ -337,7 +337,9 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 _SKIP_CHUNK = 2**14
 # discarded normals from which a helper thread draws half of them: N >= 726.
 # On a 2-core host the split gained nothing at N = 512 (5.5 ms against 5.3 ms
-# on one thread) and 12% at N = 726 (9.6 ms against 10.9 ms)
+# on one thread) and 12% at N = 726 (9.6 ms against 10.9 ms).  No core count
+# is read: on one core the split costs 24.4 ms against 21.6 ms at N = 1024
+# and 360 ms against 350 ms at N = 4096
 _SPLIT_MIN = 2**19
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -356,8 +358,8 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     ``w_sub`` to a basis; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
     through a 2**14-entry buffer per thread, so no (n-1)x(n-2) block is
-    held, and from N = 726 on two threads
-    (``_skip_normals``).
+    held, and from ``_SPLIT_MIN`` of them (N = 726) on two threads
+    (``_split_skip``).
 
     The draws do not depend on ``alpha``, so they are made once per
     ``(n, seed)`` per process and kept (``_seeded_draws``) at 16 N bytes per
@@ -382,32 +384,16 @@ def _seeded_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     w_sub = rng.standard_normal(n - 1)
     w_sub /= np.linalg.norm(w_sub)
-    _skip_normals(rng, (n - 1) * (n - 2))
+    skipped = (n - 1) * (n - 2)
+    if skipped >= _SPLIT_MIN:
+        _split_skip(rng, skipped)
+    else:
+        _draw_normals(rng, skipped)
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
     w_sub.setflags(write=False)
     unit.setflags(write=False)
     return w_sub, unit
-
-
-def _skip_normals(rng: np.random.Generator, count: int) -> None:
-    """Step ``rng`` past ``count`` standard normals, as drawing them would.
-
-    From ``_SPLIT_MIN`` normals on, with at least two usable cores, a helper
-    thread draws the second half (``_split_skip``); otherwise this thread
-    draws them all.
-    """
-    if count >= _SPLIT_MIN and _usable_cpus() >= 2:
-        _split_skip(rng, count)
-    else:
-        _draw_normals(rng, count)
-
-
-def _usable_cpus() -> int:
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _draw_normals(rng: np.random.Generator, count: int) -> None:

@@ -746,6 +746,26 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ("inf", "b_values entry must be positive, b^2 finite, got inf"),
+            ("0.5", "b_values entry 0.5 is below the floor"),
+            ("2, 1e20", "b_values entry 1e+20 puts a pair phase within rounding"),
+        ],
+        ids=["inf", "below-floor", "phase-rounds-to-0"],
+    )
+    def test_b_sweep_error_names_b_values(self, tmp_path, capsys, entries, named):
+        # each named b_target, a key b-sweep refuses
+        out = tmp_path / "never.csv"
+        config = write_config(
+            tmp_path,
+            f"[experiment]\nkind = b-sweep\n[instance]\nn = 16\nb_values = {entries}\n",
+        )
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, kind, instance, key",
         [
             ("run", "grover-baseline", "alpha = 0.3\n", "alpha"),

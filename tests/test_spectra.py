@@ -106,6 +106,15 @@ def test_grover_spectrum_rejects_unnormalized_source():
         grover_spectrum(8, np.full(8, 0.5, dtype=np.complex128))
 
 
+def test_grover_row_is_unit_at_a_million():
+    # a BLAS dot for the Householder norm left |row|^2 - 1 at 2.7e-12 here,
+    # enough drift to stop a default-budget run after 367 steps
+    n = 1_000_000
+    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    row = grover_spectrum(n, uniform).target_row
+    assert abs(math.fsum(row.real**2 + row.imag**2) - 1.0) <= 1e-15
+
+
 def test_grover_spectrum_norm_tolerance_scales_with_n():
     # the uniform source's norm misses 1 by 3.2e-12 at this n from rounding
     n = 3_000_000
@@ -278,16 +287,6 @@ def one_thread_draws(n, seed):
     return w_sub, profile / np.linalg.norm(profile)
 
 
-@pytest.fixture
-def forced_split(monkeypatch):
-    """Every skip goes to two threads, whatever its size and the host's cores.
-
-    The affinity mask is left real.
-    """
-    monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
-
-
 class TestSplitSkip:
     """The two-thread skip leaves the stream where one thread leaves it."""
 
@@ -321,18 +320,16 @@ class TestSplitSkip:
         assert spectra._normals_to(probe, drawn.state) == 1
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16, 64, 130])
-    def test_split_matches_one_thread(self, n, forced_split, threads_started):
+    def test_split_matches_one_thread(self, n, threads_started):
         count = (n - 1) * (n - 2)
         for seed in range(60):
             split, serial = after_w_sub(n, seed), after_w_sub(n, seed)
-            spectra._skip_normals(split, count)
+            spectra._split_skip(split, count)
             one_thread_skip(serial, count)
             assert split.bit_generator.state == serial.bit_generator.state, seed
         assert len(threads_started) == 60
 
-    def test_fallback_when_the_join_falls_inside_a_normal(
-        self, monkeypatch, forced_split
-    ):
+    def test_fallback_when_the_join_falls_inside_a_normal(self, monkeypatch):
         # at n = 4, seed 2549 the first half ends inside a normal the helper
         # drew, so no count of helper normals ends there
         landed = []
@@ -344,12 +341,12 @@ class TestSplitSkip:
 
         monkeypatch.setattr(spectra, "_normals_to", recorded)
         split, serial = after_w_sub(4, 2549), after_w_sub(4, 2549)
-        spectra._skip_normals(split, 6)
+        spectra._split_skip(split, 6)
         one_thread_skip(serial, 6)
         assert landed == [None]
         assert split.bit_generator.state == serial.bit_generator.state
 
-    def test_helper_error_propagates(self, monkeypatch, forced_split):
+    def test_helper_error_propagates(self, monkeypatch):
         draw = spectra._draw_normals
 
         def failing_off_main(rng, count):
@@ -359,10 +356,10 @@ class TestSplitSkip:
 
         monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
         with pytest.raises(RuntimeError, match="helper failed"):
-            spectra._skip_normals(after_w_sub(16, 0), 15 * 14)
+            spectra._split_skip(after_w_sub(16, 0), 15 * 14)
 
     @pytest.mark.parametrize("helper_fails", [False, True])
-    def test_split_makes_no_affinity_call(self, monkeypatch, forced_split, helper_fails):
+    def test_split_makes_no_affinity_call(self, monkeypatch, helper_fails):
         # the real mask: the helper is started as is, and neither thread
         # narrows or restores the caller's mask, whether the helper fails
         # or not
@@ -381,25 +378,35 @@ class TestSplitSkip:
         split, serial = after_w_sub(130, 3), after_w_sub(130, 3)
         if helper_fails:
             with pytest.raises(RuntimeError, match="helper failed"):
-                spectra._skip_normals(split, 129 * 128)
+                spectra._split_skip(split, 129 * 128)
         else:
-            spectra._skip_normals(split, 129 * 128)
+            spectra._split_skip(split, 129 * 128)
             one_thread_skip(serial, 129 * 128)
             assert split.bit_generator.state == serial.bit_generator.state
         assert calls == []
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch, threads_started):
-        monkeypatch.setattr(spectra, "_SPLIT_MIN", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        skipped, serial = after_w_sub(130, 3), after_w_sub(130, 3)
-        spectra._skip_normals(skipped, 129 * 128)
-        one_thread_skip(serial, 129 * 128)
-        assert skipped.bit_generator.state == serial.bit_generator.state
-        assert threads_started == []
+    def test_draws_read_no_cpu_mask(self, monkeypatch, threads_started):
+        # the real dispatch at N = 1024, which splits on the draw count alone;
+        # each recorder answers as a two-core mask would
+        calls = []
+        for name in ("sched_getaffinity", "sched_setaffinity"):
+
+            def record(*args, name=name):
+                calls.append(name)
+                return {0, 1}
+
+            monkeypatch.setattr(os, name, record, raising=False)
+        spectra._seeded_draws.cache_clear()
+        try:
+            spectra._seeded_draws(1024, 5)
+        finally:
+            spectra._seeded_draws.cache_clear()
+        assert calls == []
+        assert threads_started == ["gqsearch-skip"]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scaling_family_4096_matches_one_thread_loop(self, seed, threads_started):
-        # the real path: default threshold, the host's own affinity mask
+        # the real path at the default threshold, on any core count
         n = 4096
         w_sub, unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
@@ -411,8 +418,7 @@ class TestSplitSkip:
         assert drawn[0].tobytes() == w_sub.tobytes()
         assert drawn[1].tobytes() == unit.tobytes()
         assert spec.dimension == n
-        split = spectra._usable_cpus() >= 2
-        assert threads_started == (["gqsearch-skip"] if split else [])
+        assert threads_started == ["gqsearch-skip"]
 
     @pytest.mark.parametrize("n", [512, 1024])
     @pytest.mark.parametrize("seed", [1, 23])
@@ -426,8 +432,7 @@ class TestSplitSkip:
             spectra._seeded_draws.cache_clear()
         assert drawn[0].tobytes() == w_sub.tobytes()
         assert drawn[1].tobytes() == unit.tobytes()
-        split = n == 1024 and spectra._usable_cpus() >= 2
-        assert threads_started == (["gqsearch-skip"] if split else [])
+        assert threads_started == (["gqsearch-skip"] if n == 1024 else [])
 
 
 def test_relabeling_invariance():
