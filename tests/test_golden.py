@@ -4,6 +4,8 @@
 report each one wrote, and the JSON report of the b-sweep config.  Both
 ``run`` and ``sweep`` must write the CSV reports.  A change that moves any
 report byte (a digit, a column, the peak row) fails here.
+Each test starts from an empty random-draw memo, so it pins the report a
+fresh ``gqsearch`` process writes, not one drawn from a warm memo.
 Every golden lambda1 cell is exactly 0: a cotangent at phase pi is 0,
 and the paired spectra cancel term by term, as do their boosts, whose
 wrap is odd.
@@ -16,10 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from gqsearch import cli
+from gqsearch import cli, spectra
 from gqsearch.harness import EXPERIMENT_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.fixture(autouse=True)
+def cold_draw_memo():
+    spectra._seeded_draws.cache_clear()
 
 
 def test_every_kind_has_a_golden_config():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -532,6 +533,142 @@ def test_run_validation_fails_on_nan(monkeypatch, name, poisoned, failing):
     assert {f"FAIL {check}" for check in failing} <= failed
 
 
+def ini(kind, instance):
+    """A config body: ``kind``, then ``instance`` (and any later sections)."""
+    return f"[experiment]\nkind = {kind}\n[instance]\n{instance}\n"
+
+
+# Each row is a command that must fail fast and write nothing: id, command,
+# config body (None writes no config), exit code, stderr text.  It runs as
+# ``gqsearch COMMAND --config config.ini`` in an empty directory.  It must
+# return the row's code within 10 s, write no report, and print one stderr
+# line: the code's prefix, then the row's text.  A text that ends in a
+# newline is the whole line.
+EXIT_PREFIX = {1: "config error: ", 2: "numerical validation failure: "}
+EXIT_CASES = [
+    ("missing-config", "run", None, 1, "cannot read config config.ini"),
+    ("unknown-key", "run", "[instance]\nqubits = 4\n",
+     1, "unknown config key instance.qubits"),
+    ("bad-subcommand", "frobnicate", None,
+     1, "argument command: invalid choice: 'frobnicate'"),
+    # ConfigParser hides [DEFAULT] from sections() and copies its keys into
+    # every other section
+    ("default-section-alone", "run", "[DEFAULT]\nn = 8\n",
+     1, "unknown config section [DEFAULT]"),
+    ("default-section-beside-run", "run", "[DEFAULT]\nseed = 3\n[run]\nq_max = 4\n",
+     1, "unknown config section [DEFAULT]"),
+    # the config check names the key; NumPy's own message would not
+    ("negative-seed-config", "run", ini("general-search", "n = 16\nseed = -1"),
+     1, "seed must be nonnegative, got -1"),
+    ("negative-seed-flag", "run --seed -1", ini("general-search", "n = 16"),
+     1, "seed must be nonnegative, got -1"),
+    ("run-rejects-sweep-lists", "run", ini("general-search", "seed = 1, 2"),
+     1, "config key seed holds a list"),
+    ("sweep-list-of-empty-entries", "sweep", ini("general-search", "b_target = ,"),
+     1, "config key b_target lists no values"),
+    ("b_values-empty-entry", "sweep",
+     ini("b-sweep", "n = 16\nb_values = 2, , 8\n[run]\nout = report.csv"),
+     1, "config key b_values has an empty entry"),
+    ("b_values-empty", "sweep", ini("b-sweep", "b_values ="),
+     1, "b_values must list at least one target"),
+    # each b_values entry is checked as a b_target, a key b-sweep refuses
+    ("b_values-inf", "run", ini("b-sweep", "n = 16\nb_values = inf"),
+     1, "b_values entry must be positive, b^2 finite, got inf"),
+    ("b_values-below-floor", "run", ini("b-sweep", "n = 16\nb_values = 0.5"),
+     1, "b_values entry 0.5 is below the floor"),
+    ("b_values-phase-rounds-to-0", "run", ini("b-sweep", "n = 16\nb_values = 2, 1e20"),
+     1, "b_values entry 1e+20 puts a pair phase within rounding"),
+    # theta_max < pi keeps a pair's two phases distinct: a pair phase of pi
+    # would pair with pi itself
+    ("pair-phase-of-pi", "run",
+     ini("general-search", f"n = 16\ntheta_min = {math.pi!r}\ntheta_max = {math.pi!r}"),
+     1, "need 0 < theta_min <= theta_max < pi"),
+    ("ancilla-count-out-of-range", "run", ini("boosted-search", "n = 16\nm = 50"),
+     1, "ancilla qubit count m must lie in [1, 49], got 50"),
+    # values out of range: a config mistake, not a traceback, a numerical
+    # failure, or a run of minutes.  NumPy words an allocation failure, so
+    # those rows check the prefix alone.
+    ("b_target-1.35e154", "run", ini("general-search", "n = 16\nb_target = 1.35e154"),
+     1, "b_target must be positive, b^2 finite, got 1.35e+154"),
+    ("b_target-1.7e308", "run", ini("general-search", "n = 16\nb_target = 1.7e308"),
+     1, "b_target must be positive, b^2 finite, got 1.7e+308"),
+    ("resonance_m-boosted", "run",
+     ini("boosted-search", "n = 16\nfamily = resonant\nm = 2\nresonance_m = 1024"),
+     1, "ancilla qubit count m must lie in [1, 49], got 1024"),
+    ("resonance_m-divergence", "run",
+     ini("divergence-demo", "n = 16\nresonance_m = 1100"),
+     1, "ancilla qubit count m must lie in [1, 49], got 1100"),
+    ("alpha-squared-underflow-boosted", "run",
+     ini("boosted-search", "n = 16\nalpha = 1e-163"),
+     1, "source-target overlap must lie in (0, 1), alpha^2 > 0, got 1e-163"),
+    ("alpha-squared-underflow-plain", "run",
+     ini("general-search", "n = 16\nalpha = 1e-170"),
+     1, "source-target overlap must lie in (0, 1), alpha^2 > 0, got 1e-170"),
+    ("b_target-phase-rounds-to-0-5e14", "run",
+     ini("general-search", "n = 16\nb_target = 5e14"),
+     1, "b_target 500000000000000.0 puts a pair phase within rounding of 0"),
+    ("b_target-phase-rounds-to-0-1e20", "run",
+     ini("general-search", "n = 16\nb_target = 1e20"),
+     1, "b_target 1e+20 puts a pair phase within rounding of 0"),
+    ("default-budget-past-ceiling-b_target-1e7", "run",
+     ini("general-search", "n = 16\nb_target = 1e7"),
+     1, "default budget q_max = 6.28e+07 is past the norm drift ceiling"),
+    ("default-budget-past-ceiling-b_target-1e10", "run",
+     ini("general-search", "n = 16\nb_target = 1e10"),
+     1, "default budget q_max = 6.28e+10 is past the norm drift ceiling"),
+    ("default-budget-past-ceiling-alpha-1e-150", "run",
+     ini("general-search", "n = 16\nalpha = 1e-150"),
+     1, "default budget q_max = 3.51e+150 is past the norm drift ceiling"),
+    ("explicit-q_max-too-large-to-allocate", "run",
+     ini("general-search", "n = 16\n[run]\nq_max = 100000000000"), 1, ""),
+    ("theta_min-phase-rounds-to-0-plain", "run",
+     ini("general-search", "n = 16\ntheta_min = 1e-15\ntheta_max = 1e-15"),
+     1, "theta_min 1e-15 puts a pair phase within rounding of 0"),
+    ("theta_min-phase-rounds-to-0-boosted", "run",
+     ini("boosted-search", "n = 16\ntheta_min = 1e-15\ntheta_max = 1e-15"),
+     1, "theta_min 1e-15 puts a pair phase within rounding of 0"),
+    ("n-too-large-to-allocate-grover-baseline", "run",
+     ini("grover-baseline", "n = 1000000000000000"), 1, ""),
+    ("n-too-large-to-allocate-general-search", "run",
+     ini("general-search", "n = 1000000000000000"), 1, ""),
+    # a key the kind does not read would otherwise be ignored in silence
+    ("grover-baseline-alpha", "run", ini("grover-baseline", "n = 16\nalpha = 0.3"),
+     1, "grover-baseline does not read alpha\n"),
+    ("general-search-m", "run", ini("general-search", "n = 16\nm = 4"),
+     1, "general-search does not read m\n"),
+    ("resonant-b_target", "run",
+     ini("general-search", "n = 16\nfamily = resonant\nb_target = 9"),
+     1, "general-search does not read b_target\n"),
+    ("symmetric-epsilon", "run",
+     ini("general-search", "n = 16\nfamily = symmetric\nepsilon = 0.1"),
+     1, "general-search does not read epsilon\n"),
+    ("b-sweep-b_target", "run", ini("b-sweep", "n = 16\nb_target = 8"),
+     1, "b-sweep does not read b_target\n"),
+    ("divergence-demo-family", "run",
+     ini("divergence-demo", "n = 16\nfamily = resonant"),
+     1, "divergence-demo does not read family\n"),
+    ("sweep-general-search-m", "sweep", ini("general-search", "n = 16\nm = 3, 4"),
+     1, "general-search does not read m\n"),
+    # the divergence demo's naive power lands on the resonance.  At epsilon
+    # = 1e-18 every detuning rounds away and the 8x power drives the whole
+    # band onto 2 pi exactly; detunings of at most 1e-15 leave 2^m theta
+    # within rounding of 2 pi (some wraps are 0.0, others are not); at m = 1
+    # the pair phases round to pi
+    ("divergence-epsilon-1e-18", "run",
+     ini("divergence-demo", "n = 16\nseed = 3\nepsilon = 1e-18"),
+     2, "power 8 drives eigenvector"),
+    ("divergence-epsilon-1e-15-m3", "run",
+     ini("divergence-demo", "n = 16\nseed = 3\nepsilon = 1e-15\nresonance_m = 3"),
+     2, "power 8 drives eigenvector"),
+    ("divergence-epsilon-1e-15-m4", "run",
+     ini("divergence-demo", "n = 16\nseed = 3\nepsilon = 1e-15\nresonance_m = 4"),
+     2, "power 16 drives eigenvector"),
+    ("divergence-pair-phase-pi-m1", "run",
+     ini("divergence-demo", "n = 16\nresonance_m = 1\nepsilon = 1e-17"),
+     2, "power 2 drives eigenvector"),
+]
+
+
 class TestCli:
     def test_validate_exits_zero(self, capsys):
         assert cli.main(["validate"]) == 0
@@ -568,22 +705,6 @@ class TestCli:
         capsys.readouterr()
         assert parse_report_csv(tmp_path / "seeded.csv")[0]["seed"] == 42
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_negative_seed_is_config_error(self, tmp_path, where, capsys):
-        # the config check names the key; NumPy's own message would not
-        out = tmp_path / "report.csv"
-        body = "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-        flags = []
-        if where == "config":
-            body += "seed = -1\n"
-        else:
-            flags = ["--seed", "-1"]
-        config = write_config(tmp_path, body)
-        argv = ["run", "--config", str(config), "--out", str(out), *flags]
-        assert cli.main(argv) == 1
-        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_sweep_combines_rows(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -612,50 +733,6 @@ class TestCli:
         assert all(not math.isclose(row["b_factor"], 8.0) for row in unscaled)
         assert all(math.isclose(row["b_factor"], 8.0) for row in scaled)
 
-    def test_sweep_list_of_empty_entries_is_config_error(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = general-search\n[instance]\nb_target = ,\n",
-        )
-        assert cli.main(["sweep", "--config", str(config)]) == 1
-        assert "config key b_target lists no values" in capsys.readouterr().err
-
-    def test_b_values_empty_entry_is_config_error(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = b-sweep\n[instance]\nn = 16\n"
-            "b_values = 2, , 8\n[run]\nout = report.csv\n",
-        )
-        assert cli.main(["sweep", "--config", str(config)]) == 1
-        assert "config key b_values has an empty entry" in capsys.readouterr().err
-        assert not (tmp_path / "report.csv").exists()
-
-    def test_empty_b_values_lists_no_target(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path, "[experiment]\nkind = b-sweep\n[instance]\nb_values =\n"
-        )
-        assert cli.main(["sweep", "--config", str(config)]) == 1
-        assert "b_values must list at least one target" in capsys.readouterr().err
-
-    def test_pair_phase_of_pi_is_config_error(self, tmp_path, capsys):
-        # theta_max < pi keeps a pair's two phases distinct: a pair phase
-        # of pi would pair with pi itself
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            f"theta_min = {math.pi!r}\ntheta_max = {math.pi!r}\n",
-        )
-        assert cli.main(["run", "--config", str(config)]) == 1
-        assert "theta_max < pi" in capsys.readouterr().err
-
-    def test_run_rejects_sweep_lists(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = general-search\n[instance]\nseed = 1, 2\n",
-        )
-        assert cli.main(["run", "--config", str(config)]) == 1
-        capsys.readouterr()
-
     def test_sweep_names_its_keys_for_an_unsweepable_list(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -668,134 +745,20 @@ class TestCli:
         assert "expanded by the sweep command" not in err
         assert "alpha, b_target, epsilon, m, n, q_max, resonance_m, seed" in err
 
-    def test_ancilla_count_out_of_range_is_usage_error(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\nm = 50\n",
-        )
-        assert cli.main(["run", "--config", str(config)]) == 1
-        assert "ancilla qubit count m must lie in [1, 49], got 50" in (
-            capsys.readouterr().err
-        )
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 1.35e154\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 1.7e308\n",
-            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
-            "family = resonant\nm = 2\nresonance_m = 1024\n",
-            "[experiment]\nkind = divergence-demo\n[instance]\nn = 16\n"
-            "resonance_m = 1100\n",
-            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
-            "alpha = 1e-163\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "alpha = 1e-170\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 5e14\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 1e20\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 1e7\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "b_target = 1e10\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "alpha = 1e-150\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "[run]\nq_max = 100000000000\n",
-            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
-            "theta_min = 1e-15\ntheta_max = 1e-15\n",
-            "[experiment]\nkind = boosted-search\n[instance]\nn = 16\n"
-            "theta_min = 1e-15\ntheta_max = 1e-15\n",
-            "[experiment]\nkind = grover-baseline\n[instance]\n"
-            "n = 1000000000000000\n",
-            "[experiment]\nkind = general-search\n[instance]\n"
-            "n = 1000000000000000\n",
-        ],
-        ids=[
-            "b_target-1.35e154",
-            "b_target-1.7e308",
-            "resonance_m-boosted",
-            "resonance_m-divergence",
-            "alpha-squared-underflow-boosted",
-            "alpha-squared-underflow-plain",
-            "b_target-phase-rounds-to-0-5e14",
-            "b_target-phase-rounds-to-0-1e20",
-            "default-budget-past-ceiling-b_target-1e7",
-            "default-budget-past-ceiling-b_target-1e10",
-            "default-budget-past-ceiling-alpha-1e-150",
-            "explicit-q_max-too-large-to-allocate",
-            "theta_min-phase-rounds-to-0-plain",
-            "theta_min-phase-rounds-to-0-boosted",
-            "n-too-large-to-allocate-grover-baseline",
-            "n-too-large-to-allocate-general-search",
-        ],
-    )
-    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, body):
-        # each once escaped as a traceback, as a numerical failure, or (the
-        # default budgets) as a run of minutes or an allocation of GiB; an
-        # explicit q_max whose columns cannot be allocated gave a traceback,
-        # and an n whose arrays cannot be allocated still did; a theta_min
-        # within rounding of 0 exited 2 as a numerical failure
-        out = tmp_path / "never.csv"
-        config = write_config(tmp_path, body)
-        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "entries, named",
-        [
-            ("inf", "b_values entry must be positive, b^2 finite, got inf"),
-            ("0.5", "b_values entry 0.5 is below the floor"),
-            ("2, 1e20", "b_values entry 1e+20 puts a pair phase within rounding"),
-        ],
-        ids=["inf", "below-floor", "phase-rounds-to-0"],
-    )
-    def test_b_sweep_error_names_b_values(self, tmp_path, capsys, entries, named):
-        # each named b_target, a key b-sweep refuses
-        out = tmp_path / "never.csv"
-        config = write_config(
-            tmp_path,
-            f"[experiment]\nkind = b-sweep\n[instance]\nn = 16\nb_values = {entries}\n",
-        )
-        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {named}")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, kind, instance, key",
-        [
-            ("run", "grover-baseline", "alpha = 0.3\n", "alpha"),
-            ("run", "general-search", "m = 4\n", "m"),
-            ("run", "general-search", "family = resonant\nb_target = 9\n", "b_target"),
-            ("run", "general-search", "family = symmetric\nepsilon = 0.1\n", "epsilon"),
-            ("run", "b-sweep", "b_target = 8\n", "b_target"),
-            ("run", "divergence-demo", "family = resonant\n", "family"),
-            ("sweep", "general-search", "m = 3, 4\n", "m"),
-        ],
-        ids=[
-            "grover-baseline-alpha",
-            "general-search-m",
-            "resonant-b_target",
-            "symmetric-epsilon",
-            "b-sweep-b_target",
-            "divergence-demo-family",
-            "sweep-general-search-m",
-        ],
-    )
-    def test_unread_key_is_config_error(
-        self, tmp_path, capsys, command, kind, instance, key
-    ):
-        # each ran and reported without the key, and exited 0
-        out = tmp_path / "never.csv"
-        body = f"[experiment]\nkind = {kind}\n[instance]\nn = 16\n{instance}"
-        config = write_config(tmp_path, body)
-        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {kind} does not read {key}\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("case", EXIT_CASES, ids=lambda case: case[0])
+    def test_exit_case(self, tmp_path, monkeypatch, capsys, case):
+        _, command, body, code, text = case
+        monkeypatch.chdir(tmp_path)
+        if body is not None:
+            write_config(tmp_path, body)
+        start = time.monotonic()
+        assert cli.main([*command.split(), "--config", "config.ini"]) == code
+        assert time.monotonic() - start < 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(EXIT_PREFIX[code] + text)
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert {path.name for path in tmp_path.iterdir()} <= {"config.ini"}
 
     def test_boosted_search_takes_ten_ancillas_at_b_1000(self, tmp_path, capsys):
         config = write_config(
@@ -806,67 +769,9 @@ class TestCli:
         )
         assert cli.main(["run", "--config", str(config)]) == 0
         capsys.readouterr()
-        row = parse_report_csv(tmp_path / "boost.csv")[0]
+        [row] = parse_report_csv(tmp_path / "boost.csv")
         assert row["m"] == 10
         assert row["peak_probability"] >= 0.7
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "[DEFAULT]\nn = 8\n",
-            "[DEFAULT]\nseed = 3\n[run]\nq_max = 4\n",
-        ],
-        ids=["alone", "beside-run"],
-    )
-    def test_default_section_is_config_error(self, tmp_path, body, capsys):
-        # ConfigParser hides [DEFAULT] from sections() and copies its keys
-        # into every other section
-        out = tmp_path / "report.csv"
-        config = write_config(tmp_path, body)
-        argv = ["run", "--config", str(config), "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_config_is_usage_error(self, tmp_path, capsys):
-        assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 1
-        capsys.readouterr()
-
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[instance]\nqubits = 4\n")
-        assert cli.main(["run", "--config", str(config)]) == 1
-        capsys.readouterr()
-
-    def test_bad_subcommand_is_usage_error(self, capsys):
-        assert cli.main(["frobnicate"]) == 1
-        capsys.readouterr()
-
-    def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        # at epsilon = 1e-18 every detuning rounds away: the 8x power drives
-        # the whole band onto 2*pi exactly, and the naive powered b diverges
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = divergence-demo\n"
-            "[instance]\nn = 16\nseed = 3\nepsilon = 1e-18\n"
-            f"[run]\nout = {tmp_path / 'never.csv'}\n",
-        )
-        assert cli.main(["run", "--config", str(config)]) == 2
-        assert "power 8 drives eigenvector" in capsys.readouterr().err
-        assert not (tmp_path / "never.csv").exists()
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_resonance_to_rounding_exits_two(self, tmp_path, capsys, m):
-        # detunings of at most 1e-15 leave 2^m theta within rounding of 2 pi
-        # (some wraps are 0.0, others are not); the naive power must refuse
-        config = write_config(
-            tmp_path,
-            "[experiment]\nkind = divergence-demo\n"
-            f"[instance]\nn = 16\nseed = 3\nepsilon = 1e-15\nresonance_m = {m}\n"
-            f"[run]\nout = {tmp_path / 'never.csv'}\n",
-        )
-        assert cli.main(["run", "--config", str(config)]) == 2
-        assert f"power {2**m} drives eigenvector" in capsys.readouterr().err
-        assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize(
         "theta, alpha, m",
