@@ -5,6 +5,11 @@ matrices check them at small N and share no code with that path, which
 never loads this module.  The oracles are frozen: this module changes only
 to fix a bug, to delete code or to move it.
 
+A spectrum holds no basis.  ``eigenbasis`` completes its target row to a
+unitary V whose row 0 is that row, and any such V realizes the spectrum:
+the target is basis state 0 and the source is column 0.  So every oracle
+here runs on any spectrum within ``DENSE_CAP``, compressed ones included.
+
 The stages act on (2^m, N, K) block arrays, K states at once, as
 V (helper) V^dag: the ``_apply_*`` helpers act on eigen-coordinates, where
 the ancilla transforms commute with I (x) V and the controlled powers and
@@ -24,16 +29,27 @@ import numpy as np
 
 from .linalg import EigensolverError, check_dense_cap
 from .pea import qft, walsh_hadamard
-from .spectra import EigenSpectrum, SearchInstance
+from .spectra import EigenSpectrum, SearchInstance, _complete_orthonormal
+
+
+def eigenbasis(spec: EigenSpectrum) -> np.ndarray:
+    """An (N, N) unitary eigenbasis of ``spec``: row 0 is its target row.
+
+    The Householder completion (``_complete_orthonormal``) of the conjugate
+    row, conjugate-transposed, so row 0 is ``target_row`` bit for bit.
+    Raises ``DenseCapError`` above the cap before anything is allocated.
+    """
+    check_dense_cap(spec.dimension)
+    return _complete_orthonormal(spec.target_row.conj()).conj().T
 
 
 def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
     """Dense diffusion matrix with exactly the given eigensystem.
 
-    Reads ``spec.vectors``, so it raises ``DenseCapError`` above the cap and
-    ``SpectrumValidationError`` on a spectrum that has no basis to build.
+    Reads ``eigenbasis(spec)``, so it raises ``DenseCapError`` above the cap.
     """
-    return (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
+    vectors = eigenbasis(spec)
+    return (vectors * np.exp(1j * spec.phases)) @ vectors.conj().T
 
 
 def search_operator(inst: SearchInstance) -> np.ndarray:
@@ -94,7 +110,7 @@ def _apply_boost(spec: EigenSpectrum, m: int, coeff: np.ndarray) -> np.ndarray:
 
 def _in_eigen_frame(stage, spec: EigenSpectrum, m: int, blocks: np.ndarray):
     """V stage(V^dag blocks): one basis change each way around an eigen stage."""
-    vectors = spec.vectors
+    vectors = eigenbasis(spec)
     return vectors @ stage(spec, m, vectors.conj().T @ blocks)
 
 
@@ -152,7 +168,7 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     size, n = 2**m, spec.dimension
     joint_dim = size * n
     blocks = _boost_blocks(spec, m)
-    vectors = spec.vectors
+    vectors = eigenbasis(spec)
     adjoint_rows = vectors.conj().T[:, np.newaxis, :]
     scaled = np.empty((n, size, n), dtype=np.complex128)
     out = np.empty((size, n, joint_dim), dtype=np.complex128)

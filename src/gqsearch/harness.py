@@ -407,13 +407,13 @@ def _validation_checks():
             raise AssertionError(f"lambda1 = {inst.lambda1}")
 
     def amplitude_grid():
-        # one identity-basis eigenvector per grid phase; in that basis each
-        # main row of a column is estimated on its own
+        # target row e_0 completes to the identity basis, one eigenvector per
+        # grid phase; in that basis each main row of a column is estimated
+        # on its own
         thetas = np.linspace(-np.pi + 1e-3, np.pi, 17)
         count = len(thetas)
-        eye = np.eye(count + 1, dtype=np.complex128)
         spectrum = spectra.EigenSpectrum(
-            np.append(0.0, thetas), eye[0], build=lambda: eye
+            np.append(0.0, thetas), np.eye(count + 1)[0]
         )
         for m in (1, 2, 3, 4):
             blocks = np.zeros((2**m, count + 1, 1), dtype=np.complex128)
@@ -428,7 +428,7 @@ def _validation_checks():
     def fixed_point():
         spectrum = spectra.symmetric_spectrum(16, 5, 0.3, 1.0)
         blocks = np.zeros((4, 16, 1), dtype=np.complex128)
-        blocks[0, :, 0] = spectrum.vectors[:, 0]
+        blocks[0, :, 0] = dense.eigenbasis(spectrum)[:, 0]
         for op in (dense.pea_operator, dense.boosted_diffusion):
             moved = op(spectrum, 2, blocks)
             if not np.max(np.abs(moved - blocks)) <= 1e-12:

@@ -7,9 +7,10 @@ so row 0 of the eigenbasis is the target row.  Which column holds the source
 and which basis state is the target are only labels, so this convention
 loses nothing.  A search instance caches the overlap moments that drive
 every downstream prediction.  The moments, and both search runs, read only
-the phases and the target row.  Every generator gives that row in closed
-form, in O(N); the full N x N eigenbasis is built only when a dense check
-reads it.
+the phases and the target row, so a spectrum is those two arrays and no
+more.  Every generator gives the row in closed form, in O(N); a dense check
+that needs a full N x N eigenbasis completes one from the row
+(``dense.eigenbasis``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
-from .linalg import bisect_root, check_dense_cap, wrap_phase
+from .linalg import bisect_root, wrap_phase
 
 ORTHONORMALITY_ATOL = 1e-10
 
@@ -53,22 +54,14 @@ class EigenSpectrum:
         with the target at computational basis state 0.
     weights : numpy.ndarray
         Shape (N,), the target weights ``abs(target_row) ** 2``.
-    vectors : numpy.ndarray
-        Shape (N, N); column k is the unit eigenvector for ``phases[k]``, and
-        column 0 is the source.  Made by ``build`` on first read.
 
     The instance is its phases and target row: every reported number reads
-    only those, and the constructor copies and validates both at once.
-    ``build``, if given, returns the full basis; it is called on the first
-    read of ``vectors`` (a dense check), never on the weight path, and its
-    array is adopted without a copy, checked orthonormal, checked to have
-    ``target_row`` as row 0 bit for bit, and cached.  Without ``build``,
-    reading ``vectors`` raises ``SpectrumValidationError``.  Above
-    ``DENSE_CAP`` the read raises ``DenseCapError`` before ``build`` runs.
-    All four arrays are read-only.
+    only those, and the constructor copies and validates both at once.  Any
+    unitary whose row 0 is ``target_row`` realizes it, so no basis is kept.
+    All three arrays are read-only.
     """
 
-    def __init__(self, phases, target_row, *, build=None):
+    def __init__(self, phases, target_row):
         phases = np.array(phases, dtype=np.float64)
         phases.setflags(write=False)
         _validate_phases(phases)
@@ -79,24 +72,6 @@ class EigenSpectrum:
         self.target_row = row
         self.weights = np.abs(row) ** 2
         self.weights.setflags(write=False)
-        self._build = build
-        self._vectors = None
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The (N, N) eigenbasis: built, checked and cached on first read."""
-        if self._vectors is None:
-            if self._build is None:
-                raise SpectrumValidationError(
-                    "spectrum holds phases and a target row only, no basis"
-                )
-            check_dense_cap(self.dimension)
-            vectors = np.asarray(self._build(), dtype=np.complex128)
-            _validate_eigenbasis(vectors, self.target_row)
-            vectors.setflags(write=False)
-            self._vectors = vectors
-            self._build = None
-        return self._vectors
 
     @property
     def dimension(self) -> int:
@@ -137,29 +112,6 @@ def _validate_row(row: np.ndarray, n: int) -> None:
         raise SpectrumValidationError(
             f"eigenbasis row not normalized: norm defect {defect:.3e}"
         )
-
-
-def _validate_eigenbasis(vectors: np.ndarray, row: np.ndarray) -> None:
-    """An (n, n) orthonormal basis, n <= ``DENSE_CAP``, whose row 0 is ``row``.
-
-    A NaN entry makes the gram defect NaN, which fails the check.
-    """
-    n = row.shape[0]
-    if vectors.shape != (n, n):
-        raise SpectrumValidationError(
-            f"eigenbasis shape {vectors.shape} does not match {n} phases"
-        )
-    gram = vectors.conj().T @ vectors
-    defect = np.abs(gram - np.eye(n))
-    worst = float(defect.max())
-    if not worst <= ORTHONORMALITY_ATOL:
-        i, j = np.unravel_index(int(defect.argmax()), defect.shape)
-        raise SpectrumValidationError(
-            f"eigenbasis not orthonormal: columns ({i}, {j}) have "
-            f"gram defect {worst:.3e}"
-        )
-    if vectors[0].tobytes() != row.tobytes():
-        raise SpectrumValidationError("eigenbasis row 0 is not the target row")
 
 
 @dataclass(frozen=True)
@@ -309,10 +261,8 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
     The source keeps phase 0 and every orthogonal direction gets phase pi,
     which makes both cotangent moments vanish and b_factor = sqrt(1-alpha^2).
-    The eigenbasis is a Householder completion of ``source``
-    (``_complete_orthonormal``); its target row is row 0 of that completion,
-    made alone in O(n), and the basis is built on the first read of
-    ``vectors``.
+    The target row is row 0 of a Householder completion of ``source``
+    (``_complete_orthonormal``), made alone in O(n).
     """
     source = np.array(source, dtype=np.complex128)
     if source.ndim != 1 or source.shape[0] != n:
@@ -324,11 +274,7 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
         raise ValueError(f"source must be normalized, got norm {norm!r}")
     phases = np.full(n, np.pi)
     phases[0] = 0.0
-    return EigenSpectrum(
-        phases,
-        _complete_orthonormal(source, rows=slice(0, 1))[0],
-        build=lambda: _complete_orthonormal(source),
-    )
+    return EigenSpectrum(phases, _complete_orthonormal(source, rows=slice(0, 1))[0])
 
 
 # normals per call when stepping the stream past the discarded block, through
@@ -344,26 +290,25 @@ _SPLIT_MIN = 2**19
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
-# (n, seed) draws kept per process; an entry holds 2 (n - 1) floats, 16 N bytes
+# (n, seed) draws kept per process; an entry holds n - 1 floats, 8 N bytes
 _DRAWS_KEPT = 8
 
 
-def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The random parts of a paired spectrum: source direction and profile.
+def _paired_draws(n: int, seed: int, alpha: float) -> np.ndarray:
+    """The random part of a paired spectrum's target row: its profile.
 
-    Returns ``w_sub``, the unit direction of the source orthogonal to the
-    target, and ``unit``, the unit target profile of the n - 1 complement
-    columns (its last entry, the lone slot, is exactly zero).  Between the two
-    draws the stream skips (n-1)(n-2) normals, once used to complete
-    ``w_sub`` to a basis; skipping them keeps every profile, and so every
+    Returns ``unit``, the unit target profile of the n - 1 complement
+    entries (its last entry, the lone slot, is exactly zero).  Before it the
+    stream skips (n-1)**2 normals, once used for a source direction and a
+    basis completing it; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
-    through a 2**14-entry buffer per thread, so no (n-1)x(n-2) block is
+    through a 2**14-entry buffer per thread, so no (n-1)x(n-1) block is
     held, and from ``_SPLIT_MIN`` of them (N = 726) on two threads
     (``_split_skip``).
 
-    The draws do not depend on ``alpha``, so they are made once per
-    ``(n, seed)`` per process and kept (``_seeded_draws``) at 16 N bytes per
-    entry; ``n`` and ``alpha`` are checked on every call.  Both arrays are
+    The draw does not depend on ``alpha``, so it is made once per
+    ``(n, seed)`` per process and kept (``_seeded_draws``) at 8 N bytes per
+    entry; ``n`` and ``alpha`` are checked on every call.  The array is
     shared by every caller and read-only.  ``seed`` must be an integer: a
     seed of None would draw fresh entropy that must not be kept.
     """
@@ -375,25 +320,22 @@ def _paired_draws(n: int, seed: int, alpha: float) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.lru_cache(maxsize=_DRAWS_KEPT)
-def _seeded_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _seeded_draws(n: int, seed: int) -> np.ndarray:
     """``_paired_draws`` from the stream of ``seed``, with no argument checks.
 
     The skipped normals are drawn by NumPy's own sampler, on one thread or
     two, so the profile after them is bit for bit the one-thread value.
     """
     rng = np.random.default_rng(seed)
-    w_sub = rng.standard_normal(n - 1)
-    w_sub /= np.linalg.norm(w_sub)
-    skipped = (n - 1) * (n - 2)
+    skipped = (n - 1) ** 2
     if skipped >= _SPLIT_MIN:
         _split_skip(rng, skipped)
     else:
         _draw_normals(rng, skipped)
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
-    w_sub.setflags(write=False)
     unit.setflags(write=False)
-    return w_sub, unit
+    return unit
 
 
 def _draw_normals(rng: np.random.Generator, count: int) -> None:
@@ -496,88 +438,50 @@ def _words_between(start: dict, end: dict) -> int:
 def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:
     """Target weight of each +/- pair, both members together.
 
-    The rotated complement's target row is ``beta * unit`` and pair j is
-    built from columns 2j and 2j+1, so its weight is
+    The complement's target row is ``beta * unit`` and pair j is built
+    from entries 2j and 2j+1 (``_paired_row``), so its weight is
     beta^2 (unit[2j]^2 + unit[2j+1]^2) with beta^2 = 1 - alpha^2.  The last
     entry of ``unit`` is the lone slot and belongs to no pair.
     """
     return (1.0 - alpha**2) * (unit[0:-1:2] ** 2 + unit[1:-1:2] ** 2)
 
 
-def _write_pairs(out: np.ndarray, frame: np.ndarray) -> None:
-    """Lay out the real n - 1 column ``frame`` as columns 1.. of ``out``.
-
-    Frame columns 2j and 2j+1, a and b, become the pair (a +/- ib)/sqrt(2)
-    and the last frame column the lone one.  Pair members share every bit of
-    magnitude, so the first cotangent moment cancels term by term.
-    """
-    n = out.shape[-1]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a = frame[..., 0 : n - 2 : 2] * inv_sqrt2
-    b = frame[..., 1 : n - 2 : 2] * inv_sqrt2
-    out.real[..., 1 : n - 1 : 2] = a
-    out.imag[..., 1 : n - 1 : 2] = b
-    out.real[..., 2 : n - 1 : 2] = a
-    np.negative(b, out=out.imag[..., 2 : n - 1 : 2])
-    out[..., n - 1] = frame[..., n - 2]
-
-
 def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
-    """Row 0 of ``_paired_vectors``, bit for bit, in O(n); its lone slot is 0."""
-    row = np.empty(unit.shape[0] + 1, dtype=np.complex128)
+    """The target row of a paired spectrum, in O(n): source entry ``alpha``.
+
+    The real profile ``beta * unit``, beta^2 = 1 - alpha^2, is laid out
+    after it: entries 2j and 2j+1, a and b, become the pair (a +/- ib)/sqrt(2)
+    and the last entry, exactly zero, the lone slot.  Pair members share
+    every bit of magnitude, so the first cotangent moment cancels term by
+    term.
+    """
+    n = unit.shape[0] + 1
+    profile = math.sqrt(1.0 - alpha**2) * unit
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    a = profile[0 : n - 2 : 2] * inv_sqrt2
+    b = profile[1 : n - 2 : 2] * inv_sqrt2
+    row = np.empty(n, dtype=np.complex128)
     row[0] = alpha
-    _write_pairs(row, math.sqrt(1.0 - alpha**2) * unit)
+    row.real[1 : n - 1 : 2] = a
+    row.imag[1 : n - 1 : 2] = b
+    row.real[2 : n - 1 : 2] = a
+    np.negative(b, out=row.imag[2 : n - 1 : 2])
+    row[n - 1] = profile[n - 2]
     return row
 
 
-def _paired_vectors(alpha: float, w_sub: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Eigenbasis with the source in column 0 and conjugate pairs after it.
-
-    Column 0 is ``(alpha, beta * w_sub)``.  The complement starts from a real
-    frame whose column 0 holds the whole residual target weight and whose
-    other columns are a Householder completion of ``w_sub`` (zero target
-    component).  A reflection sending e_0 to ``unit``, applied as a rank-1
-    update, gives the frame the target row ``beta * unit``, which is written
-    directly: the update runs on rows 1 to n - 1.  ``_write_pairs`` makes
-    the pairs and the lone eigenvector, whose target amplitude is 0.
-    """
-    n = w_sub.shape[0] + 1
-    beta = math.sqrt(1.0 - alpha**2)
-    frame = np.empty((n, n - 1))
-    frame[0] = beta * unit
-    rest = frame[1:]
-    rest[:, 0] = -alpha * w_sub
-    rest[:, 1:] = _complete_orthonormal(w_sub)[:, 1:]
-    # unit has >= 2 entries of at least 0.5 before scaling, so v is never 0
-    v = -unit
-    v[0] += 1.0
-    rest -= np.outer(rest @ v, (2.0 / float(v @ v)) * v)
-
-    vectors = np.empty((n, n), dtype=np.complex128)
-    vectors[:, 0] = np.concatenate(([alpha], beta * w_sub))
-    _write_pairs(vectors, frame)
-    return vectors
-
-
 def _paired_spectrum(
-    alpha: float,
-    w_sub: np.ndarray,
-    unit: np.ndarray,
-    pair_phases: np.ndarray,
-    lone_phase: float,
+    alpha: float, unit: np.ndarray, pair_phases: np.ndarray, lone_phase: float
 ) -> EigenSpectrum:
     """A spectrum with exact +/- phase pairs and matched weights.
 
-    The target is basis state 0.  Only ``w_sub`` and ``unit`` (from
-    ``_paired_draws``) and the phases are random; the complement of the
-    source is a deterministic Householder completion.  The target row
-    (``_paired_row``) costs O(n); the eigenbasis (``_paired_vectors``,
-    O(n**2)) is built only when ``vectors`` is first read.  The two members
-    of each pair carry equal target weight, bit for bit, and the lone
-    leftover eigenvector exactly zero.  A pair phase of pi pairs with pi, as
-    -pi lies outside (-pi, pi].
+    The target is basis state 0.  Only ``unit`` (from ``_paired_draws``)
+    and the phases are random.  The target row (``_paired_row``) costs
+    O(n).  The two members of each pair carry equal target weight, bit for
+    bit, and the lone leftover entry exactly zero.  A pair phase of pi pairs
+    with pi, as -pi lies outside (-pi, pi].
     """
-    n = w_sub.shape[0] + 1
+    n = unit.shape[0] + 1
     pairs = (n - 2) // 2
     if pair_phases.shape != (pairs,):
         raise ValueError(f"expected {pairs} pair phases, got {pair_phases.shape}")
@@ -586,11 +490,7 @@ def _paired_spectrum(
     phases[1 : n - 1 : 2] = pair_phases
     phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
     phases[n - 1] = lone_phase
-    return EigenSpectrum(
-        phases,
-        _paired_row(alpha, unit),
-        build=lambda: _paired_vectors(alpha, w_sub, unit),
-    )
+    return EigenSpectrum(phases, _paired_row(alpha, unit))
 
 
 def symmetric_spectrum(
@@ -610,11 +510,8 @@ def symmetric_spectrum(
     on the target.  A pair phase within rounding of 0, where build would
     raise ``ResonanceError``, is a ``ValueError`` naming ``b_target`` if one
     was given and ``theta_min`` otherwise.  ``alpha`` defaults to
-    1/sqrt(n); the target is basis state 0.  Only the phases, the source
-    direction and the target profile are random; the rest of the eigenbasis
-    is a Householder completion (see ``_paired_spectrum``).  The spectrum
-    carries the target row in closed form; its N x N eigenbasis is
-    built on the first read of ``vectors``.
+    1/sqrt(n); the target is basis state 0.  Only the phases and the
+    target profile are random (see ``_paired_spectrum``).
     """
     if not 0.0 < theta_min <= theta_max < np.pi:
         raise ValueError(
@@ -626,7 +523,7 @@ def symmetric_spectrum(
     rng = np.random.default_rng(seed)
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
     drawn = rng.uniform(theta_min, theta_max, size=pairs)
-    w_sub, unit = _paired_draws(n, seed, alpha)
+    unit = _paired_draws(n, seed, alpha)
     weights = _pair_weights(unit, alpha)
     if b_target is not None:
         drawn = _rescale_for_b_target(drawn, weights, b_target)
@@ -635,7 +532,7 @@ def symmetric_spectrum(
     if np.any(_resonant(_power(drawn[weights > 0.0], 1), 1)):
         named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
         raise ValueError(f"{named} puts a pair phase within rounding of 0")
-    return _paired_spectrum(alpha, w_sub, unit, drawn, lone_phase=np.pi)
+    return _paired_spectrum(alpha, unit, drawn, lone_phase=np.pi)
 
 
 def _rescale_for_b_target(
@@ -690,7 +587,7 @@ def resonant_spectrum(
     naively powered b factor blows up like 1/epsilon while the r = 1 value
     stays moderate.  Detunings are spread over [0.1, 1.0]*epsilon so the
     blow-up ratio scales cleanly.  As with ``symmetric_spectrum``, the target
-    row is closed form and the eigenbasis is built on reading ``vectors``.
+    row is closed form.
     """
     _check_ancilla_count(m)
     if not 0.0 < epsilon <= 1.0:
@@ -702,15 +599,12 @@ def resonant_spectrum(
     detunings = epsilon * np.linspace(0.1, 1.0, pairs)
     pair_phases = np.abs(wrap_phase(base + detunings))
     lone = float(np.abs(wrap_phase(base + epsilon)))
-    w_sub, unit = _paired_draws(n, seed, alpha)
-    return _paired_spectrum(alpha, w_sub, unit, pair_phases, lone_phase=lone)
+    unit = _paired_draws(n, seed, alpha)
+    return _paired_spectrum(alpha, unit, pair_phases, lone_phase=lone)
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:
-    """Symmetric spectrum tuned so b grows like sqrt(ln N) with dimension.
-
-    Built by ``symmetric_spectrum``, so its eigenbasis is built lazily too.
-    """
+    """Symmetric spectrum tuned so b grows like sqrt(ln N) with dimension."""
     if not 6 <= log2n <= 12:
         raise ValueError(f"log2n must lie in [6, 12], got {log2n}")
     n = 2**log2n

@@ -38,11 +38,6 @@ def parse_report_csv(path) -> list[dict]:
     return rows
 
 
-def from_basis(phases, vectors) -> EigenSpectrum:
-    """The spectrum of an explicit basis: its row 0 is the target row."""
-    return EigenSpectrum(phases, vectors[0], build=lambda: vectors)
-
-
 def graph_spectrum(levels, gamma) -> EigenSpectrum:
     """A vertex-transitive graph diffusion e^{-i gamma L}, one entry per level.
 
@@ -50,9 +45,10 @@ def graph_spectrum(levels, gamma) -> EigenSpectrum:
     lambda of multiplicity mu is one entry with phase wrap(-gamma lambda)
     and target entry sqrt(mu / N), whichever vertex is marked; the
     lambda = 0 entry, the source, comes first.  The spectrum is just those
-    phases and that target row, with no ``build``: a level stands for a
-    whole eigenspace, so no N x N basis exists and reading ``vectors``
-    raises.
+    phases and that target row.  A level stands for a whole eigenspace, so
+    the spectrum has one entry per level, not per vertex; a dense oracle
+    runs on it through ``dense.eigenbasis``, a basis of that compressed
+    dimension.
     """
     n = sum(levels.values())
     items = sorted(levels.items())

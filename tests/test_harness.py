@@ -355,7 +355,7 @@ def normals_drawn(monkeypatch):
 
 
 class TestDrawMemo:
-    """Runs on one (n, seed) draw the paired spectrum's normals once."""
+    """Runs on one (n, seed) draw the paired spectrum's skipped normals once."""
 
     def test_boosted_sweep_skips_once(self, tmp_path, normals_drawn):
         config = write_config(
@@ -366,8 +366,8 @@ class TestDrawMemo:
         )
         assert cli.main(["sweep", "--config", str(config)]) == 0
         assert len(parse_report_csv(tmp_path / "sweep.csv")) == 3
-        # the source direction, then the skipped block, each once
-        assert normals_drawn == [63, 63 * 62]
+        # the one discarded block of (n - 1)^2 normals, before the profile
+        assert normals_drawn == [63 * 63]
 
     def test_b_sweep_skips_once(self, tmp_path, normals_drawn):
         path = write_config(
@@ -375,7 +375,7 @@ class TestDrawMemo:
         )
         rows = run_experiment(load_config(path))
         assert [row.b_factor for row in rows] == pytest.approx([2, 4, 8, 16])
-        assert normals_drawn == [63, 63 * 62]
+        assert normals_drawn == [63 * 63]
 
     def test_warm_sweep_matches_cold_runs(self, tmp_path):
         config = write_config(

@@ -96,7 +96,7 @@ def test_relevant_pair_above_the_dense_cap_loads_no_scipy(tmp_path):
         )
         scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
         print(spec.dimension > DENSE_CAP, plus > 0.0 > minus,
-              0.0 <= residual < 0.02, spec._vectors is None, scipy)
+              0.0 <= residual < 0.02, "gqsearch.dense" not in sys.modules, scipy)
     """
     assert run_fresh(code, tmp_path) == ["True"] * 4 + ["False"]
 

@@ -1,4 +1,4 @@
-"""Spectrum construction, moment sums, generators, basis validation."""
+"""Spectrum construction, moment sums, generators, the dense eigenbasis."""
 
 import math
 import os
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqsearch.dense import build_diffusion, search_operator
+from gqsearch.dense import build_diffusion, eigenbasis, search_operator
 from gqsearch.linalg import DENSE_CAP, DenseCapError
 from gqsearch.spectra import (
     EigenSpectrum,
@@ -24,6 +24,7 @@ from gqsearch.spectra import (
     scaling_family,
     symmetric_spectrum,
 )
+import gqsearch.dense
 from gqsearch import spectra
 from gqsearch.harness import ExperimentConfig, run_experiment
 from gqsearch.pea import (
@@ -35,7 +36,7 @@ from gqsearch.pea import (
 )
 from gqsearch.search import predict_spectrum, run_iterations
 
-from helpers import from_basis, graph_spectrum, hypercube_levels, unitarity_defect
+from helpers import graph_spectrum, hypercube_levels, torus_levels, unitarity_defect
 
 
 def two_phase_toy():
@@ -44,17 +45,18 @@ def two_phase_toy():
     Hand-checkable: both pair weights are 0.32, so lambda1 cancels exactly,
     lambda2 = 0.64 * cot(pi/4)^2 = 0.64 and b^2 = 0.64 / sin(pi/4)^2 = 1.28.
     """
-    real = np.array([0.8, -0.6, 0.0]) / math.sqrt(2.0)
-    imag = np.array([0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    vectors = np.column_stack(
-        [
-            np.array([0.6, 0.8, 0.0], dtype=np.complex128),
-            real + 1j * imag,
-            real - 1j * imag,
-        ]
-    )
+    member = 0.8 / math.sqrt(2.0)
     phases = np.array([0.0, 0.5 * math.pi, -0.5 * math.pi])
-    return from_basis(phases, vectors)
+    return EigenSpectrum(phases, [0.6, member, member])
+
+
+def zero_weight_toy():
+    """4 entries: entry 1 carries no target weight, entries 2 and 3 a pair."""
+    amplitude = math.sqrt(3.0 / 8.0)
+    return EigenSpectrum(
+        np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
+        np.array([0.5, 0.0, amplitude, amplitude]),
+    )
 
 
 def test_toy_instance_matches_hand_computation():
@@ -128,7 +130,7 @@ def test_build_diffusion_is_unitary_and_fixes_source():
     spec = symmetric_spectrum(16, 9, 0.6, 1.8)
     matrix = build_diffusion(spec)
     assert unitarity_defect(matrix) < 1e-10
-    source = spec.vectors[:, 0]
+    source = eigenbasis(spec)[:, 0]
     assert np.allclose(matrix @ source, source, atol=1e-10)
 
 
@@ -146,8 +148,7 @@ class TestSymmetricGenerator:
     def test_phases_stay_inside_band(self):
         spec = symmetric_spectrum(64, 8, 1.1, 2.3)
         live = np.abs(spec.phases[1:])
-        weights = np.abs(spec.vectors[0, 1:]) ** 2
-        banded = live[weights > 0.0]
+        banded = live[spec.weights[1:] > 0.0]
         assert np.all(banded >= 1.1 - 1e-12)
         assert np.all(banded <= 2.3 + 1e-12)
 
@@ -190,7 +191,7 @@ class TestSymmetricGenerator:
         n, alpha = 16, 0.25
         for seed in range(40):
             drawn = symmetric_spectrum(n, seed, 0.5, 1.5, alpha=alpha).phases[1:-1:2]
-            unit = spectra._paired_draws(n, seed, alpha)[1]
+            unit = spectra._paired_draws(n, seed, alpha)
             weights = spectra._pair_weights(unit, alpha)
             stretched = np.sin(0.5 * (np.pi / float(np.max(drawn))) * drawn) ** 2
             floor = math.sqrt(float(np.sum(weights / stretched)))
@@ -204,23 +205,22 @@ class TestSymmetricGenerator:
         second = symmetric_spectrum(32, 21, 0.8, 1.6)
         third = symmetric_spectrum(32, 22, 0.8, 1.6)
         assert np.array_equal(first.phases, second.phases)
-        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.target_row, second.target_row)
         assert not np.array_equal(first.phases, third.phases)
 
 
 class TestDrawMemo:
-    """The paired draws are made once per (n, seed) and shared read-only."""
+    """The paired profile is drawn once per (n, seed) and shared read-only."""
 
     def test_draws_are_read_only(self):
         spectra._seeded_draws.cache_clear()
-        for w_sub, unit in (
+        for unit in (
             spectra._paired_draws(16, 3, 0.25),
             spectra._paired_draws(16, 3, 0.5),  # warm, under another alpha
         ):
-            for array in (w_sub, unit):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
+            assert not unit.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                unit[0] = 0.0
 
     @pytest.mark.parametrize("seed", [1.0, 1.5, None, "1"])
     def test_non_integer_seed_raises(self, seed):
@@ -245,7 +245,7 @@ class TestDrawMemo:
         hits = spectra._seeded_draws.cache_info().hits
         warm = make()
         assert spectra._seeded_draws.cache_info().hits == hits + 1
-        for name in ("phases", "target_row", "vectors"):
+        for name in ("phases", "target_row"):
             assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
@@ -257,9 +257,10 @@ def one_thread_skip(rng, count):
         count -= chunk
 
 
-def after_w_sub(n, seed):
+def stream_after(seed, normals):
+    """The stream of ``seed`` with ``normals`` standard normals drawn."""
     rng = np.random.default_rng(seed)
-    rng.standard_normal(n - 1)
+    rng.standard_normal(normals)
     return rng
 
 
@@ -280,11 +281,9 @@ def threads_started(monkeypatch):
 def one_thread_draws(n, seed):
     """``_seeded_draws(n, seed)`` as a plain one-thread loop."""
     rng = np.random.default_rng(seed)
-    w_sub = rng.standard_normal(n - 1)
-    w_sub /= np.linalg.norm(w_sub)
-    one_thread_skip(rng, (n - 1) * (n - 2))
+    one_thread_skip(rng, (n - 1) ** 2)
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
-    return w_sub, profile / np.linalg.norm(profile)
+    return profile / np.linalg.norm(profile)
 
 
 class TestSplitSkip:
@@ -321,17 +320,19 @@ class TestSplitSkip:
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16, 64, 130])
     def test_split_matches_one_thread(self, n, threads_started):
-        count = (n - 1) * (n - 2)
+        count = (n - 1) ** 2
         for seed in range(60):
-            split, serial = after_w_sub(n, seed), after_w_sub(n, seed)
+            split = np.random.default_rng(seed)
+            serial = np.random.default_rng(seed)
             spectra._split_skip(split, count)
             one_thread_skip(serial, count)
             assert split.bit_generator.state == serial.bit_generator.state, seed
         assert len(threads_started) == 60
 
     def test_fallback_when_the_join_falls_inside_a_normal(self, monkeypatch):
-        # at n = 4, seed 2549 the first half ends inside a normal the helper
-        # drew, so no count of helper normals ends there
+        # three normals into the stream of seed 2549, the first half of six
+        # ends inside a normal the helper drew, so no count of helper
+        # normals ends there
         landed = []
         normals_to = spectra._normals_to
 
@@ -340,7 +341,7 @@ class TestSplitSkip:
             return landed[-1]
 
         monkeypatch.setattr(spectra, "_normals_to", recorded)
-        split, serial = after_w_sub(4, 2549), after_w_sub(4, 2549)
+        split, serial = stream_after(2549, 3), stream_after(2549, 3)
         spectra._split_skip(split, 6)
         one_thread_skip(serial, 6)
         assert landed == [None]
@@ -356,7 +357,7 @@ class TestSplitSkip:
 
         monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
         with pytest.raises(RuntimeError, match="helper failed"):
-            spectra._split_skip(after_w_sub(16, 0), 15 * 14)
+            spectra._split_skip(stream_after(0, 15), 15 * 14)
 
     @pytest.mark.parametrize("helper_fails", [False, True])
     def test_split_makes_no_affinity_call(self, monkeypatch, helper_fails):
@@ -375,7 +376,7 @@ class TestSplitSkip:
             draw(rng, count)
 
         monkeypatch.setattr(spectra, "_draw_normals", drawn)
-        split, serial = after_w_sub(130, 3), after_w_sub(130, 3)
+        split, serial = stream_after(3, 129), stream_after(3, 129)
         if helper_fails:
             with pytest.raises(RuntimeError, match="helper failed"):
                 spectra._split_skip(split, 129 * 128)
@@ -408,15 +409,14 @@ class TestSplitSkip:
     def test_scaling_family_4096_matches_one_thread_loop(self, seed, threads_started):
         # the real path at the default threshold, on any core count
         n = 4096
-        w_sub, unit = one_thread_draws(n, seed)
+        unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
         try:
             spec = scaling_family(12, seed)
             drawn = spectra._seeded_draws(n, seed)
         finally:
             spectra._seeded_draws.cache_clear()
-        assert drawn[0].tobytes() == w_sub.tobytes()
-        assert drawn[1].tobytes() == unit.tobytes()
+        assert drawn.tobytes() == unit.tobytes()
         assert spec.dimension == n
         assert threads_started == ["gqsearch-skip"]
 
@@ -424,31 +424,14 @@ class TestSplitSkip:
     @pytest.mark.parametrize("seed", [1, 23])
     def test_draws_match_one_thread_loop(self, n, seed, threads_started):
         # the real path: N = 1024 is above the threshold and N = 512 below it
-        w_sub, unit = one_thread_draws(n, seed)
+        unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
         try:
             drawn = spectra._seeded_draws(n, seed)
         finally:
             spectra._seeded_draws.cache_clear()
-        assert drawn[0].tobytes() == w_sub.tobytes()
-        assert drawn[1].tobytes() == unit.tobytes()
+        assert drawn.tobytes() == unit.tobytes()
         assert threads_started == (["gqsearch-skip"] if n == 1024 else [])
-
-
-def test_relabeling_invariance():
-    # permuting the non-target basis states leaves the moments alone
-    spec = symmetric_spectrum(16, 4, 0.7, 1.7)
-    inst = SearchInstance.build(spec)
-    rng = np.random.default_rng(40)
-    perm = np.concatenate(([0], 1 + rng.permutation(15)))
-    shuffled = np.empty_like(spec.vectors)
-    shuffled[perm, :] = spec.vectors
-    assert not np.array_equal(shuffled, spec.vectors)
-    relabeled = from_basis(spec.phases.copy(), shuffled)
-    moved = SearchInstance.build(relabeled)
-    assert np.isclose(moved.alpha, inst.alpha, rtol=1e-12)
-    assert np.isclose(moved.lambda2, inst.lambda2, rtol=1e-12)
-    assert np.isclose(moved.b_factor, inst.b_factor, rtol=1e-12)
 
 
 class TestSpectrumValidation:
@@ -461,41 +444,22 @@ class TestSpectrumValidation:
         assert not isinstance(raised.value, SpectrumValidationError)
 
     def test_degenerate_source_phase_rejected(self):
-        vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 0.0, 1.0])
         with pytest.raises(
             SpectrumValidationError, match="eigenvector 1 shares phase 0"
         ):
-            from_basis(phases, vectors)
+            EigenSpectrum(phases, [1.0, 0.0, 0.0])
 
     def test_phase_outside_interval_rejected(self):
-        vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.0, 4.0, 1.0])
         with pytest.raises(SpectrumValidationError):
-            from_basis(phases, vectors)
-
-    def test_nonorthonormal_vectors_rejected(self):
-        # row 0 is a unit vector, so the spectrum is made; the gram check
-        # rejects the basis when it is read
-        vectors = np.ones((3, 3), dtype=np.complex128)
-        vectors[0] = [1.0, 0.0, 0.0]
-        spec = from_basis(np.array([0.0, 1.0, 2.0]), vectors)
-        with pytest.raises(SpectrumValidationError, match="not orthonormal"):
-            spec.vectors
+            EigenSpectrum(phases, [1.0, 0.0, 0.0])
 
     def test_nan_phase_rejected(self):
         # NaN fails every comparison; the range check must still catch it
-        vectors = np.eye(4, dtype=np.complex128)
         phases = np.array([0.0, 0.5, -0.5, np.nan])
         with pytest.raises(SpectrumValidationError, match=r"\(-pi, pi\]"):
-            from_basis(phases, vectors)
-
-    def test_nan_basis_rejected(self):
-        vectors = np.eye(3, dtype=np.complex128)
-        vectors[2, 2] = np.nan
-        spec = from_basis(np.array([0.0, 1.0, 2.0]), vectors)
-        with pytest.raises(SpectrumValidationError, match="not orthonormal"):
-            spec.vectors
+            EigenSpectrum(phases, [1.0, 0.0, 0.0, 0.0])
 
     def test_nan_b_identity_rejected(self, monkeypatch):
         # a NaN b^2 must fail the moment identity, not pass it
@@ -505,17 +469,14 @@ class TestSpectrumValidation:
             SearchInstance.build(spec)
 
     def test_source_phase_must_be_zero(self):
-        vectors = np.eye(3, dtype=np.complex128)
         phases = np.array([0.5, 1.0, 2.0])
         with pytest.raises(SpectrumValidationError):
-            from_basis(phases, vectors)
+            EigenSpectrum(phases, [1.0, 0.0, 0.0])
 
     def test_arrays_are_frozen(self):
         spec = two_phase_toy()
         with pytest.raises(ValueError):
             spec.phases[1] = 0.3
-        # row 0 of an explicit basis is its target row, bit for bit
-        assert spec.target_row.tobytes() == spec.vectors[0].tobytes()
         generated = symmetric_spectrum(8, 1, 0.5, 1.5)
         for row in (spec.target_row, generated.target_row):
             with pytest.raises(ValueError):
@@ -558,12 +519,7 @@ class TestNaivePowering:
     def test_zero_weight_resonance_is_exempt(self):
         # entry 1 has no target weight and resonates at every even power;
         # entry 2 is weighted and resonates from r = 4 on
-        amplitude = math.sqrt(3.0 / 8.0)
-        spec = EigenSpectrum(
-            np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
-            np.array([0.5, 0.0, amplitude, amplitude]),
-        )
-        inst = SearchInstance.build(spec)
+        inst = SearchInstance.build(zero_weight_toy())
         assert math.isfinite(naive_power_b(inst, 2))
         with pytest.raises(
             ResonanceError, match=r"power 4 drives eigenvector 2 \(phase 1\.57"
@@ -612,8 +568,7 @@ class TestResonantGenerator:
     def test_phases_cluster_near_resonances(self):
         m, epsilon = 3, 1e-3
         spec = resonant_spectrum(64, m, epsilon, 12)
-        weights = np.abs(spec.vectors[0, 1:]) ** 2
-        live = np.abs(spec.phases[1:])[weights > 0.0]
+        live = np.abs(spec.phases[1:])[spec.weights[1:] > 0.0]
         step = 2.0 * math.pi / 2**m
         distance = np.abs(live - step * np.round(live / step))
         assert np.all(distance <= epsilon * (1.0 + 1e-9))
@@ -624,7 +579,6 @@ class TestResonantGenerator:
         # at m = 1 the detuned phases round to exactly pi; their partners
         # were written as -pi, outside (-pi, pi]
         spec = resonant_spectrum(16, 1, 1e-17, seed)
-        assert spec.vectors.shape == (16, 16)  # the built basis validates too
         assert np.all(spec.phases[1:] == np.pi)
         assert SearchInstance.build(spec).lambda1 == 0.0
 
@@ -637,54 +591,45 @@ class TestResonantGenerator:
     def test_deterministic_per_seed(self):
         first = resonant_spectrum(32, 3, 1e-3, 9)
         second = resonant_spectrum(32, 3, 1e-3, 9)
-        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.phases, second.phases)
+        assert np.array_equal(first.target_row, second.target_row)
 
 
 class TestPairedConstruction:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_closed_form_pair_weights_match_assembled_rows(self, seed):
         n, alpha = 64, 0.05
-        w_sub, unit = spectra._paired_draws(n, seed, alpha)
+        unit = spectra._paired_draws(n, seed, alpha)
         phases = np.linspace(0.5, 1.5, (n - 2) // 2)
-        spec = spectra._paired_spectrum(alpha, w_sub, unit, phases, np.pi)
-        member = np.abs(spec.vectors[0, :]) ** 2
-        assembled = member[1 : n - 1 : 2] + member[2 : n - 1 : 2]
+        spec = spectra._paired_spectrum(alpha, unit, phases, np.pi)
+        weights = spec.weights
+        assembled = weights[1 : n - 1 : 2] + weights[2 : n - 1 : 2]
         closed = spectra._pair_weights(unit, alpha)
         assert np.max(np.abs(closed - assembled)) <= 1e-15
         # the lone slot is pinned to exactly zero target weight
-        assert spec.vectors[0, n - 1] == 0.0
+        assert spec.target_row[n - 1] == 0.0
 
     @pytest.mark.parametrize("n", [4, 6, 64, 1024])
     @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
     def test_generated_basis_is_orthonormal(self, kind, n):
+        # the dense eigenbasis of a paired spectrum: unitary, with the target
+        # row as row 0 bit for bit, its lone slot included
         if kind == "symmetric":
             spec = symmetric_spectrum(n, 5, 0.5, 1.5)
         else:
             spec = resonant_spectrum(n, 3, 1e-3, 5)
-        vectors = spec.vectors
-        assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-13
-        assert spec.vectors[0, n - 1] == 0.0
+        vectors = eigenbasis(spec)
+        assert unitarity_defect(vectors) <= 1e-13
+        assert vectors[0].tobytes() == spec.target_row.tobytes()
+        assert vectors[0, n - 1] == 0.0
 
 
 class TestWeightPath:
-    @pytest.mark.parametrize("n", [4, 64, 1024])
-    @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
-    def test_closed_form_row_matches_built_basis(self, kind, n):
-        for seed in (0, 1, 2, 3):
-            if kind == "symmetric":
-                spec = symmetric_spectrum(n, seed, 0.5, 1.5)
-            else:
-                spec = resonant_spectrum(n, 3, 1e-3, seed)
-            row = spec.target_row
-            assert spec._vectors is None
-            assert np.array_equal(row, spec.vectors[0])
-            # the closed-form row stays the answer once the basis exists
-            assert spec.target_row is row
-            assert row[n - 1] == 0.0
-
     @pytest.mark.parametrize("n", [8, 64, 1024])
     @pytest.mark.parametrize("source", ["uniform", "random", "e3"])
     def test_grover_row_matches_built_basis(self, source, n):
+        # the closed-form row is row 0 of the full completion of the source,
+        # so the spectrum is the reflection about ``source``
         if source == "uniform":
             vector = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         elif source == "random":
@@ -697,39 +642,12 @@ class TestWeightPath:
             # already a basis vector: no reflection, the identity completion
             vector = np.zeros(n, dtype=np.complex128)
             vector[3] = 1.0
-        spec = grover_spectrum(n, vector)
-        row = spec.target_row
-        assert spec._vectors is None
-        assert np.array_equal(row, spec.vectors[0])
-        assert spec.target_row is row
+        row = grover_spectrum(n, vector).target_row
+        assert row.tobytes() == spectra._complete_orthonormal(vector)[0].tobytes()
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: symmetric_spectrum(256, 3, 0.5, 1.5, b_target=8),
-            lambda: symmetric_spectrum(64, 5, 0.9, 2.1, alpha=0.07),
-            lambda: resonant_spectrum(64, 3, 1e-3, 12),
-        ],
-        ids=["symmetric_b8", "symmetric_alpha", "resonant"],
-    )
-    def test_instance_matches_explicit_vectors(self, make):
-        spec = make()
-        lazy = SearchInstance.build(spec)
-        dense = SearchInstance.build(from_basis(spec.phases, spec.vectors))
-        for name in ("alpha", "lambda1", "lambda2", "b_factor"):
-            assert abs(getattr(lazy, name) - getattr(dense, name)) <= 1e-12
-        gap = lazy.spectrum.weights - dense.spectrum.weights
-        assert np.max(np.abs(gap)) <= 1e-15
-
-    def test_weight_path_never_builds_the_eigenbasis(self, monkeypatch):
+    def test_weight_path_never_builds_the_eigenbasis(self):
         # every layer a report needs, at N = 4096, where one N x N complex
-        # array takes 256 MiB
-        made = []
-        generate = spectra.grover_spectrum
-        monkeypatch.setattr(
-            spectra, "grover_spectrum",
-            lambda *args: made.append(generate(*args)) or made[-1],
-        )
+        # array takes 256 MiB: the peak stays below an eighth of one
         tracemalloc.start()
         try:
             spec = scaling_family(12, 1)
@@ -745,8 +663,6 @@ class TestWeightPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spec._vectors is None
-        assert len(made) == 1 and made[0]._vectors is None
         assert predicted.q_m > 0
         assert peak < 4096 * 4096 * 16 / 8
 
@@ -760,79 +676,54 @@ class TestWeightPath:
         assert spec.target_row[0] == 0.6
         assert spec.weights[0] == 0.36
 
-    def test_built_basis_must_have_the_target_row(self):
-        # the identity is orthonormal, but its row 0 is e_0, not the
-        # claimed target row e_1
-        spec = EigenSpectrum(
-            [0.0, 1.0, 2.0], [0.0, 1.0, 0.0], build=lambda: np.eye(3)
-        )
-        with pytest.raises(SpectrumValidationError, match="not the target row"):
-            spec.vectors
-        assert spec._vectors is None
-
-    def test_generated_vectors_are_adopted(self, monkeypatch):
-        built = []
-        assemble = spectra._paired_vectors
-        monkeypatch.setattr(
-            spectra, "_paired_vectors",
-            lambda *args: built.append(assemble(*args)) or built[-1],
-        )
-        spec = symmetric_spectrum(16, 2, 0.5, 1.5)
-        assert built == []
-        first = spec.vectors
-        assert first is built[0] and spec.vectors is first
-        assert len(built) == 1
-        assert not first.flags.writeable
-
-        made = []
-        complete = spectra._complete_orthonormal
-
-        def record_full_builds(source, rows=slice(None)):
-            # the target row is made by the same function; only a full
-            # basis is recorded
-            if rows != slice(None):
-                return complete(source, rows=rows)
-            made.append(complete(source))
-            return made[-1]
-
-        monkeypatch.setattr(spectra, "_complete_orthonormal", record_full_builds)
-        uniform = np.full(8, 1.0 / math.sqrt(8.0), dtype=np.complex128)
-        grover = grover_spectrum(8, uniform)
-        assert made == []
-        first = grover.vectors
-        assert first is made[0] and grover.vectors is first
-        assert len(made) == 1
-        assert not first.flags.writeable
-
     def test_unnormalized_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row * 1.01
         with pytest.raises(SpectrumValidationError, match="row"):
-            EigenSpectrum(spec.phases, row, build=lambda: spec.vectors)
+            EigenSpectrum(spec.phases, row)
 
     def test_nan_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
         row = spec.target_row.copy()
         row[3] = np.nan
         with pytest.raises(SpectrumValidationError, match="row not normalized"):
-            EigenSpectrum(spec.phases, row, build=lambda: spec.vectors)
+            EigenSpectrum(spec.phases, row)
 
+
+class TestEigenbasis:
+    """``dense.eigenbasis`` realizes any spectrum within ``DENSE_CAP``.
+
+    The paired generators at N = 4 to 1024 are checked the same way by
+    ``TestPairedConstruction::test_generated_basis_is_orthonormal``.
+    """
 
     @pytest.mark.parametrize(
-        "read",
+        "make",
         [
-            lambda spec: spec.vectors,
-            build_diffusion,
+            lambda: grover_spectrum(1024, np.full(1024, 1.0 / 32.0)),
+            lambda: grover_spectrum(8, np.eye(8)[3]),
+            lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163),
+            lambda: resonant_spectrum(16, 1, 1e-17, 1),
+            lambda: scaling_family(10, 31),
+            lambda: graph_spectrum(hypercube_levels(20), math.pi / 41),
+            lambda: graph_spectrum(torus_levels(2, 32), math.pi / 5),
+            two_phase_toy,
+            zero_weight_toy,
+            lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
         ],
-        ids=["vectors", "build_diffusion"],
+        ids=[
+            "grover-uniform-1024", "grover-e3-8", "symmetric-tiny-alpha",
+            "resonant-pi-pairs",
+            "scaling-10", "hypercube20", "torus2-32", "two_phase_toy",
+            "zero_weight_toy", "target-off-the-source",
+        ],
     )
-    def test_spectrum_without_a_basis_says_so(self, read):
-        # a compressed graph spectrum: one entry per Laplacian level
-        spec = graph_spectrum(hypercube_levels(4), math.pi / 9)
-        with pytest.raises(
-            SpectrumValidationError, match="phases and a target row only"
-        ):
-            read(spec)
+    def test_basis_is_unitary_with_the_target_row(self, make):
+        spec = make()
+        vectors = eigenbasis(spec)
+        assert vectors.shape == (spec.dimension, spec.dimension)
+        assert unitarity_defect(vectors) <= 1e-10
+        assert vectors[0].tobytes() == spec.target_row.tobytes()
 
 
 class TestDenseCap:
@@ -850,26 +741,8 @@ class TestDenseCap:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize(
-        "kind, builder",
-        [
-            ("symmetric", "_paired_vectors"),
-            ("resonant", "_paired_vectors"),
-            ("grover", "_complete_orthonormal"),
-        ],
-    )
-    def test_reading_the_basis_above_the_cap_raises(self, monkeypatch, kind, builder):
-        built = []
-        real = getattr(spectra, builder)
-
-        def record_full_builds(*args, rows=slice(None)):
-            # grover's target row comes from its builder; it is delegated
-            # and only a full basis build is recorded
-            if rows != slice(None):
-                return real(*args, rows=rows)
-            built.append(args)
-
-        monkeypatch.setattr(spectra, builder, record_full_builds)
+    @pytest.mark.parametrize("kind", ["symmetric", "resonant", "grover"])
+    def test_reading_the_basis_above_the_cap_raises(self, monkeypatch, kind):
         n = self.N
         if kind == "symmetric":
             spec = symmetric_spectrum(n, 1, 0.5, 1.5)
@@ -877,20 +750,12 @@ class TestDenseCap:
             spec = resonant_spectrum(n, 3, 1e-3, 1)
         else:
             spec = grover_spectrum(n, np.full(n, 1.0 / math.sqrt(n)))
-        # a basis of this side takes n * n * 16 bytes
-        assert self.peak_while_raising(lambda: spec.vectors) < n * n // 4
-        assert built == []
-        assert spec._vectors is None
-
-    def test_explicit_vectors_above_the_cap_raise_before_the_copy(self):
-        n = self.N
-        phases = np.full(n, np.pi)
-        phases[0] = 0.0
-        row = np.zeros(n)
-        row[0] = 1.0
         built = []
-        spec = EigenSpectrum(phases, row, build=lambda: built.append(n))
-        self.peak_while_raising(lambda: spec.vectors)
+        monkeypatch.setattr(
+            gqsearch.dense, "_complete_orthonormal", lambda *args: built.append(args)
+        )
+        # a basis of this side takes n * n * 16 bytes
+        assert self.peak_while_raising(lambda: eigenbasis(spec)) < n * n // 4
         assert built == []
 
     @pytest.mark.parametrize(
@@ -901,7 +766,6 @@ class TestDenseCap:
     def test_dense_operators_above_the_cap_raise(self, dense):
         inst = SearchInstance.build(symmetric_spectrum(self.N, 1, 0.5, 1.5))
         self.peak_while_raising(lambda: dense(inst))
-        assert inst.spectrum._vectors is None
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -942,8 +806,9 @@ class TestScalingFamily:
 FROZEN_PATH = Path(__file__).parent / "data" / "frozen_spectra.npz"
 
 # generator outputs recorded before the generator's O(N^2) rewrite; they pin
-# the random stream and every number a search reads (phases, source column,
-# target-row weights), not the complement of the eigenbasis
+# the random stream and every number a search reads (phases, target-row
+# weights).  The file's source columns are not read: the weights, drawn
+# after the discarded normals, pin how many were drawn
 FROZEN_CASES = {
     "symmetric_64_7": (lambda: symmetric_spectrum(64, 7, 0.5, 1.5), False),
     "symmetric_256_3_b8": (
@@ -960,7 +825,6 @@ def test_generator_outputs_frozen(name):
     make, rescaled = FROZEN_CASES[name]
     with np.load(FROZEN_PATH) as frozen:
         phases = frozen[f"{name}/phases"]
-        source = frozen[f"{name}/source"]
         weights = frozen[f"{name}/weights"]
         alpha, b_factor = frozen[f"{name}/alpha_b"]
     spec = make()
@@ -970,8 +834,6 @@ def test_generator_outputs_frozen(name):
         assert np.allclose(spec.phases, phases, rtol=1e-13, atol=0.0)
     else:
         assert np.array_equal(spec.phases, phases)
-    assert np.array_equal(spec.vectors[:, 0], source)
-    target_weights = np.abs(spec.vectors[0, :]) ** 2
-    assert np.max(np.abs(target_weights - weights)) <= 1e-14
+    assert np.max(np.abs(spec.weights - weights)) <= 1e-14
     assert abs(inst.alpha - alpha) <= 1e-12
     assert abs(inst.b_factor - b_factor) <= 1e-12
