@@ -5,7 +5,7 @@
     gqsearch validate
 
 Exit codes: 0 success, 1 configuration problem, 2 numerical validation
-failure.
+failure (any ``linalg.NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import sys
 
 from .harness import ConfigError, emit_report, load_config, load_sweep_configs
 from .harness import run_experiment, run_validation
-from .linalg import EigensolverError
-from .search import NormDriftError, RelevantPairError
-from .spectra import ResonanceError, SpectrumValidationError
+from .linalg import NumericalFailure
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,13 +72,7 @@ def main(argv=None) -> int:
         emit_report(rows, fmt, out)
         print(f"wrote {len(rows)} row(s) to {out}")
         return 0
-    except (
-        SpectrumValidationError,
-        ResonanceError,
-        EigensolverError,
-        NormDriftError,
-        RelevantPairError,
-    ) as exc:
+    except NumericalFailure as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

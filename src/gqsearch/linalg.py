@@ -25,7 +25,11 @@ class DenseCapError(ValueError):
     """The requested dense object would exceed DENSE_CAP."""
 
 
-class EigensolverError(RuntimeError):
+class NumericalFailure(Exception):
+    """A numerical check failed; the command line exits 2 on any subclass."""
+
+
+class EigensolverError(RuntimeError, NumericalFailure):
     """Eigendecomposition failed; carries the reconstruction residual."""
 
     def __init__(self, message: str, residual: float):

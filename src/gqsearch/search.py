@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import bisect_root, round_half_up
+from .linalg import NumericalFailure, bisect_root, round_half_up
 from .spectra import SearchInstance
 
 
@@ -25,11 +25,11 @@ from .spectra import SearchInstance
 NORM_DRIFT_LIMIT = 1e-9
 
 
-class RelevantPairError(RuntimeError):
+class RelevantPairError(RuntimeError, NumericalFailure):
     """Could not isolate the two eigenvectors carrying the source."""
 
 
-class NormDriftError(RuntimeError):
+class NormDriftError(RuntimeError, NumericalFailure):
     """Rounding drift pushed the state norm past NORM_DRIFT_LIMIT."""
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
-from .linalg import bisect_root, wrap_phase
+from .linalg import NumericalFailure, bisect_root, wrap_phase
 
 ORTHONORMALITY_ATOL = 1e-10
 
@@ -33,11 +33,11 @@ ORTHONORMALITY_ATOL = 1e-10
 SCALING_COEFF = 2.0
 
 
-class SpectrumValidationError(ValueError):
+class SpectrumValidationError(ValueError, NumericalFailure):
     """The eigenspectrum violates a structural invariant."""
 
 
-class ResonanceError(ValueError):
+class ResonanceError(ValueError, NumericalFailure):
     """A weighted powered phase lands on a multiple of 2*pi, to rounding."""
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gqsearch import cli, pea, search, spectra
+from gqsearch import cli, linalg, pea, search, spectra
 from gqsearch.harness import (
     ConfigError,
     ExperimentConfig,
@@ -482,8 +482,9 @@ class TestEmission:
             emit_report([], "xml", tmp_path / "report.xml")
 
 
-# the benchmark's reference and the CI "Validate" step compare these lines
-# byte for byte, so a renamed, added or reordered check changes them
+# the benchmark's reference compares these lines byte for byte, and
+# ``gqsearch validate`` prints exactly them, so a renamed, added or
+# reordered check changes them
 VALIDATION_LINES = [
     "PASS grover probability curve",
     "PASS moment identity and pair cancellation",
@@ -668,11 +669,22 @@ EXIT_CASES = [
      2, "power 2 drives eigenvector"),
 ]
 
+# one of each class the command line turns into exit 2
+NUMERICAL_FAILURES = [
+    spectra.SpectrumValidationError("target row not normalized"),
+    spectra.ResonanceError("phase resonates"),
+    linalg.EigensolverError("eigendecomposition failed", 1.0),
+    search.NormDriftError("norm drifted"),
+    search.RelevantPairError("pair not isolated"),
+]
+
 
 class TestCli:
     def test_validate_exits_zero(self, capsys):
         assert cli.main(["validate"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == "".join(f"{line}\n" for line in VALIDATION_LINES)
+        assert err == ""
 
     def test_run_writes_report(self, tmp_path, capsys):
         config = write_config(
@@ -823,18 +835,26 @@ class TestCli:
         assert cli.main(["run", "--config", str(config)]) in (0, 1)
         assert "numerical validation failure" not in capsys.readouterr().err
 
-    def test_relevant_pair_error_exits_two(self, tmp_path, monkeypatch, capsys):
-        def unresolved(config):
-            raise search.RelevantPairError("pair not isolated")
+    @pytest.mark.parametrize(
+        "error", NUMERICAL_FAILURES, ids=lambda error: type(error).__name__
+    )
+    def test_numerical_failure_class_exits_two(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        def failing(config):
+            raise error
 
-        monkeypatch.setattr(cli, "run_experiment", unresolved)
+        assert set(linalg.NumericalFailure.__subclasses__()) == {
+            type(each) for each in NUMERICAL_FAILURES
+        }
+        monkeypatch.setattr(cli, "run_experiment", failing)
         config = write_config(
             tmp_path,
             "[experiment]\nkind = general-search\n"
             f"[run]\nout = {tmp_path / 'never.csv'}\n",
         )
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert "pair not isolated" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"{EXIT_PREFIX[2]}{error}\n"
         assert not (tmp_path / "never.csv").exists()
 
     def test_norm_drift_exits_two(self, tmp_path, monkeypatch, capsys):

@@ -323,7 +323,7 @@ class TestBPrime:
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_weighted_resonance_raises(self, n, m):
+    def test_weighted_resonance_drops_out(self, n, m):
         # no longer raises: every nonsource phase is pi, so 2^m pi wraps
         # onto 0, exactly up to m = 3 and to rounding from m = 4 on
         # (wrap(16 pi) is -3.6e-15).  Each entry drops out of the boost and
@@ -336,7 +336,7 @@ class TestBPrime:
         assert boosted_lambda1(inst, m) == 0.0
 
     @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_resonant_band_raises(self, m):
+    def test_resonant_band_drops_out(self, m):
         # no longer raises: pair phases +-3 pi/4, so 2^m theta is a multiple
         # of 2 pi from m = 3 on, exactly at m = 3 and to rounding after, and
         # every weighted pair drops out of the boost
@@ -348,7 +348,7 @@ class TestBPrime:
         assert boosted_lambda1(inst, m) == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_resonant_torus_level_raises(self, m):
+    def test_resonant_torus_level_drops_out(self, m):
         # no longer raises: the 5-torus level 11 sits at phase pi when
         # gamma = pi / 11, so every power drives it onto a multiple of 2 pi
         inst = SearchInstance.build(graph_spectrum(torus_levels(5, 6), math.pi / 11))
@@ -594,7 +594,7 @@ class TestBoostedLambda1:
         inst = SearchInstance.build(spec)
         assert abs(boosted_lambda1(inst, 1)) <= 1e-12
 
-    def test_weighted_resonance_raises(self):
+    def test_weighted_resonance_drops_out(self):
         # no longer raises: the powered Grover phases drop out, and the
         # flipped branch at pi adds a cotangent of exactly 0
         n = 8

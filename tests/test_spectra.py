@@ -1,5 +1,6 @@
 """Spectrum construction, moment sums, generators, the dense eigenbasis."""
 
+import functools
 import math
 import os
 import subprocess
@@ -609,20 +610,6 @@ class TestPairedConstruction:
         # the lone slot is pinned to exactly zero target weight
         assert spec.target_row[n - 1] == 0.0
 
-    @pytest.mark.parametrize("n", [4, 6, 64, 1024])
-    @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
-    def test_generated_basis_is_orthonormal(self, kind, n):
-        # the dense eigenbasis of a paired spectrum: unitary, with the target
-        # row as row 0 bit for bit, its lone slot included
-        if kind == "symmetric":
-            spec = symmetric_spectrum(n, 5, 0.5, 1.5)
-        else:
-            spec = resonant_spectrum(n, 3, 1e-3, 5)
-        vectors = eigenbasis(spec)
-        assert unitarity_defect(vectors) <= 1e-13
-        assert vectors[0].tobytes() == spec.target_row.tobytes()
-        assert vectors[0, n - 1] == 0.0
-
 
 class TestWeightPath:
     @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -666,7 +653,7 @@ class TestWeightPath:
         assert predicted.q_m > 0
         assert peak < 4096 * 4096 * 16 / 8
 
-    def test_caller_vectors_are_copied(self):
+    def test_caller_row_is_copied(self):
         # the caller's target row: the one array the constructor copies
         row = np.array([0.6, 0.8, 0.0], dtype=np.complex128)
         spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), row)
@@ -690,40 +677,62 @@ class TestWeightPath:
             EigenSpectrum(spec.phases, row)
 
 
-class TestEigenbasis:
-    """``dense.eigenbasis`` realizes any spectrum within ``DENSE_CAP``.
+PAIRED_SIDES = [
+    (kind, n) for kind in ("symmetric", "resonant") for n in (4, 6, 64, 1024)
+]
 
-    The paired generators at N = 4 to 1024 are checked the same way by
-    ``TestPairedConstruction::test_generated_basis_is_orthonormal``.
-    """
+
+def paired_spectrum(kind, n):
+    """A paired generator's spectrum of side n; its lone slot is entry n - 1."""
+    if kind == "symmetric":
+        return symmetric_spectrum(n, 5, 0.5, 1.5)
+    return resonant_spectrum(n, 3, 1e-3, 5)
+
+
+class TestEigenbasis:
+    """``dense.eigenbasis`` realizes any spectrum within ``DENSE_CAP``."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, bound, lone",
         [
-            lambda: grover_spectrum(1024, np.full(1024, 1.0 / 32.0)),
-            lambda: grover_spectrum(8, np.eye(8)[3]),
-            lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163),
-            lambda: resonant_spectrum(16, 1, 1e-17, 1),
-            lambda: scaling_family(10, 31),
-            lambda: graph_spectrum(hypercube_levels(20), math.pi / 41),
-            lambda: graph_spectrum(torus_levels(2, 32), math.pi / 5),
-            two_phase_toy,
-            zero_weight_toy,
-            lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+            *(
+                (make, 1e-10, None)
+                for make in (
+                    lambda: grover_spectrum(1024, np.full(1024, 1.0 / 32.0)),
+                    lambda: grover_spectrum(8, np.eye(8)[3]),
+                    lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163),
+                    lambda: resonant_spectrum(16, 1, 1e-17, 1),
+                    lambda: scaling_family(10, 31),
+                    lambda: graph_spectrum(hypercube_levels(20), math.pi / 41),
+                    lambda: graph_spectrum(torus_levels(2, 32), math.pi / 5),
+                    two_phase_toy,
+                    zero_weight_toy,
+                    lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+                )
+            ),
+            # the paired generators hold a tighter bound, and the target
+            # row is exactly zero on their lone slot
+            *(
+                (functools.partial(paired_spectrum, kind, n), 1e-13, n - 1)
+                for kind, n in PAIRED_SIDES
+            ),
         ],
         ids=[
             "grover-uniform-1024", "grover-e3-8", "symmetric-tiny-alpha",
             "resonant-pi-pairs",
             "scaling-10", "hypercube20", "torus2-32", "two_phase_toy",
             "zero_weight_toy", "target-off-the-source",
+            *(f"{kind}-{n}" for kind, n in PAIRED_SIDES),
         ],
     )
-    def test_basis_is_unitary_with_the_target_row(self, make):
+    def test_basis_is_unitary_with_the_target_row(self, make, bound, lone):
         spec = make()
         vectors = eigenbasis(spec)
         assert vectors.shape == (spec.dimension, spec.dimension)
-        assert unitarity_defect(vectors) <= 1e-10
+        assert unitarity_defect(vectors) <= bound
         assert vectors[0].tobytes() == spec.target_row.tobytes()
+        if lone is not None:
+            assert vectors[0, lone] == 0.0
 
 
 class TestDenseCap:
@@ -807,8 +816,7 @@ FROZEN_PATH = Path(__file__).parent / "data" / "frozen_spectra.npz"
 
 # generator outputs recorded before the generator's O(N^2) rewrite; they pin
 # the random stream and every number a search reads (phases, target-row
-# weights).  The file's source columns are not read: the weights, drawn
-# after the discarded normals, pin how many were drawn
+# weights)
 FROZEN_CASES = {
     "symmetric_64_7": (lambda: symmetric_spectrum(64, 7, 0.5, 1.5), False),
     "symmetric_256_3_b8": (
