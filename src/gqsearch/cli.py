@@ -5,7 +5,7 @@
     gqsearch validate
 
 Exit codes: 0 success, 1 configuration problem, 2 numerical validation
-failure (any ``linalg.NumericalFailure``).
+failure (any ``linalg.NumericalFailure``).  A failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -73,17 +73,16 @@ def main(argv=None) -> int:
         print(f"wrote {len(rows)} row(s) to {out}")
         return 0
     except NumericalFailure as exc:
-        print(f"numerical validation failure: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"numerical validation failure: {exc}"
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"config error: {exc}"
     except MemoryError as exc:
-        print(f"config error: {exc}; lower n or q_max", file=sys.stderr)
-        return 1
+        code, message = 1, f"config error: {exc}; lower n or q_max"
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"io error: {exc}"
+    # ConfigParser and NumPy word some errors over several lines; print one
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

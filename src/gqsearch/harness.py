@@ -54,7 +54,11 @@ def _key(section: str, type_: type, default, key: str | None = None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; each field declares its config key, section and type."""
+    """One experiment; each field declares its config key, section and type.
+
+    ``__post_init__`` checks each field's own rules, so every instance is
+    valid however it was made.  ``_instances`` refuses an unread key.
+    """
 
     # one of EXPERIMENT_KINDS
     kind: str = _key("experiment", str, "grover-baseline")
@@ -83,6 +87,25 @@ class ExperimentConfig:
     out: str | None = _key("run", str, None)
     # csv | json
     fmt: str = _key("run", str, "csv", key="format")
+
+    def __post_init__(self):
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ConfigError(
+                f"unknown experiment kind {self.kind!r}; "
+                f"choose from {', '.join(EXPERIMENT_KINDS)}"
+            )
+        if self.family not in ("symmetric", "resonant"):
+            raise ConfigError(f"unknown instance family {self.family!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.n < 2:
+            raise ConfigError(f"n must be at least 2, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.q_max is not None and self.q_max < 0:
+            raise ConfigError(f"q_max must be nonnegative, got {self.q_max}")
+        if not self.b_values:
+            raise ConfigError("b_values must list at least one target")
 
 
 @dataclass(frozen=True)
@@ -179,9 +202,7 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
     values.update(overrides)
-    config = ExperimentConfig(**values)
-    _check_config(config)
-    return config
+    return ExperimentConfig(**values)
 
 
 def _parse_b_values(text: str) -> tuple[float, ...]:
@@ -193,26 +214,6 @@ def _parse_b_values(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in parts if part)
     except ValueError as exc:
         raise ConfigError(f"config key b_values: {exc}") from exc
-
-
-def _check_config(config: ExperimentConfig) -> None:
-    if config.kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"unknown experiment kind {config.kind!r}; "
-            f"choose from {', '.join(EXPERIMENT_KINDS)}"
-        )
-    if config.family not in ("symmetric", "resonant"):
-        raise ConfigError(f"unknown instance family {config.family!r}")
-    if config.fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.fmt!r}")
-    if config.n < 2:
-        raise ConfigError(f"n must be at least 2, got {config.n}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    if config.q_max is not None and config.q_max < 0:
-        raise ConfigError(f"q_max must be nonnegative, got {config.q_max}")
-    if not config.b_values:
-        raise ConfigError("b_values must list at least one target")
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -329,7 +330,6 @@ def _row(
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """Execute one configured experiment; deterministic for fixed seeds."""
-    _check_config(config)
     plain = config.kind in ("grover-baseline", "general-search")
     rows = []
     for inst in _instances(config):

@@ -313,7 +313,7 @@ def _paired_draws(n: int, seed: int, alpha: float) -> np.ndarray:
     seed of None would draw fresh entropy that must not be kept.
     """
     if n % 2 != 0 or n < 4:
-        raise ValueError(f"dimension must be even and at least 4, got {n}")
+        raise ValueError(f"n must be even and at least 4, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     return _seeded_draws(n, operator.index(seed))
@@ -482,9 +482,6 @@ def _paired_spectrum(
     with pi, as -pi lies outside (-pi, pi].
     """
     n = unit.shape[0] + 1
-    pairs = (n - 2) // 2
-    if pair_phases.shape != (pairs,):
-        raise ValueError(f"expected {pairs} pair phases, got {pair_phases.shape}")
     phases = np.empty(n)
     phases[0] = 0.0
     phases[1 : n - 1 : 2] = pair_phases

@@ -287,17 +287,22 @@ class TestExperiments:
 
 
 class TestHandBuiltConfig:
-    """run_experiment checks a config made in code as load_config does."""
+    """ExperimentConfig checks its own fields, however it is made."""
 
     def test_unknown_family_raises(self):
         # this once ran the symmetric family
-        config = ExperimentConfig(kind="general-search", n=16, family="resonnant")
         with pytest.raises(ConfigError, match="unknown instance family 'resonnant'"):
-            run_experiment(config)
+            ExperimentConfig(kind="general-search", n=16, family="resonnant")
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError, match="unknown experiment kind 'bogus'"):
-            run_experiment(ExperimentConfig(kind="bogus", n=16))
+            ExperimentConfig(kind="bogus", n=16)
+
+    def test_replaced_config_is_checked(self):
+        with pytest.raises(ConfigError, match="format must be csv or json, got 'xml'"):
+            ExperimentConfig(fmt="xml")
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            dataclasses.replace(ExperimentConfig(), seed=-1)
 
 
 @pytest.mark.parametrize("kind", ["general-search", "boosted-search"])
@@ -548,6 +553,11 @@ def ini(kind, instance):
 EXIT_PREFIX = {1: "config error: ", 2: "numerical validation failure: "}
 EXIT_CASES = [
     ("missing-config", "run", None, 1, "cannot read config config.ini"),
+    # ConfigParser words these over two or three lines
+    ("ini-no-section-header", "run", "[experiment\nkind = grover-baseline\n",
+     1, "config config.ini is not valid: File contains no section headers."),
+    ("ini-bare-line", "run", "[experiment]\nkind = grover-baseline\njunk line\n",
+     1, "config config.ini is not valid: Source contains parsing errors: 'config.ini'"),
     ("unknown-key", "run", "[instance]\nqubits = 4\n",
      1, "unknown config key instance.qubits"),
     ("bad-subcommand", "frobnicate", None,
@@ -563,6 +573,16 @@ EXIT_CASES = [
      1, "seed must be nonnegative, got -1"),
     ("negative-seed-flag", "run --seed -1", ini("general-search", "n = 16"),
      1, "seed must be nonnegative, got -1"),
+    ("n-below-2", "run", ini("grover-baseline", "n = 1"),
+     1, "n must be at least 2, got 1\n"),
+    ("n-odd", "run", ini("general-search", "n = 5"),
+     1, "n must be even and at least 4, got 5\n"),
+    ("n-below-4", "run", ini("general-search", "n = 2"),
+     1, "n must be even and at least 4, got 2\n"),
+    ("format-xml", "run", "[run]\nformat = xml\n",
+     1, "format must be csv or json, got 'xml'\n"),
+    ("q_max-negative", "run", "[run]\nq_max = -1\n",
+     1, "q_max must be nonnegative, got -1\n"),
     ("run-rejects-sweep-lists", "run", ini("general-search", "seed = 1, 2"),
      1, "config key seed holds a list"),
     ("sweep-list-of-empty-entries", "sweep", ini("general-search", "b_target = ,"),
@@ -572,6 +592,8 @@ EXIT_CASES = [
      1, "config key b_values has an empty entry"),
     ("b_values-empty", "sweep", ini("b-sweep", "b_values ="),
      1, "b_values must list at least one target"),
+    ("b_values-not-a-number", "run", ini("b-sweep", "b_values = 2, x"),
+     1, "config key b_values: could not convert string to float: 'x'\n"),
     # each b_values entry is checked as a b_target, a key b-sweep refuses
     ("b_values-inf", "run", ini("b-sweep", "n = 16\nb_values = inf"),
      1, "b_values entry must be positive, b^2 finite, got inf"),
@@ -771,6 +793,25 @@ class TestCli:
         assert err.startswith(EXIT_PREFIX[code] + text)
         assert err.endswith("\n") and err.count("\n") == 1
         assert {path.name for path in tmp_path.iterdir()} <= {"config.ini"}
+
+    def test_no_command_is_config_error(self, capsys):
+        assert cli.main([]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: a command is required: run, sweep, or validate\n"
+
+    def test_out_into_a_missing_directory_is_io_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, ini("grover-baseline", "n = 16"))
+        out = str(tmp_path / "absent" / "report.csv")
+        assert cli.main(["run", "--config", "config.ini", "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("io error: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert {path.name for path in tmp_path.iterdir()} == {"config.ini"}
 
     def test_boosted_search_takes_ten_ancillas_at_b_1000(self, tmp_path, capsys):
         config = write_config(

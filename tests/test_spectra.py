@@ -469,6 +469,31 @@ class TestSpectrumValidation:
         with pytest.raises(SpectrumValidationError, match="inconsistency"):
             SearchInstance.build(spec)
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.6, 0.8]),
+                SpectrumValidationError,
+                r"eigenbasis row shape \(2,\) does not match 3 phases",
+            ),
+            (
+                lambda: naive_power_b(SearchInstance.build(two_phase_toy()), 0),
+                ValueError,
+                "power must be a positive integer, got 0",
+            ),
+            (
+                lambda: grover_spectrum(8, np.full(4, 0.5)),
+                ValueError,
+                "source must be a vector of length 8",
+            ),
+        ],
+        ids=["row-shorter-than-phases", "naive-power-0", "grover-source-length-4"],
+    )
+    def test_malformed_input_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_source_phase_must_be_zero(self):
         phases = np.array([0.5, 1.0, 2.0])
         with pytest.raises(SpectrumValidationError):
