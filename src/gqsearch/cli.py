@@ -11,6 +11,7 @@ failure (any ``linalg.NumericalFailure``).  A failure prints one stderr line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import ConfigError, emit_report, load_config, load_sweep_configs
@@ -64,11 +65,18 @@ def main(argv=None) -> int:
         else:
             configs = load_sweep_configs(args.config, **overrides)
 
+        fmt = configs[0].fmt
+        out = configs[0].out or f"report.{fmt}"
+        # open the report path before any run: append mode keeps an existing
+        # file, and one made here is removed, so a failed run leaves nothing
+        existed = os.path.lexists(out)
+        with open(out, "a", encoding="ascii"):
+            pass
+        if not existed:
+            os.remove(out)
         rows = []
         for config in configs:
             rows.extend(run_experiment(config))
-        fmt = configs[0].fmt
-        out = configs[0].out or f"report.{fmt}"
         emit_report(rows, fmt, out)
         print(f"wrote {len(rows)} row(s) to {out}")
         return 0

@@ -170,12 +170,13 @@ class SearchInstance:
 
 
 def _power(phases: np.ndarray, r: int) -> np.ndarray:
-    """Phases of the r-th power: copysign(wrap(r |theta|), theta), -pi read as pi.
+    """Phases of the r-th power: sign(theta) wrap(r |theta|), -pi read as pi.
 
-    The one rule that powers and wraps a phase.  It is odd bit for bit, so a
-    conjugate spectrum powers to the exact conjugate.
+    The one rule that powers and wraps a phase: wrap(r theta) to rounding.
+    It is odd bit for bit, so a conjugate spectrum powers to the exact
+    conjugate.
     """
-    powered = np.copysign(wrap_phase(r * np.abs(phases)), phases)
+    powered = np.sign(phases) * wrap_phase(r * np.abs(phases))
     powered[powered == -np.pi] = np.pi
     return powered
 
@@ -294,7 +295,8 @@ _MASK_128 = 2**128 - 1
 _DRAWS_KEPT = 8
 
 
-def _paired_draws(n: int, seed: int, alpha: float) -> np.ndarray:
+@functools.lru_cache(maxsize=_DRAWS_KEPT)
+def _seeded_draws(n: int, seed: int) -> np.ndarray:
     """The random part of a paired spectrum's target row: its profile.
 
     Returns ``unit``, the unit target profile of the n - 1 complement
@@ -302,29 +304,14 @@ def _paired_draws(n: int, seed: int, alpha: float) -> np.ndarray:
     stream skips (n-1)**2 normals, once used for a source direction and a
     basis completing it; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
-    through a 2**14-entry buffer per thread, so no (n-1)x(n-1) block is
-    held, and from ``_SPLIT_MIN`` of them (N = 726) on two threads
-    (``_split_skip``).
+    by NumPy's own sampler through a 2**14-entry buffer per thread, so no
+    (n-1)x(n-1) block is held, and from ``_SPLIT_MIN`` of them (N = 726) on
+    two threads (``_split_skip``), bit for bit the one-thread value.
 
-    The draw does not depend on ``alpha``, so it is made once per
-    ``(n, seed)`` per process and kept (``_seeded_draws``) at 8 N bytes per
-    entry; ``n`` and ``alpha`` are checked on every call.  The array is
-    shared by every caller and read-only.  ``seed`` must be an integer: a
-    seed of None would draw fresh entropy that must not be kept.
-    """
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"n must be even and at least 4, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return _seeded_draws(n, operator.index(seed))
-
-
-@functools.lru_cache(maxsize=_DRAWS_KEPT)
-def _seeded_draws(n: int, seed: int) -> np.ndarray:
-    """``_paired_draws`` from the stream of ``seed``, with no argument checks.
-
-    The skipped normals are drawn by NumPy's own sampler, on one thread or
-    two, so the profile after them is bit for bit the one-thread value.
+    The draw is made once per ``(n, seed)`` per process and kept at 8 N
+    bytes per entry, shared by every caller and read-only.  ``seed`` must
+    be an integer (``_paired_row`` checks it, and ``n``): a seed of None
+    would draw fresh entropy that must not be kept.
     """
     rng = np.random.default_rng(seed)
     skipped = (n - 1) ** 2
@@ -435,32 +422,27 @@ def _words_between(start: dict, end: dict) -> int:
     return words
 
 
-def _pair_weights(unit: np.ndarray, alpha: float) -> np.ndarray:
-    """Target weight of each +/- pair, both members together.
-
-    The complement's target row is ``beta * unit`` and pair j is built
-    from entries 2j and 2j+1 (``_paired_row``), so its weight is
-    beta^2 (unit[2j]^2 + unit[2j+1]^2) with beta^2 = 1 - alpha^2.  The last
-    entry of ``unit`` is the lone slot and belongs to no pair.
-    """
-    return (1.0 - alpha**2) * (unit[0:-1:2] ** 2 + unit[1:-1:2] ** 2)
-
-
-def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
+def _paired_row(n: int, seed: int, alpha: float) -> np.ndarray:
     """The target row of a paired spectrum, in O(n): source entry ``alpha``.
 
-    The real profile ``beta * unit``, beta^2 = 1 - alpha^2, is laid out
-    after it: entries 2j and 2j+1, a and b, become the pair (a +/- ib)/sqrt(2)
-    and the last entry, exactly zero, the lone slot.  Pair members share
-    every bit of magnitude, so the first cotangent moment cancels term by
-    term.
+    The real profile ``beta * unit``, beta^2 = 1 - alpha^2, with ``unit``
+    from ``_seeded_draws(n, seed)``, is laid out after it: entries 2j and
+    2j+1, a and b, become the pair (a +/- ib)/sqrt(2) and the last entry,
+    exactly zero, the lone slot.  Pair members share every bit of
+    magnitude, so the first cotangent moment cancels term by term, and a
+    pair's weight is twice that of its first member, exactly.
     """
-    n = unit.shape[0] + 1
-    profile = math.sqrt(1.0 - alpha**2) * unit
+    if n % 2 != 0 or n < 4:
+        raise ValueError(f"n must be even and at least 4, got {n}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    # made before the draw, so an n too large to hold fails at once and not
+    # after (n-1)**2 skipped normals
+    row = np.empty(n, dtype=np.complex128)
+    profile = math.sqrt(1.0 - alpha**2) * _seeded_draws(n, operator.index(seed))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     a = profile[0 : n - 2 : 2] * inv_sqrt2
     b = profile[1 : n - 2 : 2] * inv_sqrt2
-    row = np.empty(n, dtype=np.complex128)
     row[0] = alpha
     row.real[1 : n - 1 : 2] = a
     row.imag[1 : n - 1 : 2] = b
@@ -471,23 +453,22 @@ def _paired_row(alpha: float, unit: np.ndarray) -> np.ndarray:
 
 
 def _paired_spectrum(
-    alpha: float, unit: np.ndarray, pair_phases: np.ndarray, lone_phase: float
+    row: np.ndarray, pair_phases: np.ndarray, lone_phase: float
 ) -> EigenSpectrum:
-    """A spectrum with exact +/- phase pairs and matched weights.
+    """A spectrum with exact +/- phase pairs on a ``_paired_row`` target row.
 
-    The target is basis state 0.  Only ``unit`` (from ``_paired_draws``)
-    and the phases are random.  The target row (``_paired_row``) costs
-    O(n).  The two members of each pair carry equal target weight, bit for
-    bit, and the lone leftover entry exactly zero.  A pair phase of pi pairs
-    with pi, as -pi lies outside (-pi, pi].
+    Pair j's phases go to entries 2j+1 and 2j+2, whose target weights are
+    equal bit for bit, and ``lone_phase`` to the last entry, whose weight is
+    exactly zero.  A pair phase of pi pairs with pi, as -pi lies outside
+    (-pi, pi].
     """
-    n = unit.shape[0] + 1
+    n = row.shape[0]
     phases = np.empty(n)
     phases[0] = 0.0
     phases[1 : n - 1 : 2] = pair_phases
     phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
     phases[n - 1] = lone_phase
-    return EigenSpectrum(phases, _paired_row(alpha, unit))
+    return EigenSpectrum(phases, row)
 
 
 def symmetric_spectrum(
@@ -508,7 +489,7 @@ def symmetric_spectrum(
     raise ``ResonanceError``, is a ``ValueError`` naming ``b_target`` if one
     was given and ``theta_min`` otherwise.  ``alpha`` defaults to
     1/sqrt(n); the target is basis state 0.  Only the phases and the
-    target profile are random (see ``_paired_spectrum``).
+    target profile are random (see ``_paired_row``).
     """
     if not 0.0 < theta_min <= theta_max < np.pi:
         raise ValueError(
@@ -516,12 +497,11 @@ def symmetric_spectrum(
         )
     if alpha is None:
         alpha = 1.0 / math.sqrt(n)
-    pairs = (n - 2) // 2
+    row = _paired_row(n, seed, alpha)
+    weights = 2.0 * np.abs(row[1 : n - 1 : 2]) ** 2  # each pair's, exactly
     rng = np.random.default_rng(seed)
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
-    drawn = rng.uniform(theta_min, theta_max, size=pairs)
-    unit = _paired_draws(n, seed, alpha)
-    weights = _pair_weights(unit, alpha)
+    drawn = rng.uniform(theta_min, theta_max, size=weights.size)
     if b_target is not None:
         drawn = _rescale_for_b_target(drawn, weights, b_target)
     # build's r = 1 resonance test (``_powered_b_squared``); ``_power`` is odd,
@@ -529,7 +509,7 @@ def symmetric_spectrum(
     if np.any(_resonant(_power(drawn[weights > 0.0], 1), 1)):
         named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
         raise ValueError(f"{named} puts a pair phase within rounding of 0")
-    return _paired_spectrum(alpha, unit, drawn, lone_phase=np.pi)
+    return _paired_spectrum(row, drawn, lone_phase=np.pi)
 
 
 def _rescale_for_b_target(
@@ -537,8 +517,9 @@ def _rescale_for_b_target(
 ) -> np.ndarray:
     """One common scale factor sending the pair phases onto a requested b.
 
-    ``pair_weights`` are the closed-form weights of ``_pair_weights``, so no
-    spectrum is built to find the scale.
+    ``pair_weights`` are the weights of the pairs of the row the spectrum
+    gets, so the scale solves on the sum build makes, and no spectrum is
+    built to find it.
     """
     if not 0.0 < b_target <= math.sqrt(np.finfo(np.float64).max):
         raise ValueError(f"b_target must be positive, b^2 finite, got {b_target}")
@@ -591,13 +572,12 @@ def resonant_spectrum(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if alpha is None:
         alpha = 1.0 / math.sqrt(n)
+    row = _paired_row(n, seed, alpha)
     base = 2.0 * np.pi / 2**m
-    pairs = (n - 2) // 2
-    detunings = epsilon * np.linspace(0.1, 1.0, pairs)
+    detunings = epsilon * np.linspace(0.1, 1.0, (n - 2) // 2)
     pair_phases = np.abs(wrap_phase(base + detunings))
     lone = float(np.abs(wrap_phase(base + epsilon)))
-    unit = _paired_draws(n, seed, alpha)
-    return _paired_spectrum(alpha, unit, pair_phases, lone_phase=lone)
+    return _paired_spectrum(row, pair_phases, lone_phase=lone)
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:

@@ -813,6 +813,27 @@ class TestCli:
         assert err.endswith("\n") and err.count("\n") == 1
         assert {path.name for path in tmp_path.iterdir()} == {"config.ini"}
 
+    def test_out_is_claimed_before_the_first_run(self, tmp_path, monkeypatch, capsys):
+        # this body's run fails numerically, exit 2; an unwritable --out is
+        # found first, exit 1, and an existing report survives the failure
+        def failing(config):
+            raise spectra.ResonanceError("run_experiment was called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        write_config(tmp_path, ini("divergence-demo", "n = 16\nseed = 3\nepsilon = 1e-18"))
+        out = str(tmp_path / "absent" / "r.csv")
+        assert cli.main(["run", "--config", "config.ini", "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("io error: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert {path.name for path in tmp_path.iterdir()} == {"config.ini"}
+        (tmp_path / "report.csv").write_text("kept\n", encoding="ascii")
+        assert cli.main(["run", "--config", "config.ini"]) == 2
+        assert "run_experiment was called" in capsys.readouterr().err
+        assert (tmp_path / "report.csv").read_text(encoding="ascii") == "kept\n"
+
     def test_boosted_search_takes_ten_ancillas_at_b_1000(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

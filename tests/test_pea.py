@@ -42,6 +42,7 @@ from gqsearch.pea import (
 )
 from gqsearch.search import peak_law
 from gqsearch.spectra import (
+    EigenSpectrum,
     SearchInstance,
     SpectrumValidationError,
     grover_spectrum,
@@ -50,6 +51,29 @@ from gqsearch.spectra import (
 )
 
 from helpers import graph_spectrum, hypercube_levels, torus_levels
+
+
+def one_sided_spectrum(family):
+    """A spectrum where some weighted phase lacks an equal-weight partner at -theta.
+
+    Only such a spectrum shows the sign of a powered phase that wraps past
+    +-pi: a +/- pair with matched weights reads the same either way.
+    """
+    if family == "hypercube":
+        return graph_spectrum(hypercube_levels(8), math.pi / 41)
+    if family == "torus":
+        return graph_spectrum(torus_levels(2, 8), 0.3)
+    # 31 exact +/- pairs whose members carry unequal target weights
+    rng = np.random.default_rng(3)
+    pairs = rng.uniform(0.5, 1.5, 31)
+    row = rng.uniform(0.5, 1.5, 64)
+    phases = np.concatenate([[0.0], pairs, -pairs, [np.pi]])
+    return EigenSpectrum(phases, row / np.linalg.norm(row))
+
+
+ONE_SIDED_CASES = [
+    ("hypercube", 2), ("hypercube", 3), ("torus", 1), ("torus", 2), ("unmatched", 2)
+]
 
 
 def random_blocks(rows, n, seed):
@@ -580,7 +604,28 @@ class TestDenseBPrimeCheck:
         assert np.isclose(caught.value.residual, expected, rtol=1e-8)
 
 
+def dense_boosted_lambda1(inst, m):
+    """lambda1' from one eigensolve of each dense boosted block Z_l.
+
+    Eigenvector k of block l carries target weight w_l |Z_l[0, k]|^2, as in
+    ``dense_b_prime_check``; the zero-phase one is the joint source.
+    """
+    eig = unitary_eigensystem(_boost_blocks(inst.spectrum, m).transpose(1, 0, 2))
+    weights = inst.spectrum.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
+    live = np.abs(eig.phases) >= 1e-9
+    half = 0.5 * eig.phases[live]
+    return float(np.sum(weights[live] * np.cos(half) / np.sin(half)))
+
+
 class TestBoostedLambda1:
+    @pytest.mark.parametrize("family, m", ONE_SIDED_CASES)
+    def test_one_sided_matches_dense_blocks(self, family, m):
+        # a powered phase past +-pi keeps the sign of wrap(2^m theta):
+        # hypercube(8) at m = 3 read -0.1088 under the copysign rule
+        inst = SearchInstance.build(one_sided_spectrum(family))
+        dense = dense_boosted_lambda1(inst, m)
+        assert abs(boosted_lambda1(inst, m) - dense) <= 1e-12 * max(1.0, abs(dense))
+
     def test_paired_construction_cancels(self):
         inst = SearchInstance.build(symmetric_spectrum(16, 11, 0.7, 1.6))
         for m in (1, 2, 3):
@@ -665,6 +710,11 @@ class TestBoostedRun:
             (("symmetric", 64, 2), 4),
             (("grover", 32, 8), 2),
             (("grover", 32, 8), 3),
+            (("hypercube", 9, None), 2),
+            (("hypercube", 9, None), 3),
+            (("torus", 13, None), 1),
+            (("torus", 13, None), 2),
+            (("unmatched", 64, None), 2),
         ],
     )
     def test_matches_dense_boosted_powers(self, spec_args, m):
@@ -677,8 +727,11 @@ class TestBoostedRun:
             spec = symmetric_spectrum(n, seed, 0.8, 1.8)
         elif family == "resonant":
             spec = resonant_spectrum(n, 2, 5e-3, seed)
-        else:
+        elif family == "grover":
             spec = oracle_instance("grover").spectrum
+        else:
+            spec = one_sided_spectrum(family)
+        assert spec.dimension == n
         inst = SearchInstance.build(spec)
         report = boosted_search_run(inst, m, q_max=40)
         step = dense_boosted_matrix(spec, m)

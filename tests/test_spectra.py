@@ -3,8 +3,6 @@
 import functools
 import math
 import os
-import subprocess
-import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 
 from gqsearch.dense import build_diffusion, eigenbasis, search_operator
-from gqsearch.linalg import DENSE_CAP, DenseCapError
+from gqsearch.linalg import DENSE_CAP, DenseCapError, wrap_phase
 from gqsearch.spectra import (
     EigenSpectrum,
     ResonanceError,
@@ -191,9 +189,9 @@ class TestSymmetricGenerator:
         # pi / max(drawn), whose product with max(drawn) can round to pi
         n, alpha = 16, 0.25
         for seed in range(40):
-            drawn = symmetric_spectrum(n, seed, 0.5, 1.5, alpha=alpha).phases[1:-1:2]
-            unit = spectra._paired_draws(n, seed, alpha)
-            weights = spectra._pair_weights(unit, alpha)
+            spec = symmetric_spectrum(n, seed, 0.5, 1.5, alpha=alpha)
+            drawn = spec.phases[1:-1:2]
+            weights = spec.weights[1:-1:2] + spec.weights[2:-1:2]
             stretched = np.sin(0.5 * (np.pi / float(np.max(drawn))) * drawn) ** 2
             floor = math.sqrt(float(np.sum(weights / stretched)))
             spec = symmetric_spectrum(
@@ -216,8 +214,8 @@ class TestDrawMemo:
     def test_draws_are_read_only(self):
         spectra._seeded_draws.cache_clear()
         for unit in (
-            spectra._paired_draws(16, 3, 0.25),
-            spectra._paired_draws(16, 3, 0.5),  # warm, under another alpha
+            spectra._seeded_draws(16, 3),
+            spectra._seeded_draws(16, 3),  # warm
         ):
             assert not unit.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -226,12 +224,12 @@ class TestDrawMemo:
     @pytest.mark.parametrize("seed", [1.0, 1.5, None, "1"])
     def test_non_integer_seed_raises(self, seed):
         with pytest.raises(TypeError):
-            spectra._paired_draws(16, seed, 0.25)
+            spectra._paired_row(16, seed, 0.25)
 
     def test_checks_run_on_a_warm_key(self):
-        spectra._paired_draws(16, 3, 0.25)
+        spectra._paired_row(16, 3, 0.25)
         with pytest.raises(ValueError, match="alpha"):
-            spectra._paired_draws(16, 3, 1.0)
+            spectra._paired_row(16, 3, 1.0)
 
     @pytest.mark.parametrize("n, seed", [(4, 0), (16, 3), (64, 7), (256, 11)])
     @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
@@ -589,6 +587,14 @@ class TestOnePowerRule:
         assert np.array_equal(spectra._power(-theta, r), -powered)
         assert np.all((powered > -np.pi) & (powered <= np.pi))
 
+    @pytest.mark.parametrize("r", [1, 2, 4, 32])
+    def test_power_is_the_wrapped_multiple(self, r):
+        # the sign follows the wrapped r theta, not theta: 2.0 powers by 2
+        # to wrap(4.0) = -2.28, where the copysign rule gave +2.28
+        theta = np.linspace(-np.pi, np.pi, 4001)[1:]
+        gap = wrap_phase(spectra._power(theta, r) - wrap_phase(r * theta))
+        assert np.all(np.abs(gap) <= 4.0 * r * np.pi * np.finfo(np.float64).eps)
+
 
 class TestResonantGenerator:
     def test_phases_cluster_near_resonances(self):
@@ -623,15 +629,17 @@ class TestResonantGenerator:
 
 class TestPairedConstruction:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_closed_form_pair_weights_match_assembled_rows(self, seed):
+    def test_doubled_member_weight_matches_assembled_pairs(self, seed):
+        # the b_target rescale reads 2 |row[2j+1]|^2 as pair j's weight: bit
+        # for bit the sum of the two members' weights that build reads
         n, alpha = 64, 0.05
-        unit = spectra._paired_draws(n, seed, alpha)
+        row = spectra._paired_row(n, seed, alpha)
         phases = np.linspace(0.5, 1.5, (n - 2) // 2)
-        spec = spectra._paired_spectrum(alpha, unit, phases, np.pi)
+        spec = spectra._paired_spectrum(row, phases, np.pi)
         weights = spec.weights
         assembled = weights[1 : n - 1 : 2] + weights[2 : n - 1 : 2]
-        closed = spectra._pair_weights(unit, alpha)
-        assert np.max(np.abs(closed - assembled)) <= 1e-15
+        closed = 2.0 * np.abs(row[1 : n - 1 : 2]) ** 2
+        assert closed.tobytes() == assembled.tobytes()
         # the lone slot is pinned to exactly zero target weight
         assert spec.target_row[n - 1] == 0.0
 
@@ -800,24 +808,6 @@ class TestDenseCap:
     def test_dense_operators_above_the_cap_raise(self, dense):
         inst = SearchInstance.build(symmetric_spectrum(self.N, 1, 0.5, 1.5))
         self.peak_while_raising(lambda: dense(inst))
-
-
-def test_import_leaves_scipy_optimize_out():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (str(root / "src"), env.get("PYTHONPATH")) if part
-    )
-    code = "import sys, gqsearch; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
 
 
 class TestScalingFamily:
