@@ -28,8 +28,34 @@ import math
 import numpy as np
 
 from .linalg import EigensolverError, check_dense_cap
-from .pea import qft, walsh_hadamard
-from .spectra import EigenSpectrum, SearchInstance, _complete_orthonormal
+from .spectra import EigenSpectrum, SearchInstance, _check_ancilla_count
+from .spectra import _complete_orthonormal
+
+
+def walsh_hadamard(m: int) -> np.ndarray:
+    """Dense 2^m Walsh-Hadamard transform (real, symmetric, involutive)."""
+    _check_ancilla_count(m)
+    check_dense_cap(2**m, "ancilla register")
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    out = h1
+    for _ in range(m - 1):
+        out = np.kron(out, h1)
+    return out.astype(np.complex128)
+
+
+def qft(m: int) -> np.ndarray:
+    """Fourier transform on 2^m values, exponent -2*pi*i*k*j/2^m.
+
+    The negative exponent makes the ancilla comb produced by the controlled
+    powers land at +theta, so the k = 0 amplitude matches pea_amplitude
+    with no sign gymnastics.  Only magnitudes at k = 0 matter downstream,
+    so nothing algorithmic depends on this choice.
+    """
+    _check_ancilla_count(m)
+    size = 2**m
+    check_dense_cap(size, "ancilla register")
+    grid = np.arange(size)
+    return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
 
 
 def eigenbasis(spec: EigenSpectrum) -> np.ndarray:

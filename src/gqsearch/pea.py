@@ -13,8 +13,8 @@ source has no weight at pi, so that whole eigenspace meets the search as
 one coordinate, and the boosted diffusion is a plain search instance on
 at most N + 1 entries (``boosted_instance``).  b', the boosted first
 moment and the boosted run (O(N) per step, whatever m is) all read it.
-The dense operator stages and the dense joint matrix that check it at
-small scale live in ``dense``; ``dense_boosted_matrix`` and
+The ancilla registers, dense stages and dense joint matrix that check
+it at small scale live in ``dense``; ``dense_boosted_matrix`` and
 ``dense_b_prime_check`` here load that module only when called.
 """
 
@@ -25,29 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_dense_cap, round_half_up
+from .linalg import round_half_up
 from .search import RunReport, _iterate, reflect_target
 from .spectra import EigenSpectrum, SearchInstance, SpectrumValidationError
 from .spectra import _check_ancilla_count, _power, _resonant
-
-
-@dataclass(frozen=True)
-class BoostedOperator:
-    """Bookkeeping for the boosted diffusion at a given ancilla size."""
-
-    m: int
-    r: int
-    spectrum: EigenSpectrum
-    cost_per_application: int
-
-    @classmethod
-    def build(cls, spectrum: EigenSpectrum, m: int) -> "BoostedOperator":
-        _check_ancilla_count(m)
-        # ledger: 2^m - 1 for the controlled power ladder, 2^m for the
-        # conditional block power, 2^m - 1 for undoing the estimation
-        return cls(
-            m=m, r=2**m, spectrum=spectrum, cost_per_application=3 * 2**m - 2
-        )
 
 
 @dataclass(frozen=True)
@@ -57,32 +38,6 @@ class BPrimeBreakdown:
     sigma1: float
     sigma2: float
     b_prime: float
-
-
-def walsh_hadamard(m: int) -> np.ndarray:
-    """Dense 2^m Walsh-Hadamard transform (real, symmetric, involutive)."""
-    _check_ancilla_count(m)
-    check_dense_cap(2**m, "ancilla register")
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    out = h1
-    for _ in range(m - 1):
-        out = np.kron(out, h1)
-    return out.astype(np.complex128)
-
-
-def qft(m: int) -> np.ndarray:
-    """Fourier transform on 2^m values, exponent -2*pi*i*k*j/2^m.
-
-    The negative exponent makes the ancilla comb produced by the controlled
-    powers land at +theta, so the k = 0 amplitude matches pea_amplitude
-    with no sign gymnastics.  Only magnitudes at k = 0 matter downstream,
-    so nothing algorithmic depends on this choice.
-    """
-    _check_ancilla_count(m)
-    size = 2**m
-    check_dense_cap(size, "ancilla register")
-    grid = np.arange(size)
-    return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
 
 
 def pea_amplitude(theta, m: int, k: int):
@@ -192,8 +147,10 @@ def boosted_search_run(
         If |<C|C> - 1| exceeds ``search.NORM_DRIFT_LIMIT``, or is NaN, at
         any step.
     """
-    cost = BoostedOperator.build(inst.spectrum, m).cost_per_application
-    return _iterate(boosted_instance(inst, m), q_max, cost, oracle=controlled_oracle)
+    boosted = boosted_instance(inst, m)
+    # ledger: 2^m - 1 for the controlled power ladder, 2^m for the
+    # conditional block power, 2^m - 1 for undoing the estimation
+    return _iterate(boosted, q_max, 3 * 2**m - 2, oracle=controlled_oracle)
 
 
 def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:

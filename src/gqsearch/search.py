@@ -264,8 +264,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         (alpha^2 / sin^2(lambda / 2)) / sum_l w_l / sin^2((lambda - theta_l) / 2).
 
     Every other eigenvector overlaps the source by at most the residual
-    1 - o_+ - o_-, so the pair holds the two largest overlaps whenever
-    the residual is below min(o_+, o_-).
+    max(0, 1 - o_+ - o_-), so the pair holds the two largest overlaps
+    whenever the residual is below min(o_+, o_-).
 
     Raises
     ------
@@ -289,7 +289,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     for root in roots:
         terms = weights / np.sin(0.5 * (root - theta)) ** 2
         overlaps.append(float(terms[0] / np.sum(terms)))
-    residual = 1.0 - overlaps[0] - overlaps[1]
+    # a weight, so never below 0: on Grover at N = 64 rounding gives -4.4e-16
+    residual = max(0.0, 1.0 - overlaps[0] - overlaps[1])
     if min(overlaps) <= 0.01:
         raise RelevantPairError(
             "source concentrates on fewer than two eigenvectors: "

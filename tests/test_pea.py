@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gqsearch.dense import (
+    _apply_boost,
     _apply_condition,
     _apply_estimate,
     _apply_ramp,
@@ -18,6 +19,8 @@ from gqsearch.dense import (
     build_diffusion,
     eigenbasis,
     pea_operator,
+    qft,
+    walsh_hadamard,
 )
 from gqsearch.linalg import (
     DENSE_CAP,
@@ -27,7 +30,6 @@ from gqsearch.linalg import (
     wrap_phase,
 )
 from gqsearch.pea import (
-    BoostedOperator,
     b_prime,
     boosted_instance,
     boosted_lambda1,
@@ -37,8 +39,6 @@ from gqsearch.pea import (
     dense_b_prime_check,
     dense_boosted_matrix,
     pea_amplitude,
-    qft,
-    walsh_hadamard,
 )
 from gqsearch.search import peak_law
 from gqsearch.spectra import (
@@ -63,10 +63,21 @@ def one_sided_spectrum(family):
         return graph_spectrum(hypercube_levels(8), math.pi / 41)
     if family == "torus":
         return graph_spectrum(torus_levels(2, 8), 0.3)
-    # 31 exact +/- pairs whose members carry unequal target weights
+    return pair_spectrum(64, matched=False)
+
+
+def pair_spectrum(n, matched):
+    """Source at 0, n/2 - 1 exact +/- pairs of phases in [0.5, 1.5), a lone pi.
+
+    With ``matched`` the members of a pair carry equal target weights;
+    without it each entry draws its own, so no weighted phase has an
+    equal-weight partner.  Built straight from its phases and row, in O(n).
+    """
     rng = np.random.default_rng(3)
-    pairs = rng.uniform(0.5, 1.5, 31)
-    row = rng.uniform(0.5, 1.5, 64)
+    pairs = rng.uniform(0.5, 1.5, n // 2 - 1)
+    row = rng.uniform(0.5, 1.5, n)
+    if matched:
+        row[n // 2 : n - 1] = row[1 : n // 2]
     phases = np.concatenate([[0.0], pairs, -pairs, [np.pi]])
     return EigenSpectrum(phases, row / np.linalg.norm(row))
 
@@ -121,7 +132,6 @@ class TestRegisters:
         for call in (
             walsh_hadamard,
             qft,
-            lambda m: BoostedOperator.build(inst.spectrum, m),
             lambda m: b_prime(inst, m),
             lambda m: boosted_lambda1(inst, m),
             lambda m: boosted_search_run(inst, m),
@@ -651,9 +661,9 @@ class TestBoostedLambda1:
 
 class TestBoostedRun:
     def test_cost_ledger(self):
-        spec = symmetric_spectrum(8, 3, 0.8, 1.8)
+        inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8))
         for m in (1, 2, 3, 4, 5):
-            assert BoostedOperator.build(spec, m).cost_per_application == 3 * 2**m - 2
+            assert boosted_search_run(inst, m, 0).ds_per_step == 3 * 2**m - 2
 
     def test_run_records_the_ledger(self):
         inst = SearchInstance.build(symmetric_spectrum(8, 3, 0.8, 1.8, alpha=0.2))
@@ -747,6 +757,39 @@ class TestBoostedRun:
             assert abs(source_overlap - overlap) <= 1e-12
             state = step @ state
 
+    @pytest.mark.parametrize(
+        "build, ms",
+        [
+            (lambda: symmetric_spectrum(4096, 1, 0.5, 1.5, b_target=64), range(1, 6)),
+            (lambda: pair_spectrum(4096, matched=False), range(1, 6)),
+            (lambda: pair_spectrum(65536, matched=True), (2,)),
+            (lambda: pair_spectrum(65536, matched=False), (2,)),
+            (lambda: resonant_spectrum(1024, 3, 1e-3, 3), (3,)),
+            (lambda: grover_spectrum(4096, np.full(4096, 1 / 64, dtype=complex)), (3,)),
+            (lambda: graph_spectrum(hypercube_levels(20), math.pi / 41), (3,)),
+        ],
+        ids=[
+            "symmetric4096",
+            "unmatched4096",
+            "paired65536",
+            "unmatched65536",
+            "resonant1024",
+            "grover4096",
+            "hypercube20",
+        ],
+    )
+    def test_matches_joint_run_above_the_dense_cap(self, build, ms):
+        # up to 2^18 joint states, far past DENSE_CAP.  Grover's and the lone
+        # pi entries resonate and drop out of the reduction; the resonant
+        # family sits 1e-3 off resonance, where the survival is near 0
+        spec = build()
+        inst = SearchInstance.build(spec)
+        for m in ms:
+            report = boosted_search_run(inst, m, 20)
+            probability, source_overlap = joint_run(spec, m, 20)
+            assert np.max(np.abs(report.target_probability - probability)) <= 1e-12
+            assert np.max(np.abs(report.source_overlap - source_overlap)) <= 1e-12
+
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_long_run_stays_normalized(self, n):
         # drift reaches a few 1e-12 by q = 3000, past a 1e-12 per-step check
@@ -806,6 +849,28 @@ class TestBoostedRun:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def joint_run(spec, m, steps):
+    """Target probability and source overlap of the joint search, step by step.
+
+    The (2^m, N, 1) state is held in eigen-coordinates, where the joint
+    source is [0, 0, 0] and the joint target is conj(t) on ancilla row 0.
+    Each step flips that target, then applies ``dense._apply_boost``.  It
+    builds no basis and checks no cap, and it shares no code with
+    ``boosted_instance``, ``pea_amplitude`` or ``spectra._power``.
+    """
+    t = spec.target_row
+    state = np.zeros((2**m, spec.dimension, 1), dtype=np.complex128)
+    state[0, 0, 0] = 1.0
+    probability, source_overlap = [], []
+    for step in range(steps + 1):
+        if step:
+            state[0, :, 0] -= 2 * (t @ state[0, :, 0]) * t.conj()
+            state = _apply_boost(spec, m, state)
+        probability.append(abs(t @ state[0, :, 0]) ** 2)
+        source_overlap.append(abs(state[0, 0, 0]))
+    return np.array(probability), np.array(source_overlap)
 
 
 @pytest.fixture(scope="module")

@@ -248,6 +248,13 @@ class TestRelevantPair:
         for got, want in zip(solved, dense):
             assert abs(got - want) <= 1e-12
 
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_grover_residual_is_not_negative(self, n):
+        # the pair holds the whole source; 1 - o+ - o- rounds to -4.4e-16 at 64
+        source = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        inst = SearchInstance.build(grover_spectrum(n, source))
+        assert verify_relevant_pair(inst)[2] >= 0.0
+
     @pytest.mark.parametrize(
         "inst, theta_plus, theta_minus",
         [
