@@ -80,7 +80,7 @@ def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
 
 def search_operator(inst: SearchInstance) -> np.ndarray:
     """Dense search operator: target sign flip followed by diffusion."""
-    matrix = build_diffusion(inst.spectrum)
+    matrix = build_diffusion(inst)
     matrix[:, 0] = -matrix[:, 0]
     return matrix
 
@@ -226,10 +226,10 @@ def dense_b_prime_check(inst: SearchInstance, m: int) -> float:
     """
     from .linalg import unitary_eigensystem
 
-    blocks = _boost_blocks(inst.spectrum, m)
+    blocks = _boost_blocks(inst, m)
     eig = unitary_eigensystem(blocks.transpose(1, 0, 2))
     phases = eig.phases
-    weights = inst.spectrum.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
+    weights = inst.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
     zero_block = np.abs(phases) < 1e-9
     leftover = float(np.sum(weights[zero_block])) - inst.alpha**2
     if not abs(leftover) <= 1e-8:

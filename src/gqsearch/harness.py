@@ -240,8 +240,6 @@ def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
             axes.append((key, parts))
         else:
             fixed[key] = text
-    if not axes:
-        return [_build_config(fixed, overrides)]
     configs = []
     for combo in itertools.product(*(parts for _, parts in axes)):
         merged = dict(fixed)
@@ -440,8 +438,8 @@ def _validation_checks():
             breakdown = pea.b_prime(inst, m)
             if not breakdown.sigma1 <= 1.0:
                 raise AssertionError(f"sigma1 = {breakdown.sigma1}")
-            phases = inst.spectrum.phases[1:]
-            weights = inst.spectrum.weights[1:]
+            phases = inst.phases[1:]
+            weights = inst.weights[1:]
             live = weights > 0.0
             survival = pea.pea_amplitude(phases[live], m, 0) ** 2
             termwise = float(

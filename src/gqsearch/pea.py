@@ -79,16 +79,15 @@ def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     so a conjugate spectrum boosts to the exact conjugate.
     """
     _check_ancilla_count(m)
-    spectrum = inst.spectrum
-    powered = _power(spectrum.phases, 2**m)
-    survival = np.minimum(pea_amplitude(spectrum.phases, m, 0) ** 2, 1.0)
+    powered = _power(inst.phases, 2**m)
+    survival = np.minimum(pea_amplitude(inst.phases, m, 0) ** 2, 1.0)
     survival[1:][_resonant(powered[1:], 2**m)] = 0.0
-    kept = spectrum.weights * survival > 0.0  # the source's is alpha^2 > 0
-    sigma1 = float(np.sum(spectrum.weights * (1.0 - survival)))
-    row = np.sqrt(survival[kept]) * spectrum.target_row[kept]
+    kept = inst.weights * survival > 0.0  # the source's is alpha^2 > 0
+    sigma1 = float(np.sum(inst.weights * (1.0 - survival)))
+    row = np.sqrt(survival[kept]) * inst.target_row[kept]
     row = np.append(row, math.sqrt(sigma1))
     phases = np.append(powered[kept], np.pi)
-    return SearchInstance.build(EigenSpectrum(phases, row))
+    return SearchInstance(phases, row)
 
 
 # The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the
@@ -108,7 +107,7 @@ def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     A resonant entry adds to sigma1 and nothing to sigma2.
     """
     boosted = boosted_instance(inst, m)
-    boost, sigma1 = boosted.b_factor, float(boosted.spectrum.weights[-1])
+    boost, sigma1 = boosted.b_factor, float(boosted.weights[-1])
     return BPrimeBreakdown(sigma1=sigma1, sigma2=boost**2 - sigma1, b_prime=boost)
 
 

@@ -194,7 +194,7 @@ def _iterate(
             )
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
-    phases, target_row = inst.spectrum.phases, inst.spectrum.target_row
+    phases, target_row = inst.phases, inst.target_row
     eigenphase = np.where(phases == np.pi, -1.0, np.exp(1j * phases))
     target_conj = target_row.conj()
     project, multiply, vdot = target_row.dot, np.multiply, np.vdot
@@ -274,9 +274,8 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         does not fall below it, so that another eigenvector might outweigh
         the pair.
     """
-    spectrum = inst.spectrum
-    kept = spectrum.weights > 0.0
-    theta, weights = spectrum.phases[kept], spectrum.weights[kept]
+    kept = inst.weights > 0.0
+    theta, weights = inst.phases[kept], inst.weights[kept]
     above, below = theta[theta > 0.0], theta[theta < 0.0]
     top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
     bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi

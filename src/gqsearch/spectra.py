@@ -20,14 +20,13 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; every generator draws from it
 
 from .linalg import NumericalFailure, bisect_root, wrap_phase
 
-ORTHONORMALITY_ATOL = 1e-10
+ROW_NORM_ATOL = 1e-10
 
 # scaling_family targets b = SCALING_COEFF * sqrt(ln N)
 SCALING_COEFF = 2.0
@@ -75,6 +74,7 @@ class EigenSpectrum:
 
     @property
     def dimension(self) -> int:
+        """The entry count N, which the report's ``n`` and every dense cap read."""
         return int(self.phases.shape[0])
 
     @property
@@ -108,16 +108,16 @@ def _validate_row(row: np.ndarray, n: int) -> None:
             f"eigenbasis row shape {row.shape} does not match {n} phases"
         )
     defect = abs(float(np.vdot(row, row).real) - 1.0)
-    if not defect <= ORTHONORMALITY_ATOL:
+    if not defect <= ROW_NORM_ATOL:
         raise SpectrumValidationError(
             f"eigenbasis row not normalized: norm defect {defect:.3e}"
         )
 
 
-@dataclass(frozen=True)
-class SearchInstance:
+class SearchInstance(EigenSpectrum):
     """A diffusion spectrum with its target, basis state 0, and cached moments.
 
+    Made from ``(phases, target_row)``, or from a spectrum by ``build``.
     ``alpha`` is the source-target overlap magnitude; ``lambda1``/``lambda2``
     are the first two cotangent moments of the nonsource phases weighted by
     target overlap; ``b_factor`` is the inverse-sine-weighted norm.  With
@@ -125,48 +125,34 @@ class SearchInstance:
     count of the search, through ``search.peak_law``.
     """
 
-    spectrum: EigenSpectrum
-    alpha: float
-    lambda1: float
-    lambda2: float
-    b_factor: float
-
-    @classmethod
-    def build(cls, spectrum: EigenSpectrum) -> "SearchInstance":
-        alpha = float(np.abs(spectrum.target_row[0]))
-        if not (0.0 < alpha < 1.0 and spectrum.weights[0] > 0.0):
+    def __init__(self, phases, target_row):
+        super().__init__(phases, target_row)
+        alpha = float(np.abs(self.target_row[0]))
+        if not (0.0 < alpha < 1.0 and self.weights[0] > 0.0):
             raise ValueError(
                 f"source-target overlap must lie in (0, 1), alpha^2 > 0, got {alpha}"
             )
-        phases, weights = spectrum.phases[1:], spectrum.weights[1:]
-        half = 0.5 * phases
+        theta, weights = self.phases[1:], self.weights[1:]
+        half = 0.5 * theta
         # cot(pi / 2) is exactly 0, where cos(pi / 2) / sin(pi / 2) gives 6.1e-17
-        cot = np.where(phases == np.pi, 0.0, np.cos(half) / np.sin(half))
+        cot = np.where(theta == np.pi, 0.0, np.cos(half) / np.sin(half))
         lam1 = float(np.sum(weights * cot))
         lam2 = float(np.sum(weights * cot**2))
-        b2 = _powered_b_squared(spectrum, 1)
-        # exact identity: b^2 = 1 + lambda2 - alpha^2 up to basis rounding
+        b2 = _powered_b_squared(self, 1)
+        # exact identity: b^2 = 1 + lambda2 - alpha^2 up to the row's rounding
         expected = 1.0 + lam2 - alpha**2
         if not abs(b2 - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise SpectrumValidationError(
                 f"b_factor inconsistency: direct {b2:.12e} vs "
                 f"moment identity {expected:.12e}"
             )
-        return cls(
-            spectrum=spectrum,
-            alpha=alpha,
-            lambda1=lam1,
-            lambda2=lam2,
-            b_factor=math.sqrt(b2),
-        )
+        self.alpha, self.lambda1, self.lambda2 = alpha, lam1, lam2
+        self.b_factor = math.sqrt(b2)
 
-    @property
-    def dimension(self) -> int:
-        return self.spectrum.dimension
-
-    @property
-    def theta_min(self) -> float:
-        return self.spectrum.theta_min
+    @classmethod
+    def build(cls, spectrum: EigenSpectrum) -> "SearchInstance":
+        """The instance on ``spectrum``'s phases and target row."""
+        return cls(spectrum.phases, spectrum.target_row)
 
 
 def _power(phases: np.ndarray, r: int) -> np.ndarray:
@@ -227,7 +213,7 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     """
     if r < 1:
         raise ValueError(f"power must be a positive integer, got {r}")
-    return math.sqrt(_powered_b_squared(inst.spectrum, r))
+    return math.sqrt(_powered_b_squared(inst, r))
 
 
 def _complete_orthonormal(source: np.ndarray, rows: slice = slice(None)) -> np.ndarray:

@@ -18,5 +18,5 @@ def test_pea_entry_points_call_through_to_dense(monkeypatch):
     for name in ("dense_b_prime_check", "dense_boosted_matrix"):
         monkeypatch.setattr(gqsearch.dense, name, recorded)
     assert pea.dense_b_prime_check(inst, 2) == 1
-    assert pea.dense_boosted_matrix(inst.spectrum, 3) == 2
-    assert calls == [(inst, 2), (inst.spectrum, 3)]
+    assert pea.dense_boosted_matrix(inst, 3) == 2
+    assert calls == [(inst, 2), (inst, 3)]

@@ -313,7 +313,7 @@ def test_predicted_cells_read_the_peak_law(tmp_path, monkeypatch, kind):
         graph_spectrum(hypercube_levels(8), math.pi / 17)
     )
     monkeypatch.setattr(
-        spectra, "symmetric_spectrum", lambda *args, **kwargs: inst.spectrum
+        spectra, "symmetric_spectrum", lambda *args, **kwargs: inst
     )
     path = write_config(
         tmp_path, f"[experiment]\nkind = {kind}\n[run]\nq_max = 20\n"

@@ -67,7 +67,7 @@ def test_conjugation_leaves_every_run_bit_for_bit(case):
     # magnitude matches exactly
     spec, ancillas = case_spectrum(case)
     inst = SearchInstance.build(spec)
-    mirror = SearchInstance.build(conjugate(inst.spectrum))
+    mirror = SearchInstance.build(conjugate(inst))
     assert mirror.b_factor == inst.b_factor
     assert same_columns(run_iterations(mirror, 400), run_iterations(inst, 400))
     for m in ancillas:
@@ -85,7 +85,7 @@ def test_repeated_nonsource_phases_are_accepted():
     inst = SearchInstance.build(EigenSpectrum(phases, row))
     report = run_iterations(inst, 20)
     # it runs as the spectrum with each repeated phase merged into one entry
-    weights = inst.spectrum.weights
+    weights = inst.weights
     merged_row = np.sqrt([weights[0], weights[1] + weights[2], weights[3] + weights[4]])
     merged = EigenSpectrum([0.0, 0.7, -0.7], merged_row)
     expected = run_iterations(SearchInstance.build(merged), 20)

@@ -135,7 +135,7 @@ class TestRegisters:
             lambda m: b_prime(inst, m),
             lambda m: boosted_lambda1(inst, m),
             lambda m: boosted_search_run(inst, m),
-            lambda m: pea_amplitude(inst.spectrum.phases, m, 0),
+            lambda m: pea_amplitude(inst.phases, m, 0),
             lambda m: resonant_spectrum(16, m, 1e-3, 1),
         ):
             with pytest.raises(ValueError, match=message):
@@ -386,7 +386,7 @@ class TestBPrime:
         # no longer raises: the 5-torus level 11 sits at phase pi when
         # gamma = pi / 11, so every power drives it onto a multiple of 2 pi
         inst = SearchInstance.build(graph_spectrum(torus_levels(5, 6), math.pi / 11))
-        assert math.pi in set(inst.spectrum.phases)
+        assert math.pi in set(inst.phases)
         assert_boost_matches_dense(inst, m)
 
     def test_bound_from_sigma_split(self):
@@ -418,7 +418,7 @@ class TestBPrime:
 
 def full_schur_b_prime(inst, m):
     """b' from one eigendecomposition of the whole dense joint matrix."""
-    system = unitary_eigensystem(dense_boosted_matrix(inst.spectrum, m))
+    system = unitary_eigensystem(dense_boosted_matrix(inst, m))
     weights = np.abs(system.vectors[0, :]) ** 2
     live = np.abs(system.phases) >= 1e-9
     return math.sqrt(
@@ -508,11 +508,11 @@ class TestDenseBPrimeCheck:
         # the dense joint matrix splits in I (x) V into the blocks the check
         # solves, and couples no two diffusion eigenvectors
         inst = audit_instance() if family == "audit" else oracle_instance(family)
-        size, vectors = 2**m, eigenbasis(inst.spectrum)
-        matrix = dense_boosted_matrix(inst.spectrum, m)
+        size, vectors = 2**m, eigenbasis(inst)
+        matrix = dense_boosted_matrix(inst, m)
         blocks, leak = round_trip_split(matrix, vectors, size)
         assert leak <= 1e-13
-        read = _boost_blocks(inst.spectrum, m).transpose(1, 0, 2)
+        read = _boost_blocks(inst, m).transpose(1, 0, 2)
         assert np.max(np.abs(blocks - read)) <= 1e-12
 
     def test_nan_block_entry_raises(self, monkeypatch):
@@ -565,7 +565,7 @@ class TestDenseBPrimeCheck:
             if oracle == "check":
                 dense_b_prime_check(inst, 3)
             else:
-                dense_boosted_matrix(inst.spectrum, 3)
+                dense_boosted_matrix(inst, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -609,7 +609,7 @@ class TestDenseBPrimeCheck:
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", pinned)
         with pytest.raises(EigensolverError, match="zero-phase") as caught:
             dense_b_prime_check(inst, 2)
-        expected = abs(inst.spectrum.target_row[1]) ** 2 * moved[0]
+        expected = abs(inst.target_row[1]) ** 2 * moved[0]
         assert expected > 1e-8
         assert np.isclose(caught.value.residual, expected, rtol=1e-8)
 
@@ -620,8 +620,8 @@ def dense_boosted_lambda1(inst, m):
     Eigenvector k of block l carries target weight w_l |Z_l[0, k]|^2, as in
     ``dense_b_prime_check``; the zero-phase one is the joint source.
     """
-    eig = unitary_eigensystem(_boost_blocks(inst.spectrum, m).transpose(1, 0, 2))
-    weights = inst.spectrum.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
+    eig = unitary_eigensystem(_boost_blocks(inst, m).transpose(1, 0, 2))
+    weights = inst.weights[:, np.newaxis] * np.abs(eig.vectors[:, 0, :]) ** 2
     live = np.abs(eig.phases) >= 1e-9
     half = 0.5 * eig.phases[live]
     return float(np.sum(weights[live] * np.cos(half) / np.sin(half)))
@@ -738,7 +738,7 @@ class TestBoostedRun:
         elif family == "resonant":
             spec = resonant_spectrum(n, 2, 5e-3, seed)
         elif family == "grover":
-            spec = oracle_instance("grover").spectrum
+            spec = oracle_instance("grover")
         else:
             spec = one_sided_spectrum(family)
         assert spec.dimension == n
@@ -829,7 +829,7 @@ class TestBoostedRun:
         angle = math.asin(inst.alpha)
         expected = np.sin((2 * np.arange(1701) + 1) * angle) ** 2
         for m in range(1, 9):
-            boosted = boosted_instance(inst, m).spectrum
+            boosted = boosted_instance(inst, m)
             assert boosted.phases.tolist() == [0.0, math.pi]
             assert boosted.weights[0] == inst.alpha**2
             assert abs(boosted.weights[1] - (1.0 - inst.alpha**2)) <= 1e-12

@@ -71,7 +71,7 @@ def dense_relevant_pair(inst):
     """Oracle: the pair with the largest source overlaps, from a dense eigensolve."""
     matrix = search_operator(inst)
     eig = unitary_eigensystem(matrix)
-    overlaps = np.abs(eig.vectors.conj().T @ eigenbasis(inst.spectrum)[:, 0]) ** 2
+    overlaps = np.abs(eig.vectors.conj().T @ eigenbasis(inst)[:, 0]) ** 2
     order = np.argsort(overlaps)[::-1]
     first, second = int(order[0]), int(order[1])
     if overlaps[second] <= 0.01:
@@ -86,7 +86,7 @@ def dense_relevant_pair(inst):
 
 @pytest.mark.parametrize("build", [double_pair_toy, skewed_toy])
 def test_toy_eigenbasis_has_the_target_row(build):
-    spec = build().spectrum
+    spec = build()
     vectors = eigenbasis(spec)
     assert unitarity_defect(vectors) <= 1e-10
     assert vectors[0].tobytes() == spec.target_row.tobytes()
@@ -95,7 +95,7 @@ def test_toy_eigenbasis_has_the_target_row(build):
 def test_search_operator_is_diffusion_after_flip():
     inst = double_pair_toy()
     flip = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]).astype(np.complex128)
-    expected = build_diffusion(inst.spectrum) @ flip
+    expected = build_diffusion(inst) @ flip
     assert np.allclose(search_operator(inst), expected, atol=1e-12)
     assert unitarity_defect(search_operator(inst)) < 1e-10
 
@@ -332,7 +332,7 @@ class TestRunIterations:
         inst = build()
         report = run_iterations(inst, 25)
         matrix = search_operator(inst)
-        source = eigenbasis(inst.spectrum)[:, 0]
+        source = eigenbasis(inst)[:, 0]
         state = source.copy()
         dense_probabilities = []
         for q in range(26):
@@ -407,8 +407,8 @@ class TestRunIterations:
         inst = double_pair_toy()
         # the toy's drift passes this limit at step 11 of 25
         limit = 2e-15
-        target = inst.spectrum.target_row
-        eigenphase = np.exp(1j * inst.spectrum.phases)
+        target = inst.target_row
+        eigenphase = np.exp(1j * inst.phases)
         coeff = np.eye(inst.dimension, dtype=np.complex128)[0]
         first = None
         for q in range(26):
@@ -528,12 +528,12 @@ def test_boosted_run_keeps_reference_bits():
     m, q_max = 3, 3000
     inst = SearchInstance.build(symmetric_spectrum(256, 1, 0.5, 1.5))
     report = boosted_search_run(inst, m, q_max)
-    boosted = boosted_instance(inst, m).spectrum
+    boosted = boosted_instance(inst, m)
     eigenphase = np.where(boosted.phases == np.pi, -1.0, np.exp(1j * boosted.phases))
     assert_same_bits(report, reference_iterate(eigenphase, boosted.target_row, q_max))
     # and stays within rounding of the whole (N + 1)-entry assembly, with the
     # unwrapped powered phases, that the survival column spells out
-    spec = inst.spectrum
+    spec = inst
     survival = np.minimum(pea_amplitude(spec.phases, m, 0) ** 2, 1.0)
     target_row = np.append(
         np.sqrt(survival) * spec.target_row, math.sqrt(b_prime(inst, m).sigma1)

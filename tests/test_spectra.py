@@ -99,7 +99,7 @@ def test_grover_spectrum_moments_vanish():
     assert abs(inst.lambda2) < 1e-30
     assert np.isclose(inst.b_factor, 0.9682458365518543, rtol=1e-12)
     # all nonsource eigenphases sit at pi
-    assert np.allclose(np.abs(inst.spectrum.phases[1:]), math.pi, atol=1e-15)
+    assert np.allclose(np.abs(inst.phases[1:]), math.pi, atol=1e-15)
 
 
 def test_grover_spectrum_rejects_unnormalized_source():
@@ -802,7 +802,7 @@ class TestDenseCap:
 
     @pytest.mark.parametrize(
         "dense",
-        [lambda inst: build_diffusion(inst.spectrum), search_operator],
+        [lambda inst: build_diffusion(inst), search_operator],
         ids=["build_diffusion", "search_operator"],
     )
     def test_dense_operators_above_the_cap_raise(self, dense):
@@ -860,3 +860,26 @@ def test_generator_outputs_frozen(name):
     assert np.max(np.abs(spec.weights - weights)) <= 1e-14
     assert abs(inst.alpha - alpha) <= 1e-12
     assert abs(inst.b_factor - b_factor) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_instance_from_phases_and_row_is_its_build(name):
+    spec = FROZEN_CASES[name][0]()
+    made = SearchInstance(spec.phases, spec.target_row)
+    built = SearchInstance.build(spec)
+    assert isinstance(made, EigenSpectrum)
+    for field in ("phases", "target_row", "weights"):
+        assert getattr(made, field).tobytes() == getattr(built, field).tobytes()
+    for field in ("alpha", "lambda1", "lambda2", "b_factor"):
+        assert getattr(made, field) == getattr(built, field)
+
+
+def test_instance_constructor_refuses_what_build_refuses():
+    phases, row = [0.0, 1.0], [1.0, 0.0]  # alpha = 1: the source is the target
+    message = r"must lie in \(0, 1\), alpha\^2 > 0, got 1.0"
+    for make in (
+        lambda: SearchInstance(phases, row),
+        lambda: SearchInstance.build(EigenSpectrum(phases, row)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
