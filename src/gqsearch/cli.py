@@ -53,13 +53,8 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return 0 if run_validation() else 2
 
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.format is not None:
-            overrides["fmt"] = args.format
+        flags = {"seed": args.seed, "out": args.out, "fmt": args.format}
+        overrides = {name: value for name, value in flags.items() if value is not None}
         if args.command == "run":
             configs = [load_config(args.config, **overrides)]
         else:

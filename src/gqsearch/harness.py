@@ -56,8 +56,8 @@ def _key(section: str, type_: type, default, key: str | None = None):
 class ExperimentConfig:
     """One experiment; each field declares its config key, section and type.
 
-    ``__post_init__`` checks each field's own rules, so every instance is
-    valid however it was made.  ``_instances`` refuses an unread key.
+    ``__post_init__`` checks each field's rules and refuses a key the kind
+    or family does not read, so every instance is valid however it was made.
     """
 
     # one of EXPERIMENT_KINDS
@@ -106,6 +106,12 @@ class ExperimentConfig:
             raise ConfigError(f"q_max must be nonnegative, got {self.q_max}")
         if not self.b_values:
             raise ConfigError("b_values must list at least one target")
+        reads = ("n", "seed") + _READS[self.kind]
+        reads += _READS[self.family] if "family" in reads else ()
+        for key, field in _FIELDS.items():
+            unread = field.metadata["section"] == "instance" and key not in reads
+            if unread and getattr(self, field.name) != field.default:
+                raise ConfigError(f"{self.kind} does not read {key}")
 
 
 @dataclass(frozen=True)
@@ -254,15 +260,10 @@ def _instances(config: ExperimentConfig):
     The kind fixes the spectrum for grover-baseline (uniform Grover),
     divergence-demo (resonant) and b-sweep (symmetric, one per ``b_values``
     target); general-search and boosted-search take it from ``family``.
+    The config was checked where it was made, so this only builds.
     """
     kind, build = config.kind, spectra.SearchInstance.build
     n, seed, alpha = config.n, config.seed, config.alpha
-    reads = ("n", "seed") + _READS[kind]
-    reads += _READS[config.family] if "family" in reads else ()
-    for key, field in _FIELDS.items():
-        unread = field.metadata["section"] == "instance" and key not in reads
-        if unread and getattr(config, field.name) != field.default:
-            raise ConfigError(f"{kind} does not read {key}")
     if kind == "grover-baseline":
         uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
         yield build(spectra.grover_spectrum(n, uniform))

@@ -265,8 +265,7 @@ def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
 
 
 # normals per call when stepping the stream past the discarded block, through
-# one buffer per thread reused for the whole block; the timing is flat from
-# 2**13 to 2**18
+# one buffer per sink (``_sink``); the timing is flat from 2**13 to 2**18
 _SKIP_CHUNK = 2**14
 # discarded normals from which a helper thread draws half of them: N >= 726.
 # On a 2-core host the split gained nothing at N = 512 (5.5 ms against 5.3 ms
@@ -304,24 +303,27 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
     if skipped >= _SPLIT_MIN:
         _split_skip(rng, skipped)
     else:
-        _draw_normals(rng, skipped)
+        _draw_normals(_sink(rng), skipped)
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
     unit.setflags(write=False)
     return unit
 
 
-def _draw_normals(rng: np.random.Generator, count: int) -> None:
-    """Draw and drop ``count`` standard normals through one reused buffer."""
-    buf = np.empty(min(count, _SKIP_CHUNK))
-    while count > 0:
-        part = buf[:count]
-        rng.standard_normal(out=part)
-        count -= part.size
+def _sink(rng: np.random.Generator):
+    """``drop(k)``: k <= 2**14 normals from ``rng`` into a buffer made here."""
+    buf = np.empty(_SKIP_CHUNK)
+    return lambda k: rng.standard_normal(out=buf[:k])
+
+
+def _draw_normals(drop, count: int) -> None:
+    """Draw and drop ``count`` standard normals through the sink ``drop``."""
+    for start in range(0, count, _SKIP_CHUNK):
+        drop(min(count - start, _SKIP_CHUNK))
 
 
 def _split_skip(rng: np.random.Generator, count: int) -> None:
-    """``_draw_normals(rng, count)`` with the second half on a helper thread.
+    """Draw and drop ``count`` normals from ``rng``, half on a helper thread.
 
     ``PCG64.advance`` moves the stream by raw 64-bit words, and a ziggurat
     normal takes one word or more, so the first ``half`` normals end at a
@@ -337,28 +339,29 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     helper = copy.deepcopy(rng.bit_generator)
     helper.advance(half)
     probe = copy.deepcopy(helper)
-    outcome = {}
+    # both buffers are made here: the helper's malloc arena would keep its own
+    mine, theirs, outcome = _sink(rng), _sink(np.random.Generator(helper)), {}
 
     def work():
         try:
-            _draw_normals(np.random.Generator(helper), count - half)
+            _draw_normals(theirs, count - half)
         except BaseException as exc:  # raised again by the caller after the join
             outcome["error"] = exc
 
     thread = threading.Thread(target=work, name="gqsearch-skip")
     thread.start()
     try:
-        _draw_normals(rng, half)
+        _draw_normals(mine, half)
         behind = _normals_to(probe, rng.bit_generator.state)
     finally:
         thread.join()
     if "error" in outcome:
         raise outcome["error"]
     if behind is None:
-        _draw_normals(rng, count - half)
+        _draw_normals(mine, count - half)
     else:
         rng.bit_generator.state = helper.state
-        _draw_normals(rng, behind)
+        _draw_normals(mine, behind)
 
 
 def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
@@ -369,13 +372,13 @@ def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
     halved.  Returns None when ``target`` falls inside a normal; otherwise
     ``bitgen`` is left at ``target``.
     """
-    gen = np.random.Generator(bitgen)
+    drop = _sink(np.random.Generator(bitgen))
     drawn, gap = 0, _words_between(bitgen.state, target)
     step = gap // 2
     while gap:
         step = max(1, min(step, gap // 2))
         saved = bitgen.state
-        _draw_normals(gen, step)
+        _draw_normals(drop, step)
         left = _words_between(bitgen.state, target)
         if left < gap:  # short of target or on it; a pass wraps modulo 2**128
             drawn, gap = drawn + step, left

@@ -5,7 +5,8 @@ report each one wrote, and the JSON report of the b-sweep config.  Both
 ``run`` and ``sweep`` must write the CSV reports.  A change that moves any
 report byte (a digit, a column, the peak row) fails here.
 Each test starts from an empty random-draw memo, so it pins the report a
-fresh ``gqsearch`` process writes, not one drawn from a warm memo.
+fresh ``gqsearch`` process writes, not one drawn from a warm memo.  One
+test reruns every config in a child process on OpenBLAS's Prescott kernel.
 Every golden lambda1 cell is exactly 0: a cotangent at phase pi is 0,
 and the paired spectra cancel term by term, as do their boosts, whose
 wrap is odd.
@@ -14,11 +15,16 @@ Regenerate a file only for a change that means to alter reports, with
     gqsearch run --config tests/data/golden/KIND.ini --out tests/data/golden/KIND.csv
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gqsearch import cli, spectra
+import gqsearch
+from gqsearch import cli, search, spectra
 from gqsearch.harness import EXPERIMENT_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -55,3 +61,53 @@ def test_run_reproduces_golden_json(tmp_path):
     argv = ["run", "--config", str(GOLDEN / "b-sweep.ini"), "--format", "json"]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "b-sweep.json").read_bytes()
+
+
+def plain_column_sha256():
+    """sha256 of an N = 1024 plain run's target_probability column.
+
+    Its bits move with the OpenBLAS kernel, so a hash that differs between
+    two processes shows they stepped on different kernels.
+    """
+    spec = spectra.symmetric_spectrum(1024, 1, 0.5, 1.5, b_target=8.0)
+    report = search.run_iterations(spectra.SearchInstance.build(spec), 402)
+    return hashlib.sha256(report.target_probability.tobytes()).hexdigest()
+
+
+# reruns every golden config into the directory argv[2] and prints the
+# column hash last
+RERUN_GOLDEN = """
+import sys
+from pathlib import Path
+from gqsearch import cli
+from test_golden import plain_column_sha256
+golden, out = Path(sys.argv[1]), Path(sys.argv[2])
+for ini in sorted(golden.glob("*.ini")):
+    argv = ["run", "--config", str(ini), "--out", str(out / f"{ini.stem}.csv")]
+    assert cli.main(argv) == 0
+argv = ["run", "--config", str(golden / "b-sweep.ini"), "--format", "json"]
+assert cli.main(argv + ["--out", str(out / "b-sweep.json")]) == 0
+print(plain_column_sha256())
+"""
+
+
+def test_golden_reports_hold_on_another_blas_kernel(tmp_path):
+    # column bits move with the OpenBLAS kernel, by up to 2.4e-14 between
+    # the kernels tried; report cells are rounded to 12 digits and must not
+    paths = [Path(gqsearch.__file__).resolve().parents[1], Path(__file__).parent]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(map(str, paths))
+    child = subprocess.run(
+        [sys.executable, "-c", RERUN_GOLDEN, str(GOLDEN), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    for golden in [*GOLDEN.glob("*.csv"), *GOLDEN.glob("*.json")]:
+        rerun = tmp_path / golden.name
+        assert rerun.read_bytes() == golden.read_bytes(), golden.name
+    if child.stdout.split()[-1] == plain_column_sha256():
+        pytest.skip(
+            "the N = 1024 plain column hashes the same under "
+            "OPENBLAS_CORETYPE=Prescott as in this process, so the setting "
+            "changed no BLAS kernel here"
+        )

@@ -82,27 +82,42 @@ class TestConfigParsing:
             "out": ("result.json", "result.json"),
             "fmt": ("json", "json"),
         }
+        # no kind reads every [instance] key, so the fields are loaded in one
+        # config per kind, each setting only keys its kind (and family) reads
+        bodies = {
+            "b-sweep": ("kind", "n", "seed", "theta_min", "theta_max", "alpha",
+                        "m", "b_values", "q_max", "out", "fmt"),
+            "boosted-search": ("family", "epsilon", "resonance_m"),
+            "general-search": ("b_target",),
+        }
         fields = dataclasses.fields(ExperimentConfig)
         assert sorted(field.name for field in fields) == sorted(values)
-        sections: dict[str, list[str]] = {}
-        for field in fields:
-            key = field.metadata.get("key", field.name)
-            text = values[field.name][0]
-            sections.setdefault(field.metadata["section"], []).append(
-                f"{key} = {text}"
+        assert sorted(sum(bodies.values(), ())) == sorted(values)
+        configs = {}
+        for kind, names in bodies.items():
+            chosen = [field for field in fields if field.name in names]
+            sections: dict[str, list[str]] = {
+                "experiment": [] if "kind" in names else [f"kind = {kind}"]
+            }
+            for field in chosen:
+                key = field.metadata.get("key", field.name)
+                text = values[field.name][0]
+                sections.setdefault(field.metadata["section"], []).append(
+                    f"{key} = {text}"
+                )
+            body = "".join(
+                f"[{section}]\n" + "\n".join(lines) + "\n"
+                for section, lines in sections.items()
             )
-        body = "".join(
-            f"[{section}]\n" + "\n".join(lines) + "\n"
-            for section, lines in sections.items()
-        )
-        config = load_config(write_config(tmp_path, body))
-        for field in fields:
-            loaded = getattr(config, field.name)
-            expected = values[field.name][1]
-            assert loaded != field.default, field.name
-            assert loaded == expected, field.name
-            assert type(loaded) is field.metadata["type"], field.name
-        assert all(type(b) is float for b in config.b_values)
+            config = configs[kind] = load_config(write_config(tmp_path, body))
+            assert config.kind == kind
+            for field in chosen:
+                loaded = getattr(config, field.name)
+                expected = values[field.name][1]
+                assert loaded != field.default, field.name
+                assert loaded == expected, field.name
+                assert type(loaded) is field.metadata["type"], field.name
+        assert all(type(b) is float for b in configs["b-sweep"].b_values)
 
     def test_out_may_hold_a_comma(self, tmp_path):
         path = write_config(tmp_path, "[run]\nout = a,b.csv\n")
@@ -158,7 +173,7 @@ class TestConfigParsing:
             load_config(path)
 
     def test_b_values_list_is_not_a_sweep(self, tmp_path):
-        path = write_config(tmp_path, "[instance]\nb_values = 2, 8\n")
+        path = write_config(tmp_path, ini("b-sweep", "b_values = 2, 8"))
         assert load_config(path).b_values == (2.0, 8.0)
 
     def test_overrides_win(self, tmp_path):
@@ -173,8 +188,7 @@ class TestConfigParsing:
 class TestSweepExpansion:
     def test_cartesian_product_in_file_order(self, tmp_path):
         path = write_config(
-            tmp_path,
-            "[instance]\nseed = 1, 2, 3\nalpha = 0.1, 0.2\n",
+            tmp_path, ini("general-search", "seed = 1, 2, 3\nalpha = 0.1, 0.2")
         )
         configs = load_sweep_configs(path)
         combos = [(c.seed, c.alpha) for c in configs]
@@ -195,7 +209,9 @@ class TestSweepExpansion:
 
     def test_overridden_list_is_not_expanded(self, tmp_path):
         # --seed 5 over seed = 1, 2 is one run at seed 5, not two equal rows
-        path = write_config(tmp_path, "[instance]\nseed = 1, 2\nalpha = 0.1, 0.2\n")
+        path = write_config(
+            tmp_path, ini("general-search", "seed = 1, 2\nalpha = 0.1, 0.2")
+        )
         configs = load_sweep_configs(path, seed=5, alpha=0.3)
         assert len(configs) == 1
         assert (configs[0].seed, configs[0].alpha) == (5, 0.3)
@@ -303,6 +319,21 @@ class TestHandBuiltConfig:
             ExperimentConfig(fmt="xml")
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
             dataclasses.replace(ExperimentConfig(), seed=-1)
+
+    def test_unread_key_raises_at_construction(self):
+        # these once constructed and failed only when run
+        with pytest.raises(ConfigError, match="^grover-baseline does not read alpha$"):
+            ExperimentConfig(kind="grover-baseline", n=16, alpha=0.3)
+        searched = ExperimentConfig(kind="general-search", n=16)
+        with pytest.raises(ConfigError, match="^general-search does not read m$"):
+            dataclasses.replace(searched, m=4)
+        # a replaced kind or family that stops reading a key set before
+        swept = ExperimentConfig(kind="b-sweep", n=16, b_values=(2.0,))
+        with pytest.raises(ConfigError, match="^general-search does not read b_values$"):
+            dataclasses.replace(swept, kind="general-search")
+        scaled = dataclasses.replace(searched, b_target=4.0)
+        with pytest.raises(ConfigError, match="^general-search does not read b_target$"):
+            dataclasses.replace(scaled, family="resonant")
 
 
 @pytest.mark.parametrize("kind", ["general-search", "boosted-search"])
@@ -811,6 +842,19 @@ class TestCli:
         assert stdout == ""
         assert err.startswith("io error: ")
         assert err.endswith("\n") and err.count("\n") == 1
+        assert {path.name for path in tmp_path.iterdir()} == {"config.ini"}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unread_key_is_refused_before_out_is_claimed(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, ini("grover-baseline", "n = 16\nalpha = 0.3"))
+        out = str(tmp_path / "absent" / "report.csv")
+        assert cli.main([command, "--config", "config.ini", "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == "config error: grover-baseline does not read alpha\n"
         assert {path.name for path in tmp_path.iterdir()} == {"config.ini"}
 
     def test_out_is_claimed_before_the_first_run(self, tmp_path, monkeypatch, capsys):
