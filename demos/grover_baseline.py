@@ -7,15 +7,12 @@ exactly and peak near (pi/4) sqrt(N).
 
 import math
 
-import numpy as np
-
 from gqsearch import search, spectra
 
 
 def main():
     n = 256
-    source = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    inst = spectra.SearchInstance.build(spectra.grover_spectrum(n, source))
+    inst = spectra.SearchInstance.build(spectra.grover_spectrum(n))
     predicted = search.predict_spectrum(inst)
 
     print(f"database size N = {n}, overlap alpha = {inst.alpha}")

@@ -1,14 +1,15 @@
 """Dense N x N and joint-size oracles, for tests and ``validate`` only.
 
-Reported numbers come from the phases and the target row in O(N); these
-matrices check them at small N and share no code with that path, which
-never loads this module.  The oracles are frozen: this module changes only
-to fix a bug, to delete code or to move it.
+Reported numbers come from the phases and the target weights in O(N);
+these matrices check them at small N and share no code with that path,
+which never loads this module.  The oracles are frozen: this module changes
+only to fix a bug, to delete code or to move it.
 
-A spectrum holds no basis.  ``eigenbasis`` completes its target row to a
-unitary V whose row 0 is that row, and any such V realizes the spectrum:
-the target is basis state 0 and the source is column 0.  So every oracle
-here runs on any spectrum within ``DENSE_CAP``, compressed ones included.
+A spectrum holds no basis.  ``eigenbasis`` completes sqrt(weights) to an
+orthogonal V with that row 0, and any such V realizes the spectrum: the
+target is basis state 0 and the source is column 0.  N here counts the
+entries, one per distinct phase, so every oracle runs on any spectrum of
+at most ``DENSE_CAP`` entries, compressed ones included.
 
 The stages act on (2^m, N, K) block arrays, K states at once, as
 V (helper) V^dag: the ``_apply_*`` helpers act on eigen-coordinates, where
@@ -29,7 +30,6 @@ import numpy as np
 
 from .linalg import EigensolverError, check_dense_cap
 from .spectra import EigenSpectrum, SearchInstance, _check_ancilla_count
-from .spectra import _complete_orthonormal
 
 
 def walsh_hadamard(m: int) -> np.ndarray:
@@ -58,15 +58,33 @@ def qft(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(grid, grid) / size) / math.sqrt(size)
 
 
-def eigenbasis(spec: EigenSpectrum) -> np.ndarray:
-    """An (N, N) unitary eigenbasis of ``spec``: row 0 is its target row.
+def _complete_orthonormal(source: np.ndarray) -> np.ndarray:
+    """A real orthogonal matrix whose column 0 is the nonnegative unit ``source``.
 
-    The Householder completion (``_complete_orthonormal``) of the conjugate
-    row, conjugate-transposed, so row 0 is ``target_row`` bit for bit.
-    Raises ``DenseCapError`` above the cap before anything is allocated.
+    One Householder reflection sends the basis vector at the largest entry of
+    ``source`` onto it (deterministic).
     """
-    check_dense_cap(spec.dimension)
-    return _complete_orthonormal(spec.target_row.conj()).conj().T
+    n = source.shape[0]
+    k = int(np.argmax(source))
+    v = source.copy()
+    v[k] -= 1.0
+    vv = float(np.sum(v**2))
+    # vv vanishes when ``source`` already is e_k: no reflection
+    basis = np.outer(v, v * (-2.0 / vv)) if vv >= 1e-30 else np.zeros((n, n))
+    basis.flat[:: n + 1] += 1.0
+    basis[:, k] = source  # replace the reflected copy exactly
+    return basis[:, np.r_[k, 0:k, k + 1 : n]]  # the source column first
+
+
+def eigenbasis(spec: EigenSpectrum) -> np.ndarray:
+    """An (N, N) real eigenbasis of ``spec``'s N entries: row 0 is sqrt(weights).
+
+    The Householder completion (``_complete_orthonormal``) of sqrt(weights),
+    transposed, so row 0 is that vector bit for bit.  Raises
+    ``DenseCapError`` above the cap before anything is allocated.
+    """
+    check_dense_cap(spec.phases.size)
+    return _complete_orthonormal(np.sqrt(spec.weights)).T
 
 
 def build_diffusion(spec: EigenSpectrum) -> np.ndarray:
@@ -174,7 +192,7 @@ def _boost_blocks(spec: EigenSpectrum, m: int) -> np.ndarray:
     space, a (2^m, N, 2^m) array, and give Z[a, l, j] = Z_l[a, j].  The
     joint dimension 2^m N must not exceed ``DENSE_CAP``.
     """
-    size, n = 2**m, spec.dimension
+    size, n = 2**m, spec.phases.size
     check_dense_cap(size * n, "joint dimension")
     ancilla = np.arange(size)
     identity = np.zeros((size, n, size), dtype=np.complex128)
@@ -191,7 +209,7 @@ def dense_boosted_matrix(spec: EigenSpectrum, m: int) -> np.ndarray:
     matrix is the only joint-size array made.  The joint dimension 2^m N
     must not exceed ``DENSE_CAP``.
     """
-    size, n = 2**m, spec.dimension
+    size, n = 2**m, spec.phases.size
     joint_dim = size * n
     blocks = _boost_blocks(spec, m)
     vectors = eigenbasis(spec)

@@ -265,8 +265,7 @@ def _instances(config: ExperimentConfig):
     kind, build = config.kind, spectra.SearchInstance.build
     n, seed, alpha = config.n, config.seed, config.alpha
     if kind == "grover-baseline":
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        yield build(spectra.grover_spectrum(n, uniform))
+        yield build(spectra.grover_spectrum(n))
     elif kind == "divergence-demo" or (
         kind != "b-sweep" and config.family == "resonant"
     ):
@@ -385,9 +384,7 @@ def _validation_checks():
     from . import dense
 
     def grover_curve():
-        n = 64
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        inst = spectra.SearchInstance.build(spectra.grover_spectrum(n, uniform))
+        inst = spectra.SearchInstance.build(spectra.grover_spectrum(64))
         report = search.run_iterations(inst, 12)
         angle = math.asin(inst.alpha)
         for q, probability in enumerate(report.target_probability):
@@ -406,9 +403,9 @@ def _validation_checks():
             raise AssertionError(f"lambda1 = {inst.lambda1}")
 
     def amplitude_grid():
-        # target row e_0 completes to the identity basis, one eigenvector per
-        # grid phase; in that basis each main row of a column is estimated
-        # on its own
+        # target weights e_0 complete to the identity basis, one eigenvector
+        # per grid phase; in that basis each main row of a column is
+        # estimated on its own
         thetas = np.linspace(-np.pi + 1e-3, np.pi, 17)
         count = len(thetas)
         spectrum = spectra.EigenSpectrum(

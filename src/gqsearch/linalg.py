@@ -5,7 +5,7 @@ complex128 matrices.  ``DENSE_CAP`` is the package's one size cap: no dense
 object (an eigenbasis, a diffusion or search matrix, an eigensolve input or
 a joint boosted matrix) may have a side above it, and each is checked before
 anything is allocated.  Dense matrices serve only as small-scale oracles;
-every reported number comes from the phases and the target row in O(N).
+every reported number comes from the phases and the target weights in O(N).
 Everything here, the eigensolver included, needs NumPy only.
 """
 

@@ -11,8 +11,9 @@ where p_l = QFT diag(e^{i j theta_l}) WH |0> is the ancilla state phase
 estimation makes from theta_l, and phase pi on everything else.  The joint
 source has no weight at pi, so that whole eigenspace meets the search as
 one coordinate, and the boosted diffusion is a plain search instance on
-at most N + 1 entries (``boosted_instance``).  b', the boosted first
-moment and the boosted run (O(N) per step, whatever m is) all read it.
+at most K + 1 entries for K main entries (``boosted_instance``).  b', the
+boosted first moment and the boosted run (O(K) per step, whatever m is)
+all read it.
 The ancilla registers, dense stages and dense joint matrix that check
 it at small scale live in ``dense``; ``dense_boosted_matrix`` and
 ``dense_b_prime_check`` here load that module only when called.
@@ -65,18 +66,26 @@ def pea_amplitude(theta, m: int, k: int):
 def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     """The boosted diffusion on m ancilla qubits as a plain search instance.
 
+    ``_boosted_measure`` in the joint space, of dimension 2^m N.
+    """
+    return SearchInstance(*_boosted_measure(inst, m), n=2**m * inst.dimension)
+
+
+def _boosted_measure(inst: SearchInstance, m: int):
+    """Phases and target weights of the boosted diffusion, before any merge.
+
     Main entry l becomes the probe p_l (x) v_l, with phase 2^m theta_l
-    powered by ``spectra._power`` and target entry sqrt(s_l) t_l, where
+    powered by ``spectra._power`` and target weight s_l w_l, where
     s_l = pea_amplitude(theta_l, m, 0)^2 is the survival of phase
     estimation; the source stays entry 0 (s_0 = 1).
     The last entry is the unit part of the joint target inside the phase-pi
-    eigenspace, with target entry sqrt(sigma1), sigma1 = sum_l w_l (1 - s_l):
-    the joint source has no weight there and the oracle only ever adds the
-    joint target, so one coordinate holds that whole eigenspace.  An entry
-    that 2^m drives onto a multiple of 2 pi (``spectra._resonant``, the
-    test ``naive_power_b`` raises on) gets s_l = 0; it drops out, as
-    zero-weight entries do, and its weight joins sigma1.  The power is odd,
-    so a conjugate spectrum boosts to the exact conjugate.
+    eigenspace, with weight sigma1 = sum_l w_l (1 - s_l): the joint source
+    has no weight there and the oracle only ever adds the joint target, so
+    one coordinate holds that whole eigenspace.  An entry that 2^m drives
+    onto a multiple of 2 pi (``spectra._resonant``, the test
+    ``naive_power_b`` raises on) gets s_l = 0; it drops out, as zero-weight
+    entries do, and its weight joins sigma1.  The power is odd, so a
+    conjugate spectrum boosts to the exact conjugate.
     """
     _check_ancilla_count(m)
     powered = _power(inst.phases, 2**m)
@@ -84,14 +93,12 @@ def boosted_instance(inst: SearchInstance, m: int) -> SearchInstance:
     survival[1:][_resonant(powered[1:], 2**m)] = 0.0
     kept = inst.weights * survival > 0.0  # the source's is alpha^2 > 0
     sigma1 = float(np.sum(inst.weights * (1.0 - survival)))
-    row = np.sqrt(survival[kept]) * inst.target_row[kept]
-    row = np.append(row, math.sqrt(sigma1))
-    phases = np.append(powered[kept], np.pi)
-    return SearchInstance(phases, row)
+    weights = np.append((inst.weights * survival)[kept], sigma1)
+    return np.append(powered[kept], np.pi), weights
 
 
 # The oracle flips |ancilla 0, target>.  On the boosted spectrum that is the
-# plain reflection about the boosted target row, done in place; one query.
+# plain reflection about sqrt of the boosted weights, in place; one query.
 # ``boosted_search_run`` looks this name up per run and makes one call per step.
 controlled_oracle = reflect_target
 
@@ -99,15 +106,16 @@ controlled_oracle = reflect_target
 def b_prime(inst: SearchInstance, m: int) -> BPrimeBreakdown:
     """b factor of the boosted diffusion, split into its two parts.
 
-    b' is the ``b_factor`` of ``boosted_instance``.  sigma1 is the weight
-    of its phase-pi entry, the target weight stranded on the flipped (-1)
-    branch; it never exceeds 1.  sigma2 = b'^2 - sigma1 is the powered
-    branch's sum, which away from resonance equals b^2 / 4^m: the
-    estimation amplitude's numerator cancels the powered phase's sine.
-    A resonant entry adds to sigma1 and nothing to sigma2.
+    b' is the ``b_factor`` of ``boosted_instance``.  sigma1 is the last
+    weight of ``_boosted_measure``, read before a powered phase on pi merges
+    with it: the target weight stranded on the flipped (-1) branch; it
+    never exceeds 1.  sigma2 = b'^2 - sigma1 is the powered branch's sum,
+    which away from resonance equals b^2 / 4^m: the estimation amplitude's
+    numerator cancels the powered phase's sine.  A resonant entry adds to
+    sigma1 and nothing to sigma2.
     """
-    boosted = boosted_instance(inst, m)
-    boost, sigma1 = boosted.b_factor, float(boosted.weights[-1])
+    phases, weights = _boosted_measure(inst, m)
+    boost, sigma1 = SearchInstance(phases, weights).b_factor, float(weights[-1])
     return BPrimeBreakdown(sigma1=sigma1, sigma2=boost**2 - sigma1, b_prime=boost)
 
 
@@ -134,9 +142,9 @@ def boosted_search_run(
 ) -> RunReport:
     """Iterate controlled oracle + boosted diffusion on m ancilla qubits.
 
-    ``_iterate`` on ``boosted_instance``, at most N + 1 entries whatever m
-    is; it sets the default ``q_max`` (from b' and the boosted first
-    moment) and the stepping rules.  Entry q of ``target_probability`` is
+    ``_iterate`` on ``boosted_instance``, at most K + 1 entries for K main
+    entries whatever m is; it sets the default ``q_max`` (from b' and the
+    boosted first moment) and the stepping rules.  Entry q of ``target_probability`` is
     the joint target probability |<ancilla 0, target | state>|^2 after q
     oracle queries; ``ds_per_step`` is 3 * 2^m - 2.
 

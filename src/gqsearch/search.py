@@ -173,14 +173,14 @@ def _iterate(
     steps, where one rounding unit of drift per step reaches the limit,
     raises ``ValueError`` before anything is allocated.
 
-    The state is kept as diffusion eigen-coordinates c = V^dag psi, starting
-    from the source's c = e_0.  Each step calls ``oracle(c, t . c, conj(t))``
-    exactly once, with t the target row of V (by default the rank-1
-    reflection c - 2 (t . c) conj(t), in place), then multiplies by
-    e^{i theta}.  A phase of exactly pi steps by exactly -1, where
-    exp(1j * pi) carries 1.2e-16j, so a conjugate spectrum runs as the
-    exact conjugate.  Each step costs O(N) and ``ds_per_step`` diffusion
-    applications in the ledger; the eigenbasis V itself is never built.
+    The state is kept as eigen-coordinates c = V^dag psi, one per phase,
+    from the source's c = e_0.  Each step calls ``oracle(c, t . c, t)``
+    once, with t = sqrt(weights) as complex128, real and so its own
+    conjugate (by default the rank-1 reflection c - 2 (t . c) conj(t), in
+    place), then multiplies by e^{i theta}.  A phase of exactly pi steps by
+    exactly -1, where exp(1j * pi) carries 1.2e-16j, so a conjugate
+    spectrum runs as the exact conjugate.  A step costs O(K) for K entries
+    and ``ds_per_step`` diffusion applications in the ledger.
     The source amplitude c[0] of each step is kept as a complex column
     whose magnitude is taken once at the end, and the target probability
     is |t . c|^2 of each step's scalar amplitude.
@@ -194,10 +194,10 @@ def _iterate(
             )
     if q_max < 0:
         raise ValueError(f"q_max must be nonnegative, got {q_max}")
-    phases, target_row = inst.phases, inst.target_row
+    phases = inst.phases
     eigenphase = np.where(phases == np.pi, -1.0, np.exp(1j * phases))
-    target_conj = target_row.conj()
-    project, multiply, vdot = target_row.dot, np.multiply, np.vdot
+    target = np.sqrt(inst.weights).astype(np.complex128)
+    project, multiply, vdot = target.dot, np.multiply, np.vdot
     limit = NORM_DRIFT_LIMIT
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[0] = 1.0
@@ -207,7 +207,7 @@ def _iterate(
     worst = 0.0
     for q in range(q_max + 1):
         if q:
-            oracle(coeff, amplitude, target_conj)
+            oracle(coeff, amplitude, target)
             multiply(coeff, eigenphase, out=coeff)
             amplitude = project(coeff)
         probability[q] = abs(amplitude) ** 2
@@ -242,14 +242,15 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
     the two eigenvectors with the largest squared source overlap and the
     residual is the source weight leaking outside that pair.
 
-    In eigen-coordinates the search step is e^{i theta} (1 - 2 conj(t) t^T),
-    a rank-1 change of a diagonal unitary, with t the target row.  With
-    weights w_l = |t_l|^2 its eigenphases lambda solve
+    In eigen-coordinates the search step is e^{i theta} (1 - 2 t t^T), a
+    rank-1 change of a diagonal unitary, with t = sqrt(w) read from the
+    target weights w, one entry per distinct phase.  Its eigenphases lambda
+    solve
 
         f(lambda) = sum_l w_l cot((lambda - theta_l) / 2) = 0,
 
     and the eigenvector of a root has entries of modulus proportional to
-    |t_l| / |sin((lambda - theta_l) / 2)|.  Zero-weight entries are
+    sqrt(w_l) / |sin((lambda - theta_l) / 2)|.  Zero-weight entries are
     eigenvectors on their own, away from the source, and are dropped; the
     source, entry 0, keeps its weight alpha^2 > 0 and its place.  f
     falls strictly from +inf to -inf between neighbouring poles, so the

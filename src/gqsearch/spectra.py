@@ -2,15 +2,13 @@
 
 A diffusion operator is specified by its eigendecomposition: column 0 is
 the source, with phase exactly zero, and the remaining eigenvectors have
-phases bounded away from zero.  The target is computational basis state 0,
-so row 0 of the eigenbasis is the target row.  Which column holds the source
-and which basis state is the target are only labels, so this convention
-loses nothing.  A search instance caches the overlap moments that drive
-every downstream prediction.  The moments, and both search runs, read only
-the phases and the target row, so a spectrum is those two arrays and no
-more.  Every generator gives the row in closed form, in O(N); a dense check
-that needs a full N x N eigenbasis completes one from the row
-(``dense.eigenbasis``).
+phases bounded away from zero.  The target is computational basis state 0;
+both are only labels, so this convention loses nothing.  The search sees
+the operator only through its spectral measure at the target, the distinct
+eigenphases and the target's weight on each (Chakraborty, Novo & Roland,
+PRA 102, 032214 (2020)), so a spectrum is those two arrays and the
+dimension N.  Every generator gives the weights in closed form, in O(N);
+a dense check completes a basis from them (``dense.eigenbasis``).
 """
 
 from __future__ import annotations
@@ -41,41 +39,30 @@ class ResonanceError(ValueError, NumericalFailure):
 
 
 class EigenSpectrum:
-    """Eigendecomposition defining a diffusion operator.
+    """The spectral measure at the target of a diffusion operator.
 
-    Attributes
-    ----------
-    phases : numpy.ndarray
-        Shape (N,), eigenphases in (-pi, pi].  ``phases[0]``, the source
-        phase, is exactly 0 and no other phase is.
-    target_row : numpy.ndarray
-        Shape (N,), unit norm: row 0 of the eigenbasis, <0|v_l> for every l,
-        with the target at computational basis state 0.
-    weights : numpy.ndarray
-        Shape (N,), the target weights ``abs(target_row) ** 2``.
-
-    The instance is its phases and target row: every reported number reads
-    only those, and the constructor copies and validates both at once.  Any
-    unitary whose row 0 is ``target_row`` realizes it, so no basis is kept.
-    All three arrays are read-only.
+    ``phases`` holds K distinct eigenphases in (-pi, pi]: the source's, in
+    entry 0, is exactly 0 and no other is.  ``weights`` holds the target's
+    weight on each phase's eigenspace: finite, nonnegative, summing to 1.
+    ``dimension`` is N, the report's ``n``: the Python int ``n``, at least
+    the entry count given and by default that count.  Exactly equal phases
+    become one entry, their weights summed in entry order, in the order
+    each phase first occurs; a spectrum with no repeated phase keeps its
+    arrays bit for bit.  Any unitary with these eigenphases whose row 0 has
+    these weights realizes the spectrum, so no basis is kept.  Both arrays
+    are read-only copies.
     """
 
-    def __init__(self, phases, target_row):
+    def __init__(self, phases, weights, *, n=None):
         phases = np.array(phases, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        self.dimension = _validate(phases, weights, n)
+        ordered = np.sort(phases)  # a sort and a compare find a repeat
+        if np.any(ordered[1:] == ordered[:-1]):
+            phases, weights = _merge_equal_phases(phases, weights)
         phases.setflags(write=False)
-        _validate_phases(phases)
-        row = np.array(target_row, dtype=np.complex128)
-        _validate_row(row, phases.shape[0])
-        row.setflags(write=False)
-        self.phases = phases
-        self.target_row = row
-        self.weights = np.abs(row) ** 2
-        self.weights.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        """The entry count N, which the report's ``n`` and every dense cap read."""
-        return int(self.phases.shape[0])
+        weights.setflags(write=False)
+        self.phases, self.weights = phases, weights
 
     @property
     def theta_min(self) -> float:
@@ -83,7 +70,8 @@ class EigenSpectrum:
         return float(np.min(np.abs(self.phases[1:])))
 
 
-def _validate_phases(phases: np.ndarray) -> None:
+def _validate(phases: np.ndarray, weights: np.ndarray, n) -> int:
+    """Check the phases, the weights and ``n``; return the dimension."""
     # written so that a NaN phase, which fails every comparison, is rejected
     if not np.all((phases > -np.pi) & (phases <= np.pi)):
         raise SpectrumValidationError("phases must lie in (-pi, pi]")
@@ -99,36 +87,50 @@ def _validate_phases(phases: np.ndarray) -> None:
             f"eigenvector {offender} shares phase 0 with the source; "
             "the fixed point must be non-degenerate"
         )
-
-
-def _validate_row(row: np.ndarray, n: int) -> None:
-    """A closed-form eigenbasis row: length n and unit norm (so finite)."""
-    if row.shape != (n,):
+    count = phases.shape[0]
+    if weights.shape != (count,):
         raise SpectrumValidationError(
-            f"eigenbasis row shape {row.shape} does not match {n} phases"
+            f"weights shape {weights.shape} does not match {count} phases"
         )
-    defect = abs(float(np.vdot(row, row).real) - 1.0)
+    # a NaN weight fails this test and an infinite one the sum
+    if not np.all(weights >= 0.0):
+        raise SpectrumValidationError("weights must be nonnegative")
+    defect = abs(float(np.sum(weights)) - 1.0)
     if not defect <= ROW_NORM_ATOL:
+        raise SpectrumValidationError(f"weights do not sum to 1: defect {defect:.3e}")
+    n = count if n is None else operator.index(n)
+    if n < count:
         raise SpectrumValidationError(
-            f"eigenbasis row not normalized: norm defect {defect:.3e}"
+            f"dimension n = {n} is below the {count} entries given"
         )
+    return n
+
+
+def _merge_equal_phases(phases: np.ndarray, weights: np.ndarray):
+    """One entry per phase, in first-occurrence order, weights added in order."""
+    _, first, inverse = np.unique(phases, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # a phase's place by first occurrence
+    merged = np.zeros(first.size)
+    np.add.at(merged, rank[inverse], weights)  # one by one, in entry order
+    return phases[np.sort(first)], merged
 
 
 class SearchInstance(EigenSpectrum):
     """A diffusion spectrum with its target, basis state 0, and cached moments.
 
-    Made from ``(phases, target_row)``, or from a spectrum by ``build``.
-    ``alpha`` is the source-target overlap magnitude; ``lambda1``/``lambda2``
-    are the first two cotangent moments of the nonsource phases weighted by
-    target overlap; ``b_factor`` is the inverse-sine-weighted norm.  With
-    ``lambda1`` it sets the peak success probability and the iteration
-    count of the search, through ``search.peak_law``.
+    Made from ``(phases, weights, n=...)``, or from a spectrum by ``build``.
+    ``alpha`` = sqrt(weights[0]) is the source-target overlap magnitude;
+    ``lambda1``/``lambda2`` are the first two cotangent moments of the
+    nonsource phases weighted by target overlap; ``b_factor`` is the
+    inverse-sine-weighted norm.  With ``lambda1`` it sets the peak success
+    probability and the iteration count of the search, through
+    ``search.peak_law``.
     """
 
-    def __init__(self, phases, target_row):
-        super().__init__(phases, target_row)
-        alpha = float(np.abs(self.target_row[0]))
-        if not (0.0 < alpha < 1.0 and self.weights[0] > 0.0):
+    def __init__(self, phases, weights, *, n=None):
+        super().__init__(phases, weights, n=n)
+        alpha = math.sqrt(self.weights[0])
+        if not 0.0 < alpha < 1.0:
             raise ValueError(
                 f"source-target overlap must lie in (0, 1), alpha^2 > 0, got {alpha}"
             )
@@ -139,7 +141,7 @@ class SearchInstance(EigenSpectrum):
         lam1 = float(np.sum(weights * cot))
         lam2 = float(np.sum(weights * cot**2))
         b2 = _powered_b_squared(self, 1)
-        # exact identity: b^2 = 1 + lambda2 - alpha^2 up to the row's rounding
+        # exact identity: b^2 = 1 + lambda2 - alpha^2 up to the weights' rounding
         expected = 1.0 + lam2 - alpha**2
         if not abs(b2 - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise SpectrumValidationError(
@@ -151,8 +153,8 @@ class SearchInstance(EigenSpectrum):
 
     @classmethod
     def build(cls, spectrum: EigenSpectrum) -> "SearchInstance":
-        """The instance on ``spectrum``'s phases and target row."""
-        return cls(spectrum.phases, spectrum.target_row)
+        """The instance on ``spectrum``'s phases, weights and dimension."""
+        return cls(spectrum.phases, spectrum.weights, n=spectrum.dimension)
 
 
 def _power(phases: np.ndarray, r: int) -> np.ndarray:
@@ -216,52 +218,31 @@ def naive_power_b(inst: SearchInstance, r: int) -> float:
     return math.sqrt(_powered_b_squared(inst, r))
 
 
-def _complete_orthonormal(source: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of a unitary matrix whose column 0 is ``source``.
-
-    One Householder reflection sends the basis vector at the largest entry of
-    ``source`` onto it (deterministic).  Each entry is made the same way
-    whatever ``rows`` is, so ``slice(0, 1)`` is row 0 bit for bit, in O(n).
-    A real ``source`` gives a real orthogonal matrix.
-    """
-    n = source.shape[0]
-    k = int(np.argmax(np.abs(source)))
-    pivot = source[k]
-    v = np.array(source, dtype=np.result_type(source, np.float64))
-    v[k] -= pivot / abs(pivot)
-    # a pairwise sum: BLAS vdot misses |v|^2 by 4.3e-12 at n = 10^6
-    vv = float(np.sum(v.real**2 + v.imag**2))
-    chosen = range(n)[rows]
-    # vv vanishes when ``source`` already is e_k up to a phase: no reflection
-    if vv < 1e-30:
-        block = np.zeros((len(chosen), n), dtype=v.dtype)
-    else:
-        block = np.outer(v[rows], v.conj())
-        block *= -2.0 / vv
-    block[np.arange(len(chosen)), chosen] += 1.0
-    block[:, k] = source[rows]  # replace the phase-rotated copy exactly
-    return block[:, np.r_[k, 0:k, k + 1 : n]]  # the source column first
-
-
-def grover_spectrum(n: int, source: np.ndarray) -> EigenSpectrum:
-    """Spectrum of the familiar reflection about ``source``.
+def grover_spectrum(n: int, alpha: float | None = None) -> EigenSpectrum:
+    """Spectrum of the familiar reflection about a source of overlap ``alpha``.
 
     The source keeps phase 0 and every orthogonal direction gets phase pi,
     which makes both cotangent moments vanish and b_factor = sqrt(1-alpha^2).
-    The target row is row 0 of a Householder completion of ``source``
-    (``_complete_orthonormal``), made alone in O(n).
+    Two entries, phases [0, pi] with weights [alpha^2, 1 - alpha^2], in
+    dimension ``n``; ``alpha`` is read by ``_source_weight``.
     """
-    source = np.array(source, dtype=np.complex128)
-    if source.ndim != 1 or source.shape[0] != n:
-        raise ValueError(f"source must be a vector of length {n}")
-    norm = float(np.linalg.norm(source))
-    # the rounding error of a norm grows with n: 3.2e-12 for the uniform
-    # source at n = 3e6
-    if abs(norm - 1.0) > max(1e-12, n * np.finfo(np.float64).eps):
-        raise ValueError(f"source must be normalized, got norm {norm!r}")
-    phases = np.full(n, np.pi)
-    phases[0] = 0.0
-    return EigenSpectrum(phases, _complete_orthonormal(source, rows=slice(0, 1))[0])
+    source = _source_weight(alpha, n)
+    return EigenSpectrum([0.0, np.pi], [source, 1.0 - source], n=n)
+
+
+def _source_weight(alpha: float | None, n: int) -> float:
+    """alpha^2, alpha by default 1/sqrt(n), the uniform source's overlap.
+
+    alpha must lie in (0, 1), and its square must not round to 0.
+    """
+    alpha = 1.0 / math.sqrt(n) if alpha is None else alpha
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    if not alpha**2 > 0.0:
+        raise ValueError(
+            f"source-target overlap must lie in (0, 1), alpha^2 > 0, got {alpha}"
+        )
+    return alpha**2
 
 
 # normals per call when stepping the stream past the discarded block, through
@@ -282,7 +263,7 @@ _DRAWS_KEPT = 8
 
 @functools.lru_cache(maxsize=_DRAWS_KEPT)
 def _seeded_draws(n: int, seed: int) -> np.ndarray:
-    """The random part of a paired spectrum's target row: its profile.
+    """The random part of a paired spectrum's target weights: its profile.
 
     Returns ``unit``, the unit target profile of the n - 1 complement
     entries (its last entry, the lone slot, is exactly zero).  Before it the
@@ -295,7 +276,7 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
 
     The draw is made once per ``(n, seed)`` per process and kept at 8 N
     bytes per entry, shared by every caller and read-only.  ``seed`` must
-    be an integer (``_paired_row`` checks it, and ``n``): a seed of None
+    be an integer (``_paired_weights`` checks it, and ``n``): a seed of None
     would draw fresh entropy that must not be kept.
     """
     rng = np.random.default_rng(seed)
@@ -411,53 +392,50 @@ def _words_between(start: dict, end: dict) -> int:
     return words
 
 
-def _paired_row(n: int, seed: int, alpha: float) -> np.ndarray:
-    """The target row of a paired spectrum, in O(n): source entry ``alpha``.
+def _paired_weights(n: int, seed: int, alpha: float | None) -> np.ndarray:
+    """The target weights of a paired spectrum, in O(n): source entry alpha^2.
 
     The real profile ``beta * unit``, beta^2 = 1 - alpha^2, with ``unit``
     from ``_seeded_draws(n, seed)``, is laid out after it: entries 2j and
-    2j+1, a and b, become the pair (a +/- ib)/sqrt(2) and the last entry,
-    exactly zero, the lone slot.  Pair members share every bit of
-    magnitude, so the first cotangent moment cancels term by term, and a
-    pair's weight is twice that of its first member, exactly.
+    2j+1, a and b, give a pair the weight |(a +/- ib)/sqrt(2)|^2 each, and
+    the last entry, exactly zero, the lone slot.  Pair members share every
+    bit, so the first cotangent moment cancels term by term, and a pair's
+    weight is twice that of its first member, exactly.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"n must be even and at least 4, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    source = _source_weight(alpha, n)
     # made before the draw, so an n too large to hold fails at once and not
     # after (n-1)**2 skipped normals
-    row = np.empty(n, dtype=np.complex128)
-    profile = math.sqrt(1.0 - alpha**2) * _seeded_draws(n, operator.index(seed))
+    weights = np.empty(n)
+    profile = math.sqrt(1.0 - source) * _seeded_draws(n, operator.index(seed))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     a = profile[0 : n - 2 : 2] * inv_sqrt2
     b = profile[1 : n - 2 : 2] * inv_sqrt2
-    row[0] = alpha
-    row.real[1 : n - 1 : 2] = a
-    row.imag[1 : n - 1 : 2] = b
-    row.real[2 : n - 1 : 2] = a
-    np.negative(b, out=row.imag[2 : n - 1 : 2])
-    row[n - 1] = profile[n - 2]
-    return row
+    weights[0] = source
+    # the magnitude of a complex a + ib: np.hypot misses it in the last bit
+    weights[1 : n - 1 : 2] = weights[2 : n - 1 : 2] = np.abs(a + 1j * b) ** 2
+    weights[n - 1] = 0.0
+    return weights
 
 
 def _paired_spectrum(
-    row: np.ndarray, pair_phases: np.ndarray, lone_phase: float
+    weights: np.ndarray, pair_phases: np.ndarray, lone_phase: float
 ) -> EigenSpectrum:
-    """A spectrum with exact +/- phase pairs on a ``_paired_row`` target row.
+    """A spectrum with exact +/- phase pairs on ``_paired_weights`` weights.
 
     Pair j's phases go to entries 2j+1 and 2j+2, whose target weights are
     equal bit for bit, and ``lone_phase`` to the last entry, whose weight is
     exactly zero.  A pair phase of pi pairs with pi, as -pi lies outside
     (-pi, pi].
     """
-    n = row.shape[0]
+    n = weights.shape[0]
     phases = np.empty(n)
     phases[0] = 0.0
     phases[1 : n - 1 : 2] = pair_phases
     phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
     phases[n - 1] = lone_phase
-    return EigenSpectrum(phases, row)
+    return EigenSpectrum(phases, weights)
 
 
 def symmetric_spectrum(
@@ -478,27 +456,25 @@ def symmetric_spectrum(
     raise ``ResonanceError``, is a ``ValueError`` naming ``b_target`` if one
     was given and ``theta_min`` otherwise.  ``alpha`` defaults to
     1/sqrt(n); the target is basis state 0.  Only the phases and the
-    target profile are random (see ``_paired_row``).
+    target profile are random (see ``_paired_weights``).
     """
     if not 0.0 < theta_min <= theta_max < np.pi:
         raise ValueError(
             f"need 0 < theta_min <= theta_max < pi, got [{theta_min}, {theta_max}]"
         )
-    if alpha is None:
-        alpha = 1.0 / math.sqrt(n)
-    row = _paired_row(n, seed, alpha)
-    weights = 2.0 * np.abs(row[1 : n - 1 : 2]) ** 2  # each pair's, exactly
+    weights = _paired_weights(n, seed, alpha)
+    pairs = 2.0 * weights[1 : n - 1 : 2]  # each pair's, exactly
     rng = np.random.default_rng(seed)
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
-    drawn = rng.uniform(theta_min, theta_max, size=weights.size)
+    drawn = rng.uniform(theta_min, theta_max, size=pairs.size)
     if b_target is not None:
-        drawn = _rescale_for_b_target(drawn, weights, b_target)
+        drawn = _rescale_for_b_target(drawn, pairs, b_target)
     # build's r = 1 resonance test (``_powered_b_squared``); ``_power`` is odd,
     # so the positive member of each pair settles both
-    if np.any(_resonant(_power(drawn[weights > 0.0], 1), 1)):
+    if np.any(_resonant(_power(drawn[pairs > 0.0], 1), 1)):
         named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
         raise ValueError(f"{named} puts a pair phase within rounding of 0")
-    return _paired_spectrum(row, drawn, lone_phase=np.pi)
+    return _paired_spectrum(weights, drawn, lone_phase=np.pi)
 
 
 def _rescale_for_b_target(
@@ -506,9 +482,9 @@ def _rescale_for_b_target(
 ) -> np.ndarray:
     """One common scale factor sending the pair phases onto a requested b.
 
-    ``pair_weights`` are the weights of the pairs of the row the spectrum
-    gets, so the scale solves on the sum build makes, and no spectrum is
-    built to find it.
+    ``pair_weights`` are the pair weights of the spectrum it goes into, so
+    the scale solves on the sum build makes, and no spectrum is built to
+    find it.
     """
     if not 0.0 < b_target <= math.sqrt(np.finfo(np.float64).max):
         raise ValueError(f"b_target must be positive, b^2 finite, got {b_target}")
@@ -554,19 +530,19 @@ def resonant_spectrum(
     naively powered b factor blows up like 1/epsilon while the r = 1 value
     stays moderate.  Detunings are spread over [0.1, 1.0]*epsilon so the
     blow-up ratio scales cleanly.  As with ``symmetric_spectrum``, the target
-    row is closed form.
+    weights are closed form.  The zero-weight lone slot sits exactly at the
+    last pair's positive phase, so the two merge and the spectrum holds
+    n - 1 entries.
     """
     _check_ancilla_count(m)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if alpha is None:
-        alpha = 1.0 / math.sqrt(n)
-    row = _paired_row(n, seed, alpha)
+    weights = _paired_weights(n, seed, alpha)
     base = 2.0 * np.pi / 2**m
     detunings = epsilon * np.linspace(0.1, 1.0, (n - 2) // 2)
     pair_phases = np.abs(wrap_phase(base + detunings))
     lone = float(np.abs(wrap_phase(base + epsilon)))
-    return _paired_spectrum(row, pair_phases, lone_phase=lone)
+    return _paired_spectrum(weights, pair_phases, lone_phase=lone)
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:

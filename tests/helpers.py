@@ -43,19 +43,18 @@ def graph_spectrum(levels, gamma) -> EigenSpectrum:
 
     ``levels`` maps each Laplacian eigenvalue to its multiplicity.  A level
     lambda of multiplicity mu is one entry with phase wrap(-gamma lambda)
-    and target entry sqrt(mu / N), whichever vertex is marked; the
-    lambda = 0 entry, the source, comes first.  The spectrum is just those
-    phases and that target row.  A level stands for a whole eigenspace, so
-    the spectrum has one entry per level, not per vertex; a dense oracle
-    runs on it through ``dense.eigenbasis``, a basis of that compressed
-    dimension.
+    and target weight mu / N, whichever vertex is marked; the lambda = 0
+    entry, the source, comes first.  The spectrum is just those phases and
+    weights, with n = N.  A level stands for a whole eigenspace, so the
+    spectrum has one entry per level, not per vertex; a dense oracle runs on
+    it through ``dense.eigenbasis``, a basis of that compressed size.
     """
     n = sum(levels.values())
     items = sorted(levels.items())
     assert items[0][0] == 0
     phases = wrap_phase(np.array([-gamma * level for level, _ in items]))
-    row = np.sqrt(np.array([mu for _, mu in items]) / n).astype(np.complex128)
-    return EigenSpectrum(phases, row)
+    weights = np.array([mu for _, mu in items]) / n
+    return EigenSpectrum(phases, weights, n=n)
 
 
 def hypercube_levels(d):

@@ -15,8 +15,7 @@ from gqsearch.harness import load_config, run_experiment
 
 
 def uniform_grover_instance(n):
-    source = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    return spectra.SearchInstance.build(spectra.grover_spectrum(n, source))
+    return spectra.SearchInstance.build(spectra.grover_spectrum(n))
 
 
 @lru_cache(maxsize=1)

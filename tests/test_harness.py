@@ -681,8 +681,9 @@ EXIT_CASES = [
     ("theta_min-phase-rounds-to-0-boosted", "run",
      ini("boosted-search", "n = 16\ntheta_min = 1e-15\ntheta_max = 1e-15"),
      1, "theta_min 1e-15 puts a pair phase within rounding of 0"),
-    ("n-too-large-to-allocate-grover-baseline", "run",
-     ini("grover-baseline", "n = 1000000000000000"), 1, ""),
+    ("default-budget-past-ceiling-grover-1e15", "run",
+     ini("grover-baseline", "n = 1000000000000000"),
+     1, "default budget q_max = 4.97e+07 is past the norm drift ceiling"),
     ("n-too-large-to-allocate-general-search", "run",
      ini("general-search", "n = 1000000000000000"), 1, ""),
     # a key the kind does not read would otherwise be ignored in silence
@@ -724,7 +725,7 @@ EXIT_CASES = [
 
 # one of each class the command line turns into exit 2
 NUMERICAL_FAILURES = [
-    spectra.SpectrumValidationError("target row not normalized"),
+    spectra.SpectrumValidationError("weights do not sum to 1"),
     spectra.ResonanceError("phase resonates"),
     linalg.EigensolverError("eigendecomposition failed", 1.0),
     search.NormDriftError("norm drifted"),

@@ -71,15 +71,16 @@ def pair_spectrum(n, matched):
 
     With ``matched`` the members of a pair carry equal target weights;
     without it each entry draws its own, so no weighted phase has an
-    equal-weight partner.  Built straight from its phases and row, in O(n).
+    equal-weight partner.  Built straight from its phases and weights, in
+    O(n).
     """
     rng = np.random.default_rng(3)
     pairs = rng.uniform(0.5, 1.5, n // 2 - 1)
-    row = rng.uniform(0.5, 1.5, n)
+    weights = rng.uniform(0.5, 1.5, n) ** 2
     if matched:
-        row[n // 2 : n - 1] = row[1 : n // 2]
+        weights[n // 2 : n - 1] = weights[1 : n // 2]
     phases = np.concatenate([[0.0], pairs, -pairs, [np.pi]])
-    return EigenSpectrum(phases, row / np.linalg.norm(row))
+    return EigenSpectrum(phases, weights / np.sum(weights))
 
 
 ONE_SIDED_CASES = [
@@ -274,6 +275,7 @@ def test_dense_boosted_matrix_matches_joint_columns(n, m):
     # the matrix built from per-eigenvector blocks is boosted_diffusion on
     # every joint basis vector
     spec = resonant_spectrum(n, m, 1e-3, 5)
+    n = spec.phases.size  # its entries: from n = 6 the lone slot merges
     joint = 2**m * n
     columns = np.eye(joint, dtype=np.complex128).reshape(2**m, n, joint)
     pushed = boosted_diffusion(spec, m, columns).reshape(joint, joint)
@@ -334,7 +336,7 @@ def test_dense_boosted_matrix_respects_cap():
 
 def assert_boost_matches_dense(inst, m):
     """b' within 1e-12 of the dense joint check, and lambda1' finite."""
-    assert inst.dimension * 2**m <= DENSE_CAP
+    assert inst.phases.size * 2**m <= DENSE_CAP
     assert abs(b_prime(inst, m).b_prime - dense_b_prime_check(inst, m)) <= 1e-12
     assert math.isfinite(boosted_lambda1(inst, m))
 
@@ -363,8 +365,7 @@ class TestBPrime:
         # (wrap(16 pi) is -3.6e-15).  Each entry drops out of the boost and
         # its weight joins the flipped branch, so boosting Grover gives
         # Grover back: b' = sqrt(1 - alpha^2) and lambda1' = 0
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        inst = SearchInstance.build(grover_spectrum(n))
         assert_boost_matches_dense(inst, m)
         assert abs(b_prime(inst, m).b_prime - math.sqrt(1.0 - 1.0 / n)) <= 1e-12
         assert boosted_lambda1(inst, m) == 0.0
@@ -378,7 +379,7 @@ class TestBPrime:
             symmetric_spectrum(16, 3, 3 * math.pi / 4, 3 * math.pi / 4)
         )
         assert_boost_matches_dense(inst, m)
-        assert boosted_instance(inst, m).dimension == 2
+        assert boosted_instance(inst, m).phases.size == 2
         assert boosted_lambda1(inst, m) == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -433,15 +434,19 @@ def oracle_instance(family):
     elif family == "resonant":
         spec = resonant_spectrum(n, 2, 5e-3, 6)
     else:
-        # the source keeps phase 0; the other n - 1 share phase pi
+        # the source keeps phase 0; the other n - 1 share phase pi, one entry
         rng = np.random.default_rng(8)
         source = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        spec = grover_spectrum(n, source / np.linalg.norm(source))
+        spec = grover_spectrum(n, abs(source[0]) / np.linalg.norm(source))
     return SearchInstance.build(spec)
 
 
 def audit_instance():
-    """The benchmark's dense check instance: joint dimension 1024 at m = 3."""
+    """The benchmark's dense check instance: joint dimension 1016 at m = 3.
+
+    Its side is 128, but the lone slot merges with the last pair's positive
+    phase, so the dense check runs on 127 entries.
+    """
     return SearchInstance.build(resonant_spectrum(128, 3, 1e-3, 1))
 
 
@@ -466,7 +471,7 @@ class TestDenseBPrimeCheck:
     @pytest.mark.parametrize("family", ["symmetric", "resonant", "grover"])
     def test_blocks_match_full_schur(self, family, m):
         inst = oracle_instance(family)
-        assert inst.dimension * 2**m <= 256
+        assert inst.phases.size * 2**m <= 256
         full = full_schur_b_prime(inst, m)
         assert np.isclose(dense_b_prime_check(inst, m), full, rtol=1e-10, atol=0.0)
 
@@ -483,15 +488,15 @@ class TestDenseBPrimeCheck:
         # one entry per Laplacian level and no basis to build: the check
         # reads the phases and the target weights, never the basis
         spec = graph_spectrum(levels, gamma)
-        assert spec.dimension * 2**m <= DENSE_CAP
+        assert spec.phases.size * 2**m <= DENSE_CAP
         inst = SearchInstance.build(spec)
         analytic = b_prime(inst, m).b_prime
         assert abs(dense_b_prime_check(inst, m) - analytic) <= 1e-12
 
     def test_audit_instance_matches_analytic(self):
-        # the benchmark's dense check, at joint dimension 1024 = DENSE_CAP
+        # the benchmark's dense check, at joint dimension 8 x 127 = 1016
         inst = audit_instance()
-        assert inst.dimension * 2**3 == 1024
+        assert inst.phases.size * 2**3 == 1016
         analytic = b_prime(inst, 3).b_prime
         assert abs(dense_b_prime_check(inst, 3) - analytic) <= 1e-8
 
@@ -586,7 +591,7 @@ class TestDenseBPrimeCheck:
 
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", counted)
         dense_b_prime_check(inst, 2)
-        assert sizes == [(inst.dimension, 4, 4)]
+        assert sizes == [(inst.phases.size, 4, 4)]
 
     def test_zero_phase_leftover_raises(self, monkeypatch):
         import gqsearch.linalg
@@ -609,7 +614,7 @@ class TestDenseBPrimeCheck:
         monkeypatch.setattr(gqsearch.linalg, "unitary_eigensystem", pinned)
         with pytest.raises(EigensolverError, match="zero-phase") as caught:
             dense_b_prime_check(inst, 2)
-        expected = abs(inst.target_row[1]) ** 2 * moved[0]
+        expected = inst.weights[1] * moved[0]
         assert expected > 1e-8
         assert np.isclose(caught.value.residual, expected, rtol=1e-8)
 
@@ -652,9 +657,7 @@ class TestBoostedLambda1:
     def test_weighted_resonance_drops_out(self):
         # no longer raises: the powered Grover phases drop out, and the
         # flipped branch at pi adds a cotangent of exactly 0
-        n = 8
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        inst = SearchInstance.build(grover_spectrum(8))
         assert boosted_lambda1(inst, 1) == 0.0
         assert_boost_matches_dense(inst, 1)
 
@@ -741,19 +744,20 @@ class TestBoostedRun:
             spec = oracle_instance("grover")
         else:
             spec = one_sided_spectrum(family)
-        assert spec.dimension == n
+        size = spec.phases.size  # the entries the dense oracles run on
+        assert size <= n
         inst = SearchInstance.build(spec)
         report = boosted_search_run(inst, m, q_max=40)
         step = dense_boosted_matrix(spec, m)
         step[:, 0] = -step[:, 0]
-        state = np.zeros(2**m * n, dtype=np.complex128)
+        state = np.zeros(2**m * size, dtype=np.complex128)
         source = eigenbasis(spec)[:, 0]
-        state[:n] = source
+        state[:size] = source
         for probability, source_overlap in zip(
             report.target_probability, report.source_overlap
         ):
             assert abs(probability - abs(state[0]) ** 2) <= 1e-12
-            overlap = abs(np.vdot(source, state[:n]))
+            overlap = abs(np.vdot(source, state[:size]))
             assert abs(source_overlap - overlap) <= 1e-12
             state = step @ state
 
@@ -765,7 +769,7 @@ class TestBoostedRun:
             (lambda: pair_spectrum(65536, matched=True), (2,)),
             (lambda: pair_spectrum(65536, matched=False), (2,)),
             (lambda: resonant_spectrum(1024, 3, 1e-3, 3), (3,)),
-            (lambda: grover_spectrum(4096, np.full(4096, 1 / 64, dtype=complex)), (3,)),
+            (lambda: grover_spectrum(4096), (3,)),
             (lambda: graph_spectrum(hypercube_levels(20), math.pi / 41), (3,)),
         ],
         ids=[
@@ -823,9 +827,7 @@ class TestBoostedRun:
     def test_boosting_grover_gives_grover_back(self):
         # every nonsource phase is pi and resonates at every m, so the boost
         # is the 2-entry spectrum {0: alpha^2, pi: 1 - alpha^2}: Grover again
-        n = 2**20
-        uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        inst = SearchInstance.build(grover_spectrum(2**20))
         angle = math.asin(inst.alpha)
         expected = np.sin((2 * np.arange(1701) + 1) * angle) ** 2
         for m in range(1, 9):
@@ -854,14 +856,15 @@ class TestBoostedRun:
 def joint_run(spec, m, steps):
     """Target probability and source overlap of the joint search, step by step.
 
-    The (2^m, N, 1) state is held in eigen-coordinates, where the joint
-    source is [0, 0, 0] and the joint target is conj(t) on ancilla row 0.
+    The (2^m, N, 1) state, N the entry count, is held in eigen-coordinates,
+    where the joint source is [0, 0, 0] and the joint target is
+    t = sqrt(weights) on ancilla row 0.
     Each step flips that target, then applies ``dense._apply_boost``.  It
     builds no basis and checks no cap, and it shares no code with
     ``boosted_instance``, ``pea_amplitude`` or ``spectra._power``.
     """
-    t = spec.target_row
-    state = np.zeros((2**m, spec.dimension, 1), dtype=np.complex128)
+    t = np.sqrt(spec.weights).astype(np.complex128)
+    state = np.zeros((2**m, spec.phases.size, 1), dtype=np.complex128)
     state[0, 0, 0] = 1.0
     probability, source_overlap = [], []
     for step in range(steps + 1):

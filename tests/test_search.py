@@ -43,22 +43,23 @@ from helpers import (
 def double_pair_toy():
     """5-dim instance: alpha = 0.1, two conjugate pairs at +/- pi/2.
 
-    Every pair member carries weight (1 - alpha^2)/4, so b^2 = 1.98.
+    Every pair member carries weight (1 - alpha^2)/4, so b^2 = 1.98.  The
+    equal phases merge: three entries, each of +/- pi/2 with twice that.
     """
     alpha = 0.1
-    member = math.sqrt((1.0 - alpha**2) / 4.0) * (1.0 + 1j) / math.sqrt(2.0)
-    row = [alpha, member, member.conjugate(), member, member.conjugate()]
+    member = (1.0 - alpha**2) / 4.0
+    weights = [alpha**2, member, member, member, member]
     phases = [0.0, 0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi, -0.5 * math.pi]
-    return SearchInstance.build(EigenSpectrum(phases, row))
+    return SearchInstance.build(EigenSpectrum(phases, weights))
 
 
 def band_toy(alpha, fractions, phases):
-    """Source at phase 0 plus one eigenvector per phase, with a real row.
+    """Source at phase 0 plus one eigenvector per phase.
 
     Eigenvector k carries target weight fractions[k] * (1 - alpha^2).
     """
-    row = [alpha] + [math.sqrt(f * (1.0 - alpha**2)) for f in fractions]
-    return SearchInstance.build(EigenSpectrum([0.0] + list(phases), row))
+    weights = [alpha**2] + [f * (1.0 - alpha**2) for f in fractions]
+    return SearchInstance.build(EigenSpectrum([0.0] + list(phases), weights))
 
 
 def skewed_toy(alpha=0.05):
@@ -89,12 +90,12 @@ def test_toy_eigenbasis_has_the_target_row(build):
     spec = build()
     vectors = eigenbasis(spec)
     assert unitarity_defect(vectors) <= 1e-10
-    assert vectors[0].tobytes() == spec.target_row.tobytes()
+    assert vectors[0].tobytes() == np.sqrt(spec.weights).tobytes()
 
 
 def test_search_operator_is_diffusion_after_flip():
     inst = double_pair_toy()
-    flip = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]).astype(np.complex128)
+    flip = np.diag([-1.0, 1.0, 1.0]).astype(np.complex128)
     expected = build_diffusion(inst) @ flip
     assert np.allclose(search_operator(inst), expected, atol=1e-12)
     assert unitarity_defect(search_operator(inst)) < 1e-10
@@ -224,9 +225,7 @@ class TestRelevantPair:
             lambda: SearchInstance.build(
                 symmetric_spectrum(256, 2, 0.5, 1.5, b_target=8)
             ),
-            lambda: SearchInstance.build(
-                grover_spectrum(64, np.full(64, 1.0 / 8.0, dtype=np.complex128))
-            ),
+            lambda: SearchInstance.build(grover_spectrum(64)),
             # no weighted phase below 0: the lower bracket wraps to 2.0 - 2 pi
             lambda: band_toy(0.2, [0.3, 0.7], [0.8, 2.0]),
         ],
@@ -251,8 +250,7 @@ class TestRelevantPair:
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_grover_residual_is_not_negative(self, n):
         # the pair holds the whole source; 1 - o+ - o- rounds to -4.4e-16 at 64
-        source = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        inst = SearchInstance.build(grover_spectrum(n, source))
+        inst = SearchInstance.build(grover_spectrum(n))
         assert verify_relevant_pair(inst)[2] >= 0.0
 
     @pytest.mark.parametrize(
@@ -348,7 +346,7 @@ class TestRunIterations:
     def test_query_ledger_counts_iterations(self):
         # the records view is the columns plus the ledger, arithmetic on q
         inst = double_pair_toy()
-        grover = SearchInstance.build(grover_spectrum(4, np.full(4, 0.5 + 0j)))
+        grover = SearchInstance.build(grover_spectrum(4))
         runs = [(run_iterations(inst, 7), 1), (run_iterations(grover, 7), 1)]
         for m in (2, 3):
             runs.append((boosted_search_run(inst, m, 7), 3 * 2**m - 2))
@@ -391,9 +389,7 @@ class TestRunIterations:
     def test_peak_ignores_initial_row(self):
         # strong source-target overlap: the q = 0 probability already beats
         # early iterations, but the peak must come from q >= 1
-        n = 4
-        uniform = np.full(n, 0.5, dtype=np.complex128)
-        inst = SearchInstance.build(grover_spectrum(n, uniform))
+        inst = SearchInstance.build(grover_spectrum(4))
         report = run_iterations(inst, 3)
         assert report.peak_q >= 1
 
@@ -405,11 +401,11 @@ class TestRunIterations:
         # the error names the first step past the limit, as a reference loop
         # over the same eigen-coordinate step finds it
         inst = double_pair_toy()
-        # the toy's drift passes this limit at step 11 of 25
+        # the toy's drift passes this limit at step 14 of 25
         limit = 2e-15
-        target = inst.target_row
+        target = np.sqrt(inst.weights).astype(np.complex128)
         eigenphase = np.exp(1j * inst.phases)
-        coeff = np.eye(inst.dimension, dtype=np.complex128)[0]
+        coeff = np.eye(inst.phases.size, dtype=np.complex128)[0]
         first = None
         for q in range(26):
             if q:
@@ -445,35 +441,28 @@ class TestRunIterations:
         with pytest.raises(MemoryError):
             run_iterations(double_pair_toy(), 10**15)
 
-    def test_global_phase_invariance(self):
-        spec = symmetric_spectrum(16, 6, 0.9, 1.9, alpha=0.05)
-        rotated = EigenSpectrum(spec.phases, spec.target_row * np.exp(0.3j))
-        base = run_iterations(SearchInstance.build(spec), 20)
-        turned = run_iterations(SearchInstance.build(rotated), 20)
-        for column in ("target_probability", "source_overlap"):
-            left, right = getattr(base, column), getattr(turned, column)
-            assert np.allclose(left, right, rtol=0.0, atol=1e-13)
-
 
 def test_grover_curve_is_exact_rotation():
     # uniform source: probability follows sin^2((2q+1) arcsin alpha) exactly
-    n = 64
-    uniform = np.full(n, 1.0 / 8.0, dtype=np.complex128)
-    inst = SearchInstance.build(grover_spectrum(n, uniform))
+    inst = SearchInstance.build(grover_spectrum(64))
     report = run_iterations(inst, 10)
     angle = math.asin(inst.alpha)
     expected = np.sin((2 * np.arange(11) + 1) * angle) ** 2
     assert np.allclose(report.target_probability, expected, rtol=0.0, atol=1e-12)
 
 
-def test_grover_curve_stays_exact_at_large_n():
-    # N = 4096 over two predicted peaks: the closed-form target row keeps
-    # every record within 1e-12 of sin^2((2q+1) arcsin alpha)
-    n = 4096
-    uniform = np.full(n, 1.0 / 64.0, dtype=np.complex128)
-    spec = grover_spectrum(n, uniform)
-    inst = SearchInstance.build(spec)
-    report = run_iterations(inst, 2 * predict_spectrum(inst).q_m)
+@pytest.mark.parametrize(
+    "n, q_max",
+    [(4096, None), (10**6, None), (2**50, 2000)],
+    ids=["4096", "1e6", "2^50"],
+)
+def test_grover_curve_stays_exact_at_large_n(n, q_max):
+    # the two-entry spectrum keeps every record within 1e-12 of
+    # sin^2((2q+1) arcsin alpha): over the default budget, two predicted
+    # peaks, and over 2000 steps at N = 2^50
+    inst = SearchInstance.build(grover_spectrum(n))
+    assert inst.dimension == n
+    report = run_iterations(inst, q_max)
     angle = math.asin(inst.alpha)
     error = max(
         abs(probability - math.sin((2 * q + 1) * angle) ** 2)
@@ -482,21 +471,21 @@ def test_grover_curve_stays_exact_at_large_n():
     assert error <= 1e-12
 
 
-def reference_iterate(eigenphase, target_row, q_max):
+def reference_iterate(eigenphase, target, q_max):
     """The step loop with plain per-step arithmetic: a fresh product each
     step, |c[0]| and |t . c|^2 taken as scalars, drift folded with max."""
-    target_conj = target_row.conj()
+    target_conj = target.conj()
     coeff = np.zeros(eigenphase.shape[0], dtype=np.complex128)
     coeff[0] = 1.0
     probability = np.empty(q_max + 1)
     overlap = np.empty(q_max + 1)
-    amplitude = target_row @ coeff
+    amplitude = target @ coeff
     worst = 0.0
     for q in range(q_max + 1):
         if q:
             coeff -= 2.0 * amplitude * target_conj
             coeff *= eigenphase
-            amplitude = target_row @ coeff
+            amplitude = target @ coeff
         probability[q] = np.abs(amplitude) ** 2
         overlap[q] = np.abs(coeff[0])
         worst = max(worst, abs(float(np.vdot(coeff, coeff).real) - 1.0))
@@ -518,28 +507,30 @@ def test_plain_run_keeps_reference_bits(n, q_max):
     spec = symmetric_spectrum(n, 1, 0.5, 1.5)
     report = run_iterations(SearchInstance.build(spec), q_max)
     eigenphase = np.where(spec.phases == np.pi, -1.0, np.exp(1j * spec.phases))
-    reference = reference_iterate(eigenphase, spec.target_row, q_max)
+    target = np.sqrt(spec.weights).astype(np.complex128)
+    reference = reference_iterate(eigenphase, target, q_max)
     assert_same_bits(report, reference)
 
 
 def test_boosted_run_keeps_reference_bits():
     # the run is the reference loop on the boosted instance's phases and
-    # row, with e^{i pi} taken as exactly -1
+    # sqrt(weights), with e^{i pi} taken as exactly -1
     m, q_max = 3, 3000
     inst = SearchInstance.build(symmetric_spectrum(256, 1, 0.5, 1.5))
     report = boosted_search_run(inst, m, q_max)
     boosted = boosted_instance(inst, m)
     eigenphase = np.where(boosted.phases == np.pi, -1.0, np.exp(1j * boosted.phases))
-    assert_same_bits(report, reference_iterate(eigenphase, boosted.target_row, q_max))
+    target = np.sqrt(boosted.weights).astype(np.complex128)
+    assert_same_bits(report, reference_iterate(eigenphase, target, q_max))
     # and stays within rounding of the whole (N + 1)-entry assembly, with the
     # unwrapped powered phases, that the survival column spells out
     spec = inst
     survival = np.minimum(pea_amplitude(spec.phases, m, 0) ** 2, 1.0)
-    target_row = np.append(
-        np.sqrt(survival) * spec.target_row, math.sqrt(b_prime(inst, m).sigma1)
-    )
+    target = np.append(
+        np.sqrt(survival * spec.weights), math.sqrt(b_prime(inst, m).sigma1)
+    ).astype(np.complex128)
     eigenphase = np.append(np.exp(1j * 2**m * spec.phases), -1.0)
-    assembled = reference_iterate(eigenphase, target_row, q_max)
+    assembled = reference_iterate(eigenphase, target, q_max)
     assert np.max(np.abs(report.target_probability - assembled[0])) <= 1e-12
     assert np.max(np.abs(report.source_overlap - assembled[1])) <= 1e-12
     assert report.peak_q == assembled[2]

@@ -46,15 +46,14 @@ def two_phase_toy():
     """
     member = 0.8 / math.sqrt(2.0)
     phases = np.array([0.0, 0.5 * math.pi, -0.5 * math.pi])
-    return EigenSpectrum(phases, [0.6, member, member])
+    return EigenSpectrum(phases, [0.6**2, member**2, member**2])
 
 
 def zero_weight_toy():
     """4 entries: entry 1 carries no target weight, entries 2 and 3 a pair."""
-    amplitude = math.sqrt(3.0 / 8.0)
     return EigenSpectrum(
         np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
-        np.array([0.5, 0.0, amplitude, amplitude]),
+        np.array([0.25, 0.0, 0.375, 0.375]),
     )
 
 
@@ -89,9 +88,7 @@ def test_b_identity_on_generated_spectra(seed):
 
 
 def test_grover_spectrum_moments_vanish():
-    n = 16
-    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    inst = SearchInstance.build(grover_spectrum(n, uniform))
+    inst = SearchInstance.build(grover_spectrum(16))
     assert np.isclose(inst.alpha, 0.25, rtol=1e-15)
     # cot(pi/2) rounds to ~6e-17 rather than zero, so the moments are tiny
     # rather than bit-exact
@@ -103,26 +100,27 @@ def test_grover_spectrum_moments_vanish():
 
 
 def test_grover_spectrum_rejects_unnormalized_source():
-    with pytest.raises(ValueError):
-        grover_spectrum(8, np.full(8, 0.5, dtype=np.complex128))
+    # a unit source overlaps the target by less than 1
+    for alpha in (1.0, 1.5, 0.0, -0.5):
+        with pytest.raises(ValueError, match=r"alpha must lie strictly in \(0, 1\)"):
+            grover_spectrum(8, alpha)
 
 
 def test_grover_row_is_unit_at_a_million():
-    # a BLAS dot for the Householder norm left |row|^2 - 1 at 2.7e-12 here,
-    # enough drift to stop a default-budget run after 367 steps
+    # two entries whatever n is: [0, pi] with weights [1/n, 1 - 1/n], whose
+    # sum is 1 to rounding
     n = 1_000_000
-    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    row = grover_spectrum(n, uniform).target_row
-    assert abs(math.fsum(row.real**2 + row.imag**2) - 1.0) <= 1e-15
+    spec = grover_spectrum(n)
+    assert spec.phases.tolist() == [0.0, math.pi]
+    assert abs(math.fsum(spec.weights) - 1.0) <= 1e-15
 
 
 def test_grover_spectrum_norm_tolerance_scales_with_n():
-    # the uniform source's norm misses 1 by 3.2e-12 at this n from rounding
+    # n is the dimension, not the entry count; weights off 1 are refused
     n = 3_000_000
-    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    assert grover_spectrum(n, uniform).dimension == n
-    with pytest.raises(ValueError, match="normalized"):
-        grover_spectrum(n, uniform * (1.0 + 1e-6))
+    assert grover_spectrum(n).dimension == n
+    with pytest.raises(SpectrumValidationError, match="sum to 1"):
+        EigenSpectrum([0.0, math.pi], [1.0 / n, 1.0 + 1e-6], n=n)
 
 
 def test_build_diffusion_is_unitary_and_fixes_source():
@@ -204,7 +202,7 @@ class TestSymmetricGenerator:
         second = symmetric_spectrum(32, 21, 0.8, 1.6)
         third = symmetric_spectrum(32, 22, 0.8, 1.6)
         assert np.array_equal(first.phases, second.phases)
-        assert np.array_equal(first.target_row, second.target_row)
+        assert np.array_equal(first.weights, second.weights)
         assert not np.array_equal(first.phases, third.phases)
 
 
@@ -224,12 +222,12 @@ class TestDrawMemo:
     @pytest.mark.parametrize("seed", [1.0, 1.5, None, "1"])
     def test_non_integer_seed_raises(self, seed):
         with pytest.raises(TypeError):
-            spectra._paired_row(16, seed, 0.25)
+            spectra._paired_weights(16, seed, 0.25)
 
     def test_checks_run_on_a_warm_key(self):
-        spectra._paired_row(16, 3, 0.25)
+        spectra._paired_weights(16, 3, 0.25)
         with pytest.raises(ValueError, match="alpha"):
-            spectra._paired_row(16, 3, 1.0)
+            spectra._paired_weights(16, 3, 1.0)
 
     @pytest.mark.parametrize("n, seed", [(4, 0), (16, 3), (64, 7), (256, 11)])
     @pytest.mark.parametrize("kind", ["symmetric", "resonant"])
@@ -244,7 +242,7 @@ class TestDrawMemo:
         hits = spectra._seeded_draws.cache_info().hits
         warm = make()
         assert spectra._seeded_draws.cache_info().hits == hits + 1
-        for name in ("phases", "target_row"):
+        for name in ("phases", "weights"):
             assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
@@ -435,12 +433,36 @@ class TestSplitSkip:
 
 class TestSpectrumValidation:
     def test_alpha_whose_square_underflows_rejected(self):
-        # alpha^2 rounds to 0: the source would carry no weight at all
-        spec = symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163)
-        assert 0.0 < abs(spec.target_row[0]) < 1.0 and spec.weights[0] == 0.0
-        with pytest.raises(ValueError, match=r"alpha\^2 > 0, got 1e-163") as raised:
-            SearchInstance.build(spec)
-        assert not isinstance(raised.value, SpectrumValidationError)
+        # alpha^2 rounds to 0: the source would carry no weight at all.  Each
+        # generator names the alpha it was given, not the 0.0 it squares to
+        for make, alpha in (
+            (lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163), "1e-163"),
+            (lambda: resonant_spectrum(16, 3, 1e-3, 1, alpha=1e-170), "1e-170"),
+            (lambda: grover_spectrum(16, 1e-163), "1e-163"),
+        ):
+            message = rf"alpha\^2 > 0, got {alpha}$"
+            with pytest.raises(ValueError, match=message) as raised:
+                make()
+            assert not isinstance(raised.value, SpectrumValidationError)
+        # the constructor refuses a zero source weight with its own alpha, 0
+        with pytest.raises(ValueError, match=r"alpha\^2 > 0, got 0.0$"):
+            SearchInstance([0.0, 1.0], [0.0, 1.0])
+
+    def test_dimension_below_the_entry_count_rejected(self):
+        # n counts the entries given, before equal phases merge
+        with pytest.raises(
+            SpectrumValidationError, match="dimension n = 2 is below the 3 entries"
+        ):
+            EigenSpectrum([0.0, 1.0, 1.0], [0.2, 0.4, 0.4], n=2)
+        assert EigenSpectrum([0.0, 1.0, 1.0], [0.2, 0.4, 0.4], n=3).dimension == 3
+
+    def test_dimension_is_kept_as_a_python_int(self):
+        # far past 2^63, as for a Johnson graph's sides
+        spec = grover_spectrum(10**60)
+        assert type(spec.dimension) is int and spec.dimension == 10**60
+        inst = SearchInstance.build(spec)
+        assert inst.dimension == 10**60
+        assert EigenSpectrum([0.0, 1.0], [0.5, 0.5], n=np.int64(7)).dimension == 7
 
     def test_degenerate_source_phase_rejected(self):
         phases = np.array([0.0, 0.0, 1.0])
@@ -471,9 +493,9 @@ class TestSpectrumValidation:
         "call, error, message",
         [
             (
-                lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.6, 0.8]),
+                lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.36, 0.64]),
                 SpectrumValidationError,
-                r"eigenbasis row shape \(2,\) does not match 3 phases",
+                r"weights shape \(2,\) does not match 3 phases",
             ),
             (
                 lambda: naive_power_b(SearchInstance.build(two_phase_toy()), 0),
@@ -481,12 +503,12 @@ class TestSpectrumValidation:
                 "power must be a positive integer, got 0",
             ),
             (
-                lambda: grover_spectrum(8, np.full(4, 0.5)),
-                ValueError,
-                "source must be a vector of length 8",
+                lambda: grover_spectrum(1, 0.5),
+                SpectrumValidationError,
+                "dimension n = 1 is below the 2 entries given",
             ),
         ],
-        ids=["row-shorter-than-phases", "naive-power-0", "grover-source-length-4"],
+        ids=["row-shorter-than-phases", "naive-power-0", "grover-n-below-2"],
     )
     def test_malformed_input_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
@@ -498,20 +520,15 @@ class TestSpectrumValidation:
             EigenSpectrum(phases, [1.0, 0.0, 0.0])
 
     def test_arrays_are_frozen(self):
-        spec = two_phase_toy()
-        with pytest.raises(ValueError):
-            spec.phases[1] = 0.3
-        generated = symmetric_spectrum(8, 1, 0.5, 1.5)
-        for row in (spec.target_row, generated.target_row):
-            with pytest.raises(ValueError):
-                row[0] = 0.3
-        # the target weights are computed once, bit for bit from the row
-        for made in (spec, generated):
-            assert made.weights is made.weights
-            expected = np.abs(made.target_row) ** 2
-            assert made.weights.tobytes() == expected.tobytes()
-            with pytest.raises(ValueError):
-                made.weights[0] = 0.3
+        # merged or not, both arrays are read-only
+        for made in (
+            two_phase_toy(),
+            symmetric_spectrum(8, 1, 0.5, 1.5),
+            resonant_spectrum(8, 3, 1e-3, 1),
+        ):
+            for array in (made.phases, made.weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.3
 
 
 class TestNaivePowering:
@@ -554,8 +571,13 @@ class TestNaivePowering:
         assert abs(b_prime(inst, 2).b_prime - dense_b_prime_check(inst, 2)) <= 1e-12
         assert abs(b_prime(inst, 2).b_prime - math.sqrt(0.75)) <= 1e-15
         assert boosted_lambda1(inst, 2) == 0.0
-        # at r = 2 the phases +-pi/2 power onto +-pi, and both boost onto pi
-        assert abs(b_prime(inst, 1).b_prime - dense_b_prime_check(inst, 1)) <= 1e-12
+        # at r = 2 the phases +-pi/2 power onto +-pi, and both boost onto pi,
+        # where they merge with the flipped branch; sigma1 is still that
+        # branch's alone, so sigma2 is b^2 / 4
+        split = b_prime(inst, 1)
+        assert abs(split.b_prime - dense_b_prime_check(inst, 1)) <= 1e-12
+        assert abs(split.sigma1 - 0.375) <= 1e-15
+        assert abs(split.sigma2 - inst.b_factor**2 / 4) <= 1e-12
 
 
 class TestOnePowerRule:
@@ -624,7 +646,17 @@ class TestResonantGenerator:
         first = resonant_spectrum(32, 3, 1e-3, 9)
         second = resonant_spectrum(32, 3, 1e-3, 9)
         assert np.array_equal(first.phases, second.phases)
-        assert np.array_equal(first.target_row, second.target_row)
+        assert np.array_equal(first.weights, second.weights)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_lone_slot_merges_with_the_last_pair(self, m):
+        # the lone slot's zero weight sits exactly at the last pair's
+        # positive phase, so a spectrum of side n holds n - 1 entries
+        n = 64
+        weights = spectra._paired_weights(n, 5, 1.0 / math.sqrt(n))
+        spec = resonant_spectrum(n, m, 1e-3, 5)
+        assert spec.dimension == n and spec.phases.size == n - 1
+        assert spec.weights.tobytes() == weights[: n - 1].tobytes()
 
 
 class TestPairedConstruction:
@@ -633,37 +665,27 @@ class TestPairedConstruction:
         # the b_target rescale reads 2 |row[2j+1]|^2 as pair j's weight: bit
         # for bit the sum of the two members' weights that build reads
         n, alpha = 64, 0.05
-        row = spectra._paired_row(n, seed, alpha)
+        made = spectra._paired_weights(n, seed, alpha)
         phases = np.linspace(0.5, 1.5, (n - 2) // 2)
-        spec = spectra._paired_spectrum(row, phases, np.pi)
+        spec = spectra._paired_spectrum(made, phases, np.pi)
         weights = spec.weights
         assembled = weights[1 : n - 1 : 2] + weights[2 : n - 1 : 2]
-        closed = 2.0 * np.abs(row[1 : n - 1 : 2]) ** 2
+        closed = 2.0 * made[1 : n - 1 : 2]
         assert closed.tobytes() == assembled.tobytes()
         # the lone slot is pinned to exactly zero target weight
-        assert spec.target_row[n - 1] == 0.0
+        assert spec.weights[n - 1] == 0.0
 
 
 class TestWeightPath:
-    @pytest.mark.parametrize("n", [8, 64, 1024])
-    @pytest.mark.parametrize("source", ["uniform", "random", "e3"])
-    def test_grover_row_matches_built_basis(self, source, n):
-        # the closed-form row is row 0 of the full completion of the source,
-        # so the spectrum is the reflection about ``source``
-        if source == "uniform":
-            vector = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-        elif source == "random":
-            # largest entry away from index 0: the basis columns get reordered
-            rng = np.random.default_rng(n)
-            vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            vector[n // 2] = 4.0 * math.sqrt(n)
-            vector /= np.linalg.norm(vector)
-        else:
-            # already a basis vector: no reflection, the identity completion
-            vector = np.zeros(n, dtype=np.complex128)
-            vector[3] = 1.0
-        row = grover_spectrum(n, vector).target_row
-        assert row.tobytes() == spectra._complete_orthonormal(vector)[0].tobytes()
+    @pytest.mark.parametrize("n", [2, 8, 64, 1024, 2**50])
+    def test_grover_is_two_entries(self, n):
+        # the reflection about the uniform source: its measure is alpha^2 = 1/n
+        # at 0 and the rest at pi, whatever n is
+        spec = grover_spectrum(n)
+        assert spec.phases.tobytes() == np.array([0.0, np.pi]).tobytes()
+        alpha = 1.0 / math.sqrt(n)
+        assert spec.weights.tobytes() == np.array([alpha**2, 1.0 - alpha**2]).tobytes()
+        assert spec.dimension == n
 
     def test_weight_path_never_builds_the_eigenbasis(self):
         # every layer a report needs, at N = 4096, where one N x N complex
@@ -687,27 +709,30 @@ class TestWeightPath:
         assert peak < 4096 * 4096 * 16 / 8
 
     def test_caller_row_is_copied(self):
-        # the caller's target row: the one array the constructor copies
-        row = np.array([0.6, 0.8, 0.0], dtype=np.complex128)
-        spec = EigenSpectrum(np.array([0.0, 1.0, 2.0]), row)
-        assert not np.shares_memory(spec.target_row, row)
-        assert not spec.target_row.flags.writeable
-        row[0] = 5.0  # the caller's array stays writable
-        assert spec.target_row[0] == 0.6
-        assert spec.weights[0] == 0.36
+        # the caller's weights and phases are copied, merged or not
+        for phases in ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0]):
+            phases, weights = np.array(phases), np.array([0.36, 0.64, 0.0])
+            spec = EigenSpectrum(phases, weights)
+            assert not np.shares_memory(spec.weights, weights)
+            assert not np.shares_memory(spec.phases, phases)
+            weights[0] = 5.0  # the caller's array stays writable
+            assert spec.weights[0] == 0.36
 
     def test_unnormalized_row_rejected(self):
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
-        row = spec.target_row * 1.01
-        with pytest.raises(SpectrumValidationError, match="row"):
-            EigenSpectrum(spec.phases, row)
+        with pytest.raises(SpectrumValidationError, match="do not sum to 1"):
+            EigenSpectrum(spec.phases, spec.weights * 1.01)
 
     def test_nan_row_rejected(self):
+        # a NaN or negative weight fails the sign test, an infinite one the sum
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
-        row = spec.target_row.copy()
-        row[3] = np.nan
-        with pytest.raises(SpectrumValidationError, match="row not normalized"):
-            EigenSpectrum(spec.phases, row)
+        for bad, message in (
+            (np.nan, "nonnegative"), (-1e-3, "nonnegative"), (np.inf, "sum to 1")
+        ):
+            weights = spec.weights.copy()
+            weights[3] = bad
+            with pytest.raises(SpectrumValidationError, match=message):
+                EigenSpectrum(spec.phases, weights)
 
 
 PAIRED_SIDES = [
@@ -731,9 +756,11 @@ class TestEigenbasis:
             *(
                 (make, 1e-10, None)
                 for make in (
-                    lambda: grover_spectrum(1024, np.full(1024, 1.0 / 32.0)),
-                    lambda: grover_spectrum(8, np.eye(8)[3]),
-                    lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-163),
+                    lambda: grover_spectrum(1024),
+                    # the reflection about e_3: the source misses the target
+                    lambda: EigenSpectrum([0.0, np.pi], [0.0, 1.0], n=8),
+                    # alpha^2 = 1e-320 is subnormal, not 0
+                    lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-160),
                     lambda: resonant_spectrum(16, 1, 1e-17, 1),
                     lambda: scaling_family(10, 31),
                     lambda: graph_spectrum(hypercube_levels(20), math.pi / 41),
@@ -744,9 +771,14 @@ class TestEigenbasis:
                 )
             ),
             # the paired generators hold a tighter bound, and the target
-            # row is exactly zero on their lone slot
+            # weight is exactly zero on the symmetric lone slot; the resonant
+            # one merges with a pair
             *(
-                (functools.partial(paired_spectrum, kind, n), 1e-13, n - 1)
+                (
+                    functools.partial(paired_spectrum, kind, n),
+                    1e-13,
+                    n - 1 if kind == "symmetric" else None,
+                )
                 for kind, n in PAIRED_SIDES
             ),
         ],
@@ -761,11 +793,31 @@ class TestEigenbasis:
     def test_basis_is_unitary_with_the_target_row(self, make, bound, lone):
         spec = make()
         vectors = eigenbasis(spec)
-        assert vectors.shape == (spec.dimension, spec.dimension)
+        assert vectors.shape == (spec.phases.size, spec.phases.size)
         assert unitarity_defect(vectors) <= bound
-        assert vectors[0].tobytes() == spec.target_row.tobytes()
+        assert vectors[0].tobytes() == np.sqrt(spec.weights).tobytes()
         if lone is not None:
             assert vectors[0, lone] == 0.0
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("source", ["uniform", "random", "e3"])
+    def test_householder_completion_keeps_its_source(self, source, n):
+        # the completion of a nonnegative unit vector, sqrt(weights) for
+        # ``eigenbasis``, is orthogonal with it as column 0 bit for bit
+        if source == "uniform":
+            vector = np.full(n, 1.0 / math.sqrt(n))
+        elif source == "random":
+            # largest entry away from index 0: the basis columns get reordered
+            vector = np.abs(np.random.default_rng(n).standard_normal(n))
+            vector[n // 2] = 4.0 * math.sqrt(n)
+            vector /= np.linalg.norm(vector)
+        else:
+            # already a basis vector: no reflection, the identity completion
+            vector = np.zeros(n)
+            vector[3] = 1.0
+        basis = gqsearch.dense._complete_orthonormal(vector)
+        assert basis[:, 0].tobytes() == vector.tobytes()
+        assert unitarity_defect(basis) <= 1e-12
 
 
 class TestDenseCap:
@@ -773,11 +825,11 @@ class TestDenseCap:
 
     N = DENSE_CAP + 2
 
-    def peak_while_raising(self, call):
-        """tracemalloc peak of ``call``, which must raise DenseCapError."""
+    def peak_while_raising(self, call, side=N):
+        """tracemalloc peak of ``call``, which must raise DenseCapError at ``side``."""
         tracemalloc.start()
         try:
-            with pytest.raises(DenseCapError, match=f"dimension {self.N} exceeds"):
+            with pytest.raises(DenseCapError, match=f"dimension {side} exceeds"):
                 call()
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -786,18 +838,22 @@ class TestDenseCap:
     @pytest.mark.parametrize("kind", ["symmetric", "resonant", "grover"])
     def test_reading_the_basis_above_the_cap_raises(self, monkeypatch, kind):
         n = self.N
+        if kind == "grover":
+            # the cap reads the entry count: two, whatever the dimension
+            assert eigenbasis(grover_spectrum(n)).shape == (2, 2)
+            return
         if kind == "symmetric":
             spec = symmetric_spectrum(n, 1, 0.5, 1.5)
-        elif kind == "resonant":
-            spec = resonant_spectrum(n, 3, 1e-3, 1)
         else:
-            spec = grover_spectrum(n, np.full(n, 1.0 / math.sqrt(n)))
+            # the lone slot merges: N - 1 entries, still above the cap
+            spec = resonant_spectrum(n, 3, 1e-3, 1)
         built = []
         monkeypatch.setattr(
             gqsearch.dense, "_complete_orthonormal", lambda *args: built.append(args)
         )
         # a basis of this side takes n * n * 16 bytes
-        assert self.peak_while_raising(lambda: eigenbasis(spec)) < n * n // 4
+        peak = self.peak_while_raising(lambda: eigenbasis(spec), spec.phases.size)
+        assert peak < n * n // 4
         assert built == []
 
     @pytest.mark.parametrize(
@@ -830,8 +886,9 @@ class TestScalingFamily:
 FROZEN_PATH = Path(__file__).parent / "data" / "frozen_spectra.npz"
 
 # generator outputs recorded before the generator's O(N^2) rewrite; they pin
-# the random stream and every number a search reads (phases, target-row
-# weights)
+# the random stream and every number a search reads (phases, target weights).
+# They were recorded before equal phases merged, so each is compared after
+# passing through the same constructor
 FROZEN_CASES = {
     "symmetric_64_7": (lambda: symmetric_spectrum(64, 7, 0.5, 1.5), False),
     "symmetric_256_3_b8": (
@@ -847,9 +904,9 @@ FROZEN_CASES = {
 def test_generator_outputs_frozen(name):
     make, rescaled = FROZEN_CASES[name]
     with np.load(FROZEN_PATH) as frozen:
-        phases = frozen[f"{name}/phases"]
-        weights = frozen[f"{name}/weights"]
+        recorded = EigenSpectrum(frozen[f"{name}/phases"], frozen[f"{name}/weights"])
         alpha, b_factor = frozen[f"{name}/alpha_b"]
+    phases, weights = recorded.phases, recorded.weights
     spec = make()
     inst = SearchInstance.build(spec)
     if rescaled:
@@ -865,21 +922,21 @@ def test_generator_outputs_frozen(name):
 @pytest.mark.parametrize("name", sorted(FROZEN_CASES))
 def test_instance_from_phases_and_row_is_its_build(name):
     spec = FROZEN_CASES[name][0]()
-    made = SearchInstance(spec.phases, spec.target_row)
+    made = SearchInstance(spec.phases, spec.weights, n=spec.dimension)
     built = SearchInstance.build(spec)
     assert isinstance(made, EigenSpectrum)
-    for field in ("phases", "target_row", "weights"):
+    for field in ("phases", "weights"):
         assert getattr(made, field).tobytes() == getattr(built, field).tobytes()
-    for field in ("alpha", "lambda1", "lambda2", "b_factor"):
+    for field in ("dimension", "alpha", "lambda1", "lambda2", "b_factor"):
         assert getattr(made, field) == getattr(built, field)
 
 
 def test_instance_constructor_refuses_what_build_refuses():
-    phases, row = [0.0, 1.0], [1.0, 0.0]  # alpha = 1: the source is the target
+    phases, weights = [0.0, 1.0], [1.0, 0.0]  # alpha = 1: the source is the target
     message = r"must lie in \(0, 1\), alpha\^2 > 0, got 1.0"
     for make in (
-        lambda: SearchInstance(phases, row),
-        lambda: SearchInstance.build(EigenSpectrum(phases, row)),
+        lambda: SearchInstance(phases, weights),
+        lambda: SearchInstance.build(EigenSpectrum(phases, weights)),
     ):
         with pytest.raises(ValueError, match=message):
             make()
