@@ -37,9 +37,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", required=True, help="path to an ini config")
         cmd.add_argument("--seed", type=int, default=None, help="override seed")
         cmd.add_argument("--out", default=None, help="override output path")
-        cmd.add_argument(
-            "--format", choices=("csv", "json"), default=None, help="override format"
-        )
+        cmd.add_argument("--format", default=None, help="override format: csv or json")
     sub.add_parser("validate", help="run the numerical invariant suite")
     return parser
 
@@ -53,14 +51,14 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return 0 if run_validation() else 2
 
-        flags = {"seed": args.seed, "out": args.out, "fmt": args.format}
+        flags = {"seed": args.seed, "out": args.out, "format": args.format}
         overrides = {name: value for name, value in flags.items() if value is not None}
         if args.command == "run":
             configs = [load_config(args.config, **overrides)]
         else:
             configs = load_sweep_configs(args.config, **overrides)
 
-        fmt = configs[0].fmt
+        fmt = configs[0].format
         out = configs[0].out or f"report.{fmt}"
         # open the report path before any run: append mode keeps an existing
         # file, and one made here is removed, so a failed run leaves nothing

@@ -28,33 +28,35 @@ from . import pea, search, spectra
 
 DEFAULT_B_VALUES = (2.0, 4.0, 8.0, 16.0)
 
-EXPERIMENT_KINDS = (
-    "grover-baseline",
-    "general-search",
-    "boosted-search",
-    "divergence-demo",
-    "b-sweep",
-)
+# [instance] keys each experiment kind reads besides n and seed
+_KIND_READS = {
+    "grover-baseline": (),
+    "general-search": ("family",),
+    "boosted-search": ("family", "m"),
+    "divergence-demo": ("alpha", "epsilon", "resonance_m", "m"),
+    "b-sweep": ("theta_min", "theta_max", "alpha", "b_values", "m"),
+}
+# [instance] keys each instance family reads; ``_instances`` builds each one
+_FAMILY_READS = {
+    "symmetric": ("theta_min", "theta_max", "alpha", "b_target"),
+    "resonant": ("alpha", "epsilon", "resonance_m"),
+}
+EXPERIMENT_KINDS = tuple(_KIND_READS)
 
 
 class ConfigError(ValueError):
     """Config file is malformed or inconsistent."""
 
 
-def _key(section: str, type_: type, default, key: str | None = None):
-    """A config key in ``section`` whose value has type ``type_``.
-
-    ``key`` names the INI key where it differs from the field name.
-    """
+def _key(section: str, type_: type, default):
+    """A config key in ``section`` whose value has type ``type_``."""
     metadata = {"section": section, "type": type_}
-    if key is not None:
-        metadata["key"] = key
     return dataclasses.field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; each field declares its config key, section and type.
+    """One experiment; each field is one config key, with its section and type.
 
     ``__post_init__`` checks each field's rules and refuses a key the kind
     or family does not read, so every instance is valid however it was made.
@@ -65,7 +67,6 @@ class ExperimentConfig:
     # main dimension (even, >= 4 for random families)
     n: int = _key("instance", int, 64)
     seed: int = _key("instance", int, 1)
-    # symmetric | resonant (general-search and boosted-search)
     family: str = _key("instance", str, "symmetric")
     # edges of the raw phase band, 0 < theta_min <= theta_max < pi
     theta_min: float = _key("instance", float, 0.5)
@@ -74,19 +75,19 @@ class ExperimentConfig:
     alpha: float | None = _key("instance", float, None)
     # rescale phases to hit this b factor; None means no rescaling
     b_target: float | None = _key("instance", float, None)
-    # resonant-family detuning and power exponent (r = 2^resonance_m)
+    # detuning and power exponent (r = 2^resonance_m)
     epsilon: float = _key("instance", float, 1e-3)
     resonance_m: int = _key("instance", int, 3)
-    # ancilla count for boosted runs; None picks it from b
+    # ancilla count; None picks it from b
     m: int | None = _key("instance", int, None)
-    # b-sweep targets: always a comma list, never expanded by sweep
+    # b factor targets: always a comma list, never expanded by sweep
     b_values: tuple[float, ...] = _key("instance", tuple, DEFAULT_B_VALUES)
     # iteration budget; None picks it per experiment
     q_max: int | None = _key("run", int, None)
     # report path; None means report.<format>
     out: str | None = _key("run", str, None)
     # csv | json
-    fmt: str = _key("run", str, "csv", key="format")
+    format: str = _key("run", str, "csv")
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -94,10 +95,10 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; "
                 f"choose from {', '.join(EXPERIMENT_KINDS)}"
             )
-        if self.family not in ("symmetric", "resonant"):
+        if self.family not in _FAMILY_READS:
             raise ConfigError(f"unknown instance family {self.family!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
         if self.seed < 0:
@@ -106,11 +107,11 @@ class ExperimentConfig:
             raise ConfigError(f"q_max must be nonnegative, got {self.q_max}")
         if not self.b_values:
             raise ConfigError("b_values must list at least one target")
-        reads = ("n", "seed") + _READS[self.kind]
-        reads += _READS[self.family] if "family" in reads else ()
+        reads = ("n", "seed") + _KIND_READS[self.kind]
+        reads += _FAMILY_READS[self.family] if "family" in reads else ()
         for key, field in _FIELDS.items():
             unread = field.metadata["section"] == "instance" and key not in reads
-            if unread and getattr(self, field.name) != field.default:
+            if unread and getattr(self, key) != field.default:
                 raise ConfigError(f"{self.kind} does not read {key}")
 
 
@@ -144,24 +145,11 @@ class ReportRow:
 
 
 # config key -> its ExperimentConfig field
-_FIELDS = {
-    field.metadata.get("key", field.name): field
-    for field in dataclasses.fields(ExperimentConfig)
-}
+_FIELDS = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
 _SECTIONS = {field.metadata["section"] for field in _FIELDS.values()}
 # keys the sweep entry point may expand from comma lists
 _SWEEPABLE = {
     key for key, field in _FIELDS.items() if field.metadata["type"] in (int, float)
-}
-# [instance] keys each kind reads besides n and seed, and those each family reads
-_READS = {
-    "grover-baseline": (),
-    "divergence-demo": ("alpha", "epsilon", "resonance_m", "m"),
-    "b-sweep": ("theta_min", "theta_max", "alpha", "b_values", "m"),
-    "general-search": ("family",),
-    "boosted-search": ("family", "m"),
-    "symmetric": ("theta_min", "theta_max", "alpha", "b_target"),
-    "resonant": ("alpha", "epsilon", "resonance_m"),
 }
 
 
@@ -191,11 +179,10 @@ def _read_raw(path) -> dict[str, str]:
 def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
     values: dict = {}
     for key, text in raw.items():
-        field = _FIELDS[key]
-        if field.name in overrides:
+        if key in overrides:
             continue
         if key == "b_values":
-            values[field.name] = _parse_b_values(text)
+            values[key] = _parse_b_values(text)
         elif "," in text and key != "out":
             raise ConfigError(
                 f"config key {key} holds a list; only the sweep command "
@@ -204,7 +191,7 @@ def _build_config(raw: dict[str, str], overrides: dict) -> ExperimentConfig:
             )
         elif text:
             try:
-                values[field.name] = field.metadata["type"](text)
+                values[key] = _FIELDS[key].metadata["type"](text)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
     values.update(overrides)
@@ -223,7 +210,7 @@ def _parse_b_values(text: str) -> tuple[float, ...]:
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
-    """Parse one config file; keyword overrides (field names) replace file values."""
+    """Parse one config file; keyword overrides (config keys) replace file values."""
     return _build_config(_read_raw(path), overrides)
 
 
@@ -239,7 +226,7 @@ def load_sweep_configs(path, **overrides) -> list[ExperimentConfig]:
     axes: list[tuple[str, list[str]]] = []
     fixed: dict[str, str] = {}
     for key, text in raw.items():
-        if key in _SWEEPABLE and "," in text and _FIELDS[key].name not in overrides:
+        if key in _SWEEPABLE and "," in text and key not in overrides:
             parts = [part.strip() for part in text.split(",")]
             if not any(parts):
                 raise ConfigError(f"config key {key} lists no values")
@@ -266,9 +253,7 @@ def _instances(config: ExperimentConfig):
     n, seed, alpha = config.n, config.seed, config.alpha
     if kind == "grover-baseline":
         yield build(spectra.grover_spectrum(n))
-    elif kind == "divergence-demo" or (
-        kind != "b-sweep" and config.family == "resonant"
-    ):
+    elif kind == "divergence-demo" or config.family == "resonant":
         r_m, eps = config.resonance_m, config.epsilon
         yield build(spectra.resonant_spectrum(n, r_m, eps, seed, alpha=alpha))
     else:

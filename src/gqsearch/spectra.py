@@ -233,9 +233,20 @@ def grover_spectrum(n: int, alpha: float | None = None) -> EigenSpectrum:
 def _source_weight(alpha: float | None, n: int) -> float:
     """alpha^2, alpha by default 1/sqrt(n), the uniform source's overlap.
 
-    alpha must lie in (0, 1), and its square must not round to 0.
+    alpha must lie in (0, 1), and its square must not round to 0.  An n
+    past float range gives alpha^2 = 1 / n, which int true division rounds
+    once.
     """
-    alpha = 1.0 / math.sqrt(n) if alpha is None else alpha
+    if alpha is None:
+        try:
+            alpha = 1.0 / math.sqrt(n)
+        except OverflowError:
+            source = 1 / n
+            if not source > 0.0:
+                raise ValueError(
+                    f"n of {n.bit_length()} bits rounds the default alpha^2 = 1/n to 0"
+                ) from None
+            return source
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     if not alpha**2 > 0.0:

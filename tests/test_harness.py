@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gqsearch import cli, linalg, pea, search, spectra
+from gqsearch import cli, harness, linalg, pea, search, spectra
 from gqsearch.harness import (
     ConfigError,
     ExperimentConfig,
@@ -52,7 +52,7 @@ class TestConfigParsing:
         assert config.b_values == (2.0, 4.0, 8.0, 16.0)
         assert config.q_max is None
         assert config.out is None
-        assert config.fmt == "csv"
+        assert config.format == "csv"
 
     def test_empty_values_fall_back_to_defaults(self, tmp_path):
         path = write_config(
@@ -80,13 +80,13 @@ class TestConfigParsing:
             "b_values": ("3, 5", (3.0, 5.0)),
             "q_max": ("40", 40),
             "out": ("result.json", "result.json"),
-            "fmt": ("json", "json"),
+            "format": ("json", "json"),
         }
         # no kind reads every [instance] key, so the fields are loaded in one
         # config per kind, each setting only keys its kind (and family) reads
         bodies = {
             "b-sweep": ("kind", "n", "seed", "theta_min", "theta_max", "alpha",
-                        "m", "b_values", "q_max", "out", "fmt"),
+                        "m", "b_values", "q_max", "out", "format"),
             "boosted-search": ("family", "epsilon", "resonance_m"),
             "general-search": ("b_target",),
         }
@@ -135,7 +135,7 @@ class TestConfigParsing:
         assert config.alpha == 0.125
         assert config.m == 3
         assert config.q_max == 40
-        assert config.fmt == "json"
+        assert config.format == "json"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[mystery]\nx = 1\n")
@@ -302,6 +302,29 @@ class TestExperiments:
         assert all(row.experiment == "b-sweep" for row in rows)
 
 
+# each family's generator, called with a config's n, seed and family keys
+FAMILY_GENERATORS = {
+    "symmetric": lambda c: spectra.symmetric_spectrum(
+        c.n, c.seed, c.theta_min, c.theta_max, alpha=c.alpha, b_target=c.b_target
+    ),
+    "resonant": lambda c: spectra.resonant_spectrum(
+        c.n, c.resonance_m, c.epsilon, c.seed, alpha=c.alpha
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(harness._FAMILY_READS))
+def test_each_family_builds_its_own_generator(family):
+    # a family row with no branch in _instances would build another
+    # family's spectrum (unknown families once ran the symmetric one)
+    config = ExperimentConfig(kind="general-search", n=16, family=family)
+    (inst,) = harness._instances(config)
+    spec = FAMILY_GENERATORS[family](config)
+    assert inst.phases.tobytes() == spec.phases.tobytes()
+    assert inst.weights.tobytes() == spec.weights.tobytes()
+    assert inst.dimension == spec.dimension == 16
+
+
 class TestHandBuiltConfig:
     """ExperimentConfig checks its own fields, however it is made."""
 
@@ -316,7 +339,7 @@ class TestHandBuiltConfig:
 
     def test_replaced_config_is_checked(self):
         with pytest.raises(ConfigError, match="format must be csv or json, got 'xml'"):
-            ExperimentConfig(fmt="xml")
+            ExperimentConfig(format="xml")
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
             dataclasses.replace(ExperimentConfig(), seed=-1)
 
@@ -612,6 +635,9 @@ EXIT_CASES = [
      1, "n must be even and at least 4, got 2\n"),
     ("format-xml", "run", "[run]\nformat = xml\n",
      1, "format must be csv or json, got 'xml'\n"),
+    # the flag's value is checked by the config, as the key's is
+    ("format-xml-flag", "run --format xml", ini("grover-baseline", "n = 16"),
+     1, "format must be csv or json, got 'xml'\n"),
     ("q_max-negative", "run", "[run]\nq_max = -1\n",
      1, "q_max must be nonnegative, got -1\n"),
     ("run-rejects-sweep-lists", "run", ini("general-search", "seed = 1, 2"),
@@ -686,6 +712,13 @@ EXIT_CASES = [
      1, "default budget q_max = 4.97e+07 is past the norm drift ceiling"),
     ("n-too-large-to-allocate-general-search", "run",
      ini("general-search", "n = 1000000000000000"), 1, ""),
+    # 1 / sqrt(n) overflows past float range; the default alpha^2 is 1 / n
+    ("n-past-float-range-grover-baseline", "run",
+     ini("grover-baseline", f"n = {10**400}"),
+     1, "n of 1329 bits rounds the default alpha^2 = 1/n to 0\n"),
+    ("n-past-float-range-general-search", "run",
+     ini("general-search", f"n = {10**400}"),
+     1, "n of 1329 bits rounds the default alpha^2 = 1/n to 0\n"),
     # a key the kind does not read would otherwise be ignored in silence
     ("grover-baseline-alpha", "run", ini("grover-baseline", "n = 16\nalpha = 0.3"),
      1, "grover-baseline does not read alpha\n"),

@@ -10,23 +10,30 @@ import sys
 import textwrap
 from pathlib import Path
 
+from test_harness import VALIDATION_LINES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_fresh(code, cwd):
-    """Run ``code`` in a new interpreter; the words of its last output line."""
+def run_python(args, cwd):
+    """Run a new interpreter with ``args``, ``src`` on its path; its result."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
     )
-    result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a new interpreter; the words of its last output line."""
+    result = run_python(["-c", textwrap.dedent(code)], cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1].split()
 
@@ -112,3 +119,11 @@ def test_import_exposes_the_layer_modules(tmp_path):
     """
     layers = ["harness", "linalg", "pea", "search", "spectra"]
     assert run_fresh(code, tmp_path) == layers + ["True", "True"]
+
+
+def test_module_entry_point_runs_validate(tmp_path):
+    # ``python -m gqsearch`` is the package's __main__, which no other test runs
+    result = run_python(["-m", "gqsearch", "validate"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "".join(f"{line}\n" for line in VALIDATION_LINES)
+    assert result.stderr == ""

@@ -687,6 +687,36 @@ class TestWeightPath:
         assert spec.weights.tobytes() == np.array([alpha**2, 1.0 - alpha**2]).tobytes()
         assert spec.dimension == n
 
+    def test_default_overlap_holds_past_float_range(self):
+        # 1 / sqrt(n) overflows there; the default alpha^2 is 1 / n, rounded
+        # once, and refused where it rounds to 0
+        spec = grover_spectrum(10**309)
+        assert spec.weights[0] == 1e-309 > 0.0
+        assert spec.dimension == 10**309
+        assert spectra._source_weight(None, 2**1075 - 1) == 5e-324
+        with pytest.raises(ValueError, match=r"^n of 1076 bits rounds the default"):
+            spectra._source_weight(None, 2**1075)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: symmetric_spectrum(64, 1, 0.5, 1.5), id="sym-64"),
+            pytest.param(lambda: symmetric_spectrum(1024, 2, 0.5, 1.5), id="sym-1024"),
+            pytest.param(lambda: symmetric_spectrum(4096, 1, 0.5, 1.5), id="sym-4096"),
+            pytest.param(lambda: scaling_family(6, 3), id="scaling-64"),
+            pytest.param(lambda: scaling_family(12, 1), id="scaling-4096"),
+            pytest.param(lambda: grover_spectrum(64), id="grover-64"),
+        ],
+    )
+    def test_merge_keeps_an_unrepeated_spectrum_bit_for_bit(self, make):
+        # the constructor merges only where a sort finds a repeated phase;
+        # the merge itself returns these arrays, so the gate changes speed only
+        spec = make()
+        assert np.unique(spec.phases).size == spec.phases.size
+        phases, weights = spectra._merge_equal_phases(spec.phases, spec.weights)
+        assert phases.tobytes() == spec.phases.tobytes()
+        assert weights.tobytes() == spec.weights.tobytes()
+
     def test_weight_path_never_builds_the_eigenbasis(self):
         # every layer a report needs, at N = 4096, where one N x N complex
         # array takes 256 MiB: the peak stays below an eighth of one
