@@ -28,7 +28,8 @@ from . import pea, search, spectra
 
 DEFAULT_B_VALUES = (2.0, 4.0, 8.0, 16.0)
 
-# [instance] keys each experiment kind reads besides n and seed
+# [instance] keys each experiment kind reads besides n and seed; the kinds
+# that read m run boosted, the others plain
 _KIND_READS = {
     "grover-baseline": (),
     "general-search": ("family",),
@@ -313,7 +314,7 @@ def _row(
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """Execute one configured experiment; deterministic for fixed seeds."""
-    plain = config.kind in ("grover-baseline", "general-search")
+    plain = "m" not in _KIND_READS[config.kind]
     rows = []
     for inst in _instances(config):
         if plain:

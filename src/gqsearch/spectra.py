@@ -417,8 +417,14 @@ def _paired_weights(n: int, seed: int, alpha: float | None) -> np.ndarray:
         raise ValueError(f"n must be even and at least 4, got {n}")
     source = _source_weight(alpha, n)
     # made before the draw, so an n too large to hold fails at once and not
-    # after (n-1)**2 skipped normals
-    weights = np.empty(n)
+    # after (n-1)**2 skipped normals; past NumPy's largest array its own
+    # message names neither n nor what to lower
+    try:
+        weights = np.empty(n)
+    except ValueError:
+        raise ValueError(
+            f"n of {n.bit_length()} bits is past NumPy's largest array; lower n"
+        ) from None
     profile = math.sqrt(1.0 - source) * _seeded_draws(n, operator.index(seed))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     a = profile[0 : n - 2 : 2] * inv_sqrt2

@@ -357,14 +357,14 @@ class TestBPrime:
                 rtol=1e-15,
             )
 
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_weighted_resonance_drops_out(self, n, m):
-        # no longer raises: every nonsource phase is pi, so 2^m pi wraps
-        # onto 0, exactly up to m = 3 and to rounding from m = 4 on
-        # (wrap(16 pi) is -3.6e-15).  Each entry drops out of the boost and
-        # its weight joins the flipped branch, so boosting Grover gives
-        # Grover back: b' = sqrt(1 - alpha^2) and lambda1' = 0
+        # every nonsource phase is pi, so 2^m pi wraps onto 0, exactly up to
+        # m = 3 and to rounding from m = 4 on (wrap(16 pi) is -3.6e-15).
+        # Each entry drops out of the boost and its weight joins the flipped
+        # branch, so boosting Grover gives Grover back: b' = sqrt(1 - alpha^2),
+        # and lambda1' = 0, as the branch at pi adds a cotangent of exactly 0
         inst = SearchInstance.build(grover_spectrum(n))
         assert_boost_matches_dense(inst, m)
         assert abs(b_prime(inst, m).b_prime - math.sqrt(1.0 - 1.0 / n)) <= 1e-12
@@ -372,9 +372,9 @@ class TestBPrime:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_resonant_band_drops_out(self, m):
-        # no longer raises: pair phases +-3 pi/4, so 2^m theta is a multiple
-        # of 2 pi from m = 3 on, exactly at m = 3 and to rounding after, and
-        # every weighted pair drops out of the boost
+        # pair phases +-3 pi/4, so 2^m theta is a multiple of 2 pi from m = 3
+        # on, exactly at m = 3 and to rounding after, and every weighted pair
+        # drops out of the boost
         inst = SearchInstance.build(
             symmetric_spectrum(16, 3, 3 * math.pi / 4, 3 * math.pi / 4)
         )
@@ -384,8 +384,8 @@ class TestBPrime:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_resonant_torus_level_drops_out(self, m):
-        # no longer raises: the 5-torus level 11 sits at phase pi when
-        # gamma = pi / 11, so every power drives it onto a multiple of 2 pi
+        # the 5-torus level 11 sits at phase pi when gamma = pi / 11, so every
+        # power drives it onto a multiple of 2 pi, and it drops out of the boost
         inst = SearchInstance.build(graph_spectrum(torus_levels(5, 6), math.pi / 11))
         assert math.pi in set(inst.phases)
         assert_boost_matches_dense(inst, m)
@@ -635,8 +635,8 @@ def dense_boosted_lambda1(inst, m):
 class TestBoostedLambda1:
     @pytest.mark.parametrize("family, m", ONE_SIDED_CASES)
     def test_one_sided_matches_dense_blocks(self, family, m):
-        # a powered phase past +-pi keeps the sign of wrap(2^m theta):
-        # hypercube(8) at m = 3 read -0.1088 under the copysign rule
+        # a powered phase past +-pi keeps the sign of wrap(2^m theta); on a
+        # one-sided spectrum no pair partner cancels a wrong sign
         inst = SearchInstance.build(one_sided_spectrum(family))
         dense = dense_boosted_lambda1(inst, m)
         assert abs(boosted_lambda1(inst, m) - dense) <= 1e-12 * max(1.0, abs(dense))
@@ -653,13 +653,6 @@ class TestBoostedLambda1:
         assert math.pi in set(np.abs(spec.phases))
         inst = SearchInstance.build(spec)
         assert abs(boosted_lambda1(inst, 1)) <= 1e-12
-
-    def test_weighted_resonance_drops_out(self):
-        # no longer raises: the powered Grover phases drop out, and the
-        # flipped branch at pi adds a cotangent of exactly 0
-        inst = SearchInstance.build(grover_spectrum(8))
-        assert boosted_lambda1(inst, 1) == 0.0
-        assert_boost_matches_dense(inst, 1)
 
 
 class TestBoostedRun:

@@ -106,23 +106,6 @@ def test_grover_spectrum_rejects_unnormalized_source():
             grover_spectrum(8, alpha)
 
 
-def test_grover_row_is_unit_at_a_million():
-    # two entries whatever n is: [0, pi] with weights [1/n, 1 - 1/n], whose
-    # sum is 1 to rounding
-    n = 1_000_000
-    spec = grover_spectrum(n)
-    assert spec.phases.tolist() == [0.0, math.pi]
-    assert abs(math.fsum(spec.weights) - 1.0) <= 1e-15
-
-
-def test_grover_spectrum_norm_tolerance_scales_with_n():
-    # n is the dimension, not the entry count; weights off 1 are refused
-    n = 3_000_000
-    assert grover_spectrum(n).dimension == n
-    with pytest.raises(SpectrumValidationError, match="sum to 1"):
-        EigenSpectrum([0.0, math.pi], [1.0 / n, 1.0 + 1e-6], n=n)
-
-
 def test_build_diffusion_is_unitary_and_fixes_source():
     spec = symmetric_spectrum(16, 9, 0.6, 1.8)
     matrix = build_diffusion(spec)
@@ -176,9 +159,9 @@ class TestSymmetricGenerator:
         ids=["1e100", "1.35e154", "1.7e308", "5e14", "1e20"],
     )
     def test_b_target_out_of_reach_is_value_error(self, b_target, message):
-        # b_target**2 overflows from 1.35e154, where it raised OverflowError;
-        # from about 5e14 the scale puts a pair phase inside the r = 1
-        # resonance, where SearchInstance.build raised ResonanceError
+        # b_target**2 overflows from 1.35e154, and from about 5e14 the scale
+        # puts a pair phase inside the r = 1 resonance: each is refused by
+        # the generator, naming b_target, before any instance is built
         with pytest.raises(ValueError, match=message):
             symmetric_spectrum(16, 1, 0.5, 1.5, b_target=b_target)
 
@@ -275,6 +258,23 @@ def threads_started(monkeypatch):
     return started
 
 
+@pytest.fixture
+def affinity_calls(monkeypatch):
+    """Names of the CPU-mask calls made while the test runs.
+
+    Each recorder answers as a two-core mask would.
+    """
+    calls = []
+    for name in ("sched_getaffinity", "sched_setaffinity"):
+
+        def record(*args, name=name):
+            calls.append(name)
+            return {0, 1}
+
+        monkeypatch.setattr(os, name, record, raising=False)
+    return calls
+
+
 def one_thread_draws(n, seed):
     """``_seeded_draws(n, seed)`` as a plain one-thread loop."""
     rng = np.random.default_rng(seed)
@@ -344,7 +344,8 @@ class TestSplitSkip:
         assert landed == [None]
         assert split.bit_generator.state == serial.bit_generator.state
 
-    def test_helper_error_propagates(self, monkeypatch):
+    def test_helper_error_propagates(self, monkeypatch, affinity_calls):
+        # raised in the caller after the join, with its CPU mask untouched
         draw = spectra._draw_normals
 
         def failing_off_main(rng, count):
@@ -353,74 +354,22 @@ class TestSplitSkip:
             draw(rng, count)
 
         monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
-        with pytest.raises(RuntimeError, match="helper failed"):
-            spectra._split_skip(stream_after(0, 15), 15 * 14)
-
-    @pytest.mark.parametrize("helper_fails", [False, True])
-    def test_split_makes_no_affinity_call(self, monkeypatch, helper_fails):
-        # the real mask: the helper is started as is, and neither thread
-        # narrows or restores the caller's mask, whether the helper fails
-        # or not
-        calls = []
-        monkeypatch.setattr(
-            os, "sched_setaffinity", lambda *args: calls.append(args), raising=False
-        )
-        draw = spectra._draw_normals
-
-        def drawn(rng, count):
-            if helper_fails and threading.current_thread().name == "gqsearch-skip":
-                raise RuntimeError("helper failed")
-            draw(rng, count)
-
-        monkeypatch.setattr(spectra, "_draw_normals", drawn)
-        split, serial = stream_after(3, 129), stream_after(3, 129)
-        if helper_fails:
+        for seed, drawn in ((0, 15), (3, 129)):
             with pytest.raises(RuntimeError, match="helper failed"):
-                spectra._split_skip(split, 129 * 128)
-        else:
-            spectra._split_skip(split, 129 * 128)
-            one_thread_skip(serial, 129 * 128)
-            assert split.bit_generator.state == serial.bit_generator.state
-        assert calls == []
+                spectra._split_skip(stream_after(seed, drawn), drawn * (drawn - 1))
+        assert affinity_calls == []
 
-    def test_draws_read_no_cpu_mask(self, monkeypatch, threads_started):
-        # the real dispatch at N = 1024, which splits on the draw count alone;
-        # each recorder answers as a two-core mask would
-        calls = []
-        for name in ("sched_getaffinity", "sched_setaffinity"):
-
-            def record(*args, name=name):
-                calls.append(name)
-                return {0, 1}
-
-            monkeypatch.setattr(os, name, record, raising=False)
-        spectra._seeded_draws.cache_clear()
-        try:
-            spectra._seeded_draws(1024, 5)
-        finally:
-            spectra._seeded_draws.cache_clear()
-        assert calls == []
-        assert threads_started == ["gqsearch-skip"]
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_scaling_family_4096_matches_one_thread_loop(self, seed, threads_started):
-        # the real path at the default threshold, on any core count
-        n = 4096
-        unit = one_thread_draws(n, seed)
-        spectra._seeded_draws.cache_clear()
-        try:
-            spec = scaling_family(12, seed)
-            drawn = spectra._seeded_draws(n, seed)
-        finally:
-            spectra._seeded_draws.cache_clear()
-        assert drawn.tobytes() == unit.tobytes()
-        assert spec.dimension == n
-        assert threads_started == ["gqsearch-skip"]
-
-    @pytest.mark.parametrize("n", [512, 1024])
-    @pytest.mark.parametrize("seed", [1, 23])
-    def test_draws_match_one_thread_loop(self, n, seed, threads_started):
-        # the real path: N = 1024 is above the threshold and N = 512 below it
+    @pytest.mark.parametrize(
+        "seed, n",
+        [(seed, n) for n in (512, 1024, 4096) for seed in (1, 23)]
+        + [(5, 1024), (2, 4096)],
+    )
+    def test_draws_match_one_thread_loop(
+        self, n, seed, threads_started, affinity_calls
+    ):
+        # the real dispatch, which splits on the draw count alone: N = 512 is
+        # below the threshold, 1024 and 4096 above it.  No CPU mask is read
+        # or set, and the split helper is started as is
         unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
         try:
@@ -428,7 +377,8 @@ class TestSplitSkip:
         finally:
             spectra._seeded_draws.cache_clear()
         assert drawn.tobytes() == unit.tobytes()
-        assert threads_started == (["gqsearch-skip"] if n == 1024 else [])
+        assert threads_started == (["gqsearch-skip"] if n >= 1024 else [])
+        assert affinity_calls == []
 
 
 class TestSpectrumValidation:
@@ -464,24 +414,6 @@ class TestSpectrumValidation:
         assert inst.dimension == 10**60
         assert EigenSpectrum([0.0, 1.0], [0.5, 0.5], n=np.int64(7)).dimension == 7
 
-    def test_degenerate_source_phase_rejected(self):
-        phases = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(
-            SpectrumValidationError, match="eigenvector 1 shares phase 0"
-        ):
-            EigenSpectrum(phases, [1.0, 0.0, 0.0])
-
-    def test_phase_outside_interval_rejected(self):
-        phases = np.array([0.0, 4.0, 1.0])
-        with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, [1.0, 0.0, 0.0])
-
-    def test_nan_phase_rejected(self):
-        # NaN fails every comparison; the range check must still catch it
-        phases = np.array([0.0, 0.5, -0.5, np.nan])
-        with pytest.raises(SpectrumValidationError, match=r"\(-pi, pi\]"):
-            EigenSpectrum(phases, [1.0, 0.0, 0.0, 0.0])
-
     def test_nan_b_identity_rejected(self, monkeypatch):
         # a NaN b^2 must fail the moment identity, not pass it
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
@@ -492,32 +424,28 @@ class TestSpectrumValidation:
     @pytest.mark.parametrize(
         "call, error, message",
         [
-            (
-                lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.36, 0.64]),
-                SpectrumValidationError,
-                r"weights shape \(2,\) does not match 3 phases",
-            ),
-            (
-                lambda: naive_power_b(SearchInstance.build(two_phase_toy()), 0),
-                ValueError,
-                "power must be a positive integer, got 0",
-            ),
-            (
-                lambda: grover_spectrum(1, 0.5),
-                SpectrumValidationError,
-                "dimension n = 1 is below the 2 entries given",
-            ),
+            (lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.36, 0.64]),
+             SpectrumValidationError, r"weights shape \(2,\) does not match 3 phases"),
+            (lambda: EigenSpectrum([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+             SpectrumValidationError, "eigenvector 1 shares phase 0"),
+            (lambda: EigenSpectrum([0.0, 4.0, 1.0], [1.0, 0.0, 0.0]),
+             SpectrumValidationError, r"\(-pi, pi\]"),
+            # NaN fails every comparison; the range check must still catch it
+            (lambda: EigenSpectrum([0.0, 0.5, -0.5, np.nan], [1.0, 0.0, 0.0, 0.0]),
+             SpectrumValidationError, r"\(-pi, pi\]"),
+            (lambda: EigenSpectrum([0.5, 1.0, 2.0], [1.0, 0.0, 0.0]),
+             SpectrumValidationError, "source phase must be exactly 0"),
+            (lambda: naive_power_b(SearchInstance.build(two_phase_toy()), 0),
+             ValueError, "power must be a positive integer, got 0"),
+            (lambda: grover_spectrum(1, 0.5),
+             SpectrumValidationError, "dimension n = 1 is below the 2 entries given"),
         ],
-        ids=["row-shorter-than-phases", "naive-power-0", "grover-n-below-2"],
+        ids=["row-shorter-than-phases", "degenerate-source", "outside-interval",
+             "nan-phase", "nonzero-source", "naive-power-0", "grover-n-below-2"],
     )
     def test_malformed_input_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
-
-    def test_source_phase_must_be_zero(self):
-        phases = np.array([0.5, 1.0, 2.0])
-        with pytest.raises(SpectrumValidationError):
-            EigenSpectrum(phases, [1.0, 0.0, 0.0])
 
     def test_arrays_are_frozen(self):
         # merged or not, both arrays are read-only
@@ -612,7 +540,7 @@ class TestOnePowerRule:
     @pytest.mark.parametrize("r", [1, 2, 4, 32])
     def test_power_is_the_wrapped_multiple(self, r):
         # the sign follows the wrapped r theta, not theta: 2.0 powers by 2
-        # to wrap(4.0) = -2.28, where the copysign rule gave +2.28
+        # to wrap(4.0) = -2.28, negative though 2.0 is positive
         theta = np.linspace(-np.pi, np.pi, 4001)[1:]
         gap = wrap_phase(spectra._power(theta, r) - wrap_phase(r * theta))
         assert np.all(np.abs(gap) <= 4.0 * r * np.pi * np.finfo(np.float64).eps)
@@ -630,8 +558,8 @@ class TestResonantGenerator:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pair_phase_rounding_to_pi_pairs_with_pi(self, seed):
-        # at m = 1 the detuned phases round to exactly pi; their partners
-        # were written as -pi, outside (-pi, pi]
+        # at m = 1 the detuned phases round to exactly pi, and each partner
+        # is pi too, as -pi lies outside (-pi, pi]
         spec = resonant_spectrum(16, 1, 1e-17, seed)
         assert np.all(spec.phases[1:] == np.pi)
         assert SearchInstance.build(spec).lambda1 == 0.0
@@ -677,14 +605,15 @@ class TestPairedConstruction:
 
 
 class TestWeightPath:
-    @pytest.mark.parametrize("n", [2, 8, 64, 1024, 2**50])
+    @pytest.mark.parametrize("n", [2, 8, 64, 1024, 10**6, 3 * 10**6, 2**50])
     def test_grover_is_two_entries(self, n):
         # the reflection about the uniform source: its measure is alpha^2 = 1/n
-        # at 0 and the rest at pi, whatever n is
+        # at 0 and the rest at pi, whatever n is, and n is the dimension
         spec = grover_spectrum(n)
         assert spec.phases.tobytes() == np.array([0.0, np.pi]).tobytes()
         alpha = 1.0 / math.sqrt(n)
         assert spec.weights.tobytes() == np.array([alpha**2, 1.0 - alpha**2]).tobytes()
+        assert abs(math.fsum(spec.weights) - 1.0) <= 1e-15
         assert spec.dimension == n
 
     def test_default_overlap_holds_past_float_range(self):
@@ -749,9 +678,15 @@ class TestWeightPath:
             assert spec.weights[0] == 0.36
 
     def test_unnormalized_row_rejected(self):
+        # one fixed tolerance, whatever the dimension n
         spec = symmetric_spectrum(16, 2, 0.5, 1.5)
-        with pytest.raises(SpectrumValidationError, match="do not sum to 1"):
-            EigenSpectrum(spec.phases, spec.weights * 1.01)
+        n = 3_000_000
+        for made in (
+            lambda: EigenSpectrum(spec.phases, spec.weights * 1.01),
+            lambda: EigenSpectrum([0.0, math.pi], [1.0 / n, 1.0 + 1e-6], n=n),
+        ):
+            with pytest.raises(SpectrumValidationError, match="do not sum to 1"):
+                made()
 
     def test_nan_row_rejected(self):
         # a NaN or negative weight fails the sign test, an infinite one the sum
