@@ -234,6 +234,18 @@ class TestExperiments:
         assert np.isclose(row.theta_min, inst.theta_min, rtol=1e-15)
         assert row.oracle_queries_at_peak == row.peak_q
 
+    def test_general_search_reads_family(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n"
+            "[instance]\nn = 16\nfamily = resonant\n",
+        )
+        row = run_experiment(load_config(path))[0]
+        inst = spectra.SearchInstance.build(spectra.resonant_spectrum(16, 3, 1e-3, 1))
+        assert row.b_factor == inst.b_factor
+        assert row.lambda1 == inst.lambda1
+        assert row.m is None and row.b_prime is None
+
     def test_boosted_search_row_ledger(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -287,17 +299,13 @@ FAMILY_GENERATORS = {
 @pytest.mark.parametrize("family", list(harness._FAMILY_READS))
 def test_each_family_builds_its_own_generator(family):
     # a family row with no branch in _instances would build another
-    # family's spectrum; the plain row reads the instance built
+    # family's spectrum
     config = ExperimentConfig(kind="general-search", n=16, family=family)
     (inst,) = harness._instances(config)
     spec = FAMILY_GENERATORS[family](config)
     assert inst.phases.tobytes() == spec.phases.tobytes()
     assert inst.weights.tobytes() == spec.weights.tobytes()
     assert inst.dimension == spec.dimension == 16
-    (row,) = run_experiment(config)
-    built = spectra.SearchInstance.build(spec)
-    assert (row.b_factor, row.lambda1) == (built.b_factor, built.lambda1)
-    assert row.m is None and row.b_prime is None
 
 
 class TestHandBuiltConfig:
@@ -528,6 +536,12 @@ VALIDATION_LINES = [
     "PASS cost ledger",
     "PASS dense boosted cross-check",
 ]
+
+
+def test_run_validation_passes():
+    lines = []
+    assert run_validation(echo=lines.append) is True
+    assert lines == VALIDATION_LINES
 
 
 def nan_breakdown(inst, m):

@@ -344,8 +344,8 @@ class TestSplitSkip:
         assert landed == [None]
         assert split.bit_generator.state == serial.bit_generator.state
 
-    def test_helper_error_propagates(self, monkeypatch, affinity_calls):
-        # raised in the caller after the join, with its CPU mask untouched
+    def test_helper_error_propagates(self, monkeypatch):
+        # raised in the caller after the join
         draw = spectra._draw_normals
 
         def failing_off_main(rng, count):
@@ -354,9 +354,31 @@ class TestSplitSkip:
             draw(rng, count)
 
         monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
-        for seed, drawn in ((0, 15), (3, 129)):
+        with pytest.raises(RuntimeError, match="helper failed"):
+            spectra._split_skip(stream_after(0, 15), 15 * 14)
+
+    @pytest.mark.parametrize("helper_fails", [False, True])
+    def test_split_makes_no_affinity_call(
+        self, monkeypatch, affinity_calls, helper_fails
+    ):
+        # the helper is started as is, and neither thread reads, narrows or
+        # restores the caller's CPU mask, whether the helper fails or not
+        draw = spectra._draw_normals
+
+        def drawn(rng, count):
+            if helper_fails and threading.current_thread().name == "gqsearch-skip":
+                raise RuntimeError("helper failed")
+            draw(rng, count)
+
+        monkeypatch.setattr(spectra, "_draw_normals", drawn)
+        split, serial = stream_after(3, 129), stream_after(3, 129)
+        if helper_fails:
             with pytest.raises(RuntimeError, match="helper failed"):
-                spectra._split_skip(stream_after(seed, drawn), drawn * (drawn - 1))
+                spectra._split_skip(split, 129 * 128)
+        else:
+            spectra._split_skip(split, 129 * 128)
+            one_thread_skip(serial, 129 * 128)
+            assert split.bit_generator.state == serial.bit_generator.state
         assert affinity_calls == []
 
     @pytest.mark.parametrize(
