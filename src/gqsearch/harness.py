@@ -389,18 +389,17 @@ def _validation_checks():
             raise AssertionError(f"lambda1 = {inst.lambda1}")
 
     def amplitude_grid():
-        # target weights e_0 complete to the identity basis, one eigenvector
-        # per grid phase; in that basis each main row of a column is
-        # estimated on its own
+        # on eigen-coordinates the estimation reads only the phases and
+        # estimates each main row of a column on its own, one per grid phase
         thetas = np.linspace(-np.pi + 1e-3, np.pi, 17)
-        count = len(thetas)
+        count = len(thetas) + 1
         spectrum = spectra.EigenSpectrum(
-            np.append(0.0, thetas), np.eye(count + 1)[0]
+            np.append(0.0, thetas), np.full(count, 1.0 / count)
         )
         for m in (1, 2, 3, 4):
-            blocks = np.zeros((2**m, count + 1, 1), dtype=np.complex128)
-            blocks[0, 1:, 0] = 1.0
-            after = dense.pea_operator(spectrum, m, blocks)
+            coeff = np.zeros((2**m, count, 1), dtype=np.complex128)
+            coeff[0, 1:, 0] = 1.0
+            after = dense._apply_estimate(spectrum, m, coeff)
             measured = np.abs(after[0, 1:, 0])
             expected = pea.pea_amplitude(thetas, m, 0)
             for theta, deviation in zip(thetas, np.abs(measured - expected)):
@@ -409,7 +408,7 @@ def _validation_checks():
 
     def fixed_point():
         spectrum = spectra.symmetric_spectrum(16, 5, 0.3, 1.0)
-        blocks = np.zeros((4, 16, 1), dtype=np.complex128)
+        blocks = np.zeros((4, spectrum.phases.size, 1), dtype=np.complex128)
         blocks[0, :, 0] = dense.eigenbasis(spectrum)[:, 0]
         for op in (dense.pea_operator, dense.boosted_diffusion):
             moved = op(spectrum, 2, blocks)
@@ -422,16 +421,10 @@ def _validation_checks():
             breakdown = pea.b_prime(inst, m)
             if not breakdown.sigma1 <= 1.0:
                 raise AssertionError(f"sigma1 = {breakdown.sigma1}")
-            phases = inst.phases[1:]
-            weights = inst.weights[1:]
-            live = weights > 0.0
-            survival = pea.pea_amplitude(phases[live], m, 0) ** 2
+            phases, weights = inst.phases[1:], inst.weights[1:]
+            survival = pea.pea_amplitude(phases, m, 0) ** 2
             termwise = float(
-                np.sum(
-                    weights[live]
-                    * survival
-                    / np.sin(2.0 ** (m - 1) * phases[live]) ** 2
-                )
+                np.sum(weights * survival / np.sin(2.0 ** (m - 1) * phases) ** 2)
             )
             if not abs(termwise - breakdown.sigma2) <= 1e-9:
                 raise AssertionError(f"{termwise} vs {breakdown.sigma2}")

@@ -83,15 +83,17 @@ def _boosted_measure(inst: SearchInstance, m: int):
     has no weight there and the oracle only ever adds the joint target, so
     one coordinate holds that whole eigenspace.  An entry that 2^m drives
     onto a multiple of 2 pi (``spectra._resonant``, the test
-    ``naive_power_b`` raises on) gets s_l = 0; it drops out, as zero-weight
-    entries do, and its weight joins sigma1.  The power is odd, so a
-    conjugate spectrum boosts to the exact conjugate.
+    ``naive_power_b`` raises on) gets s_l = 0: its weight joins sigma1, and
+    it is left out, its powered phase being 0 to rounding.  Every other
+    entry keeps a weight > 0.  The power is odd, so a conjugate spectrum
+    boosts to the exact conjugate.
     """
     _check_ancilla_count(m)
     powered = _power(inst.phases, 2**m)
     survival = np.minimum(pea_amplitude(inst.phases, m, 0) ** 2, 1.0)
-    survival[1:][_resonant(powered[1:], 2**m)] = 0.0
-    kept = inst.weights * survival > 0.0  # the source's is alpha^2 > 0
+    kept = ~_resonant(powered, 2**m)
+    kept[0] = True  # the source, phase 0 and s_0 = 1
+    survival[~kept] = 0.0
     sigma1 = float(np.sum(inst.weights * (1.0 - survival)))
     weights = np.append((inst.weights * survival)[kept], sigma1)
     return np.append(powered[kept], np.pi), weights

@@ -250,17 +250,17 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         f(lambda) = sum_l w_l cot((lambda - theta_l) / 2) = 0,
 
     and the eigenvector of a root has entries of modulus proportional to
-    sqrt(w_l) / |sin((lambda - theta_l) / 2)|.  Zero-weight entries are
-    eigenvectors on their own, away from the source, and are dropped; the
-    source, entry 0, keeps its weight alpha^2 > 0 and its place.  f
-    falls strictly from +inf to -inf between neighbouring poles, so the
-    pair is the root in (0, theta_+) and the root in (theta_-, 0), where
-    theta_+ and theta_- are the nearest weighted phases above and below the
-    source's 0, taken around the circle (theta_+ = pi and theta_- = -pi for
-    Grover).  A bracket reaches past pi only when no weighted phase lies on
-    its side, and then f(pi) = sum_l w_l tan(theta_l / 2) has the sign that
-    keeps the root inside (-pi, pi).  ``linalg.bisect_root`` finds each
-    root between its poles.  The source overlap of a root is
+    sqrt(w_l) / |sin((lambda - theta_l) / 2)|.  Every entry is weighted
+    (``spectra.EigenSpectrum``), and the source, entry 0, has weight
+    alpha^2 > 0.  f falls strictly from +inf to -inf between neighbouring
+    poles, so the pair is the root in (0, theta_+) and the root in
+    (theta_-, 0), where theta_+ and theta_- are the nearest phases above
+    and below the source's 0, taken around the circle (theta_+ = pi and
+    theta_- = -pi for Grover).  A bracket reaches past pi only when no
+    phase lies on its side, and then f(pi) = sum_l w_l tan(theta_l / 2)
+    has the sign that keeps the root inside (-pi, pi).
+    ``linalg.bisect_root`` finds each root between its poles.  The source
+    overlap of a root is
 
         (alpha^2 / sin^2(lambda / 2)) / sum_l w_l / sin^2((lambda - theta_l) / 2).
 
@@ -275,8 +275,7 @@ def verify_relevant_pair(inst: SearchInstance) -> tuple[float, float, float]:
         does not fall below it, so that another eigenvector might outweigh
         the pair.
     """
-    kept = inst.weights > 0.0
-    theta, weights = inst.phases[kept], inst.weights[kept]
+    theta, weights = inst.phases, inst.weights
     above, below = theta[theta > 0.0], theta[theta < 0.0]
     top = float(np.min(above)) if above.size else float(np.min(below)) + 2 * np.pi
     bottom = float(np.max(below)) if below.size else float(np.max(above)) - 2 * np.pi

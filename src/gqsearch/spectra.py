@@ -45,18 +45,24 @@ class EigenSpectrum:
     entry 0, is exactly 0 and no other is.  ``weights`` holds the target's
     weight on each phase's eigenspace: finite, nonnegative, summing to 1.
     ``dimension`` is N, the report's ``n``: the Python int ``n``, at least
-    the entry count given and by default that count.  Exactly equal phases
-    become one entry, their weights summed in entry order, in the order
-    each phase first occurs; a spectrum with no repeated phase keeps its
-    arrays bit for bit.  Any unitary with these eigenphases whose row 0 has
-    these weights realizes the spectrum, so no basis is kept.  Both arrays
-    are read-only copies.
+    the entry count given and by default that count.  A measure has no
+    atom of weight 0, so every nonsource entry of weight exactly 0 is
+    dropped: each kept entry has weight > 0, and the weighted entries keep
+    their order and bits.  Then exactly equal phases become one entry,
+    their weights summed in entry order, in the order each phase first
+    occurs; a spectrum with no repeated phase keeps its weighted entries
+    bit for bit.  Any unitary with these eigenphases whose row 0 has these
+    weights realizes the spectrum, so no basis is kept.  Both arrays are
+    read-only copies.
     """
 
     def __init__(self, phases, weights, *, n=None):
         phases = np.array(phases, dtype=np.float64)
         weights = np.array(weights, dtype=np.float64)
         self.dimension = _validate(phases, weights, n)
+        weighted = weights > 0.0
+        weighted[0] = True  # the source, kept whatever its weight
+        phases, weights = phases[weighted], weights[weighted]
         ordered = np.sort(phases)  # a sort and a compare find a repeat
         if np.any(ordered[1:] == ordered[:-1]):
             phases, weights = _merge_equal_phases(phases, weights)
@@ -66,7 +72,10 @@ class EigenSpectrum:
 
     @property
     def theta_min(self) -> float:
-        """Smallest nonsource |phase|; the gap protecting the fixed point."""
+        """Smallest weighted nonsource |phase|; the gap protecting the fixed point.
+
+        Zero-weight entries are dropped on construction, so none is read.
+        """
         return float(np.min(np.abs(self.phases[1:])))
 
 
@@ -186,32 +195,29 @@ def _check_ancilla_count(m: int) -> None:
 
 
 def _powered_b_squared(spec: EigenSpectrum, r: int) -> float:
-    """Squared b of the r-th power, summed over the weighted nonsource entries.
+    """Squared b of the r-th power, summed over the nonsource entries.
 
-    A weighted entry that r drives onto a multiple of 2 pi (``_resonant``)
-    raises ``ResonanceError`` naming r and the eigenvector.
+    An entry that r drives onto a multiple of 2 pi (``_resonant``) raises
+    ``ResonanceError`` naming r and the eigenvector.
     """
-    live = spec.weights > 0.0
-    live[0] = False
-    resonant = _resonant(_power(spec.phases[live], r), r)
+    theta, weights = spec.phases[1:], spec.weights[1:]
+    resonant = _resonant(_power(theta, r), r)
     if np.any(resonant):
-        offender = int(np.flatnonzero(live)[np.argmax(resonant)])
+        offender = 1 + int(np.argmax(resonant))
         raise ResonanceError(
             f"power {r} drives eigenvector {offender} "
             f"(phase {float(spec.phases[offender])!r}) onto a multiple of 2*pi"
         )
-    sines = np.sin(0.5 * r * spec.phases[live])
-    return float(np.sum(spec.weights[live] / sines**2))
+    return float(np.sum(weights / np.sin(0.5 * r * theta) ** 2))
 
 
 def naive_power_b(inst: SearchInstance, r: int) -> float:
     """b factor of the r-th power of the diffusion operator.
 
     Each nonsource phase is multiplied by r before the inverse-sine sum, so
-    a phase near a multiple of 2*pi/r makes the result blow up.  A weighted
-    phase on one, to rounding, raises ResonanceError naming r and the
-    eigenvector (``_powered_b_squared``); eigenvectors with exactly zero
-    target weight cannot contribute and are exempt.
+    a phase near a multiple of 2*pi/r makes the result blow up.  A phase
+    on one, to rounding, raises ResonanceError naming r and the
+    eigenvector (``_powered_b_squared``).
     """
     if r < 1:
         raise ValueError(f"power must be a positive integer, got {r}")
@@ -260,10 +266,12 @@ def _source_weight(alpha: float | None, n: int) -> float:
 # one buffer per sink (``_sink``); the timing is flat from 2**13 to 2**18
 _SKIP_CHUNK = 2**14
 # discarded normals from which a helper thread draws half of them: N >= 726.
-# On a 2-core host the split gained nothing at N = 512 (5.5 ms against 5.3 ms
-# on one thread) and 12% at N = 726 (9.6 ms against 10.9 ms).  No core count
-# is read: on one core the split costs 24.4 ms against 21.6 ms at N = 1024
-# and 360 ms against 350 ms at N = 4096
+# On a 2-core host (12 fresh processes each, median and quartiles) the split
+# does not pay at N = 726, 8.3 ms (7.6-9.6) against 7.0 ms (6.7-7.5) on one
+# thread, nor at N = 1024, 17.3 ms (15.2-18.2) against 15.4 ms (14.1-16.7);
+# at N = 4096 it takes 155 ms (144-165) against 266 ms (250-277).  No core
+# count is read: on one core the split costs 24.4 ms against 21.6 ms at
+# N = 1024 and 360 ms against 350 ms at N = 4096
 _SPLIT_MIN = 2**19
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -276,8 +284,8 @@ _DRAWS_KEPT = 8
 def _seeded_draws(n: int, seed: int) -> np.ndarray:
     """The random part of a paired spectrum's target weights: its profile.
 
-    Returns ``unit``, the unit target profile of the n - 1 complement
-    entries (its last entry, the lone slot, is exactly zero).  Before it the
+    Returns ``unit``, the unit target profile: n - 2 pair entries, then one
+    exactly zero entry that no spectrum reads.  Before it the
     stream skips (n-1)**2 normals, once used for a source direction and a
     basis completing it; skipping them keeps every profile, and so every
     target weight, at the value earlier versions generated.  They are drawn
@@ -296,6 +304,7 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
         _split_skip(rng, skipped)
     else:
         _draw_normals(_sink(rng), skipped)
+    # the trailing zero changes no value, but the norm's bits hold only with it
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
     unit.setflags(write=False)
@@ -404,14 +413,14 @@ def _words_between(start: dict, end: dict) -> int:
 
 
 def _paired_weights(n: int, seed: int, alpha: float | None) -> np.ndarray:
-    """The target weights of a paired spectrum, in O(n): source entry alpha^2.
+    """The n - 1 target weights of a paired spectrum, in O(n): source alpha^2.
 
     The real profile ``beta * unit``, beta^2 = 1 - alpha^2, with ``unit``
-    from ``_seeded_draws(n, seed)``, is laid out after it: entries 2j and
-    2j+1, a and b, give a pair the weight |(a +/- ib)/sqrt(2)|^2 each, and
-    the last entry, exactly zero, the lone slot.  Pair members share every
-    bit, so the first cotangent moment cancels term by term, and a pair's
-    weight is twice that of its first member, exactly.
+    from ``_seeded_draws(n, seed)``, is laid out after it: profile entries
+    2j and 2j+1, a and b, give pair j's members, entries 2j+1 and 2j+2, the
+    weight |(a +/- ib)/sqrt(2)|^2 each.  Pair members share every bit, so
+    the first cotangent moment cancels term by term, and a pair's weight is
+    twice that of its first member, exactly.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"n must be even and at least 4, got {n}")
@@ -420,7 +429,7 @@ def _paired_weights(n: int, seed: int, alpha: float | None) -> np.ndarray:
     # after (n-1)**2 skipped normals; past NumPy's largest array its own
     # message names neither n nor what to lower
     try:
-        weights = np.empty(n)
+        weights = np.empty(n - 1)
     except ValueError:
         raise ValueError(
             f"n of {n.bit_length()} bits is past NumPy's largest array; lower n"
@@ -431,28 +440,24 @@ def _paired_weights(n: int, seed: int, alpha: float | None) -> np.ndarray:
     b = profile[1 : n - 2 : 2] * inv_sqrt2
     weights[0] = source
     # the magnitude of a complex a + ib: np.hypot misses it in the last bit
-    weights[1 : n - 1 : 2] = weights[2 : n - 1 : 2] = np.abs(a + 1j * b) ** 2
-    weights[n - 1] = 0.0
+    weights[1::2] = weights[2::2] = np.abs(a + 1j * b) ** 2
     return weights
 
 
 def _paired_spectrum(
-    weights: np.ndarray, pair_phases: np.ndarray, lone_phase: float
+    weights: np.ndarray, pair_phases: np.ndarray, *, n: int
 ) -> EigenSpectrum:
-    """A spectrum with exact +/- phase pairs on ``_paired_weights`` weights.
+    """A spectrum of dimension n with exact +/- phase pairs on ``_paired_weights``.
 
     Pair j's phases go to entries 2j+1 and 2j+2, whose target weights are
-    equal bit for bit, and ``lone_phase`` to the last entry, whose weight is
-    exactly zero.  A pair phase of pi pairs with pi, as -pi lies outside
-    (-pi, pi].
+    equal bit for bit.  A pair phase of pi pairs with pi, as -pi lies
+    outside (-pi, pi].
     """
-    n = weights.shape[0]
-    phases = np.empty(n)
+    phases = np.empty(weights.shape[0])
     phases[0] = 0.0
-    phases[1 : n - 1 : 2] = pair_phases
-    phases[2 : n - 1 : 2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
-    phases[n - 1] = lone_phase
-    return EigenSpectrum(phases, weights)
+    phases[1::2] = pair_phases
+    phases[2::2] = np.where(pair_phases == np.pi, np.pi, -pair_phases)
+    return EigenSpectrum(phases, weights, n=n)
 
 
 def symmetric_spectrum(
@@ -480,7 +485,7 @@ def symmetric_spectrum(
             f"need 0 < theta_min <= theta_max < pi, got [{theta_min}, {theta_max}]"
         )
     weights = _paired_weights(n, seed, alpha)
-    pairs = 2.0 * weights[1 : n - 1 : 2]  # each pair's, exactly
+    pairs = 2.0 * weights[1::2]  # each pair's, exactly
     rng = np.random.default_rng(seed)
     rng = np.random.default_rng(rng.integers(2**63))  # phase stream decoupled
     drawn = rng.uniform(theta_min, theta_max, size=pairs.size)
@@ -488,10 +493,10 @@ def symmetric_spectrum(
         drawn = _rescale_for_b_target(drawn, pairs, b_target)
     # build's r = 1 resonance test (``_powered_b_squared``); ``_power`` is odd,
     # so the positive member of each pair settles both
-    if np.any(_resonant(_power(drawn[pairs > 0.0], 1), 1)):
+    if np.any(_resonant(_power(drawn, 1), 1)):
         named = f"b_target {b_target}" if b_target else f"theta_min {theta_min}"
         raise ValueError(f"{named} puts a pair phase within rounding of 0")
-    return _paired_spectrum(weights, drawn, lone_phase=np.pi)
+    return _paired_spectrum(weights, drawn, n=n)
 
 
 def _rescale_for_b_target(
@@ -547,9 +552,7 @@ def resonant_spectrum(
     naively powered b factor blows up like 1/epsilon while the r = 1 value
     stays moderate.  Detunings are spread over [0.1, 1.0]*epsilon so the
     blow-up ratio scales cleanly.  As with ``symmetric_spectrum``, the target
-    weights are closed form.  The zero-weight lone slot sits exactly at the
-    last pair's positive phase, so the two merge and the spectrum holds
-    n - 1 entries.
+    weights are closed form, and the spectrum holds n - 1 entries.
     """
     _check_ancilla_count(m)
     if not 0.0 < epsilon <= 1.0:
@@ -558,8 +561,7 @@ def resonant_spectrum(
     base = 2.0 * np.pi / 2**m
     detunings = epsilon * np.linspace(0.1, 1.0, (n - 2) // 2)
     pair_phases = np.abs(wrap_phase(base + detunings))
-    lone = float(np.abs(wrap_phase(base + epsilon)))
-    return _paired_spectrum(weights, pair_phases, lone_phase=lone)
+    return _paired_spectrum(weights, pair_phases, n=n)
 
 
 def scaling_family(log2n: int, seed: int) -> EigenSpectrum:

@@ -197,11 +197,12 @@ class TestPeaAmplitude:
 class TestJointOperators:
     def setup_method(self):
         self.spec = symmetric_spectrum(4, 3, 0.9, 1.9)
+        self.count = self.spec.phases.size  # its entries, n - 1
         self.matrix = build_diffusion(self.spec)
-        self.blocks = random_blocks(4, 4, 8)
+        self.blocks = random_blocks(4, self.count, 8)
         self.flat = self.blocks.ravel()
 
-    def test_block_powers_match_dense(self):
+    def test_ramp_ladder_matches_dense(self):
         # the controlled-power stage of pea_operator on its own
         def ladder(spec, m, coeff):
             return _apply_ramp(spec, coeff, np.arange(2**m))
@@ -210,19 +211,19 @@ class TestJointOperators:
         oracle = dense_power_ladder(self.matrix, 2) @ self.flat
         assert np.allclose(applied.ravel(), oracle, atol=1e-10)
 
-    def test_c_operator_matches_dense(self):
+    def test_apply_condition_matches_dense(self):
         applied = _in_eigen_frame(_apply_condition, self.spec, 2, self.blocks)
         powered = np.linalg.matrix_power(self.matrix, 4)
-        dense = -np.eye(16, dtype=np.complex128)
-        dense[:4, :4] = powered
+        dense = -np.eye(4 * self.count, dtype=np.complex128)
+        dense[: self.count, : self.count] = powered
         assert np.allclose(applied.ravel(), dense @ self.flat, atol=1e-10)
 
     def test_pea_operator_matches_dense(self):
         applied = pea_operator(self.spec, 2, self.blocks)
         dense = (
-            np.kron(qft(2), np.eye(4))
+            np.kron(qft(2), np.eye(self.count))
             @ dense_power_ladder(self.matrix, 2)
-            @ np.kron(walsh_hadamard(2), np.eye(4))
+            @ np.kron(walsh_hadamard(2), np.eye(self.count))
         )
         assert np.allclose(applied.ravel(), dense @ self.flat, atol=1e-10)
 
@@ -237,12 +238,12 @@ class TestJointOperators:
 
     def test_dense_boosted_matrix_matches_dense(self):
         estimate = (
-            np.kron(qft(2), np.eye(4))
+            np.kron(qft(2), np.eye(self.count))
             @ dense_power_ladder(self.matrix, 2)
-            @ np.kron(walsh_hadamard(2), np.eye(4))
+            @ np.kron(walsh_hadamard(2), np.eye(self.count))
         )
-        condition = -np.eye(16, dtype=np.complex128)
-        condition[:4, :4] = np.linalg.matrix_power(self.matrix, 4)
+        condition = -np.eye(4 * self.count, dtype=np.complex128)
+        condition[: self.count, : self.count] = np.linalg.matrix_power(self.matrix, 4)
         oracle = estimate @ condition @ estimate.conj().T
         assert np.allclose(dense_boosted_matrix(self.spec, 2), oracle, atol=1e-10)
 
@@ -261,7 +262,7 @@ def test_fused_boost_matches_stage_composition(n, m):
     # each with its own round trip through the eigenbasis
     spec = symmetric_spectrum(n, 3, 0.9, 1.9)
     rng = np.random.default_rng(n + m)
-    shape = (2**m, n, 3)
+    shape = (2**m, spec.phases.size, 3)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     staged = blocks
     for stage in (_apply_unestimate, _apply_condition, _apply_estimate):
@@ -275,7 +276,7 @@ def test_dense_boosted_matrix_matches_joint_columns(n, m):
     # the matrix built from per-eigenvector blocks is boosted_diffusion on
     # every joint basis vector
     spec = resonant_spectrum(n, m, 1e-3, 5)
-    n = spec.phases.size  # its entries: from n = 6 the lone slot merges
+    n = spec.phases.size  # its entries, n - 1
     joint = 2**m * n
     columns = np.eye(joint, dtype=np.complex128).reshape(2**m, n, joint)
     pushed = boosted_diffusion(spec, m, columns).reshape(joint, joint)
@@ -285,7 +286,7 @@ def test_dense_boosted_matrix_matches_joint_columns(n, m):
 def test_controlled_oracle_flips_single_amplitude():
     # in the main basis, V c loses the sign of entry 1 only, in place
     spec = symmetric_spectrum(4, 3, 0.9, 1.9)
-    coeff = random_blocks(1, 4, 9)[0, :, 0]
+    coeff = random_blocks(1, spec.phases.size, 9)[0, :, 0]
     vectors = eigenbasis(spec)
     row = vectors[1]
     expected = vectors @ coeff
@@ -296,7 +297,7 @@ def test_controlled_oracle_flips_single_amplitude():
 
 def test_boosted_diffusion_fixes_joint_source():
     spec = symmetric_spectrum(8, 5, 0.8, 1.8)
-    blocks = np.zeros((4, 8, 1), dtype=np.complex128)
+    blocks = np.zeros((4, spec.phases.size, 1), dtype=np.complex128)
     blocks[0, :, 0] = eigenbasis(spec)[:, 0]
     moved = boosted_diffusion(spec, 2, blocks)
     assert np.allclose(moved, blocks, atol=1e-12)
@@ -312,9 +313,8 @@ def test_boosted_spectrum_splits_into_powered_and_flipped():
     from gqsearch.linalg import unitary_eigensystem
 
     system = unitary_eigensystem(dense)
-    expected = np.concatenate(
-        [wrap_phase(2**m * spec.phases), np.full((2**m - 1) * 4, math.pi)]
-    )
+    flipped = np.full((2**m - 1) * spec.phases.size, math.pi)
+    expected = np.concatenate([wrap_phase(2**m * spec.phases), flipped])
     assert np.allclose(np.sort(system.phases), np.sort(expected), atol=1e-8)
 
 
@@ -330,7 +330,7 @@ def test_dense_boosted_matrix_respects_cap():
     with pytest.raises(DenseCapError):
         dense_boosted_matrix(spec, 5)
     # the check reads the matrix's blocks, and keeps the joint cap with them
-    with pytest.raises(DenseCapError, match="joint dimension 2048"):
+    with pytest.raises(DenseCapError, match="joint dimension 2016"):
         dense_b_prime_check(SearchInstance.build(spec), 5)
 
 
@@ -444,8 +444,7 @@ def oracle_instance(family):
 def audit_instance():
     """The benchmark's dense check instance: joint dimension 1016 at m = 3.
 
-    Its side is 128, but the lone slot merges with the last pair's positive
-    phase, so the dense check runs on 127 entries.
+    Its side is 128, and it holds 127 entries: the source and 63 pairs.
     """
     return SearchInstance.build(resonant_spectrum(128, 3, 1e-3, 1))
 
@@ -647,11 +646,13 @@ class TestBoostedLambda1:
             assert abs(boosted_lambda1(inst, m)) <= 1e-12
 
     def test_zero_weight_branch_is_exempt(self):
-        # the odd leftover eigenvector sits at pi with exactly zero weight;
-        # doubling pi wraps onto zero but must not trip resonance detection
+        # an eigenvector at pi with exactly zero weight: doubling pi wraps
+        # onto zero, but the spectrum drops the entry, so nothing resonates
         spec = symmetric_spectrum(8, 2, 0.9, 1.9)
-        assert math.pi in set(np.abs(spec.phases))
-        inst = SearchInstance.build(spec)
+        phases = np.append(spec.phases, np.pi)
+        assert math.pi in set(np.abs(phases))
+        inst = SearchInstance(phases, np.append(spec.weights, 0.0), n=8)
+        assert inst.phases.tobytes() == spec.phases.tobytes()
         assert abs(boosted_lambda1(inst, 1)) <= 1e-12
 
 

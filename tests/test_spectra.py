@@ -33,7 +33,7 @@ from gqsearch.pea import (
     default_ancilla_count,
     dense_b_prime_check,
 )
-from gqsearch.search import predict_spectrum, run_iterations
+from gqsearch.search import predict_spectrum, run_iterations, verify_relevant_pair
 
 from helpers import graph_spectrum, hypercube_levels, torus_levels, unitarity_defect
 
@@ -50,7 +50,7 @@ def two_phase_toy():
 
 
 def zero_weight_toy():
-    """4 entries: entry 1 carries no target weight, entries 2 and 3 a pair."""
+    """Given 4 entries: entry 1, with no target weight, is dropped; 2 and 3 pair."""
     return EigenSpectrum(
         np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]),
         np.array([0.25, 0.0, 0.375, 0.375]),
@@ -171,14 +171,14 @@ class TestSymmetricGenerator:
         n, alpha = 16, 0.25
         for seed in range(40):
             spec = symmetric_spectrum(n, seed, 0.5, 1.5, alpha=alpha)
-            drawn = spec.phases[1:-1:2]
-            weights = spec.weights[1:-1:2] + spec.weights[2:-1:2]
+            drawn = spec.phases[1::2]
+            weights = spec.weights[1::2] + spec.weights[2::2]
             stretched = np.sin(0.5 * (np.pi / float(np.max(drawn))) * drawn) ** 2
             floor = math.sqrt(float(np.sum(weights / stretched)))
             spec = symmetric_spectrum(
                 n, seed, 0.5, 1.5, alpha=alpha, b_target=math.nextafter(floor, math.inf)
             )
-            assert np.max(np.abs(spec.phases[1:-1])) < np.pi, seed
+            assert np.max(np.abs(spec.phases[1:])) < np.pi, seed
 
     def test_deterministic_per_seed(self):
         first = symmetric_spectrum(32, 21, 0.8, 1.6)
@@ -508,12 +508,13 @@ class TestNaivePowering:
             naive_power_b(inst, 8)
 
     def test_zero_weight_resonance_is_exempt(self):
-        # entry 1 has no target weight and resonates at every even power;
-        # entry 2 is weighted and resonates from r = 4 on
+        # the given entry 1 has no target weight and would resonate at every
+        # even power, but the spectrum drops it; the weighted pi/2, now
+        # eigenvector 1, resonates from r = 4 on
         inst = SearchInstance.build(zero_weight_toy())
         assert math.isfinite(naive_power_b(inst, 2))
         with pytest.raises(
-            ResonanceError, match=r"power 4 drives eigenvector 2 \(phase 1\.57"
+            ResonanceError, match=r"power 4 drives eigenvector 1 \(phase 1\.57"
         ):
             naive_power_b(inst, 4)
         # the boost drops both resonant entries, and their weight joins the
@@ -599,14 +600,13 @@ class TestResonantGenerator:
         assert np.array_equal(first.weights, second.weights)
 
     @pytest.mark.parametrize("m", [1, 3, 10])
-    def test_lone_slot_merges_with_the_last_pair(self, m):
-        # the lone slot's zero weight sits exactly at the last pair's
-        # positive phase, so a spectrum of side n holds n - 1 entries
+    def test_side_n_holds_n_minus_one_entries(self, m):
+        # the source and (n - 2) / 2 pairs, on the paired weights bit for bit
         n = 64
         weights = spectra._paired_weights(n, 5, 1.0 / math.sqrt(n))
         spec = resonant_spectrum(n, m, 1e-3, 5)
         assert spec.dimension == n and spec.phases.size == n - 1
-        assert spec.weights.tobytes() == weights[: n - 1].tobytes()
+        assert spec.weights.tobytes() == weights.tobytes()
 
 
 class TestPairedConstruction:
@@ -617,13 +617,13 @@ class TestPairedConstruction:
         n, alpha = 64, 0.05
         made = spectra._paired_weights(n, seed, alpha)
         phases = np.linspace(0.5, 1.5, (n - 2) // 2)
-        spec = spectra._paired_spectrum(made, phases, np.pi)
+        spec = spectra._paired_spectrum(made, phases, n=n)
         weights = spec.weights
-        assembled = weights[1 : n - 1 : 2] + weights[2 : n - 1 : 2]
-        closed = 2.0 * made[1 : n - 1 : 2]
+        assembled = weights[1::2] + weights[2::2]
+        closed = 2.0 * made[1::2]
         assert closed.tobytes() == assembled.tobytes()
-        # the lone slot is pinned to exactly zero target weight
-        assert spec.weights[n - 1] == 0.0
+        # no slot beyond the pairs is laid out: every entry is weighted
+        assert spec.dimension == n and np.all(spec.weights > 0.0)
 
 
 class TestWeightPath:
@@ -667,6 +667,39 @@ class TestWeightPath:
         phases, weights = spectra._merge_equal_phases(spec.phases, spec.weights)
         assert phases.tobytes() == spec.phases.tobytes()
         assert weights.tobytes() == spec.weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "at, unweighted",
+        [
+            (1, lambda spec: spec.phases[3]),
+            (5, lambda spec: 0.1),
+            (5, lambda spec: np.pi / 2),
+        ],
+        ids=["shares-a-later-phase", "nearest-0", "resonant-at-4"],
+    )
+    def test_zero_weight_entries_are_dropped(self, at, unweighted):
+        # a measure has no zero-weight atom: the spectrum given one holds the
+        # weighted entries alone, in their order, and every number read from
+        # it is, bit for bit, that of the spectrum given without it
+        spec = symmetric_spectrum(14, 2, 0.5, 1.5)
+        phases = np.insert(spec.phases, at, unweighted(spec))
+        given = SearchInstance(phases, np.insert(spec.weights, at, 0.0))
+        assert given.dimension == phases.size
+        assert given.phases.tobytes() == spec.phases.tobytes()
+        assert given.weights.tobytes() == spec.weights.tobytes()
+        kept = SearchInstance(spec.phases, spec.weights, n=phases.size)
+
+        def readings(inst):
+            split = b_prime(inst, 2)
+            plain, boosted = run_iterations(inst, 40), boosted_search_run(inst, 2, 40)
+            return [
+                inst.b_factor, inst.lambda1, inst.theta_min, naive_power_b(inst, 4),
+                split.sigma1, split.sigma2, split.b_prime, *verify_relevant_pair(inst),
+                *(report.target_probability.tobytes() for report in (plain, boosted)),
+                *(report.source_overlap.tobytes() for report in (plain, boosted)),
+            ]
+
+        assert readings(given) == readings(kept)
 
     def test_weight_path_never_builds_the_eigenbasis(self):
         # every layer a report needs, at N = 4096, where one N x N complex
@@ -728,7 +761,7 @@ PAIRED_SIDES = [
 
 
 def paired_spectrum(kind, n):
-    """A paired generator's spectrum of side n; its lone slot is entry n - 1."""
+    """A paired generator's spectrum of side n: n - 1 entries."""
     if kind == "symmetric":
         return symmetric_spectrum(n, 5, 0.5, 1.5)
     return resonant_spectrum(n, 3, 1e-3, 5)
@@ -738,14 +771,14 @@ class TestEigenbasis:
     """``dense.eigenbasis`` realizes any spectrum within ``DENSE_CAP``."""
 
     @pytest.mark.parametrize(
-        "make, bound, lone",
+        "make, bound, unweighted",
         [
+            (lambda: grover_spectrum(1024), 1e-10, None),
+            # the reflection about e_3: the source misses the target
+            (lambda: EigenSpectrum([0.0, np.pi], [0.0, 1.0], n=8), 1e-10, 0),
             *(
                 (make, 1e-10, None)
                 for make in (
-                    lambda: grover_spectrum(1024),
-                    # the reflection about e_3: the source misses the target
-                    lambda: EigenSpectrum([0.0, np.pi], [0.0, 1.0], n=8),
                     # alpha^2 = 1e-320 is subnormal, not 0
                     lambda: symmetric_spectrum(16, 1, 0.5, 1.5, alpha=1e-160),
                     lambda: resonant_spectrum(16, 1, 1e-17, 1),
@@ -754,18 +787,12 @@ class TestEigenbasis:
                     lambda: graph_spectrum(torus_levels(2, 32), math.pi / 5),
                     two_phase_toy,
                     zero_weight_toy,
-                    lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
                 )
             ),
-            # the paired generators hold a tighter bound, and the target
-            # weight is exactly zero on the symmetric lone slot; the resonant
-            # one merges with a pair
+            (lambda: EigenSpectrum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]), 1e-10, 0),
+            # the paired generators hold a tighter bound
             *(
-                (
-                    functools.partial(paired_spectrum, kind, n),
-                    1e-13,
-                    n - 1 if kind == "symmetric" else None,
-                )
+                (functools.partial(paired_spectrum, kind, n), 1e-13, None)
                 for kind, n in PAIRED_SIDES
             ),
         ],
@@ -777,14 +804,16 @@ class TestEigenbasis:
             *(f"{kind}-{n}" for kind, n in PAIRED_SIDES),
         ],
     )
-    def test_basis_is_unitary_with_the_target_row(self, make, bound, lone):
+    def test_basis_is_unitary_with_the_target_row(self, make, bound, unweighted):
+        # ``unweighted`` names the entry, the source, whose target weight is
+        # exactly zero: the only one a spectrum keeps
         spec = make()
         vectors = eigenbasis(spec)
         assert vectors.shape == (spec.phases.size, spec.phases.size)
         assert unitarity_defect(vectors) <= bound
         assert vectors[0].tobytes() == np.sqrt(spec.weights).tobytes()
-        if lone is not None:
-            assert vectors[0, lone] == 0.0
+        if unweighted is not None:
+            assert vectors[0, unweighted] == 0.0
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     @pytest.mark.parametrize("source", ["uniform", "random", "e3"])
@@ -832,7 +861,6 @@ class TestDenseCap:
         if kind == "symmetric":
             spec = symmetric_spectrum(n, 1, 0.5, 1.5)
         else:
-            # the lone slot merges: N - 1 entries, still above the cap
             spec = resonant_spectrum(n, 3, 1e-3, 1)
         built = []
         monkeypatch.setattr(
@@ -849,8 +877,9 @@ class TestDenseCap:
         ids=["build_diffusion", "search_operator"],
     )
     def test_dense_operators_above_the_cap_raise(self, dense):
+        # N - 1 entries, still above the cap
         inst = SearchInstance.build(symmetric_spectrum(self.N, 1, 0.5, 1.5))
-        self.peak_while_raising(lambda: dense(inst))
+        self.peak_while_raising(lambda: dense(inst), inst.phases.size)
 
 
 class TestScalingFamily:
