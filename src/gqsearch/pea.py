@@ -88,9 +88,8 @@ def _boosted_measure(inst: SearchInstance, m: int):
     entry keeps a weight > 0.  The power is odd, so a conjugate spectrum
     boosts to the exact conjugate.
     """
-    _check_ancilla_count(m)
+    survival = pea_amplitude(inst.phases, m, 0) ** 2  # checks m before 2**m
     powered = _power(inst.phases, 2**m)
-    survival = np.minimum(pea_amplitude(inst.phases, m, 0) ** 2, 1.0)
     kept = ~_resonant(powered, 2**m)
     kept[0] = True  # the source, phase 0 and s_0 = 1
     survival[~kept] = 0.0

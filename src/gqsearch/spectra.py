@@ -265,14 +265,12 @@ def _source_weight(alpha: float | None, n: int) -> float:
 # normals per call when stepping the stream past the discarded block, through
 # one buffer per sink (``_sink``); the timing is flat from 2**13 to 2**18
 _SKIP_CHUNK = 2**14
-# discarded normals from which a helper thread draws half of them: N >= 726.
-# On a 2-core host (12 fresh processes each, median and quartiles) the split
-# does not pay at N = 726, 8.3 ms (7.6-9.6) against 7.0 ms (6.7-7.5) on one
-# thread, nor at N = 1024, 17.3 ms (15.2-18.2) against 15.4 ms (14.1-16.7);
-# at N = 4096 it takes 155 ms (144-165) against 266 ms (250-277).  No core
-# count is read: on one core the split costs 24.4 ms against 21.6 ms at
-# N = 1024 and 360 ms against 350 ms at N = 4096
-_SPLIT_MIN = 2**19
+# discarded normals from which a helper thread draws half of them: N >= 1026.
+# On a 2-core host (12 interleaved fresh processes per variant, medians) the
+# split is a wash at N = 1024, 19.1 ms against 19.2 ms on one thread, and
+# pays from N = 1448, 29.0 against 38.6 ms, to N = 4096, 175 against 297 ms.
+# No core count is read: on one core it costs 88 against 84 ms at N = 2048
+_SPLIT_MIN = 2**20
 # NumPy's PCG64 steps a 128-bit LCG by this multiplier once per 64-bit word
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
@@ -285,13 +283,13 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
     """The random part of a paired spectrum's target weights: its profile.
 
     Returns ``unit``, the unit target profile: n - 2 pair entries, then one
-    exactly zero entry that no spectrum reads.  Before it the
-    stream skips (n-1)**2 normals, once used for a source direction and a
-    basis completing it; skipping them keeps every profile, and so every
-    target weight, at the value earlier versions generated.  They are drawn
-    by NumPy's own sampler through a 2**14-entry buffer per thread, so no
-    (n-1)x(n-1) block is held, and from ``_SPLIT_MIN`` of them (N = 726) on
-    two threads (``_split_skip``), bit for bit the one-thread value.
+    exactly zero entry that no spectrum reads.  Before it the stream skips
+    (n-1)**2 normals, once used for a source direction and a basis
+    completing it; skipping them keeps every profile, and so every target
+    weight, at the value earlier versions generated.  They are drawn by
+    NumPy's own sampler through a 2**14-entry buffer (``_sink``), so no
+    (n-1)x(n-1) block is held, and from ``_SPLIT_MIN`` of them (N = 1026)
+    on two threads (``_split_skip``), bit for bit the one-thread value.
 
     The draw is made once per ``(n, seed)`` per process and kept at 8 N
     bytes per entry, shared by every caller and read-only.  ``seed`` must
@@ -303,7 +301,7 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
     if skipped >= _SPLIT_MIN:
         _split_skip(rng, skipped)
     else:
-        _draw_normals(_sink(rng), skipped)
+        _sink(rng)(skipped)
     # the trailing zero changes no value, but the norm's bits hold only with it
     profile = np.concatenate([rng.uniform(0.5, 1.5, size=n - 2), [0.0]])
     unit = profile / np.linalg.norm(profile)
@@ -312,15 +310,18 @@ def _seeded_draws(n: int, seed: int) -> np.ndarray:
 
 
 def _sink(rng: np.random.Generator):
-    """``drop(k)``: k <= 2**14 normals from ``rng`` into a buffer made here."""
+    """``drop(count)``: draw and drop ``count`` normals from ``rng``.
+
+    One 2**14-entry buffer serves every call.  It is made here, on the
+    calling thread: a helper thread's malloc arena would keep its own.
+    """
     buf = np.empty(_SKIP_CHUNK)
-    return lambda k: rng.standard_normal(out=buf[:k])
 
+    def drop(count: int) -> None:
+        for start in range(0, count, _SKIP_CHUNK):
+            rng.standard_normal(out=buf[: min(count - start, _SKIP_CHUNK)])
 
-def _draw_normals(drop, count: int) -> None:
-    """Draw and drop ``count`` standard normals through the sink ``drop``."""
-    for start in range(0, count, _SKIP_CHUNK):
-        drop(min(count - start, _SKIP_CHUNK))
+    return drop
 
 
 def _split_skip(rng: np.random.Generator, count: int) -> None:
@@ -340,29 +341,28 @@ def _split_skip(rng: np.random.Generator, count: int) -> None:
     helper = copy.deepcopy(rng.bit_generator)
     helper.advance(half)
     probe = copy.deepcopy(helper)
-    # both buffers are made here: the helper's malloc arena would keep its own
     mine, theirs, outcome = _sink(rng), _sink(np.random.Generator(helper)), {}
 
     def work():
         try:
-            _draw_normals(theirs, count - half)
+            theirs(count - half)
         except BaseException as exc:  # raised again by the caller after the join
             outcome["error"] = exc
 
     thread = threading.Thread(target=work, name="gqsearch-skip")
     thread.start()
     try:
-        _draw_normals(mine, half)
+        mine(half)
         behind = _normals_to(probe, rng.bit_generator.state)
     finally:
         thread.join()
     if "error" in outcome:
         raise outcome["error"]
     if behind is None:
-        _draw_normals(mine, count - half)
+        mine(count - half)
     else:
         rng.bit_generator.state = helper.state
-        _draw_normals(mine, behind)
+        mine(behind)
 
 
 def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
@@ -379,7 +379,7 @@ def _normals_to(bitgen: np.random.PCG64, target: dict) -> int | None:
     while gap:
         step = max(1, min(step, gap // 2))
         saved = bitgen.state
-        _draw_normals(drop, step)
+        drop(step)
         left = _words_between(bitgen.state, target)
         if left < gap:  # short of target or on it; a pass wraps modulo 2**128
             drawn, gap = drawn + step, left

@@ -782,6 +782,19 @@ class TestCli:
         capsys.readouterr()
         assert (tmp_path / "report.json").exists()
 
+    def test_run_at_q_max_zero_reports_the_start(self, tmp_path, capsys):
+        # a budget of no steps is valid: the peak is the start, alpha^2 = 1/16
+        config = write_config(
+            tmp_path,
+            "[experiment]\nkind = general-search\n[instance]\nn = 16\n"
+            f"[run]\nq_max = 0\nout = {tmp_path / 'start.csv'}\n",
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        [row] = parse_report_csv(tmp_path / "start.csv")
+        assert (row["peak_q"], row["peak_probability"]) == (0, 0.0625)
+        assert row["oracle_queries_at_peak"] == row["ds_applications_at_peak"] == 0
+
     def test_run_seed_override(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

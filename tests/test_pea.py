@@ -171,6 +171,15 @@ class TestPeaAmplitude:
                     pea_amplitude(theta, m, k), abs(comb[k]), rtol=0.0, atol=1e-12
                 )
 
+    def test_amplitude_never_exceeds_one_near_zero(self):
+        # the boost takes its square as a survival with no clamp; the ratio
+        # rounds nearest 1 at small phases, 1.1M of each sign from 1e-12 to
+        # 1e-2 here, one sign at a time to hold fewer temporaries
+        grid = np.geomspace(1e-12, 1e-2, 1_100_000)
+        for m in range(1, 25):
+            for theta in (grid, -grid):
+                assert np.max(pea_amplitude(theta, m, 0)) <= 1.0, m
+
     def test_array_input(self):
         grid = np.array([0.0, 0.5, -0.5, math.pi])
         values = pea_amplitude(grid, 2, 0)

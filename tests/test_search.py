@@ -228,6 +228,9 @@ class TestRelevantPair:
             lambda: SearchInstance.build(grover_spectrum(64)),
             # no weighted phase below 0: the lower bracket wraps to 2.0 - 2 pi
             lambda: band_toy(0.2, [0.3, 0.7], [0.8, 2.0]),
+            # its mirror, no weighted phase above 0: the upper bracket wraps
+            # to -2.0 + 2 pi
+            lambda: band_toy(0.2, [0.3, 0.7], [-0.8, -2.0]),
         ],
         ids=[
             "double_pair_toy",
@@ -238,6 +241,7 @@ class TestRelevantPair:
             "symmetric256",
             "grover64",
             "one_sided",
+            "one_sided_mirror",
         ],
     )
     def test_secular_pair_matches_dense(self, build):

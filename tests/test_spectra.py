@@ -275,6 +275,22 @@ def affinity_calls(monkeypatch):
     return calls
 
 
+def check_every_drop(monkeypatch, check):
+    """Make each ``drop`` that ``_sink`` returns call ``check()`` first."""
+    sink = spectra._sink
+
+    def checked_sink(rng):
+        drop = sink(rng)
+
+        def checked(count):
+            check()
+            drop(count)
+
+        return checked
+
+    monkeypatch.setattr(spectra, "_sink", checked_sink)
+
+
 def one_thread_draws(n, seed):
     """``_seeded_draws(n, seed)`` as a plain one-thread loop."""
     rng = np.random.default_rng(seed)
@@ -346,14 +362,11 @@ class TestSplitSkip:
 
     def test_helper_error_propagates(self, monkeypatch):
         # raised in the caller after the join
-        draw = spectra._draw_normals
-
-        def failing_off_main(rng, count):
+        def failing_off_main():
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("helper failed")
-            draw(rng, count)
 
-        monkeypatch.setattr(spectra, "_draw_normals", failing_off_main)
+        check_every_drop(monkeypatch, failing_off_main)
         with pytest.raises(RuntimeError, match="helper failed"):
             spectra._split_skip(stream_after(0, 15), 15 * 14)
 
@@ -363,14 +376,11 @@ class TestSplitSkip:
     ):
         # the helper is started as is, and neither thread reads, narrows or
         # restores the caller's CPU mask, whether the helper fails or not
-        draw = spectra._draw_normals
-
-        def drawn(rng, count):
+        def failing_on_helper():
             if helper_fails and threading.current_thread().name == "gqsearch-skip":
                 raise RuntimeError("helper failed")
-            draw(rng, count)
 
-        monkeypatch.setattr(spectra, "_draw_normals", drawn)
+        check_every_drop(monkeypatch, failing_on_helper)
         split, serial = stream_after(3, 129), stream_after(3, 129)
         if helper_fails:
             with pytest.raises(RuntimeError, match="helper failed"):
@@ -389,9 +399,9 @@ class TestSplitSkip:
     def test_draws_match_one_thread_loop(
         self, n, seed, threads_started, affinity_calls
     ):
-        # the real dispatch, which splits on the draw count alone: N = 512 is
-        # below the threshold, 1024 and 4096 above it.  No CPU mask is read
-        # or set, and the split helper is started as is
+        # the real dispatch, which splits on the draw count alone: N = 512
+        # and 1024 are below the threshold, 4096 above it.  No CPU mask is
+        # read or set, and the split helper is started as is
         unit = one_thread_draws(n, seed)
         spectra._seeded_draws.cache_clear()
         try:
@@ -399,7 +409,7 @@ class TestSplitSkip:
         finally:
             spectra._seeded_draws.cache_clear()
         assert drawn.tobytes() == unit.tobytes()
-        assert threads_started == (["gqsearch-skip"] if n >= 1024 else [])
+        assert threads_started == (["gqsearch-skip"] if n >= 4096 else [])
         assert affinity_calls == []
 
 
