@@ -85,6 +85,3 @@ def main(argv=None) -> int:
     print(" ".join(message.splitlines()), file=sys.stderr)
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -342,27 +342,25 @@ def _cell(value):
 
 def emit_report(rows: list[ReportRow], fmt: str, path) -> None:
     """Write rows as CSV or JSON; overwrites; byte-stable for fixed rows."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     names = [field.name for field in dataclasses.fields(ReportRow)]
     table = [[_cell(getattr(row, name)) for name in names] for row in rows]
-    if fmt == "csv":
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            for cells in table:
-                texts = [
-                    "" if cell is None
-                    else f"{cell:.12g}" if isinstance(cell, float)
-                    else str(cell)
-                    for cell in cells
-                ]
-                fh.write(",".join(texts) + "\n")
-        return
-    if fmt == "json":
-        payload = [dict(zip(names, cells)) for cells in table]
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if fmt == "json":
+            payload = [dict(zip(names, cells)) for cells in table]
             json.dump({"rows": payload}, fh, indent=2)
             fh.write("\n")
-        return
-    raise ConfigError(f"format must be csv or json, got {fmt!r}")
+            return
+        fh.write(",".join(names) + "\n")
+        for cells in table:
+            texts = [
+                "" if cell is None
+                else f"{cell:.12g}" if isinstance(cell, float)
+                else str(cell)
+                for cell in cells
+            ]
+            fh.write(",".join(texts) + "\n")
 
 
 def _validation_checks():

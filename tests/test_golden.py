@@ -7,6 +7,8 @@ report byte (a digit, a column, the peak row) fails here.
 Each test starts from an empty random-draw memo, so it pins the report a
 fresh ``gqsearch`` process writes, not one drawn from a warm memo.  One
 test reruns every config in a child process on OpenBLAS's Prescott kernel.
+One steps every row's instance in ``np.clongdouble`` and holds its peak
+cells to the committed ones.
 Every golden lambda1 cell is exactly 0: a cotangent at phase pi is 0,
 and the paired spectra cancel term by term, as do their boosts, whose
 wrap is odd.
@@ -21,11 +23,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gqsearch
-from gqsearch import cli, search, spectra
+from gqsearch import cli, harness, pea, search, spectra
 from gqsearch.harness import EXPERIMENT_KINDS
+
+from helpers import parse_report_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -61,6 +66,41 @@ def test_run_reproduces_golden_json(tmp_path):
     argv = ["run", "--config", str(GOLDEN / "b-sweep.ini"), "--format", "json"]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "b-sweep.json").read_bytes()
+
+
+def longdouble_peak(inst, q_max):
+    """The first peak (q, p) of a run on ``inst``, stepped in ``np.clongdouble``."""
+    target = np.sqrt(inst.weights).astype(np.complex128).astype(np.clongdouble)
+    rotate = np.where(inst.phases == np.pi, -1.0, np.exp(1j * inst.phases))
+    rotate = rotate.astype(np.clongdouble)
+    coeff = np.zeros(len(target), dtype=np.clongdouble)
+    coeff[0] = 1
+    probability = []
+    for _ in range(q_max):
+        coeff = (coeff - 2 * np.sum(target * coeff) * target) * rotate
+        probability.append(abs(np.sum(target * coeff)) ** 2)
+    q = int(np.argmax(probability))
+    return q + 1, probability[q]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 here, so a twin would only repeat the run",
+)
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_longdouble_twin_agrees_with_golden_cells(kind):
+    # each row's instance, boosted on the row's m where it has one, stepped
+    # from the run's float64 inputs (sqrt(weights) as complex128, and
+    # exp(1j * phases) with exactly -1 at pi) over the run's default budget
+    config = harness.load_config(GOLDEN / f"{kind}.ini")
+    rows = parse_report_csv(GOLDEN / f"{kind}.csv")
+    for inst, row in zip(harness._instances(config), rows, strict=True):
+        if row["m"] is not None:
+            inst = pea.boosted_instance(inst, row["m"])
+        q_max = 2 * search.peak_law(inst.b_factor, inst.alpha, inst.lambda1)[0]
+        q, p = longdouble_peak(inst, q_max)
+        rounded = np.format_float_scientific(p, precision=11, unique=False)
+        assert (q, float(rounded)) == (row["peak_q"], row["peak_probability"])
 
 
 def plain_column_sha256():

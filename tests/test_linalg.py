@@ -66,6 +66,7 @@ def test_wrap_phase_array_input():
         (-0.5, 0),
         (-1.5, -1),
         (2.4999, 2),
+        (2.4999997, 2),
         (3.0, 3),
     ],
 )

@@ -156,10 +156,13 @@ def first_crest(probability):
 
 
 class TestPeakLaw:
-    @pytest.mark.parametrize("b, alpha", [(1.4, 0.1), (8.0, 1 / 32), (3.3, 0.01)])
+    @pytest.mark.parametrize(
+        "b, alpha", [(1.4, 0.1), (8.0, 1 / 32), (3.3, 0.01), (25.00000001 / np.pi, 0.25)]
+    )
     def test_balanced_law_is_pi_b_over_4_alpha(self, b, alpha):
         # lambda1 = 0 gives sin(2 eta) = 1 exactly: the law reads as it did
-        # before it carried the mixing angle, bit for bit
+        # before it carried the mixing angle, bit for bit; the last crest,
+        # 25.00000001, rounds to q = 25 only with the 4 and the 1/2 exact
         q, p = search.peak_law(b, alpha, 0.0)
         assert q == max(1, round_half_up(np.pi * b / (4.0 * alpha) - 0.5))
         assert p == 1.0 / b**2
